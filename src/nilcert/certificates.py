@@ -278,7 +278,8 @@ def node_witnesses(
 
     Leaves witness u itself; branches combine their children through the
     product witness.  The per-node exponents equal the digraph's exponent
-    recursion.
+    recursion.  One forward pass suffices, because the digraph stores its
+    nodes in post-order.
     """
     if not digraph.generic:
         raise ValueError("certificates are extracted from indeterminate-coefficient runs")
@@ -286,24 +287,13 @@ def node_witnesses(
         raise ValueError(f"target index must lie in 1..{digraph.n}, got {target_index}")
     u = Indeterminate.a(target_index)
     memo: dict[IdealLabel, tuple[int, MembershipWitness]] = {}
-
-    def solve(label: IdealLabel) -> tuple[int, MembershipWitness]:
-        cached = memo.get(label)
-        if cached is not None:
-            return cached
-        node = digraph.nodes[label]
+    for label, node in digraph.nodes.items():
         if node.tag.is_leaf:
-            result = (1, membership_witness(label, u))
+            memo[label] = (1, membership_witness(label, u))
         else:
-            left_label, right_label = node.children
-            k, left = solve(left_label)
-            l, right = solve(right_label)
+            (k, left), (l, right) = (memo[child] for child in node.children)
             product = gauss_product_witness(node.tag.i, node.tag.j, label)
-            result = (k + l, combine(left, right, product))
-        memo[label] = result
-        return result
-
-    solve(digraph.root)
+            memo[label] = (k + l, combine(left, right, product))
     return memo
 
 
@@ -406,22 +396,30 @@ def dump_certificate(certificate: NilpotencyCertificate) -> str:
 
 
 def load_certificate(text: str) -> NilpotencyCertificate:
-    """Rebuild a certificate from its JSON dump."""
+    """Rebuild a certificate from its JSON dump.
+
+    Raises ValueError for any malformed dump: bad JSON, wrong field types,
+    or sizes outside n >= 1, m >= 0, 1 <= i0 <= n, e >= 1.
+    """
     doc = json.loads(text)
-    if doc.get("format") != CERTIFICATE_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CERTIFICATE_FORMAT:
         raise ValueError("not a certificate dump")
-    n, m = int(doc["n"]), int(doc["m"])
-    target_index, exponent = int(doc["i0"]), int(doc["e"])
-    rel_coeffs = {}
-    for key, rendered in doc["rel_coeffs"].items():
-        k = int(key)
-        if not 1 <= k <= n + m:
-            raise ValueError(f"relation index {k} out of range")
-        rel_coeffs[k] = MultiPoly.parse(rendered)
+    sizes = [doc.get(key) for key in ("n", "m", "i0", "e")]
+    if any(type(value) is not int for value in sizes):
+        raise ValueError(f"n, m, i0 and e must be integers, got {sizes}")
+    n, m, target_index, exponent = sizes
+    if n < 1 or m < 0 or not 1 <= target_index <= n or exponent < 1:
+        raise ValueError(f"sizes out of range: n={n}, m={m}, i0={target_index}, e={exponent}")
+    rel, unit = doc.get("rel_coeffs"), doc.get("unit_coeff")
+    if not isinstance(rel, dict) or not all(isinstance(v, str) for v in (*rel.values(), unit)):
+        raise ValueError("rel_coeffs must map indices to polynomial strings, unit_coeff a string")
+    rel_coeffs = {int(key): MultiPoly.parse(rendered) for key, rendered in rel.items()}
+    if not all(1 <= k <= n + m for k in rel_coeffs):
+        raise ValueError(f"relation indices {sorted(rel_coeffs)} out of range 1..{n + m}")
     witness = MembershipWitness(
         subject=avar(target_index) ** exponent,
         label=IdealLabel.root(n, m),
         rel_coeffs=rel_coeffs,
-        unit_coeff=MultiPoly.parse(doc["unit_coeff"]),
+        unit_coeff=MultiPoly.parse(unit),
     )
     return NilpotencyCertificate(n, m, target_index, exponent, witness)

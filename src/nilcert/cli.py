@@ -315,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     except NotAUnit as exc:
         print(f"ERROR:not-a-unit:{exc}", file=sys.stderr)
         return EXIT_NOT_A_UNIT
-    except BadInput as exc:
+    except (BadInput, OSError) as exc:
         print(f"ERROR:bad-input:{exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,8 +11,10 @@ indeterminate coefficients), every label D is classified:
 
 Memoizing by label turns the underlying full binary tree into a small
 acyclic digraph; labels grow strictly along edges, so construction
-terminates.  The root exponent e is the number of leaves of the unfolded
-tree and satisfies u^e = 0 for every choice of u.
+terminates.  It runs as one post-order walk on an explicit stack, so depth
+is unbounded, and stores nodes children-first: later passes are loops.
+The root exponent e is the number of leaves of the unfolded tree and
+satisfies u^e = 0 for every choice of u.
 """
 
 from __future__ import annotations
@@ -244,6 +246,30 @@ def case_split(
     return CaseTag.branch(max(missing_a), max(missing_b))
 
 
+def _post_order(root, expand, finish, memo: dict):
+    """Value of ``root`` on an acyclic structure, children first.
+
+    ``expand(x)`` returns ``(payload, children)`` and, once every child has
+    a value, ``finish(x, payload, children, child_values)`` gives x's.  The
+    walk always descends into the first child without a value in ``memo``
+    and stores values there in finishing order, on an explicit stack.
+    """
+    if root not in memo:
+        payload, children = expand(root)
+        stack = [(root, payload, children, iter(children))]
+        while stack:
+            x, payload, children, pending = stack[-1]
+            for child in pending:
+                if child not in memo:
+                    child_payload, grandchildren = expand(child)
+                    stack.append((child, child_payload, grandchildren, iter(grandchildren)))
+                    break
+            else:
+                stack.pop()
+                memo[x] = finish(x, payload, children, [memo[c] for c in children])
+    return memo[root]
+
+
 @dataclass(frozen=True)
 class DigraphNode:
     tag: CaseTag
@@ -253,7 +279,11 @@ class DigraphNode:
 
 @dataclass
 class Digraph:
-    """Memoized induction structure: one node per reached label."""
+    """Memoized induction structure: one node per reached label.
+
+    ``nodes`` must be in post-order (children before parents, root last);
+    the passes below rely on it.
+    """
 
     n: int
     m: int
@@ -270,57 +300,38 @@ class Digraph:
 
 
 def grow_digraph(instance: ProblemInstance, early_stop: bool = False) -> Digraph:
-    """Depth-first construction keyed by label.
+    """Post-order construction keyed by label.
 
     Children add one generator each, so labels strictly grow along edges
-    and the recursion terminates.  Leaves carry exponent 1, branches the
-    sum of their children's exponents.
+    and the walk terminates.  Leaves carry exponent 1, branches the sum of
+    their children's exponents.
     """
     early_target = None
     if early_stop:
         if instance.target is None:
             raise ValueError("early stopping needs a fixed target index")
         early_target = instance.target
-    nodes: dict[IdealLabel, DigraphNode] = {}
 
-    def build(label: IdealLabel) -> int:
-        node = nodes.get(label)
-        if node is not None:
-            return node.exponent
+    def expand(label: IdealLabel) -> tuple[CaseTag, tuple[IdealLabel, ...]]:
         tag = case_split(label, instance, early_stop_target=early_target)
         if tag.is_leaf:
-            nodes[label] = DigraphNode(tag, (), 1)
-            return 1
-        left = label.add(Indeterminate.a(tag.i))
-        right = label.add(Indeterminate.b(tag.j))
-        exponent = build(left) + build(right)
-        nodes[label] = DigraphNode(tag, (left, right), exponent)
-        return exponent
+            return tag, ()
+        return tag, (label.add(Indeterminate.a(tag.i)), label.add(Indeterminate.b(tag.j)))
 
+    def finish(label, tag, children, child_nodes) -> DigraphNode:
+        return DigraphNode(tag, children, sum(c.exponent for c in child_nodes) if children else 1)
+
+    nodes: dict[IdealLabel, DigraphNode] = {}
     root = IdealLabel.root(instance.n, instance.m)
-    build(root)
+    _post_order(root, expand, finish, nodes)
     return Digraph(instance.n, instance.m, root, nodes, instance.is_generic)
 
 
 def root_exponent(digraph: Digraph) -> tuple[int, dict[IdealLabel, int]]:
-    """Recompute the exponent recursion from the digraph structure.
-
-    Returns the root value together with the per-node exponent map; the
-    values agree with the exponents stored at construction time.
-    """
-    memo: dict[IdealLabel, int] = {}
-
-    def solve(label: IdealLabel) -> int:
-        if label in memo:
-            return memo[label]
-        node = digraph.nodes[label]
-        value = 1 if not node.children else sum(solve(c) for c in node.children)
-        memo[label] = value
-        return value
-
-    for label in digraph.nodes:
-        solve(label)
-    return memo[digraph.root], memo
+    """The root exponent together with the per-node exponent map, as
+    stored at construction time."""
+    exponents = {label: node.exponent for label, node in digraph.nodes.items()}
+    return exponents[digraph.root], exponents
 
 
 def structural_metrics(digraph: Digraph) -> dict[str, int]:
@@ -332,27 +343,17 @@ def structural_metrics(digraph: Digraph) -> dict[str, int]:
     """
     longest: dict[IdealLabel, int] = {}
     shortest: dict[IdealLabel, int] = {}
-
-    def solve(label: IdealLabel) -> None:
-        if label in longest:
-            return
-        node = digraph.nodes[label]
-        if not node.children:
-            longest[label] = 0
-            shortest[label] = 0
-            return
-        for child in node.children:
-            solve(child)
-        longest[label] = 1 + max(longest[c] for c in node.children)
-        shortest[label] = 1 + min(shortest[c] for c in node.children)
-
-    solve(digraph.root)
-    tree_leaves, _ = root_exponent(digraph)
+    for label, node in digraph.nodes.items():
+        if node.children:
+            longest[label] = 1 + max(longest[c] for c in node.children)
+            shortest[label] = 1 + min(shortest[c] for c in node.children)
+        else:
+            longest[label] = shortest[label] = 0
     leaf_count = sum(1 for node in digraph.nodes.values() if not node.children)
     return {
         "height": longest[digraph.root],
         "shortest_path": shortest[digraph.root],
         "vertex_count": len(digraph.nodes),
         "leaf_count": leaf_count,
-        "tree_leaf_count": tree_leaves,
+        "tree_leaf_count": digraph.nodes[digraph.root].exponent,
     }

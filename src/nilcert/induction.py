@@ -2,9 +2,9 @@
 
 ``run_induction`` realizes the generic pattern: a predicate that either
 holds outright at an element or reduces it to the meet of two strictly
-larger elements holds everywhere, by memoized recursion on the strict
-order.  The recursion direction follows the natural inclusion order of
-ideals (children are larger), so no order reversal is needed.
+larger elements holds everywhere, by a post-order walk on the strict
+order, on an explicit stack.  The walk follows the natural inclusion order
+of ideals (children are larger), so no order reversal is needed.
 
 Instantiation one: radical decomposition over Z/n.  The radical ideals of
 Z/n are exactly the ideals (r) for squarefree divisors r of n; on that
@@ -33,7 +33,7 @@ from .certificates import (
     gauss_product_witness,
     membership_witness,
 )
-from .engine import CaseTag, ProblemInstance, case_split
+from .engine import CaseTag, ProblemInstance, _post_order, case_split
 from .oracles import IdealLabel
 from .poly import Indeterminate
 
@@ -92,30 +92,28 @@ def run_induction(
     Termination: components strictly increase and the poset is finite.
     """
     universe = set(poset.elements)
-    memo: dict[Any, Any] = {}
 
-    def solve(x: Any) -> Any:
-        if x in memo:
-            return memo[x]
+    def expand(x: Any) -> tuple[Any, tuple[Any, ...]]:
         outcome = goodness(x)
         if isinstance(outcome, Holds):
-            evidence = outcome.evidence
-        elif isinstance(outcome, Reduce):
-            y, z = outcome.left, outcome.right
-            for component in (y, z):
-                if component not in universe:
-                    raise NotReducible(f"component {component!r} is not a poset element")
-                if not (poset.leq(x, component) and x != component):
-                    raise NotReducible(f"component {component!r} does not strictly dominate {x!r}")
-            if poset.meet(y, z) != x:
-                raise NotReducible(f"components of {x!r} do not meet back to it")
-            evidence = merge(x, y, z, solve(y), solve(z))
-        else:
+            return outcome.evidence, ()
+        if not isinstance(outcome, Reduce):
             raise TypeError(f"goodness returned {outcome!r}")
-        memo[x] = evidence
-        return evidence
+        y, z = outcome.left, outcome.right
+        for component in (y, z):
+            if component not in universe:
+                raise NotReducible(f"component {component!r} is not a poset element")
+            if not (poset.leq(x, component) and x != component):
+                raise NotReducible(f"component {component!r} does not strictly dominate {x!r}")
+        if poset.meet(y, z) != x:
+            raise NotReducible(f"components of {x!r} do not meet back to it")
+        return None, (y, z)
 
-    return {x: solve(x) for x in poset.elements}
+    def finish(x: Any, evidence: Any, children: tuple[Any, ...], values: list[Any]) -> Any:
+        return merge(x, *children, *values) if children else evidence
+
+    memo: dict[Any, Any] = {}
+    return {x: _post_order(x, expand, finish, memo) for x in poset.elements}
 
 
 # ----------------------------------------------------------------------

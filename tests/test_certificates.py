@@ -7,6 +7,7 @@ the empty term map.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -316,3 +317,43 @@ class TestDump:
     def test_load_rejects_foreign_documents(self):
         with pytest.raises(ValueError):
             load_certificate('{"format": "something-else"}')
+
+
+def _dump_fields(*drop, **changes):
+    """A valid (2, 1) dump with keys dropped or replaced."""
+    doc = json.loads(dump_certificate(extract_certificate(grow_digraph(ProblemInstance.generic(2, 1)), 1)))
+    for key in drop:
+        del doc[key]
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+MALFORMED_DUMPS = {
+    "not json": "{",
+    "top-level list": "[1, 2]",
+    "no format": "{}",
+    "missing n": _dump_fields("n"),
+    "missing rel_coeffs": _dump_fields("rel_coeffs"),
+    "missing unit_coeff": _dump_fields("unit_coeff"),
+    "string n": _dump_fields(n="2"),
+    "float m": _dump_fields(m=1.0),
+    "boolean i0": _dump_fields(i0=True),
+    "null e": _dump_fields(e=None),
+    "n = 0": _dump_fields(n=0, m=3, i0=0),
+    "negative m": _dump_fields(m=-1),
+    "i0 = 0": _dump_fields(i0=0),
+    "i0 > n": _dump_fields(i0=3),
+    "e = 0": _dump_fields(e=0),
+    "rel_coeffs list": _dump_fields(rel_coeffs=["1*a0"]),
+    "non-string rel coefficient": _dump_fields(rel_coeffs={"1": 3}),
+    "non-integer rel index": _dump_fields(rel_coeffs={"x": "1*a0"}),
+    "rel index out of range": _dump_fields(rel_coeffs={"4": "1*a0"}),
+    "non-string unit_coeff": _dump_fields(unit_coeff=7),
+    "unparsable unit_coeff": _dump_fields(unit_coeff="1*c0"),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_DUMPS.values(), ids=MALFORMED_DUMPS.keys())
+def test_load_rejects_malformed_dump(text):
+    with pytest.raises(ValueError):
+        load_certificate(text)

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from nilcert import load_certificate, verify_symbolic
 from nilcert.cli import main
 
@@ -182,6 +184,24 @@ class TestGenericCommand:
         code, _, err = run(capsys, "generic", "--n", "0", "--m", "1")
         assert code == 1
         assert err.startswith("ERROR:usage:")
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["generic", "--n", "2", "--m", "1"], "--emit-dot"),
+            (["generic", "--n", "2", "--m", "1"], "--emit-cert"),
+            (["concrete", "--modulus", "8", "--f", "1,2,4", "--g", "1,6"], "--emit-dot"),
+        ],
+    )
+    def test_missing_directory(self, capsys, tmp_path, argv, flag):
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, *argv, flag, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ERROR:bad-input:")
+        assert str(path.parent) in err
 
 
 class TestLnCommand:

@@ -204,6 +204,35 @@ class TestGrowDigraphConcrete:
                 assert concrete_e <= generic_e, (modulus, f, g)
 
 
+def _generic_digraphs():
+    for n in range(1, 7):
+        for m in range(0, 7 - n):
+            yield grow_digraph(ProblemInstance.generic(n, m))
+            for i0 in range(1, n + 1):
+                yield grow_digraph(ProblemInstance.generic(n, m, target=i0), early_stop=True)
+
+
+class TestPostOrder:
+    """Digraph.nodes lists every child before its parent and the root last."""
+
+    @staticmethod
+    def assert_post_order(d):
+        position = {lab: k for k, lab in enumerate(d.nodes)}
+        assert list(d.nodes)[-1] == d.root
+        for lab, node in d.nodes.items():
+            assert all(position[child] < position[lab] for child in node.children), lab
+
+    def test_generic_small_sweep(self):
+        for d in _generic_digraphs():
+            self.assert_post_order(d)
+
+    def test_concrete_worked_example(self):
+        self.assert_post_order(grow_digraph(Z8_INSTANCE))
+        for i0 in Z8_INSTANCE.targets():
+            per_target = ProblemInstance.concrete(8, [1, 2, 4], [1, 6], target=i0)
+            self.assert_post_order(grow_digraph(per_target, early_stop=True))
+
+
 class TestExponents:
     def test_root_exponent_examples(self):
         assert root_exponent(grow_digraph(ProblemInstance.generic(2, 1)))[0] == 3
