@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 from .engine import Digraph, ProblemInstance, convolution_polys
 from .oracles import IdealLabel, generic_closure
-from .poly import Indeterminate, MultiPoly, avar, bvar
+from .poly import EXPONENT_LIMIT, MAX_INDEX, Indeterminate, MultiPoly, avar, bvar
 
 
 class NotInClosure(Exception):
@@ -399,7 +399,9 @@ def load_certificate(text: str) -> NilpotencyCertificate:
     """Rebuild a certificate from its JSON dump.
 
     Raises ValueError for any malformed dump: bad JSON, wrong field types,
-    or sizes outside n >= 1, m >= 0, 1 <= i0 <= n, e >= 1.
+    sizes outside 1 <= n <= MAX_INDEX, 0 <= m <= MAX_INDEX, 1 <= i0 <= n,
+    1 <= e < EXPONENT_LIMIT, or a coefficient that the packed monomials of
+    verify_symbolic cannot hold.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != CERTIFICATE_FORMAT:
@@ -408,18 +410,31 @@ def load_certificate(text: str) -> NilpotencyCertificate:
     if any(type(value) is not int for value in sizes):
         raise ValueError(f"n, m, i0 and e must be integers, got {sizes}")
     n, m, target_index, exponent = sizes
-    if n < 1 or m < 0 or not 1 <= target_index <= n or exponent < 1:
+    if (
+        not 1 <= n <= MAX_INDEX
+        or not 0 <= m <= MAX_INDEX
+        or not 1 <= target_index <= n
+        or not 1 <= exponent < EXPONENT_LIMIT
+    ):
         raise ValueError(f"sizes out of range: n={n}, m={m}, i0={target_index}, e={exponent}")
     rel, unit = doc.get("rel_coeffs"), doc.get("unit_coeff")
     if not isinstance(rel, dict) or not all(isinstance(v, str) for v in (*rel.values(), unit)):
         raise ValueError("rel_coeffs must map indices to polynomial strings, unit_coeff a string")
-    rel_coeffs = {int(key): MultiPoly.parse(rendered) for key, rendered in rel.items()}
+    try:
+        rel_coeffs = {int(key): MultiPoly.parse(rendered) for key, rendered in rel.items()}
+        unit_coeff = MultiPoly.parse(unit)
+    except OverflowError as exc:
+        raise ValueError(f"dump does not fit packed monomials: {exc}") from None
     if not all(1 <= k <= n + m for k in rel_coeffs):
         raise ValueError(f"relation indices {sorted(rel_coeffs)} out of range 1..{n + m}")
+    # verify_symbolic multiplies each coefficient by c_k or a0*b0 - 1, whose
+    # carried exponent bound is 2 (they are sums of products a_i*b_j).
+    if any(c.exponent_bound + 2 >= EXPONENT_LIMIT for c in (*rel_coeffs.values(), unit_coeff)):
+        raise ValueError(f"coefficient exponents must stay below {EXPONENT_LIMIT - 2}")
     witness = MembershipWitness(
         subject=avar(target_index) ** exponent,
         label=IdealLabel.root(n, m),
         rel_coeffs=rel_coeffs,
-        unit_coeff=MultiPoly.parse(unit),
+        unit_coeff=unit_coeff,
     )
     return NilpotencyCertificate(n, m, target_index, exponent, witness)

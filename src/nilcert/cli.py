@@ -12,7 +12,8 @@ Subcommands:
 Results go to stdout as a JSON report (the pascal grid as plain text);
 notices and errors go to stderr.  Error lines start with a machine-parsable
 ERROR:<class>: prefix.  Exit codes: 0 success, 1 usage or bad input,
-2 not-a-unit, 3 verification failure.
+2 not-a-unit, 3 verification failure, 4 an unexpected internal error
+(ERROR:internal:<ExceptionClass>: <message>, never a traceback).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_A_UNIT = 2
 EXIT_VERIFICATION = 3
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -318,6 +320,9 @@ def main(argv: list[str] | None = None) -> int:
     except (BadInput, OSError) as exc:
         print(f"ERROR:bad-input:{exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"ERROR:internal:{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

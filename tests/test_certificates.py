@@ -37,6 +37,7 @@ from nilcert import (
     verify_symbolic,
     witness_gap,
 )
+from nilcert.poly import FIELD_BITS, MAX_INDEX
 
 A = Indeterminate.a
 B = Indeterminate.b
@@ -357,3 +358,24 @@ MALFORMED_DUMPS = {
 def test_load_rejects_malformed_dump(text):
     with pytest.raises(ValueError):
         load_certificate(text)
+
+
+W = FIELD_BITS
+OVERSIZED_DUMPS = {
+    "e = 2**W": _dump_fields(e=2**W),
+    "n past MAX_INDEX": _dump_fields(n=MAX_INDEX + 1),
+    "exponent 2**W in a coefficient": _dump_fields(unit_coeff=f"1*a0^{2**W}"),
+    "exponent 2**W - 2 in a coefficient": _dump_fields(rel_coeffs={"1": f"1*b1^{2**W - 2}"}),
+    "index past MAX_INDEX in a coefficient": _dump_fields(rel_coeffs={"2": f"1*a{MAX_INDEX + 1}"}),
+}
+
+
+@pytest.mark.parametrize("text", OVERSIZED_DUMPS.values(), ids=OVERSIZED_DUMPS.keys())
+def test_load_rejects_dump_past_packed_fields(text):
+    with pytest.raises(ValueError):
+        load_certificate(text)
+
+
+def test_load_keeps_largest_checkable_exponents():
+    cert = load_certificate(_dump_fields(e=2**W - 1, unit_coeff=f"1*a0^{2**W - 3}"))
+    assert not verify_symbolic(cert).ok

@@ -236,3 +236,15 @@ class TestUnknownCommand:
         code, _, err = run(capsys, "frobnicate")
         assert code == 1
         assert err.startswith("ERROR:usage:")
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_maps_to_internal(self, capsys, monkeypatch):
+        def explode(digraph, target_index):
+            raise OverflowError("a product exponent could reach 2**32")
+
+        monkeypatch.setattr("nilcert.cli.extract_certificate", explode)
+        code, out, err = run(capsys, "generic", "--n", "2", "--m", "1")
+        assert code == 4
+        assert out == ""
+        assert err == "ERROR:internal:OverflowError: a product exponent could reach 2**32\n"

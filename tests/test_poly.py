@@ -15,6 +15,7 @@ from nilcert import (
     avar,
     bvar,
 )
+from nilcert.poly import FIELD_BITS, MAX_INDEX
 
 A0, A1, A2 = Indeterminate.a(0), Indeterminate.a(1), Indeterminate.a(2)
 B0, B1 = Indeterminate.b(0), Indeterminate.b(1)
@@ -186,3 +187,117 @@ class TestIndeterminate:
             Indeterminate("c", 0)
         with pytest.raises(ValueError):
             Indeterminate("a", -1)
+
+
+# -- packed monomials ---------------------------------------------------------
+#
+# Indices up to 40 put exponents into slots up to 81, so a monomial spans
+# many 32-bit fields of its packed int.
+
+
+def wide_monomials() -> st.SearchStrategy:
+    wide = st.builds(
+        Indeterminate,
+        kind=st.sampled_from(["a", "b"]),
+        index=st.integers(min_value=0, max_value=40),
+    )
+    return st.dictionaries(wide, st.integers(min_value=1, max_value=6), max_size=5).map(
+        lambda exps: tuple(sorted(exps.items()))
+    )
+
+
+def wide_polys(max_terms: int = 8) -> st.SearchStrategy[MultiPoly]:
+    return st.dictionaries(
+        wide_monomials(),
+        st.integers(min_value=-(10**12), max_value=10**12),
+        max_size=max_terms,
+    ).map(MultiPoly)
+
+
+def reference_mul(x, y) -> dict:
+    """Product of two tuple-keyed term maps, without packing."""
+    out: dict = {}
+    for mono_x, coeff_x in x.items():
+        for mono_y, coeff_y in y.items():
+            exps = dict(mono_x)
+            for ind, e in mono_y:
+                exps[ind] = exps.get(ind, 0) + e
+            mono = tuple(sorted(exps.items()))
+            out[mono] = out.get(mono, 0) + coeff_x * coeff_y
+    return {mono: coeff for mono, coeff in out.items() if coeff}
+
+
+class TestPackedMonomials:
+    @given(p=wide_polys())
+    @settings(max_examples=80)
+    def test_render_parse_round_trip(self, p):
+        assert MultiPoly.parse(p.render()) == p
+
+    @given(p=wide_polys())
+    @settings(max_examples=80)
+    def test_terms_view_round_trip(self, p):
+        assert MultiPoly(p.terms) == p
+        assert all(p.terms[mono] == coeff for mono, coeff in p.terms.items())
+
+    @given(p=wide_polys(6), q=wide_polys(6))
+    @settings(max_examples=80)
+    def test_mul_matches_reference(self, p, q):
+        assert (p * q).terms == reference_mul(p.terms, q.terms)
+
+    def test_terms_view_is_read_only_and_tuple_keyed(self):
+        p = avar(40) * bvar(3) ** 2 - 5
+        assert dict(p.terms) == {((Indeterminate.a(40), 1), (Indeterminate.b(3), 2)): 1, (): -5}
+        assert ((Indeterminate.b(3), 2), (Indeterminate.a(40), 1)) not in p.terms
+        with pytest.raises(TypeError):
+            p.terms[()] = 1
+
+    def test_constructor_merges_equal_monomials(self):
+        p = MultiPoly({((A0, 1), (B0, 1)): 2, ((B0, 1), (A0, 1)): -2, ((A1, 1),): 3})
+        assert p == 3 * avar(1)
+
+    def test_degree_and_indeterminates_decode_fields(self):
+        p = avar(40) ** 3 * bvar(0) + bvar(7)
+        assert p.total_degree() == 4
+        assert p.indeterminates() == {Indeterminate.a(40), B0, Indeterminate.b(7)}
+
+    def test_evaluate_reads_wide_slots(self):
+        p = avar(40) ** 2 * bvar(39) - 1
+        values = {Indeterminate.a(40): 3, Indeterminate.b(39): 5}
+        assert p.evaluate(values, RingHandle.integers()) == 44
+
+
+class TestOverflowGuard:
+    W = FIELD_BITS
+
+    def test_field_holds_its_largest_exponent(self):
+        p = avar(0) ** (2**self.W - 1)
+        assert p.render() == f"1*a0^{2**self.W - 1}"
+        assert MultiPoly.parse(p.render()) == p
+
+    def test_power_past_the_field(self):
+        with pytest.raises(OverflowError):
+            avar(0) ** (2**self.W)
+
+    def test_product_past_the_field(self):
+        with pytest.raises(OverflowError):
+            avar(0) ** (2**self.W - 1) * (avar(0) + bvar(0))
+
+    def test_constants_never_overflow(self):
+        assert MultiPoly.const(-1) ** (2**self.W + 1) * MultiPoly.const(2) == -2
+
+    def test_parse_past_the_field(self):
+        with pytest.raises(OverflowError):
+            MultiPoly.parse(f"1*a0^{2**self.W}")
+
+    def test_constructor_past_the_field(self):
+        with pytest.raises(OverflowError):
+            MultiPoly({((A0, 2**self.W),): 1})
+        with pytest.raises(OverflowError):
+            MultiPoly({((A0, 2**self.W - 1), (A0, 1)): 1})
+
+    def test_index_past_the_layout(self):
+        assert avar(MAX_INDEX) * bvar(MAX_INDEX) == MultiPoly.parse(f"1*a{MAX_INDEX}*b{MAX_INDEX}")
+        with pytest.raises(OverflowError):
+            avar(MAX_INDEX + 1)
+        with pytest.raises(OverflowError):
+            MultiPoly.parse(f"1*b{MAX_INDEX + 1}")
