@@ -9,15 +9,11 @@ writing u^e as a combination of the defining relations.
 """
 
 from .certificates import (
-    ConcreteCheck,
-    MembershipWitness,
     NilpotencyCertificate,
     NotInClosure,
-    SymbolicCheck,
     WitnessBuilder,
     combine,
     dump_certificate,
-    expand_witness,
     extract_certificate,
     gauss_product_witness,
     load_certificate,
@@ -33,7 +29,6 @@ from .dot import emit_dot
 from .engine import (
     CaseTag,
     Digraph,
-    DigraphNode,
     InternalInconsistency,
     NotAUnit,
     ProblemInstance,
@@ -41,7 +36,6 @@ from .engine import (
     check_unit,
     convolution,
     convolution_polys,
-    generic_coefficients,
     grow_digraph,
     root_exponent,
     structural_metrics,
@@ -50,13 +44,11 @@ from .induction import (
     BadInput,
     CompositeWitness,
     FinitePoset,
-    GoodnessOutcome,
     Holds,
     ModIdeal,
     NotReducible,
     PrimeIdeal,
     Reduce,
-    SptOutcome,
     UnitIdeal,
     check_key_lemma,
     label_poset,
@@ -68,9 +60,7 @@ from .induction import (
     spt_modn,
 )
 from .oracles import (
-    Derivation,
     IdealLabel,
-    MembershipDecision,
     generic_closure,
     generic_membership,
     mod_membership,
@@ -78,13 +68,12 @@ from .oracles import (
 from .poly import (
     Indeterminate,
     MissingAssignment,
-    Monomial,
     MultiPoly,
     PolyParseError,
     avar,
     bvar,
 )
-from .rings import RingHandle, xgcd
+from .rings import RingHandle
 
 __version__ = "0.1.0"
 
@@ -92,21 +81,14 @@ __all__ = [
     "BadInput",
     "CaseTag",
     "CompositeWitness",
-    "ConcreteCheck",
-    "Derivation",
     "Digraph",
-    "DigraphNode",
     "FinitePoset",
-    "GoodnessOutcome",
     "Holds",
     "IdealLabel",
     "Indeterminate",
     "InternalInconsistency",
-    "MembershipDecision",
-    "MembershipWitness",
     "MissingAssignment",
     "ModIdeal",
-    "Monomial",
     "MultiPoly",
     "NilpotencyCertificate",
     "NotAUnit",
@@ -117,8 +99,6 @@ __all__ = [
     "ProblemInstance",
     "Reduce",
     "RingHandle",
-    "SptOutcome",
-    "SymbolicCheck",
     "UnitIdeal",
     "WitnessBuilder",
     "avar",
@@ -131,11 +111,9 @@ __all__ = [
     "convolution_polys",
     "dump_certificate",
     "emit_dot",
-    "expand_witness",
     "extract_certificate",
     "gauss_product_witness",
     "generic_closure",
-    "generic_coefficients",
     "generic_membership",
     "grow_digraph",
     "label_poset",
@@ -156,5 +134,4 @@ __all__ = [
     "verify_concrete",
     "verify_symbolic",
     "witness_gap",
-    "xgcd",
 ]

@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .engine import Digraph, ProblemInstance, convolution_polys
+from .engine import Digraph, ProblemInstance, relation_poly
 from .oracles import IdealLabel, generic_closure
 from .poly import EXPONENT_LIMIT, MAX_INDEX, Indeterminate, MultiPoly, avar, bvar
 
@@ -113,12 +113,11 @@ class MembershipWitness:
 def expand_witness(witness: MembershipWitness) -> MultiPoly:
     """Expand the combination side of the witness identity in Z[a, b]."""
     n, m = witness.label.n, witness.label.m
-    c_polys = convolution_polys(n, m)
     acc = MultiPoly.zero()
     for d, coeff in witness.gen_coeffs.items():
         acc = acc + coeff * MultiPoly.variable(d)
     for k, coeff in witness.rel_coeffs.items():
-        acc = acc + coeff * c_polys[k]
+        acc = acc + coeff * relation_poly(n, m, k)
     acc = acc + witness.unit_coeff * unit_relation()
     return acc
 
@@ -137,9 +136,8 @@ def _generator_part(label: IdealLabel, gen: Indeterminate, coeff: MultiPoly) -> 
 
 
 def _relation_part(label: IdealLabel, k: int, coeff: MultiPoly) -> MembershipWitness:
-    c_polys = convolution_polys(label.n, label.m)
     return MembershipWitness(
-        subject=coeff * c_polys[k],
+        subject=coeff * relation_poly(label.n, label.m, k),
         label=label,
         rel_coeffs={k: coeff},
     )
@@ -317,17 +315,16 @@ class SymbolicCheck:
 def verify_symbolic(certificate: NilpotencyCertificate) -> SymbolicCheck:
     """Independent expansion check of the certificate identity.
 
-    Recomputes the relation polynomials from (n, m), expands
-    sum relCoeffs[k]*c_k + unitCoeff*(a0*b0 - 1) - u^e, and passes iff the
-    difference is the zero polynomial.
+    Recomputes from (n, m) only the relation polynomials the witness
+    uses, expands sum relCoeffs[k]*c_k + unitCoeff*(a0*b0 - 1) - u^e, and
+    passes iff the difference is the zero polynomial.
     """
     witness = certificate.root_witness
     if witness.gen_coeffs:
         raise ValueError("root witness must not use ideal generators")
-    c_polys = convolution_polys(certificate.n, certificate.m)
     acc = MultiPoly.zero()
     for k, coeff in witness.rel_coeffs.items():
-        acc = acc + coeff * c_polys[k]
+        acc = acc + coeff * relation_poly(certificate.n, certificate.m, k)
     acc = acc + witness.unit_coeff * unit_relation()
     diff = acc - avar(certificate.target_index) ** certificate.exponent
     return SymbolicCheck(diff.is_zero, diff)

@@ -9,6 +9,12 @@ Subcommands:
   ln        --modulus N --ideal D
   pascal    --n N --m M
 
+generic and concrete run one pipeline: grow the induction digraph (one per
+target with --early-stop), write the DOT files, check each target and
+print the report.  Only the per-target check differs: generic mode extracts
+a certificate and verifies it symbolically, concrete mode evaluates u^e in
+Z/modulus.  The argument parser is built once per process.
+
 Results go to stdout as a JSON report (the pascal grid as plain text);
 notices and errors go to stderr.  Error lines start with a machine-parsable
 ERROR:<class>: prefix.  Exit codes: 0 success, 1 usage or bad input,
@@ -21,7 +27,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 from .certificates import dump_certificate, extract_certificate, power_check, verify_symbolic
 from .dot import emit_dot
@@ -64,16 +72,62 @@ def _parse_coeffs(text: str, what: str) -> list[int]:
         raise BadInput(f"{what} must be a comma-separated integer list, got {text!r}") from None
 
 
-def _target_path(path: str, target: int, multiple: bool) -> Path:
-    p = Path(path)
-    if not multiple:
-        return p
-    return p.with_name(f"{p.stem}.a{target}{p.suffix}")
+def _run_digraph(
+    args: argparse.Namespace,
+    instance: ProblemInstance,
+    head: dict,
+    check: Callable[..., tuple[dict, bool]],
+    failure: str,
+) -> int:
+    """The pipeline shared by generic and concrete mode.
 
+    Grows one digraph, or with --early-stop one per target, writes the DOT
+    files, asks ``check(digraph, i0, emit)`` for each target's report entry
+    and whether its check passed, and prints the report.  ``emit(kind,
+    path, i0, text)`` writes a file, named per target when there are
+    several targets and i0 is given.
+    """
+    targets = instance.targets()
+    files: dict[str, list[str]] = {}
 
-def _emit(path: Path, text: str, emitted: list[str]) -> None:
-    path.write_text(text, encoding="utf-8")
-    emitted.append(str(path))
+    def emit(kind: str, path: str, i0: int | None, text: str) -> None:
+        target_path = Path(path)
+        if i0 is not None and len(targets) > 1:
+            target_path = target_path.with_name(f"{target_path.stem}.a{i0}{target_path.suffix}")
+        target_path.write_text(text, encoding="utf-8")
+        files.setdefault(kind, []).append(str(target_path))
+
+    shared_digraph = None
+    if not args.early_stop:
+        shared_digraph = grow_digraph(instance)
+        if args.emit_dot:
+            emit("dot", args.emit_dot, None, emit_dot(shared_digraph))
+
+    target_reports = []
+    all_verified = True
+    for i0 in targets:
+        digraph = shared_digraph
+        if args.early_stop:
+            digraph = grow_digraph(replace(instance, target=i0), early_stop=True)
+            if args.emit_dot:
+                emit("dot", args.emit_dot, i0, emit_dot(digraph))
+        entry, ok = check(digraph, i0, emit)
+        all_verified = all_verified and ok
+        if args.early_stop:
+            entry["metrics"] = structural_metrics(digraph)
+        target_reports.append(entry)
+
+    report = {**head, "targets": target_reports}
+    if shared_digraph is not None:
+        report["metrics"] = structural_metrics(shared_digraph)
+    report["certificate"] = "verified" if all_verified else "failed"
+    if files:
+        report["files"] = files
+    print(json.dumps(report, indent=2))
+    if not all_verified:
+        print(f"ERROR:verification:{failure}", file=sys.stderr)
+        return EXIT_VERIFICATION
+    return EXIT_OK
 
 
 def _run_generic(args: argparse.Namespace) -> int:
@@ -81,63 +135,21 @@ def _run_generic(args: argparse.Namespace) -> int:
         return _usage_error("generic mode needs --n >= 1 and --m >= 0")
     if args.target is not None and not 1 <= args.target <= args.n:
         return _usage_error(f"--target must lie in 1..{args.n}")
-    instance = ProblemInstance.generic(args.n, args.m, target=args.target)
-    targets = instance.targets()
-    multiple = len(targets) > 1
 
-    dot_files: list[str] = []
-    cert_files: list[str] = []
-    target_reports = []
-    all_verified = True
-    shared_digraph = None
-    if not args.early_stop:
-        shared_digraph = grow_digraph(instance)
-        if args.emit_dot:
-            _emit(Path(args.emit_dot), emit_dot(shared_digraph), dot_files)
-
-    for i0 in targets:
-        if args.early_stop:
-            per_target = ProblemInstance.generic(args.n, args.m, target=i0)
-            digraph = grow_digraph(per_target, early_stop=True)
-            if args.emit_dot:
-                _emit(_target_path(args.emit_dot, i0, multiple), emit_dot(digraph), dot_files)
-        else:
-            digraph = shared_digraph
+    def check(digraph, i0, emit):
         certificate = extract_certificate(digraph, i0)
-        check = verify_symbolic(certificate)
-        all_verified = all_verified and check.ok
-        entry = {"i0": i0, "e": certificate.exponent}
-        if args.early_stop:
-            entry["metrics"] = structural_metrics(digraph)
-        target_reports.append(entry)
+        ok = verify_symbolic(certificate).ok
         if args.emit_cert:
-            _emit(
-                _target_path(args.emit_cert, i0, multiple),
-                dump_certificate(certificate),
-                cert_files,
-            )
+            emit("certificates", args.emit_cert, i0, dump_certificate(certificate))
+        return {"i0": i0, "e": certificate.exponent}, ok
 
-    report = {
-        "mode": "generic",
-        "n": args.n,
-        "m": args.m,
-        "targets": target_reports,
-    }
-    if shared_digraph is not None:
-        report["metrics"] = structural_metrics(shared_digraph)
-    report["certificate"] = "verified" if all_verified else "failed"
-    files = {}
-    if dot_files:
-        files["dot"] = dot_files
-    if cert_files:
-        files["certificates"] = cert_files
-    if files:
-        report["files"] = files
-    print(json.dumps(report, indent=2))
-    if not all_verified:
-        print("ERROR:verification:symbolic certificate check failed", file=sys.stderr)
-        return EXIT_VERIFICATION
-    return EXIT_OK
+    return _run_digraph(
+        args,
+        ProblemInstance.generic(args.n, args.m, target=args.target),
+        {"mode": "generic", "n": args.n, "m": args.m},
+        check,
+        "symbolic certificate check failed",
+    )
 
 
 def _run_concrete(args: argparse.Namespace) -> int:
@@ -158,54 +170,23 @@ def _run_concrete(args: argparse.Namespace) -> int:
     instance = ProblemInstance.concrete(args.modulus, f, g, target=args.target)
     check_unit(convolution(instance.a, instance.b, instance.ring))
 
-    targets = instance.targets()
-    multiple = len(targets) > 1
-    dot_files: list[str] = []
-    target_reports = []
-    all_verified = True
-    shared_digraph = None
-    if not args.early_stop:
-        shared_digraph = grow_digraph(instance)
-        if args.emit_dot:
-            _emit(Path(args.emit_dot), emit_dot(shared_digraph), dot_files)
-
-    for i0 in targets:
-        if args.early_stop:
-            per_target = ProblemInstance.concrete(args.modulus, f, g, target=i0)
-            digraph = grow_digraph(per_target, early_stop=True)
-            if args.emit_dot:
-                _emit(_target_path(args.emit_dot, i0, multiple), emit_dot(digraph), dot_files)
-        else:
-            digraph = shared_digraph
+    def check(digraph, i0, emit):
         exponent, _ = root_exponent(digraph)
-        check = power_check(instance, i0, exponent)
-        all_verified = all_verified and check.ok
+        result = power_check(instance, i0, exponent)
         entry = {"i0": i0, "e": exponent}
         if args.minimal:
-            entry["minimal"] = check.minimal_exponent
-        if args.early_stop:
-            entry["metrics"] = structural_metrics(digraph)
-        target_reports.append(entry)
+            entry["minimal"] = result.minimal_exponent
+        return entry, result.ok
 
-    report = {
+    head = {
         "mode": "concrete",
         "n": instance.n,
         "m": instance.m,
         "modulus": args.modulus,
         "f": list(instance.a),
         "g": list(instance.b),
-        "targets": target_reports,
     }
-    if shared_digraph is not None:
-        report["metrics"] = structural_metrics(shared_digraph)
-    report["certificate"] = "verified" if all_verified else "failed"
-    if dot_files:
-        report["files"] = {"dot": dot_files}
-    print(json.dumps(report, indent=2))
-    if not all_verified:
-        print("ERROR:verification:u^e did not vanish in the ring", file=sys.stderr)
-        return EXIT_VERIFICATION
-    return EXIT_OK
+    return _run_digraph(args, instance, head, check, "u^e did not vanish in the ring")
 
 
 def _run_ln(args: argparse.Namespace) -> int:
@@ -306,10 +287,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Built once per process: parsing leaves the parser unchanged, and building
+# it costs about as much as the rest of a small generic run.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:

@@ -165,11 +165,6 @@ class ProblemInstance:
         return out
 
 
-def generic_coefficients(n: int, m: int) -> tuple[list[MultiPoly], list[MultiPoly]]:
-    """The coefficient lists of f and g as indeterminate polynomials."""
-    return [avar(i) for i in range(n + 1)], [bvar(j) for j in range(m + 1)]
-
-
 def convolution(a: Sequence, b: Sequence, ring: RingHandle | None = None):
     """c_k = sum over i+j = k of a_i * b_j, for k = 0..n+m.
 
@@ -192,11 +187,24 @@ def convolution(a: Sequence, b: Sequence, ring: RingHandle | None = None):
     return c_polys
 
 
-@lru_cache(maxsize=None)
+# One run at (n, m) reads at most n+m+1 relations.  1024 entries hold every
+# relation of every size with n+m <= 13 at once, which covers the sizes
+# whose certificates are built routinely, yet a process no longer keeps
+# every relation it ever expanded.
+@lru_cache(maxsize=1024)
+def relation_poly(n: int, m: int, k: int) -> MultiPoly:
+    """The defining relation polynomial c_k = sum over i+j = k of a_i*b_j."""
+    if not 0 <= k <= n + m:
+        raise ValueError(f"relation index {k} out of range 0..{n + m}")
+    c = MultiPoly.zero()
+    for i in range(max(0, k - m), min(k, n) + 1):
+        c = c + avar(i) * bvar(k - i)
+    return c
+
+
 def convolution_polys(n: int, m: int) -> tuple[MultiPoly, ...]:
     """The defining relation polynomials c_0..c_{n+m} in Z[a, b]."""
-    a_polys, b_polys = generic_coefficients(n, m)
-    return tuple(convolution(a_polys, b_polys))
+    return tuple(relation_poly(n, m, k) for k in range(n + m + 1))
 
 
 def check_unit(c: Sequence[int]) -> None:

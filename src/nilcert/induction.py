@@ -141,13 +141,6 @@ def _factorize(value: int) -> list[tuple[int, int]]:
     return factors
 
 
-def _is_prime(value: int) -> bool:
-    if value < 2:
-        return False
-    factors = _factorize(value)
-    return len(factors) == 1 and factors[0][1] == 1
-
-
 def _check_modulus_divisor(modulus: int, d: int) -> None:
     if not 2 <= modulus <= MAX_MODULUS:
         raise BadInput(f"modulus must lie in 2..{MAX_MODULUS}, got {modulus}")
@@ -223,9 +216,6 @@ class ModIdeal:
     def __post_init__(self) -> None:
         _check_modulus_divisor(self.modulus, self.generator)
 
-    def contains(self, x: int) -> bool:
-        return (x % self.modulus) % self.generator == 0
-
     def elements(self) -> frozenset[int]:
         return frozenset(range(0, self.modulus, self.generator))
 
@@ -236,20 +226,18 @@ class ModIdeal:
         return self.generator % other.generator == 0
 
 
-def _divisors(value: int) -> list[int]:
-    out = [d for d in range(1, value + 1) if value % d == 0]
-    return out
-
-
 def radical_ideal_poset(modulus: int) -> FinitePoset:
     """The lattice of radical ideals of Z/modulus.
 
-    These are the ideals of the squarefree divisors of the modulus; the
-    meet of (r) and (r') is their intersection (lcm(r, r')).
+    These are the ideals of the squarefree divisors of the modulus, the
+    products of subsets of its primes, in ascending order; the meet of (r)
+    and (r') is their intersection (lcm(r, r')).
     """
     _check_modulus_divisor(modulus, modulus)
-    rad = radical_modn(modulus, modulus)
-    elements = tuple(ModIdeal(modulus, r) for r in _divisors(rad))
+    divisors = [1]
+    for p, _ in _factorize(modulus):
+        divisors += [d * p for d in divisors]
+    elements = tuple(ModIdeal(modulus, r) for r in sorted(divisors))
     return FinitePoset(
         elements=elements,
         leq=lambda x, y: x.leq(y),

@@ -181,7 +181,11 @@ class Derivation:
     premises: tuple[Indeterminate, ...]
 
 
-@lru_cache(maxsize=None)
+# One run at (n, m) asks for the closures of its nm+n+m digraph labels, once
+# per target.  1024 entries hold every label of a run with n, m <= 31, so
+# repeated targets and sizes hit, while a process that grows many large
+# digraphs no longer keeps every closure it ever computed.
+@lru_cache(maxsize=1024)
 def generic_closure(label: IdealLabel) -> dict[Indeterminate, Derivation]:
     """Least fixed point of the derivation rules, with derivation records.
 

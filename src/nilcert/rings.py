@@ -54,10 +54,6 @@ class RingHandle:
     def zero(self) -> int:
         return 0
 
-    @property
-    def one(self) -> int:
-        return 1
-
     def canon(self, x: int) -> int:
         """Reduce x to its canonical representative."""
         if self.modulus is None:
@@ -66,12 +62,6 @@ class RingHandle:
 
     def add(self, x: int, y: int) -> int:
         return self.canon(x + y)
-
-    def sub(self, x: int, y: int) -> int:
-        return self.canon(x - y)
-
-    def neg(self, x: int) -> int:
-        return self.canon(-x)
 
     def mul(self, x: int, y: int) -> int:
         return self.canon(x * y)

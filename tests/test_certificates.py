@@ -37,6 +37,7 @@ from nilcert import (
     verify_symbolic,
     witness_gap,
 )
+from nilcert.engine import relation_poly
 from nilcert.poly import FIELD_BITS, MAX_INDEX
 
 A = Indeterminate.a
@@ -379,3 +380,12 @@ def test_load_rejects_dump_past_packed_fields(text):
 def test_load_keeps_largest_checkable_exponents():
     cert = load_certificate(_dump_fields(e=2**W - 1, unit_coeff=f"1*a0^{2**W - 3}"))
     assert not verify_symbolic(cert).ok
+
+
+def test_verify_expands_only_the_relations_a_dump_names():
+    cert = load_certificate(_dump_fields(n=MAX_INDEX, m=MAX_INDEX, rel_coeffs={}))
+    before = relation_poly.cache_info()
+    assert not verify_symbolic(cert).ok
+    after = relation_poly.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert after.maxsize is not None

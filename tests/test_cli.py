@@ -186,6 +186,17 @@ class TestGenericCommand:
         assert err.startswith("ERROR:usage:")
 
 
+class TestParserReuse:
+    def test_emit_dot_does_not_carry_over_to_the_next_run(self, capsys, tmp_path):
+        argv = ["generic", "--n", "2", "--m", "1"]
+        code, out, _ = run(capsys, *argv, "--emit-dot", str(tmp_path / "d.dot"))
+        assert code == 0
+        assert json.loads(out)["files"] == {"dot": [str(tmp_path / "d.dot")]}
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "files" not in json.loads(out)
+
+
 class TestUnwritableOutput:
     @pytest.mark.parametrize(
         "argv, flag",

@@ -1,20 +1,26 @@
-"""Golden bytes: certificate dumps and rendered relation polynomials.
+"""Golden bytes: certificate dumps, rendered relation polynomials and CLI runs.
 
-The digests below were taken from the tuple-monomial arithmetic that the
-packed monomials replaced.  Every dump_certificate text of a generic run
-without early stop (n+m <= 7, every target) and every render() of the
-relation polynomials convolution_polys(n, m) (n+m <= 7) must still hash to
-them, so any change to the arithmetic or to the text form that moves an
-output byte fails here.
+The dump and render digests below were taken from the tuple-monomial
+arithmetic that the packed monomials replaced.  Every dump_certificate text
+of a generic run without early stop (n+m <= 7, every target) and every
+render() of the relation polynomials convolution_polys(n, m) (n+m <= 7)
+must still hash to them, so any change to the arithmetic or to the text
+form that moves an output byte fails here.  The CLI digest was taken from
+the two separate generic and concrete pipelines that the shared one
+replaced; its cases run in one process, so they also share one parser.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import json
 
 import pytest
 
 from nilcert import ProblemInstance, convolution_polys, dump_certificate, extract_certificate, grow_digraph
+from nilcert.cli import main
 
 # (n, m, i0) -> sha256 of dump_certificate(...) for generic (n, m), target i0.
 DUMP_SHA256 = {
@@ -158,3 +164,52 @@ def test_dumps_match_golden_bytes(n, m):
 @pytest.mark.parametrize("n, m", SIZES, ids=[f"{n}x{m}" for n, m in SIZES])
 def test_relation_renders_match_golden_bytes(n, m):
     assert sha256("\n".join(p.render() for p in convolution_polys(n, m))) == RENDER_SHA256[n, m]
+
+
+# sha256 over the CLI grid below: exit code, stdout, stderr and every
+# emitted file of each case, with the case's directory written as "{tmp}".
+CLI_GRID_SHA256 = "a5c12db08df605a1e8a9408ad713de240daf7f6f19e89880a96a227786da4cab"
+
+
+def cli_grid() -> list[list[str]]:
+    """Every generic (n, m) with n+m <= 6, with all targets and with each
+    single target, plain and --early-stop, emitting DOT and dumps; then
+    concrete, ln, pascal and usage-error runs.  "{tmp}" is a fresh
+    directory per case."""
+    cases = []
+    for n in range(1, 7):
+        for m in range(7 - n):
+            for target in [None, *range(1, n + 1)]:
+                for early_stop in (False, True):
+                    argv = ["generic", "--n", str(n), "--m", str(m)]
+                    argv += [] if target is None else ["--target", str(target)]
+                    argv += ["--early-stop"] if early_stop else []
+                    cases.append(argv + ["--emit-dot", "{tmp}/d.dot", "--emit-cert", "{tmp}/c.json"])
+    worked = ["concrete", "--modulus", "8", "--f", "1,2,4", "--g", "1,6"]
+    cases += [
+        ["concrete", "--modulus", "8", "--f", "9,-6,4", "--g", "1,14", "--minimal", "--emit-dot", "{tmp}/d.dot"],
+        [*worked, "--minimal", "--early-stop", "--emit-dot", "{tmp}/d.dot"],
+        ["concrete", "--modulus", "8", "--f", "1,1", "--g", "1,1"],
+        [*worked, "--target", "5"],
+        ["ln", "--modulus", "12", "--ideal", "12"],
+        ["pascal", "--n", "7", "--m", "5"],
+        ["generic", "--n", "0", "--m", "1"],
+        ["generic", "--n", "2"],
+    ]
+    return cases
+
+
+def test_cli_grid_matches_golden_bytes(tmp_path):
+    cases = cli_grid()
+    assert len(cases) == 162
+    digest = hashlib.sha256()
+    for index, case in enumerate(cases):
+        workdir = tmp_path / str(index)
+        workdir.mkdir()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([arg.replace("{tmp}", str(workdir)) for arg in case])
+        files = [[path.name, path.read_text(encoding="utf-8")] for path in sorted(workdir.iterdir())]
+        record = [case, code, out.getvalue(), err.getvalue(), files]
+        digest.update(json.dumps(record).replace(str(workdir), "{tmp}").encode() + b"\n")
+    assert digest.hexdigest() == CLI_GRID_SHA256

@@ -4,7 +4,7 @@ cross-validation."""
 
 from __future__ import annotations
 
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 
@@ -178,6 +178,16 @@ class TestModIdeal:
                 for below in poset.elements:
                     if poset.leq(below, x) and poset.leq(below, y):
                         assert poset.leq(below, meet)
+
+
+    def test_radical_poset_elements_against_brute_force(self):
+        for n in range(2, 3001):
+            squarefree = [
+                d
+                for d in range(1, n + 1)
+                if n % d == 0 and all(d % (p * p) for p in range(2, isqrt(d) + 1))
+            ]
+            assert radical_ideal_poset(n).elements == tuple(ModIdeal(n, d) for d in squarefree), n
 
 
 class TestLnDecompose:

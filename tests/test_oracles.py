@@ -125,6 +125,10 @@ class TestGenericClosure:
                         assert (all_a <= cl) == (all_b <= cl), (a_bits, b_bits)
 
 
+    def test_cache_is_bounded(self):
+        assert generic_closure.cache_info().maxsize is not None
+
+
 class TestGenericMembership:
     def test_outside(self):
         assert not generic_membership(label(2, 1, "a2"), Indeterminate.a(1)).member
