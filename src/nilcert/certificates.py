@@ -87,27 +87,25 @@ class MembershipWitness:
     def __add__(self, other: MembershipWitness) -> MembershipWitness:
         if self.label != other.label:
             raise ValueError("cannot add witnesses at different labels")
-        gen = dict(self.gen_coeffs)
-        for d, c in other.gen_coeffs.items():
-            total = gen.get(d, MultiPoly.zero()) + c
-            if total.is_zero:
-                gen.pop(d, None)
-            else:
-                gen[d] = total
-        rel = dict(self.rel_coeffs)
-        for k, c in other.rel_coeffs.items():
-            total = rel.get(k, MultiPoly.zero()) + c
-            if total.is_zero:
-                rel.pop(k, None)
-            else:
-                rel[k] = total
         return MembershipWitness(
             subject=self.subject + other.subject,
             label=self.label,
-            gen_coeffs=gen,
-            rel_coeffs=rel,
+            gen_coeffs=_sum_coeffs(self.gen_coeffs, other.gen_coeffs),
+            rel_coeffs=_sum_coeffs(self.rel_coeffs, other.rel_coeffs),
             unit_coeff=self.unit_coeff + other.unit_coeff,
         )
+
+
+def _sum_coeffs(left: dict, right: dict) -> dict:
+    """Keywise sum of two coefficient maps, dropping zero sums."""
+    out = dict(left)
+    for key, c in right.items():
+        total = out.get(key, MultiPoly.zero()) + c
+        if total.is_zero:
+            out.pop(key, None)
+        else:
+            out[key] = total
+    return out
 
 
 def expand_witness(witness: MembershipWitness) -> MultiPoly:
@@ -168,18 +166,14 @@ class WitnessBuilder:
             return cached
         if derivation.rule == "generator":
             built = _generator_part(self.label, element, MultiPoly.one())
-        elif element.kind == "a":
-            i = element.index
-            built = _relation_part(self.label, i, avar(0)) + _unit_part(self.label, -avar(i))
-            for premise in derivation.premises:
-                q = premise.index
-                built = built + self.witness(premise).scaled(-(avar(0) * avar(i - q)))
         else:
-            j = element.index
-            built = _relation_part(self.label, j, bvar(0)) + _unit_part(self.label, -bvar(j))
+            # x_k = x0*c_k - x0 * sum_q x_{k-q}*y_q - x_k*r0, for x_k = a_k
+            # or b_k and y the other family, each premise y_q by its witness.
+            var = avar if element.kind == "a" else bvar
+            k = element.index
+            built = _relation_part(self.label, k, var(0)) + _unit_part(self.label, -var(k))
             for premise in derivation.premises:
-                p = premise.index
-                built = built + self.witness(premise).scaled(-(bvar(0) * bvar(j - p)))
+                built = built + self.witness(premise).scaled(-(var(0) * var(k - premise.index)))
         self._memo[element] = built
         return built
 
@@ -189,12 +183,7 @@ def membership_witness(label: IdealLabel, element: Indeterminate) -> MembershipW
     return WitnessBuilder(label).witness(element)
 
 
-def gauss_product_witness(
-    i: int,
-    j: int,
-    label: IdealLabel,
-    builder: WitnessBuilder | None = None,
-) -> MembershipWitness:
+def gauss_product_witness(i: int, j: int, label: IdealLabel) -> MembershipWitness:
     """Witness for a_i*b_j at a label whose case analysis gave branch(i, j).
 
     The relation c_{i+j} contributes the a_i*b_j term; every other term of
@@ -204,8 +193,7 @@ def gauss_product_witness(
     n, m = label.n, label.m
     if not (1 <= i <= n and 1 <= j <= m):
         raise ValueError(f"branch indices ({i},{j}) out of range for n={n}, m={m}")
-    if builder is None:
-        builder = WitnessBuilder(label)
+    builder = WitnessBuilder(label)
     built = _relation_part(label, i + j, MultiPoly.one())
     for q in range(j + 1, min(i + j, m) + 1):
         built = built + builder.witness(Indeterminate.b(q)).scaled(-avar(i + j - q))
@@ -316,17 +304,15 @@ def verify_symbolic(certificate: NilpotencyCertificate) -> SymbolicCheck:
     """Independent expansion check of the certificate identity.
 
     Recomputes from (n, m) only the relation polynomials the witness
-    uses, expands sum relCoeffs[k]*c_k + unitCoeff*(a0*b0 - 1) - u^e, and
-    passes iff the difference is the zero polynomial.
+    uses, expands sum relCoeffs[k]*c_k + unitCoeff*(a0*b0 - 1) - u^e with
+    expand_witness, and passes iff the difference is the zero polynomial.
     """
     witness = certificate.root_witness
     if witness.gen_coeffs:
         raise ValueError("root witness must not use ideal generators")
-    acc = MultiPoly.zero()
-    for k, coeff in witness.rel_coeffs.items():
-        acc = acc + coeff * relation_poly(certificate.n, certificate.m, k)
-    acc = acc + witness.unit_coeff * unit_relation()
-    diff = acc - avar(certificate.target_index) ** certificate.exponent
+    if (witness.label.n, witness.label.m) != (certificate.n, certificate.m):
+        raise ValueError("root witness and certificate disagree on (n, m)")
+    diff = expand_witness(witness) - avar(certificate.target_index) ** certificate.exponent
     return SymbolicCheck(diff.is_zero, diff)
 
 

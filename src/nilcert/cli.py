@@ -39,7 +39,6 @@ from .engine import (
     check_unit,
     convolution,
     grow_digraph,
-    root_exponent,
     structural_metrics,
 )
 from .induction import BadInput, ln_decompose, radical_modn
@@ -171,7 +170,7 @@ def _run_concrete(args: argparse.Namespace) -> int:
     check_unit(convolution(instance.a, instance.b, instance.ring))
 
     def check(digraph, i0, emit):
-        exponent, _ = root_exponent(digraph)
+        exponent = digraph.nodes[digraph.root].exponent
         result = power_check(instance, i0, exponent)
         entry = {"i0": i0, "e": exponent}
         if args.minimal:
@@ -214,8 +213,7 @@ def _run_ln(args: argparse.Namespace) -> int:
 def _run_pascal(args: argparse.Namespace) -> int:
     if args.n < 1 or args.m < 0:
         return _usage_error("pascal needs --n >= 1 and --m >= 0")
-    digraph = grow_digraph(ProblemInstance.generic(args.n, args.m))
-    _, exponents = root_exponent(digraph)
+    nodes = grow_digraph(ProblemInstance.generic(args.n, args.m)).nodes
     rows: list[list[str]] = []
     for added_a in range(args.n + 1):
         row = []
@@ -224,7 +222,7 @@ def _run_pascal(args: argparse.Namespace) -> int:
                 (0,) * (args.n - added_a) + (1,) * added_a,
                 (0,) * (args.m - added_b) + (1,) * added_b,
             )
-            row.append(str(exponents[label]) if label in exponents else ".")
+            row.append(str(nodes[label].exponent) if label in nodes else ".")
         rows.append(row)
     width = max(len(cell) for row in rows for cell in row)
     for row in rows:

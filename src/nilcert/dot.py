@@ -18,8 +18,7 @@ def emit_dot(digraph: Digraph) -> str:
         name = label.render()
         shape = ", shape=doublecircle" if not node.children else ""
         lines.append(f'  "{name}" [label="{name}\\ne={node.exponent}"{shape}];')
-    for label in sorted(digraph.nodes):
-        for child in digraph.nodes[label].children:
-            lines.append(f'  "{label.render()}" -> "{child.render()}";')
+    for label, child in digraph.edges():
+        lines.append(f'  "{label.render()}" -> "{child.render()}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Sequence
 
-from .oracles import IdealLabel, generic_closure, mod_membership
+from .oracles import IdealLabel, generic_closure
 from .poly import Indeterminate, MultiPoly, avar, bvar
 from .rings import RingHandle
 
@@ -173,18 +174,11 @@ def convolution(a: Sequence, b: Sequence, ring: RingHandle | None = None):
     """
     if not a or not b:
         raise ValueError("coefficient lists must be nonempty")
-    n, m = len(a) - 1, len(b) - 1
-    if ring is not None:
-        c = [0] * (n + m + 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                c[i + j] = ring.add(c[i + j], ring.mul(ai, bj))
-        return c
-    c_polys = [MultiPoly.zero() for _ in range(n + m + 1)]
+    c = [MultiPoly.zero() if ring is None else 0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
-            c_polys[i + j] = c_polys[i + j] + ai * bj
-    return c_polys
+            c[i + j] = c[i + j] + ai * bj
+    return c if ring is None else [ring.canon(ck) for ck in c]
 
 
 # One run at (n, m) reads at most n+m+1 relations.  1024 entries hold every
@@ -223,8 +217,12 @@ def case_split(
 ) -> CaseTag:
     """Classify a label as leaf or branch(i, j) with maximal i, j.
 
-    With ``early_stop_target`` set, the node is already a leaf once the
-    studied coefficient itself lies in the ideal.
+    A coefficient is in the ideal of the label when it lies in the rule
+    closure (generic mode), or, over Z/N, when g = gcd(N, generator values)
+    divides its value: the ideal of the generators is (g), so one gcd per
+    label decides every coefficient.  With ``early_stop_target`` set, the
+    node is already a leaf once the studied coefficient itself lies in the
+    ideal.
     """
     n, m = instance.n, instance.m
     if instance.is_generic:
@@ -234,11 +232,10 @@ def case_split(
             return ind in closure
 
     else:
-        ring = instance.ring
-        gens = instance.generator_values(label)
+        g = gcd(instance.ring.modulus, *instance.generator_values(label))
 
         def member(ind: Indeterminate) -> bool:
-            return mod_membership(ring, gens, instance.value_of(ind)).member
+            return instance.value_of(ind) % g == 0
 
     if early_stop_target is not None and member(Indeterminate.a(early_stop_target)):
         return CaseTag.leaf()

@@ -1,21 +1,23 @@
 """Ideal membership oracles.
 
-Two oracles back the case analysis of the induction:
+Two oracles answer which coefficients lie in the ideal of a generator set:
 
 * ``mod_membership`` decides membership in a finitely generated ideal of
   Z/n exactly.  The ideal generated by values g_1..g_t equals the ideal of
   gcd(g_1, .., g_t, n), so membership is a divisibility test and a witness
   (an explicit linear combination of the generators) falls out of extended
   gcd back-substitution.  The empty generator list denotes the zero ideal.
+  The case split needs no witness and tests divisibility by that gcd
+  directly, once per label.
 
 * ``generic_closure`` handles the indeterminate-coefficient situation,
   where no concrete values exist.  Given a generator set D drawn from the
   nonconstant coefficients a_1..a_n, b_1..b_m of an inverse pair f*g = 1,
-  it computes the least set closed under the two derivation rules forced
-  by the convolution identities:
+  it computes the least set closed under the derivation rule forced by the
+  convolution identities, one rule for both families:
 
-      a_i enters if b_1..b_min(i,m) are all in,
-      b_j enters if a_1..a_min(j,n) are all in,
+      x_k enters if y_1..y_min(k,|y|) are all in,
+      for (x, y) = (a, b) and (b, a),
 
   together with a well-founded derivation record for each admitted
   element, from which an explicit polynomial-identity witness can later be
@@ -165,7 +167,7 @@ class IdealLabel:
         return self.render()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Derivation:
     """Why one element belongs to a closure.
 
@@ -189,33 +191,39 @@ class Derivation:
 def generic_closure(label: IdealLabel) -> dict[Indeterminate, Derivation]:
     """Least fixed point of the derivation rules, with derivation records.
 
+    Each round applies the one rule to (x, y) = (a, b), then (b, a): the
+    premises y_1..y_min(k, |y|) of x_k are a prefix of y, so x_k enters
+    once min(k, |y|) is at most the length of y's leading run inside.
+
     Returns a dict (treat as read-only: results are cached) mapping each
-    member of the closure to its derivation, in admission order.  The
-    closure is monotone and idempotent in the generator set.
+    member of the closure to its derivation: generators first, then the
+    relation-admitted elements in admission order.  The closure is
+    monotone and idempotent in the generator set.
     """
-    n, m = label.n, label.m
-    derivs: dict[Indeterminate, Derivation] = {}
-    for gen in label.generators():
-        derivs[gen] = Derivation(gen, "generator", ())
+    inside = {"a": list(label.a_bits), "b": list(label.b_bits)}
+    elements = {
+        kind: tuple(Indeterminate(kind, k) for k in range(1, len(bits) + 1))
+        for kind, bits in inside.items()
+    }
+    derivs = {
+        x: Derivation(x, "generator", ())
+        for kind in "ab"
+        for x, bit in zip(elements[kind], inside[kind])
+        if bit
+    }
     changed = True
     while changed:
         changed = False
-        for i in range(1, n + 1):
-            element = Indeterminate.a(i)
-            if element in derivs:
-                continue
-            premises = tuple(Indeterminate.b(q) for q in range(1, min(i, m) + 1))
-            if all(p in derivs for p in premises):
-                derivs[element] = Derivation(element, "relation", premises)
-                changed = True
-        for j in range(1, m + 1):
-            element = Indeterminate.b(j)
-            if element in derivs:
-                continue
-            premises = tuple(Indeterminate.a(p) for p in range(1, min(j, n) + 1))
-            if all(p in derivs for p in premises):
-                derivs[element] = Derivation(element, "relation", premises)
-                changed = True
+        for kind, other in (("a", "b"), ("b", "a")):
+            bits, other_bits = inside[kind], inside[other]
+            run = other_bits.index(0) if 0 in other_bits else len(other_bits)
+            for k, bit in enumerate(bits, 1):
+                needed = min(k, len(other_bits))
+                if not bit and needed <= run:
+                    bits[k - 1] = 1
+                    element = elements[kind][k - 1]
+                    derivs[element] = Derivation(element, "relation", elements[other][:needed])
+                    changed = True
     return derivs
 
 

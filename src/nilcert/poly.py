@@ -56,7 +56,7 @@ class PolyParseError(ValueError):
     """A polynomial string is not in the canonical text form."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Indeterminate:
     """One generator of the coefficient ring: a<index> or b<index>.
 

@@ -240,6 +240,16 @@ class TestVerifySymbolic:
         with pytest.raises(ValueError):
             verify_symbolic(bogus)
 
+    def test_rejects_witness_of_another_size(self):
+        """The relations are those of the certificate's (n, m), so a root
+        witness built at another size is refused, not expanded."""
+        from nilcert import NilpotencyCertificate
+
+        cert = extract_certificate(grow_digraph(ProblemInstance.generic(2, 1)), 1)
+        bogus = NilpotencyCertificate(3, 1, 1, cert.exponent, cert.root_witness)
+        with pytest.raises(ValueError):
+            verify_symbolic(bogus)
+
 
 class TestConcreteChecks:
     def test_worked_example_minimal_exponents(self):

@@ -3,6 +3,7 @@ growth, exponents and structural metrics."""
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb
 
 import pytest
@@ -20,6 +21,7 @@ from nilcert import (
     bvar,
     case_split,
     check_unit,
+    mod_membership,
     convolution,
     emit_dot,
     grow_digraph,
@@ -87,6 +89,36 @@ class TestCaseSplit:
         instance = ProblemInstance.generic(2, 1, target=2)
         assert case_split(lab, instance, early_stop_target=2).is_leaf
         assert not case_split(lab, instance).is_leaf
+
+    def test_concrete_matches_mod_membership(self):
+        """Every label of every inverse pair over Z/N (N <= 12, degrees <=
+        3), with and without early stopping, classified as by per-coefficient
+        mod_membership decisions."""
+
+        def reference(lab, instance, early_stop_target):
+            gens = instance.generator_values(lab)
+
+            def member(ind):
+                return mod_membership(instance.ring, gens, instance.value_of(ind)).member
+
+            if early_stop_target is not None and member(Indeterminate.a(early_stop_target)):
+                return CaseTag.leaf()
+            missing_a = [i for i in range(1, instance.n + 1) if not member(Indeterminate.a(i))]
+            if not missing_a:
+                return CaseTag.leaf()
+            missing_b = [j for j in range(1, instance.m + 1) if not member(Indeterminate.b(j))]
+            return CaseTag.branch(max(missing_a), max(missing_b))
+
+        for modulus in range(2, 13):
+            for f, g in helpers.unit_pairs(modulus, max_deg_f=3, max_deg_g=3):
+                instance = ProblemInstance.concrete(modulus, f, g)
+                for a_bits in product((0, 1), repeat=instance.n):
+                    for b_bits in product((0, 1), repeat=instance.m):
+                        lab = IdealLabel(a_bits, b_bits)
+                        for stop in (None, *instance.targets()):
+                            assert case_split(lab, instance, stop) == reference(
+                                lab, instance, stop
+                            ), (modulus, f, g, lab, stop)
 
     def test_inconsistency_without_unit_condition(self):
         # f = 1 + T, g = 1 over Z/8 is not an inverse pair: a1 = 1 is

@@ -15,11 +15,40 @@ from nilcert import (
     generic_membership,
     mod_membership,
 )
+from nilcert.oracles import Derivation
 
 
 def label(n: int, m: int, *names: str) -> IdealLabel:
     elems = [Indeterminate(name[0], int(name[1:])) for name in names]
     return IdealLabel.from_elements(n, m, elems)
+
+
+def reference_closure(label: IdealLabel) -> dict[Indeterminate, Derivation]:
+    """The rule closure as a plain fixed point: every round scans the
+    a-family, then the b-family, admitting each element whose full premise
+    tuple is already in."""
+    n, m = label.n, label.m
+    derivs = {gen: Derivation(gen, "generator", ()) for gen in label.generators()}
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, n + 1):
+            element = Indeterminate.a(i)
+            if element in derivs:
+                continue
+            premises = tuple(Indeterminate.b(q) for q in range(1, min(i, m) + 1))
+            if all(p in derivs for p in premises):
+                derivs[element] = Derivation(element, "relation", premises)
+                changed = True
+        for j in range(1, m + 1):
+            element = Indeterminate.b(j)
+            if element in derivs:
+                continue
+            premises = tuple(Indeterminate.a(p) for p in range(1, min(j, n) + 1))
+            if all(p in derivs for p in premises):
+                derivs[element] = Derivation(element, "relation", premises)
+                changed = True
+    return derivs
 
 
 class TestModMembership:
@@ -124,6 +153,18 @@ class TestGenericClosure:
                         cl = set(generic_closure(IdealLabel(a_bits, b_bits)))
                         assert (all_a <= cl) == (all_b <= cl), (a_bits, b_bits)
 
+
+    def test_matches_reference_fixed_point(self):
+        """Same keys in the same admission order, with equal derivation
+        records, for every label with n + m <= 8."""
+        for n in range(1, 9):
+            for m in range(0, 9 - n):
+                for a_bits in product((0, 1), repeat=n):
+                    for b_bits in product((0, 1), repeat=m):
+                        lab = IdealLabel(a_bits, b_bits)
+                        assert list(generic_closure(lab).items()) == list(
+                            reference_closure(lab).items()
+                        ), lab
 
     def test_cache_is_bounded(self):
         assert generic_closure.cache_info().maxsize is not None
