@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Sequence
 
-from .oracles import IdealLabel, generic_closure
+from .oracles import IdealLabel, _closure_bits
 from .poly import Indeterminate, MultiPoly, avar, bvar
 from .rings import RingHandle
 
@@ -217,32 +217,35 @@ def case_split(
 ) -> CaseTag:
     """Classify a label as leaf or branch(i, j) with maximal i, j.
 
-    A coefficient is in the ideal of the label when it lies in the rule
-    closure (generic mode), or, over Z/N, when g = gcd(N, generator values)
-    divides its value: the ideal of the generators is (g), so one gcd per
-    label decides every coefficient.  With ``early_stop_target`` set, the
-    node is already a leaf once the studied coefficient itself lies in the
-    ideal.
+    The split works on two bit lists, one per family, with bit k-1 set when
+    the k-th coefficient lies in the ideal of the label.  Generic mode
+    takes them from the rule closure's bits; over Z/N the ideal of the
+    generators is (g) with g = gcd(N, generator values), so one gcd per
+    label decides every coefficient by divisibility.  With
+    ``early_stop_target`` set (it must lie in 1..n), the node is already a
+    leaf once the studied coefficient itself lies in the ideal.
     """
-    n, m = instance.n, instance.m
+    n = instance.n
+    if early_stop_target is not None and not 1 <= early_stop_target <= n:
+        raise ValueError(f"early-stop target must lie in 1..{n}, got {early_stop_target}")
     if instance.is_generic:
-        closure = generic_closure(label)
-
-        def member(ind: Indeterminate) -> bool:
-            return ind in closure
-
+        a_in, b_in, _ = _closure_bits(label.a_bits, label.b_bits)
     else:
-        g = gcd(instance.ring.modulus, *instance.generator_values(label))
+        a_values, b_values = instance.a[1:], instance.b[1:]
+        g = gcd(
+            instance.ring.modulus,
+            *(v for v, bit in zip(a_values, label.a_bits) if bit),
+            *(v for v, bit in zip(b_values, label.b_bits) if bit),
+        )
+        a_in = [v % g == 0 for v in a_values]
+        b_in = [v % g == 0 for v in b_values]
 
-        def member(ind: Indeterminate) -> bool:
-            return instance.value_of(ind) % g == 0
-
-    if early_stop_target is not None and member(Indeterminate.a(early_stop_target)):
+    if early_stop_target is not None and a_in[early_stop_target - 1]:
         return CaseTag.leaf()
-    missing_a = [i for i in range(1, n + 1) if not member(Indeterminate.a(i))]
+    missing_a = [i for i, inside in enumerate(a_in, 1) if not inside]
     if not missing_a:
         return CaseTag.leaf()
-    missing_b = [j for j in range(1, m + 1) if not member(Indeterminate.b(j))]
+    missing_b = [j for j, inside in enumerate(b_in, 1) if not inside]
     if not missing_b:
         raise InternalInconsistency(
             f"a{max(missing_a)} lies outside the ideal of {label.render()} "

@@ -24,6 +24,11 @@ Two oracles answer which coefficients lie in the ideal of a generator set:
   rebuilt.  Memberships reported here are eventually discharged as
   verified identities by the certificate layer; non-memberships only shape
   the search and are never load-bearing.
+
+The rule itself runs once, on bit lists, in ``_closure_bits``: it returns
+the closed bits and the admissions in order.  The case split reads only
+the bits; ``generic_closure`` turns the admissions into derivation
+records, which only the certificate layer consumes.
 """
 
 from __future__ import annotations
@@ -97,7 +102,7 @@ class IdealLabel:
 
     def __post_init__(self) -> None:
         for bits in (self.a_bits, self.b_bits):
-            if any(bit not in (0, 1) for bit in bits):
+            if bits.count(0) + bits.count(1) != len(bits):
                 raise ValueError(f"label bits must be 0 or 1, got {bits}")
 
     @classmethod
@@ -183,34 +188,20 @@ class Derivation:
     premises: tuple[Indeterminate, ...]
 
 
-# One run at (n, m) asks for the closures of its nm+n+m digraph labels, once
-# per target.  1024 entries hold every label of a run with n, m <= 31, so
-# repeated targets and sizes hit, while a process that grows many large
-# digraphs no longer keeps every closure it ever computed.
-@lru_cache(maxsize=1024)
-def generic_closure(label: IdealLabel) -> dict[Indeterminate, Derivation]:
-    """Least fixed point of the derivation rules, with derivation records.
+def _closure_bits(
+    a_bits: Sequence[int], b_bits: Sequence[int]
+) -> tuple[list[int], list[int], list[tuple[str, int, int]]]:
+    """Close a generator set under the rule, on bits alone.
 
     Each round applies the one rule to (x, y) = (a, b), then (b, a): the
     premises y_1..y_min(k, |y|) of x_k are a prefix of y, so x_k enters
     once min(k, |y|) is at most the length of y's leading run inside.
 
-    Returns a dict (treat as read-only: results are cached) mapping each
-    member of the closure to its derivation: generators first, then the
-    relation-admitted elements in admission order.  The closure is
-    monotone and idempotent in the generator set.
+    Returns the closed a- and b-bits and the admissions (kind, k, needed)
+    in admission order: x_k entered on the premises y_1..y_needed.
     """
-    inside = {"a": list(label.a_bits), "b": list(label.b_bits)}
-    elements = {
-        kind: tuple(Indeterminate(kind, k) for k in range(1, len(bits) + 1))
-        for kind, bits in inside.items()
-    }
-    derivs = {
-        x: Derivation(x, "generator", ())
-        for kind in "ab"
-        for x, bit in zip(elements[kind], inside[kind])
-        if bit
-    }
+    inside = {"a": list(a_bits), "b": list(b_bits)}
+    admissions = []
     changed = True
     while changed:
         changed = False
@@ -221,9 +212,41 @@ def generic_closure(label: IdealLabel) -> dict[Indeterminate, Derivation]:
                 needed = min(k, len(other_bits))
                 if not bit and needed <= run:
                     bits[k - 1] = 1
-                    element = elements[kind][k - 1]
-                    derivs[element] = Derivation(element, "relation", elements[other][:needed])
+                    admissions.append((kind, k, needed))
                     changed = True
+    return inside["a"], inside["b"], admissions
+
+
+# Only certificate extraction asks for derivation records; the case split
+# reads the closure bits and never consults this cache.  An extraction at
+# (n, m) asks for the closures of its nm+n+m digraph labels, once per
+# target.  1024 entries hold every label of a run with n, m <= 31, so
+# repeated targets and sizes hit, while a process that extracts many large
+# certificates no longer keeps every closure it ever computed.
+@lru_cache(maxsize=1024)
+def generic_closure(label: IdealLabel) -> dict[Indeterminate, Derivation]:
+    """Least fixed point of the derivation rules, with derivation records.
+
+    Returns a dict (treat as read-only: results are cached) mapping each
+    member of the closure to its derivation: generators first, then the
+    relation-admitted elements in admission order.  The closure is
+    monotone and idempotent in the generator set.
+    """
+    given = {"a": label.a_bits, "b": label.b_bits}
+    elements = {
+        kind: tuple(Indeterminate(kind, k) for k in range(1, len(bits) + 1))
+        for kind, bits in given.items()
+    }
+    derivs = {
+        x: Derivation(x, "generator", ())
+        for kind, bits in given.items()
+        for x, bit in zip(elements[kind], bits)
+        if bit
+    }
+    for kind, k, needed in _closure_bits(label.a_bits, label.b_bits)[2]:
+        element = elements[kind][k - 1]
+        premises = elements["b" if kind == "a" else "a"][:needed]
+        derivs[element] = Derivation(element, "relation", premises)
     return derivs
 
 

@@ -4,6 +4,7 @@ determinism and exit codes."""
 from __future__ import annotations
 
 import json
+from math import comb
 
 import pytest
 
@@ -240,6 +241,31 @@ class TestPascalCommand:
         code, out, _ = run(capsys, "pascal", "--n", "2", "--m", "2")
         assert code == 0
         assert out == "6 3 1\n3 2 1\n1 1 .\n"
+
+    def test_grid_matches_binomials(self, capsys):
+        """Row x, column y is the label with the last x a's and the last y
+        b's added.  A reached cell holds binomial(x', y') for the x' a's and
+        y' b's still missing; a cell with both counts positive branches to
+        its two neighbours with one fewer, the others are leaves."""
+        for n in range(1, 13):
+            for m in range(0, 13):
+                reached = {(n, m)}
+                for missing_a in range(n, 0, -1):
+                    for missing_b in range(m, 0, -1):
+                        if (missing_a, missing_b) in reached:
+                            reached |= {(missing_a - 1, missing_b), (missing_a, missing_b - 1)}
+                rows = [
+                    [
+                        str(comb(n - x + m - y, n - x)) if (n - x, m - y) in reached else "."
+                        for y in range(m + 1)
+                    ]
+                    for x in range(n + 1)
+                ]
+                width = max(len(cell) for row in rows for cell in row)
+                expected = "".join(" ".join(c.rjust(width) for c in row) + "\n" for row in rows)
+                code, out, _ = run(capsys, "pascal", "--n", str(n), "--m", str(m))
+                assert code == 0
+                assert out == expected, (n, m)
 
 
 class TestUnknownCommand:

@@ -24,6 +24,7 @@ from nilcert import (
     mod_membership,
     convolution,
     emit_dot,
+    generic_closure,
     grow_digraph,
     root_exponent,
     structural_metrics,
@@ -119,6 +120,36 @@ class TestCaseSplit:
                             assert case_split(lab, instance, stop) == reference(
                                 lab, instance, stop
                             ), (modulus, f, g, lab, stop)
+
+    def test_generic_matches_closure(self):
+        """Every bit pattern with n + m <= 8, reached by a digraph or not,
+        with and without early stopping, classified as by membership in
+        generic_closure."""
+
+        def reference(lab, early_stop_target):
+            closure = generic_closure(lab)
+            if early_stop_target is not None and Indeterminate.a(early_stop_target) in closure:
+                return CaseTag.leaf()
+            missing_a = [i for i in range(1, lab.n + 1) if Indeterminate.a(i) not in closure]
+            if not missing_a:
+                return CaseTag.leaf()
+            missing_b = [j for j in range(1, lab.m + 1) if Indeterminate.b(j) not in closure]
+            return CaseTag.branch(max(missing_a), max(missing_b))
+
+        for n in range(1, 9):
+            for m in range(0, 9 - n):
+                instance = ProblemInstance.generic(n, m)
+                for a_bits in product((0, 1), repeat=n):
+                    for b_bits in product((0, 1), repeat=m):
+                        lab = IdealLabel(a_bits, b_bits)
+                        for stop in (None, *instance.targets()):
+                            tag = case_split(lab, instance, stop)
+                            assert tag == reference(lab, stop), (lab, stop)
+
+    @pytest.mark.parametrize("stop", [0, -1, 3])
+    def test_early_stop_target_out_of_range(self, stop):
+        with pytest.raises(ValueError):
+            case_split(IdealLabel.root(2, 1), ProblemInstance.generic(2, 1), stop)
 
     def test_inconsistency_without_unit_condition(self):
         # f = 1 + T, g = 1 over Z/8 is not an inverse pair: a1 = 1 is

@@ -202,3 +202,6 @@ class TestIdealLabel:
     def test_bad_bits(self):
         with pytest.raises(ValueError):
             IdealLabel((0, 2), ())
+        for bad in (2, -1, 0.5):
+            with pytest.raises(ValueError):
+                IdealLabel((0, 1), (1, bad))
