@@ -28,7 +28,9 @@ and a0*b0 = 1 are imposed.  Witnesses are built in three ways:
 
 * ``combine`` multiplies two child witnesses u^k = v + s*a_i and
   u^l = w + t*b_j into u^(k+l) = v*u^l + s*a_i*w + s*t*(a_i*b_j) at the
-  parent, substituting the product witness for a_i*b_j.
+  parent, substituting the product witness for a_i*b_j.  ``node_witness``,
+  the one induction step per label, calls it at every branch, for the
+  digraph pass and the label-poset runner of ``induction`` alike.
 
 At the root the generator sum is empty, leaving the nilpotency certificate
 u^e = sum relCoeffs[k]*c_k + unitCoeff*r0, which an independent checker
@@ -39,8 +41,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from .engine import Digraph, ProblemInstance, relation_poly
+from .engine import CaseTag, Digraph, ProblemInstance, relation_poly
 from .oracles import IdealLabel, generic_closure
 from .poly import EXPONENT_LIMIT, MAX_INDEX, Indeterminate, MultiPoly, avar, bvar
 
@@ -215,8 +218,9 @@ def combine(
     last term is replaced by the product witness.
     """
     parent = left.label.meet(right.label)
-    a_extra = [d for d in left.label.generators() if not parent.has(d)]
-    b_extra = [d for d in right.label.generators() if not parent.has(d)]
+    parent_gens = set(parent.generators())
+    a_extra = [d for d in left.label.generators() if d not in parent_gens]
+    b_extra = [d for d in right.label.generators() if d not in parent_gens]
     if len(a_extra) != 1 or a_extra[0].kind != "a":
         raise ValueError("left witness must live at parent plus one a-generator")
     if len(b_extra) != 1 or b_extra[0].kind != "b":
@@ -257,15 +261,26 @@ class NilpotencyCertificate:
     root_witness: MembershipWitness
 
 
+def node_witness(
+    label: IdealLabel, tag: CaseTag, u: Indeterminate, children: Sequence[tuple[int, MembershipWitness]]
+) -> tuple[int, MembershipWitness]:
+    """The induction step at one label: (1, witness of u) at a leaf; at a
+    branch(i, j), the children's (k, u^k) at label + a_i and (l, u^l) at
+    label + b_j give (k + l, u^(k+l)) through the product witness."""
+    if tag.is_leaf:
+        return 1, membership_witness(label, u)
+    (k, left), (l, right) = children
+    return k + l, combine(left, right, gauss_product_witness(tag.i, tag.j, label))
+
+
 def node_witnesses(
     digraph: Digraph, target_index: int
 ) -> dict[IdealLabel, tuple[int, MembershipWitness]]:
     """Exponent and witness of u^exponent at every node of the digraph.
 
-    Leaves witness u itself; branches combine their children through the
-    product witness.  The per-node exponents equal the digraph's exponent
-    recursion.  One forward pass suffices, because the digraph stores its
-    nodes in post-order.
+    Each node takes one ``node_witness`` step.  The per-node exponents
+    equal the digraph's exponent recursion.  One forward pass suffices,
+    because the digraph stores its nodes in post-order.
     """
     if not digraph.generic:
         raise ValueError("certificates are extracted from indeterminate-coefficient runs")
@@ -274,12 +289,7 @@ def node_witnesses(
     u = Indeterminate.a(target_index)
     memo: dict[IdealLabel, tuple[int, MembershipWitness]] = {}
     for label, node in digraph.nodes.items():
-        if node.tag.is_leaf:
-            memo[label] = (1, membership_witness(label, u))
-        else:
-            (k, left), (l, right) = (memo[child] for child in node.children)
-            product = gauss_product_witness(node.tag.i, node.tag.j, label)
-            memo[label] = (k + l, combine(left, right, product))
+        memo[label] = node_witness(label, node.tag, u, [memo[child] for child in node.children])
     return memo
 
 

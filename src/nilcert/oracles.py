@@ -129,10 +129,6 @@ class IdealLabel:
     def m(self) -> int:
         return len(self.b_bits)
 
-    def has(self, ind: Indeterminate) -> bool:
-        bits = self.a_bits if ind.kind == "a" else self.b_bits
-        return 1 <= ind.index <= len(bits) and bits[ind.index - 1] == 1
-
     def add(self, ind: Indeterminate) -> IdealLabel:
         """The label with ind's bit set."""
         bits = list(self.a_bits if ind.kind == "a" else self.b_bits)

@@ -4,7 +4,11 @@ determinism and exit codes."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -285,3 +289,31 @@ class TestInternalErrors:
         assert code == 4
         assert out == ""
         assert err == "ERROR:internal:OverflowError: a product exponent could reach 2**32\n"
+
+
+class TestEntryPoint:
+    """``python -m nilcert`` in a subprocess, so exit codes must reach the
+    operating system through ``__main__``."""
+
+    @pytest.mark.parametrize(
+        "argv, code, out, err_prefix",
+        [
+            (["pascal", "--n", "2", "--m", "1"], 0, "3 1\n2 1\n1 .\n", ""),
+            (["generic", "--n", "0", "--m", "1"], 1, "", "ERROR:usage:"),
+            (["concrete", "--modulus", "8", "--f", "1,1", "--g", "1"], 2, "", "ERROR:not-a-unit:"),
+            (["ln", "--modulus", "12", "--ideal", "5"], 1, "", "ERROR:bad-input:"),
+        ],
+    )
+    def test_exit_code_and_output(self, argv, code, out, err_prefix):
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "nilcert", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert done.returncode == code
+        assert done.stdout == out
+        assert done.stderr.startswith(err_prefix)
+        assert "Traceback" not in done.stdout + done.stderr

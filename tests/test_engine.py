@@ -73,6 +73,29 @@ class TestCheckUnit:
         assert info.value.k == 0
 
 
+class TestCaseTagChildren:
+    def test_leaf_has_none(self):
+        assert CaseTag.leaf().children(IdealLabel.root(2, 1)) == ()
+
+    def test_branch_children_match_add(self):
+        for n in range(1, 6):
+            for m in range(1, 7 - n):
+                for a_bits in product((0, 1), repeat=n):
+                    for b_bits in product((0, 1), repeat=m):
+                        lab = IdealLabel(a_bits, b_bits)
+                        for i in range(1, n + 1):
+                            for j in range(1, m + 1):
+                                assert CaseTag.branch(i, j).children(lab) == (
+                                    lab.add(Indeterminate.a(i)),
+                                    lab.add(Indeterminate.b(j)),
+                                ), (lab, i, j)
+
+    @pytest.mark.parametrize("i, j", [(3, 1), (1, 2)])
+    def test_out_of_range(self, i, j):
+        with pytest.raises(ValueError):
+            CaseTag.branch(i, j).children(IdealLabel.root(2, 1))
+
+
 class TestCaseSplit:
     def test_generic_root(self):
         assert case_split(IdealLabel.root(2, 1), ProblemInstance.generic(2, 1)) == CaseTag.branch(2, 1)
@@ -97,10 +120,13 @@ class TestCaseSplit:
         mod_membership decisions."""
 
         def reference(lab, instance, early_stop_target):
-            gens = instance.generator_values(lab)
+            def value(ind):
+                return instance.a[ind.index] if ind.kind == "a" else instance.b[ind.index]
+
+            gens = [value(ind) for ind in lab.generators()]
 
             def member(ind):
-                return mod_membership(instance.ring, gens, instance.value_of(ind)).member
+                return mod_membership(instance.ring, gens, value(ind)).member
 
             if early_stop_target is not None and member(Indeterminate.a(early_stop_target)):
                 return CaseTag.leaf()

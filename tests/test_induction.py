@@ -27,6 +27,7 @@ from nilcert import (
     label_poset,
     ln_decompose,
     nc_run_induction,
+    node_witnesses,
     radical_ideal_poset,
     radical_modn,
     root_exponent,
@@ -34,6 +35,7 @@ from nilcert import (
     spt_modn,
     witness_gap,
 )
+from nilcert.induction import _ideal_elements, _radical_of_ideal
 
 
 class TestRunInduction:
@@ -238,6 +240,10 @@ class TestKeyLemma:
         with pytest.raises(BadInput):
             check_key_lemma(1024, 1024, 2, 4)
 
+    def test_caches_are_bounded(self):
+        for cache in (_ideal_elements, _radical_of_ideal):
+            assert cache.cache_info().maxsize is not None
+
 
 class TestLabelPosetCrossValidation:
     def test_worked_example(self):
@@ -271,6 +277,22 @@ class TestLabelPosetCrossValidation:
             assert reachable == set(digraph.nodes)
             for lab in reachable:
                 assert evidence[lab][0] == digraph.nodes[lab].exponent
+
+    def test_witnesses_match_certificate_extraction(self):
+        for n in range(1, 6):
+            for m in range(0, 6 - n):
+                instance = ProblemInstance.generic(n, m)
+                digraph = grow_digraph(instance)
+                for i0 in instance.targets():
+                    evidence, _ = nc_run_induction(instance, i0)
+                    extracted = node_witnesses(digraph, i0)
+                    for lab in digraph.nodes:
+                        (k, got), (e, want) = evidence[lab], extracted[lab]
+                        assert k == e, (n, m, i0, lab)
+                        assert got.subject == want.subject, (n, m, i0, lab)
+                        assert got.gen_coeffs == want.gen_coeffs, (n, m, i0, lab)
+                        assert got.rel_coeffs == want.rel_coeffs, (n, m, i0, lab)
+                        assert got.unit_coeff == want.unit_coeff, (n, m, i0, lab)
 
     def test_poset_size(self):
         assert len(label_poset(2, 2).elements) == 16
