@@ -10,21 +10,26 @@ membership witness for a subject s at a label D is a stored identity
       + unitCoeff * r0
 
 holding exactly; it certifies s in (D) once the relations c_k = 0 (k >= 1)
-and a0*b0 = 1 are imposed.  Witnesses are built in three ways:
+and a0*b0 = 1 are imposed.  One identity, isolating a_p*b_q out of
+c_{p+q},
 
-* element witnesses follow the closure derivation of a_i or b_j, using
+    a_p*b_q = c_{p+q} - sum_{q'>q} a_{p+q-q'}*b_q' - sum_{p'>p} a_p'*b_{p+q-p'},
 
-      a_i = a0*c_i - a0 * sum_{q=1..min(i,m)} a_{i-q}*b_q - a_i*r0
+builds every element and product witness (``WitnessBuilder.isolate``), each
+higher a_p' and b_q' on the right being replaced by its own element witness:
 
-  (and its mirror image for b_j), each b_q in the middle sum being
-  replaced by its own, earlier-derived witness;
+* product witnesses: at a branch(i, j) label, maximality of i and j puts
+  every a_p (p > i) and b_q (q > j) into the ideal, so isolating a_i*b_j
+  needs only witnesses that exist;
 
-* product witnesses isolate a_i*b_j out of c_{i+j},
+* element witnesses: the closure rule admits a_k once b_1..b_min(k,m) are
+  in, exactly the witnesses that isolating a_k*b_0 needs, and
+  a0*b0 = 1 + r0 turns that product back into a_k,
 
-      a_i*b_j = c_{i+j} - sum_{q>j} a_{i+j-q}*b_q - sum_{p>i} a_p*b_{i+j-p},
+      a_k = a0 * (a_k*b_0) - a_k*r0
 
-  legitimate at a branch(i, j) label because maximality of i and j puts
-  every a_p (p > i) and b_q (q > j) into the ideal, hence behind a witness;
+  (mirrored through a_0*b_k for b_k).  A generator is its own witness, so
+  the closure is read only for membership and generator status;
 
 * ``combine`` multiplies two child witnesses u^k = v + s*a_i and
   u^l = w + t*b_j into u^(k+l) = v*u^l + s*a_i*w + s*t*(a_i*b_j) at the
@@ -73,10 +78,8 @@ class MembershipWitness:
     rel_coeffs: dict[int, MultiPoly] = field(default_factory=dict)
     unit_coeff: MultiPoly = field(default_factory=MultiPoly.zero)
 
-    def scaled(self, factor: MultiPoly | int) -> MembershipWitness:
+    def scaled(self, factor: MultiPoly) -> MembershipWitness:
         """The witness for factor * subject, every coefficient scaled."""
-        if isinstance(factor, int):
-            factor = MultiPoly.const(factor)
         if factor.is_zero:
             return MembershipWitness(MultiPoly.zero(), self.label)
         return MembershipWitness(
@@ -128,32 +131,9 @@ def witness_gap(witness: MembershipWitness) -> MultiPoly:
     return expand_witness(witness) - witness.subject
 
 
-def _generator_part(label: IdealLabel, gen: Indeterminate, coeff: MultiPoly) -> MembershipWitness:
-    return MembershipWitness(
-        subject=coeff * MultiPoly.variable(gen),
-        label=label,
-        gen_coeffs={gen: coeff},
-    )
-
-
-def _relation_part(label: IdealLabel, k: int, coeff: MultiPoly) -> MembershipWitness:
-    return MembershipWitness(
-        subject=coeff * relation_poly(label.n, label.m, k),
-        label=label,
-        rel_coeffs={k: coeff},
-    )
-
-
-def _unit_part(label: IdealLabel, coeff: MultiPoly) -> MembershipWitness:
-    return MembershipWitness(
-        subject=coeff * unit_relation(),
-        label=label,
-        unit_coeff=coeff,
-    )
-
-
 class WitnessBuilder:
-    """Memoized element witnesses for one label's closure."""
+    """Memoized element witnesses for one label's closure, built through
+    the isolation identity ``isolate``."""
 
     def __init__(self, label: IdealLabel):
         self.label = label
@@ -168,16 +148,27 @@ class WitnessBuilder:
         if cached is not None:
             return cached
         if derivation.rule == "generator":
-            built = _generator_part(self.label, element, MultiPoly.one())
+            built = MembershipWitness(MultiPoly.variable(element), self.label, {element: MultiPoly.one()})
         else:
-            # x_k = x0*c_k - x0 * sum_q x_{k-q}*y_q - x_k*r0, for x_k = a_k
-            # or b_k and y the other family, each premise y_q by its witness.
-            var = avar if element.kind == "a" else bvar
+            # x_k = x0 * (x_k*y0) - x_k*r0, because x0*y0 = 1 + r0.
             k = element.index
-            built = _relation_part(self.label, k, var(0)) + _unit_part(self.label, -var(k))
-            for premise in derivation.premises:
-                built = built + self.witness(premise).scaled(-(var(0) * var(k - premise.index)))
+            x, isolated = (avar, self.isolate(k, 0)) if element.kind == "a" else (bvar, self.isolate(0, k))
+            unit = MembershipWitness(-x(k) * unit_relation(), self.label, unit_coeff=-x(k))
+            built = isolated.scaled(x(0)) + unit
         self._memo[element] = built
+        return built
+
+    def isolate(self, p: int, q: int) -> MembershipWitness:
+        """Witness for a_p*b_q: c_{p+q} minus its other terms, each of which
+        has a higher b_q' (q' > q) or a higher a_p' (p' > p) and is removed
+        through that element's witness."""
+        n, m = self.label.n, self.label.m
+        relation = relation_poly(n, m, p + q)
+        built = MembershipWitness(relation, self.label, rel_coeffs={p + q: MultiPoly.one()})
+        for q2 in range(q + 1, min(p + q, m) + 1):
+            built = built + self.witness(Indeterminate.b(q2)).scaled(-avar(p + q - q2))
+        for p2 in range(p + 1, min(p + q, n) + 1):
+            built = built + self.witness(Indeterminate.a(p2)).scaled(-bvar(p + q - p2))
         return built
 
 
@@ -187,22 +178,11 @@ def membership_witness(label: IdealLabel, element: Indeterminate) -> MembershipW
 
 
 def gauss_product_witness(i: int, j: int, label: IdealLabel) -> MembershipWitness:
-    """Witness for a_i*b_j at a label whose case analysis gave branch(i, j).
-
-    The relation c_{i+j} contributes the a_i*b_j term; every other term of
-    that convolution has p > i or q > j and is removed through the element
-    witness available by maximality.
-    """
-    n, m = label.n, label.m
-    if not (1 <= i <= n and 1 <= j <= m):
-        raise ValueError(f"branch indices ({i},{j}) out of range for n={n}, m={m}")
-    builder = WitnessBuilder(label)
-    built = _relation_part(label, i + j, MultiPoly.one())
-    for q in range(j + 1, min(i + j, m) + 1):
-        built = built + builder.witness(Indeterminate.b(q)).scaled(-avar(i + j - q))
-    for p in range(i + 1, min(i + j, n) + 1):
-        built = built + builder.witness(Indeterminate.a(p)).scaled(-bvar(i + j - p))
-    return built
+    """Witness for a_i*b_j at a label whose case analysis gave branch(i, j);
+    maximality of i and j puts every higher coefficient into the ideal."""
+    if not (1 <= i <= label.n and 1 <= j <= label.m):
+        raise ValueError(f"branch indices ({i},{j}) out of range for n={label.n}, m={label.m}")
+    return WitnessBuilder(label).isolate(i, j)
 
 
 def combine(
@@ -388,15 +368,28 @@ def dump_certificate(certificate: NilpotencyCertificate) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a key that occurs twice."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        raise ValueError("a key is repeated in one JSON object of the dump")
+    return doc
+
+
+# Built once: json.loads with a hook would build a decoder on every call.
+_DUMP_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def load_certificate(text: str) -> NilpotencyCertificate:
     """Rebuild a certificate from its JSON dump.
 
-    Raises ValueError for any malformed dump: bad JSON, wrong field types,
+    Raises ValueError for any malformed dump: bad JSON, a key repeated in
+    one object, wrong field types, a relation key k that is not str(int(k)),
     sizes outside 1 <= n <= MAX_INDEX, 0 <= m <= MAX_INDEX, 1 <= i0 <= n,
     1 <= e < EXPONENT_LIMIT, or a coefficient that the packed monomials of
     verify_symbolic cannot hold.
     """
-    doc = json.loads(text)
+    doc = _DUMP_DECODER.decode(text)
     if not isinstance(doc, dict) or doc.get("format") != CERTIFICATE_FORMAT:
         raise ValueError("not a certificate dump")
     sizes = [doc.get(key) for key in ("n", "m", "i0", "e")]
@@ -413,6 +406,9 @@ def load_certificate(text: str) -> NilpotencyCertificate:
     rel, unit = doc.get("rel_coeffs"), doc.get("unit_coeff")
     if not isinstance(rel, dict) or not all(isinstance(v, str) for v in (*rel.values(), unit)):
         raise ValueError("rel_coeffs must map indices to polynomial strings, unit_coeff a string")
+    for key in rel:
+        if str(int(key)) != key:
+            raise ValueError(f"relation index {key!r} is not written as a plain integer")
     try:
         rel_coeffs = {int(key): MultiPoly.parse(rendered) for key, rendered in rel.items()}
         unit_coeff = MultiPoly.parse(unit)

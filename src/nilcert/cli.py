@@ -43,6 +43,7 @@ from .engine import (
 )
 from .induction import BadInput, ln_decompose, radical_modn
 from .oracles import IdealLabel
+from .poly import MAX_INDEX
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -132,6 +133,8 @@ def _run_digraph(
 def _run_generic(args: argparse.Namespace) -> int:
     if args.n < 1 or args.m < 0:
         return _usage_error("generic mode needs --n >= 1 and --m >= 0")
+    if max(args.n, args.m) > MAX_INDEX:
+        return _usage_error(f"generic mode needs --n and --m <= {MAX_INDEX}")
     if args.target is not None and not 1 <= args.target <= args.n:
         return _usage_error(f"--target must lie in 1..{args.n}")
 

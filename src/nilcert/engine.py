@@ -168,19 +168,16 @@ class ProblemInstance:
         return out
 
 
-def convolution(a: Sequence, b: Sequence, ring: RingHandle | None = None):
-    """c_k = sum over i+j = k of a_i * b_j, for k = 0..n+m.
-
-    With a ring, the inputs are ring values and the results are canonical;
-    without one, the inputs are MultiPoly values.
-    """
+def convolution(a: Sequence[int], b: Sequence[int], ring: RingHandle) -> list[int]:
+    """c_k = sum over i+j = k of a_i * b_j in the ring, for k = 0..n+m,
+    each canonical."""
     if not a or not b:
         raise ValueError("coefficient lists must be nonempty")
-    c = [MultiPoly.zero() if ring is None else 0] * (len(a) + len(b) - 1)
+    c = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             c[i + j] = c[i + j] + ai * bj
-    return c if ring is None else [ring.canon(ck) for ck in c]
+    return [ring.canon(ck) for ck in c]
 
 
 # One run at (n, m) reads at most n+m+1 relations.  1024 entries hold every

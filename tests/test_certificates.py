@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -26,6 +27,7 @@ from nilcert import (
     dump_certificate,
     extract_certificate,
     gauss_product_witness,
+    generic_closure,
     grow_digraph,
     load_certificate,
     membership_witness,
@@ -37,6 +39,7 @@ from nilcert import (
     verify_symbolic,
     witness_gap,
 )
+from nilcert.certificates import MembershipWitness
 from nilcert.engine import relation_poly
 from nilcert.poly import FIELD_BITS, MAX_INDEX
 
@@ -126,6 +129,98 @@ class TestGaussProductWitness:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             gauss_product_witness(3, 1, IdealLabel.root(2, 1))
+
+
+class ReferenceWitnesses:
+    """The element rule and the product correction sums as first written,
+    before both became the one isolation identity of ``WitnessBuilder``.
+
+    Element witnesses follow each derivation's premises:
+    x_k = x0*c_k - x0 * sum_{y_q in premises} x_{k-q}*y_q - x_k*r0.
+    Product witnesses remove the terms of c_{i+j} other than a_i*b_j by
+    two correction sums, b-side first.
+    """
+
+    def __init__(self, lab: IdealLabel):
+        self.label = lab
+        self.derivations = generic_closure(lab)
+        self.memo: dict = {}
+
+    def generator_part(self, gen, coeff):
+        return MembershipWitness(coeff * MultiPoly.variable(gen), self.label, gen_coeffs={gen: coeff})
+
+    def relation_part(self, k, coeff):
+        subject = coeff * relation_poly(self.label.n, self.label.m, k)
+        return MembershipWitness(subject, self.label, rel_coeffs={k: coeff})
+
+    def unit_part(self, coeff):
+        return MembershipWitness(coeff * unit_relation(), self.label, unit_coeff=coeff)
+
+    def element(self, element):
+        derivation = self.derivations.get(element)
+        if derivation is None:
+            raise NotInClosure(str(element))
+        if element not in self.memo:
+            if derivation.rule == "generator":
+                built = self.generator_part(element, MultiPoly.one())
+            else:
+                var = avar if element.kind == "a" else bvar
+                k = element.index
+                built = self.relation_part(k, var(0)) + self.unit_part(-var(k))
+                for premise in derivation.premises:
+                    built = built + self.element(premise).scaled(-(var(0) * var(k - premise.index)))
+            self.memo[element] = built
+        return self.memo[element]
+
+    def product(self, i, j):
+        n, m = self.label.n, self.label.m
+        if not (1 <= i <= n and 1 <= j <= m):
+            raise ValueError(f"branch indices ({i},{j}) out of range")
+        built = self.relation_part(i + j, MultiPoly.one())
+        for q in range(j + 1, min(i + j, m) + 1):
+            built = built + self.element(B(q)).scaled(-avar(i + j - q))
+        for p in range(i + 1, min(i + j, n) + 1):
+            built = built + self.element(A(p)).scaled(-bvar(i + j - p))
+        return built
+
+
+def _outcome(build):
+    """The witness a call builds, or the class of the exception it raises."""
+    try:
+        return build()
+    except (NotInClosure, ValueError) as exc:
+        return type(exc)
+
+
+class TestIsolationMatchesReference:
+    """Element and product witnesses equal the reference formulas in every
+    field, for every label with n+m <= 6 (golden digests pin only roots).
+    Elements outside the closure and (i, j) outside 1..n x 1..m must raise
+    the reference's exception."""
+
+    LABELS = [
+        IdealLabel(a_bits, b_bits)
+        for total in range(1, 7)
+        for n in range(1, total + 1)
+        for a_bits in product((0, 1), repeat=n)
+        for b_bits in product((0, 1), repeat=total - n)
+    ]
+
+    def test_element_witnesses(self):
+        for lab in self.LABELS:
+            builder, reference = WitnessBuilder(lab), ReferenceWitnesses(lab)
+            elements = [A(i) for i in range(1, lab.n + 1)] + [B(j) for j in range(1, lab.m + 1)]
+            for element in elements:
+                expected = _outcome(lambda: reference.element(element))
+                assert _outcome(lambda: builder.witness(element)) == expected, (lab, element)
+
+    def test_product_witnesses(self):
+        for lab in self.LABELS:
+            reference = ReferenceWitnesses(lab)
+            for i in range(0, lab.n + 2):
+                for j in range(0, lab.m + 2):
+                    expected = _outcome(lambda: reference.product(i, j))
+                    assert _outcome(lambda: gauss_product_witness(i, j, lab)) == expected, (lab, i, j)
 
 
 class TestCombine:
@@ -340,6 +435,8 @@ def _dump_fields(*drop, **changes):
     return json.dumps(doc)
 
 
+_VALID_REL = json.loads(_dump_fields())["rel_coeffs"]
+
 MALFORMED_DUMPS = {
     "not json": "{",
     "top-level list": "[1, 2]",
@@ -362,6 +459,12 @@ MALFORMED_DUMPS = {
     "rel index out of range": _dump_fields(rel_coeffs={"4": "1*a0"}),
     "non-string unit_coeff": _dump_fields(unit_coeff=7),
     "unparsable unit_coeff": _dump_fields(unit_coeff="1*c0"),
+    "rel keys 1 and 01": _dump_fields(rel_coeffs={**_VALID_REL, "01": "1*a0"}),
+    "rel key 01": _dump_fields(rel_coeffs={"01": "1*a0"}),
+    "rel key with a space": _dump_fields(rel_coeffs={" 1": "1*a0"}),
+    "rel key with a plus sign": _dump_fields(rel_coeffs={"+1": "1*a0"}),
+    "repeated top-level key": _dump_fields()[:-1] + ', "e": 3}',
+    "repeated rel key": _dump_fields().replace('"rel_coeffs": {', '"rel_coeffs": {"1": "1*a0", '),
 }
 
 

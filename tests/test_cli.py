@@ -190,6 +190,22 @@ class TestGenericCommand:
         assert code == 1
         assert err.startswith("ERROR:usage:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--n", "4096", "--m", "0", "--target", "4096"), ("--n", "1", "--m", "4096")],
+        ids=["n past MAX_INDEX", "m past MAX_INDEX"],
+    )
+    def test_sizes_past_max_index(self, capsys, argv):
+        code, out, err = run(capsys, "generic", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ERROR:usage:")
+
+    def test_largest_size(self, capsys):
+        code, out, _ = run(capsys, "generic", "--n", "4095", "--m", "0", "--target", "4095")
+        assert code == 0
+        assert json.loads(out)["targets"] == [{"i0": 4095, "e": 1}]
+
 
 class TestParserReuse:
     def test_emit_dot_does_not_carry_over_to_the_next_run(self, capsys, tmp_path):

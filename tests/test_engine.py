@@ -23,6 +23,7 @@ from nilcert import (
     check_unit,
     mod_membership,
     convolution,
+    convolution_polys,
     emit_dot,
     generic_closure,
     grow_digraph,
@@ -48,7 +49,7 @@ class TestConvolution:
         assert convolution((1,), (1,), RingHandle.mod(5)) == [1]
 
     def test_generic_degree_one(self):
-        c = convolution([avar(0), avar(1)], [bvar(0), bvar(1)])
+        c = convolution_polys(1, 1)
         assert c[0] == avar(0) * bvar(0)
         assert c[1] == avar(0) * bvar(1) + avar(1) * bvar(0)
         assert c[2] == avar(1) * bvar(1)
