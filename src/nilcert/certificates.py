@@ -37,9 +37,13 @@ higher a_p' and b_q' on the right being replaced by its own element witness:
   the one induction step per label, calls it at every branch, for the
   digraph pass and the label-poset runner of ``induction`` alike.
 
+Each witness is one linear combination of existing ones, summed term by
+term into fresh coefficient maps (``_combination``), with its subject in
+closed form: u^k*u^l, a_p*b_q or x_k.
+
 At the root the generator sum is empty, leaving the nilpotency certificate
 u^e = sum relCoeffs[k]*c_k + unitCoeff*r0, which an independent checker
-verifies by expanding everything back to the zero polynomial.
+verifies by expanding it, less u^e, as one sum of products that must be 0.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from typing import Sequence
 
 from .engine import CaseTag, Digraph, ProblemInstance, relation_poly
 from .oracles import IdealLabel, generic_closure
-from .poly import EXPONENT_LIMIT, MAX_INDEX, Indeterminate, MultiPoly, avar, bvar
+from .poly import EXPONENT_LIMIT, MAX_INDEX, Indeterminate, MultiPoly, avar, bvar, sum_of_products
 
 
 class NotInClosure(Exception):
@@ -80,55 +84,56 @@ class MembershipWitness:
 
     def scaled(self, factor: MultiPoly) -> MembershipWitness:
         """The witness for factor * subject, every coefficient scaled."""
-        if factor.is_zero:
-            return MembershipWitness(MultiPoly.zero(), self.label)
-        return MembershipWitness(
-            subject=self.subject * factor,
-            label=self.label,
-            gen_coeffs={d: c * factor for d, c in self.gen_coeffs.items()},
-            rel_coeffs={k: c * factor for k, c in self.rel_coeffs.items()},
-            unit_coeff=self.unit_coeff * factor,
-        )
+        return _combination(self.label, self.subject * factor, [(factor, self)])
 
     def __add__(self, other: MembershipWitness) -> MembershipWitness:
         if self.label != other.label:
             raise ValueError("cannot add witnesses at different labels")
-        return MembershipWitness(
-            subject=self.subject + other.subject,
-            label=self.label,
-            gen_coeffs=_sum_coeffs(self.gen_coeffs, other.gen_coeffs),
-            rel_coeffs=_sum_coeffs(self.rel_coeffs, other.rel_coeffs),
-            unit_coeff=self.unit_coeff + other.unit_coeff,
-        )
+        one = MultiPoly.one()
+        return _combination(self.label, self.subject + other.subject, [(one, self), (one, other)])
 
 
-def _sum_coeffs(left: dict, right: dict) -> dict:
-    """Keywise sum of two coefficient maps, dropping zero sums."""
-    out = dict(left)
-    for key, c in right.items():
-        total = out.get(key, MultiPoly.zero()) + c
-        if total.is_zero:
-            out.pop(key, None)
-        else:
-            out[key] = total
-    return out
+def _combination(
+    label: IdealLabel,
+    subject: MultiPoly,
+    parts: Sequence[tuple[MultiPoly, MembershipWitness]],
+    without: tuple[Indeterminate, ...] = (),
+) -> MembershipWitness:
+    """The witness sum factor*witness over parts, at label, each coefficient
+    one sum of products; the generators in without are left out.  The
+    caller gives the subject in closed form."""
+    gens: dict[Indeterminate, list] = {}
+    rels: dict[int, list] = {}
+    for factor, witness in parts:
+        for d, coeff in witness.gen_coeffs.items():
+            if d not in without:
+                gens.setdefault(d, []).append((coeff, factor))
+        for k, coeff in witness.rel_coeffs.items():
+            rels.setdefault(k, []).append((coeff, factor))
+    gen_coeffs = {d: c for d, c in zip(gens, map(sum_of_products, gens.values())) if not c.is_zero}
+    rel_coeffs = {k: c for k, c in zip(rels, map(sum_of_products, rels.values())) if not c.is_zero}
+    unit_coeff = sum_of_products((witness.unit_coeff, factor) for factor, witness in parts)
+    return MembershipWitness(subject, label, gen_coeffs, rel_coeffs, unit_coeff)
+
+
+def _expansion_minus(witness: MembershipWitness, subject: MultiPoly) -> MultiPoly:
+    """sum genCoeffs[d]*d + sum relCoeffs[k]*c_k + unitCoeff*r0 - subject,
+    as one sum of products."""
+    n, m = witness.label.n, witness.label.m
+    pairs = [(subject, MultiPoly.const(-1)), (witness.unit_coeff, unit_relation())]
+    pairs += [(coeff, MultiPoly.variable(d)) for d, coeff in witness.gen_coeffs.items()]
+    pairs += [(coeff, relation_poly(n, m, k)) for k, coeff in witness.rel_coeffs.items()]
+    return sum_of_products(pairs)
 
 
 def expand_witness(witness: MembershipWitness) -> MultiPoly:
     """Expand the combination side of the witness identity in Z[a, b]."""
-    n, m = witness.label.n, witness.label.m
-    acc = MultiPoly.zero()
-    for d, coeff in witness.gen_coeffs.items():
-        acc = acc + coeff * MultiPoly.variable(d)
-    for k, coeff in witness.rel_coeffs.items():
-        acc = acc + coeff * relation_poly(n, m, k)
-    acc = acc + witness.unit_coeff * unit_relation()
-    return acc
+    return _expansion_minus(witness, MultiPoly.zero())
 
 
 def witness_gap(witness: MembershipWitness) -> MultiPoly:
     """Expansion minus subject; the zero polynomial iff the witness holds."""
-    return expand_witness(witness) - witness.subject
+    return _expansion_minus(witness, witness.subject)
 
 
 class WitnessBuilder:
@@ -153,8 +158,8 @@ class WitnessBuilder:
             # x_k = x0 * (x_k*y0) - x_k*r0, because x0*y0 = 1 + r0.
             k = element.index
             x, isolated = (avar, self.isolate(k, 0)) if element.kind == "a" else (bvar, self.isolate(0, k))
-            unit = MembershipWitness(-x(k) * unit_relation(), self.label, unit_coeff=-x(k))
-            built = isolated.scaled(x(0)) + unit
+            r0 = MembershipWitness(unit_relation(), self.label, unit_coeff=MultiPoly.one())
+            built = _combination(self.label, x(k), [(x(0), isolated), (-x(k), r0)])
         self._memo[element] = built
         return built
 
@@ -162,14 +167,12 @@ class WitnessBuilder:
         """Witness for a_p*b_q: c_{p+q} minus its other terms, each of which
         has a higher b_q' (q' > q) or a higher a_p' (p' > p) and is removed
         through that element's witness."""
-        n, m = self.label.n, self.label.m
-        relation = relation_poly(n, m, p + q)
-        built = MembershipWitness(relation, self.label, rel_coeffs={p + q: MultiPoly.one()})
-        for q2 in range(q + 1, min(p + q, m) + 1):
-            built = built + self.witness(Indeterminate.b(q2)).scaled(-avar(p + q - q2))
-        for p2 in range(p + 1, min(p + q, n) + 1):
-            built = built + self.witness(Indeterminate.a(p2)).scaled(-bvar(p + q - p2))
-        return built
+        n, m, k = self.label.n, self.label.m, p + q
+        relation = MembershipWitness(relation_poly(n, m, k), self.label, rel_coeffs={k: MultiPoly.one()})
+        parts = [(MultiPoly.one(), relation)]
+        parts += [(-avar(k - q2), self.witness(Indeterminate.b(q2))) for q2 in range(q + 1, min(k, m) + 1)]
+        parts += [(-bvar(k - p2), self.witness(Indeterminate.a(p2))) for p2 in range(p + 1, min(k, n) + 1)]
+        return _combination(self.label, avar(p) * bvar(q), parts)
 
 
 def membership_witness(label: IdealLabel, element: Indeterminate) -> MembershipWitness:
@@ -195,7 +198,8 @@ def combine(
 
     Splitting off the child generators as u^k = v + s*a_i and
     u^l = w + t*b_j gives u^(k+l) = v*u^l + s*a_i*w + s*t*(a_i*b_j); the
-    last term is replaced by the product witness.
+    last term is replaced by the product witness.  The three terms are one
+    combination, each child without its split-off generator.
     """
     parent = left.label.meet(right.label)
     parent_gens = set(parent.generators())
@@ -208,25 +212,13 @@ def combine(
     if product.label != parent:
         raise ValueError("product witness must live at the parent label")
     a_gen, b_gen = a_extra[0], b_extra[0]
-
-    def drop(witness: MembershipWitness, gen: Indeterminate) -> tuple[MultiPoly, MembershipWitness]:
-        coeff = witness.gen_coeffs.get(gen, MultiPoly.zero())
-        rest = {d: c for d, c in witness.gen_coeffs.items() if d != gen}
-        remainder = MembershipWitness(
-            subject=witness.subject - coeff * MultiPoly.variable(gen),
-            label=parent,
-            gen_coeffs=rest,
-            rel_coeffs=dict(witness.rel_coeffs),
-            unit_coeff=witness.unit_coeff,
-        )
-        return coeff, remainder
-
-    s, v = drop(left, a_gen)
-    t, w = drop(right, b_gen)
-    return (
-        v.scaled(right.subject)
-        + w.scaled(s * MultiPoly.variable(a_gen))
-        + product.scaled(s * t)
+    s = left.gen_coeffs.get(a_gen, MultiPoly.zero())
+    t = right.gen_coeffs.get(b_gen, MultiPoly.zero())
+    return _combination(
+        parent,
+        left.subject * right.subject,
+        [(right.subject, left), (s * MultiPoly.variable(a_gen), right), (s * t, product)],
+        without=(a_gen, b_gen),
     )
 
 
@@ -302,7 +294,7 @@ def verify_symbolic(certificate: NilpotencyCertificate) -> SymbolicCheck:
         raise ValueError("root witness must not use ideal generators")
     if (witness.label.n, witness.label.m) != (certificate.n, certificate.m):
         raise ValueError("root witness and certificate disagree on (n, m)")
-    diff = expand_witness(witness) - avar(certificate.target_index) ** certificate.exponent
+    diff = _expansion_minus(witness, avar(certificate.target_index) ** certificate.exponent)
     return SymbolicCheck(diff.is_zero, diff)
 
 
@@ -383,13 +375,16 @@ _DUMP_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 def load_certificate(text: str) -> NilpotencyCertificate:
     """Rebuild a certificate from its JSON dump.
 
-    Raises ValueError for any malformed dump: bad JSON, a key repeated in
-    one object, wrong field types, a relation key k that is not str(int(k)),
-    sizes outside 1 <= n <= MAX_INDEX, 0 <= m <= MAX_INDEX, 1 <= i0 <= n,
-    1 <= e < EXPONENT_LIMIT, or a coefficient that the packed monomials of
-    verify_symbolic cannot hold.
+    Raises ValueError for any malformed dump: bad or too deeply nested JSON,
+    a key repeated in one object, wrong field types, a relation key k that
+    is not str(int(k)), sizes outside 1 <= n <= MAX_INDEX, 0 <= m <=
+    MAX_INDEX, 1 <= i0 <= n, 1 <= e < EXPONENT_LIMIT, or a coefficient that
+    the packed monomials of verify_symbolic cannot hold.
     """
-    doc = _DUMP_DECODER.decode(text)
+    try:
+        doc = _DUMP_DECODER.decode(text)
+    except RecursionError:
+        raise ValueError("the dump nests JSON arrays or objects too deeply") from None
     if not isinstance(doc, dict) or doc.get("format") != CERTIFICATE_FORMAT:
         raise ValueError("not a certificate dump")
     sizes = [doc.get(key) for key in ("n", "m", "i0", "e")]

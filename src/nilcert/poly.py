@@ -42,8 +42,11 @@ from __future__ import annotations
 
 import re
 import sys
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
+from operator import itemgetter, or_
 
 from .rings import RingHandle
 
@@ -314,13 +317,7 @@ class MultiPoly:
         if len(right) == 1:
             ((mono_r, coeff_r),) = right.items()
             return _new({mono_l + mono_r: coeff_l * coeff_r for mono_l, coeff_l in left.items()}, bound)
-        out: dict[int, int] = {}
-        get = out.get
-        for mono_r, coeff_r in right.items():
-            for mono_l, coeff_l in left.items():
-                mono = mono_l + mono_r
-                out[mono] = get(mono, 0) + coeff_l * coeff_r
-        return _new({mono: coeff for mono, coeff in out.items() if coeff}, bound)
+        return sum_of_products([(self, rhs)])
 
     __rmul__ = __mul__
 
@@ -359,25 +356,33 @@ class MultiPoly:
 
     # -- canonical text form -----------------------------------------------
 
+    # Column layout.  All monomials are laid side by side in one buffer of
+    # 32-bit fields, one row of equal width per term.  Only the slots that
+    # occur in some monomial (the nonzero fields of their OR) are read, each
+    # as one strided column, a-slots before b-slots in index order; so the
+    # graded lex key of a row is its degree followed by its column entries.
+    # Each column's factor text comes from a table with one entry per
+    # distinct exponent, so Python loops per indeterminate and per distinct
+    # exponent, not per factor.
     def render(self) -> str:
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
-        # Every monomial is read at the width of the widest, as the a-exponents
-        # followed by the b-exponents; at one length, list order is lex order.
-        nbytes = _fields(max(self._terms)).nbytes
-        nbytes += nbytes % (2 * FIELD_BITS // 8)
-        half = nbytes * 8 // FIELD_BITS // 2
-        names = [f"a{i}" for i in range(half)] + [f"b{j}" for j in range(half)]
-        rows = []
-        for packed, coeff in self._terms.items():
-            fields = _fields(packed, nbytes).tolist()
-            exps = fields[0::2] + fields[1::2]
-            rows.append((sum(exps), exps, coeff))
-        rows.sort(reverse=True)
-        return " + ".join(
-            "*".join([str(coeff), *[name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]])
-            for _, exps, coeff in rows
-        )
+        union = _fields(reduce(or_, terms))
+        width = len(union)
+        slots = [s for s in range(0, width, 2) if union[s]] + [s for s in range(1, width, 2) if union[s]]
+        rows = b"".join(map(int.to_bytes, terms, repeat(union.nbytes), repeat(sys.byteorder)))
+        columns = [memoryview(rows).cast("I")[slot::width].tolist() for slot in slots]
+        del rows  # the row copy goes before the texts are built
+        factors = []
+        for slot, column in zip(slots, columns):
+            name = f"*{'ab'[slot & 1]}{slot >> 1}"
+            table = {e: f"{name}^{e}" for e in set(column)}
+            table[0], table[1] = "", name
+            factors.append(map(table.__getitem__, column))
+        texts = map("".join, zip(map(str, terms.values()), *factors))
+        degrees = list(map(sum, zip(*columns))) if columns else [0]
+        return " + ".join(map(itemgetter(-1), sorted(zip(degrees, *columns, texts), reverse=True)))
 
     _FACTOR_RE = re.compile(r"([ab])(\d+)(?:\^(\d+))?\Z")
 
@@ -435,3 +440,27 @@ def avar(i: int) -> MultiPoly:
 def bvar(j: int) -> MultiPoly:
     """The polynomial b_j."""
     return MultiPoly.variable(Indeterminate.b(j))
+
+
+def sum_of_products(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
+    """The sum of left*right over the pairs.  Every product of two terms is
+    added into one packed-term map, so no product or partial sum is built
+    as a polynomial of its own (Monagan and Pearce).  Raises OverflowError
+    where ``*`` would for one of the pairs."""
+    out: dict[int, int] = {}
+    get = out.get
+    bound = 0
+    for left, right in pairs:
+        left_terms, right_terms = left._terms, right._terms
+        if not left_terms or not right_terms:
+            continue
+        if left._bound + right._bound >= EXPONENT_LIMIT:
+            raise OverflowError(f"a product exponent could reach 2**{FIELD_BITS}")
+        bound = max(bound, left._bound + right._bound)
+        if len(left_terms) < len(right_terms):
+            left_terms, right_terms = right_terms, left_terms
+        for mono_r, coeff_r in right_terms.items():
+            for mono_l, coeff_l in left_terms.items():
+                mono = mono_l + mono_r
+                out[mono] = get(mono, 0) + coeff_l * coeff_r
+    return _new({mono: coeff for mono, coeff in out.items() if coeff}, bound)

@@ -18,6 +18,7 @@ from nilcert import (
     IdealLabel,
     Indeterminate,
     MultiPoly,
+    NilpotencyCertificate,
     NotInClosure,
     ProblemInstance,
     WitnessBuilder,
@@ -39,7 +40,7 @@ from nilcert import (
     verify_symbolic,
     witness_gap,
 )
-from nilcert.certificates import MembershipWitness
+from nilcert.certificates import MembershipWitness, expand_witness
 from nilcert.engine import relation_poly
 from nilcert.poly import FIELD_BITS, MAX_INDEX
 
@@ -346,6 +347,75 @@ class TestVerifySymbolic:
             verify_symbolic(bogus)
 
 
+def operator_expansion(witness: MembershipWitness) -> MultiPoly:
+    """sum c*x_d + sum c*c_k + u*r0, built with the MultiPoly operators."""
+    n, m = witness.label.n, witness.label.m
+    total = witness.unit_coeff * unit_relation()
+    for d, coeff in witness.gen_coeffs.items():
+        total = total + coeff * MultiPoly.variable(d)
+    for k, coeff in witness.rel_coeffs.items():
+        total = total + coeff * relation_poly(n, m, k)
+    return total
+
+
+def random_poly(rng: random.Random, n: int, m: int) -> MultiPoly:
+    names = [A(i) for i in range(n + 1)] + [B(j) for j in range(m + 1)]
+    terms = {}
+    for _ in range(rng.randrange(0, 6)):
+        factors = rng.sample(names, rng.randrange(0, 4))
+        terms[tuple(sorted((ind, rng.randrange(1, 4)) for ind in factors))] = rng.randrange(-3, 4)
+    return MultiPoly(terms)
+
+
+class TestFusedExpansion:
+    """expand_witness and verify_symbolic add every product into one sum;
+    the reference adds polynomials built by the operators."""
+
+    def test_random_witnesses(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            n, m = rng.randrange(1, 5), rng.randrange(0, 4)
+            generators = [A(i) for i in range(1, n + 1)] + [B(j) for j in range(1, m + 1)]
+            gens = rng.sample(generators, rng.randrange(0, min(3, len(generators)) + 1))
+            rels = rng.sample(range(1, n + m + 1), rng.randrange(0, n + m + 1))
+            witness = MembershipWitness(
+                subject=random_poly(rng, n, m),
+                label=IdealLabel.root(n, m),
+                gen_coeffs={d: random_poly(rng, n, m) for d in gens},
+                rel_coeffs={k: random_poly(rng, n, m) for k in rels},
+                unit_coeff=random_poly(rng, n, m),
+            )
+            assert expand_witness(witness) == operator_expansion(witness)
+            assert witness_gap(witness) == operator_expansion(witness) - witness.subject
+
+    def test_cancelling_terms_leave_no_zero_coefficients(self):
+        witness = MembershipWitness(
+            MultiPoly.zero(), IdealLabel.root(1, 1), rel_coeffs={1: bvar(0)}, unit_coeff=-bvar(1)
+        )
+        # b0*(a0*b1 + a1*b0) - b1*(a0*b0 - 1) = a1*b0^2 + b1
+        assert expand_witness(witness) == avar(1) * bvar(0) ** 2 + bvar(1)
+
+    def test_overflow_guard_kept(self):
+        big = avar(0) ** (2**FIELD_BITS - 2)
+        for fields in ({"rel_coeffs": {1: big}}, {"unit_coeff": big}):
+            witness = MembershipWitness(avar(1), IdealLabel.root(2, 1), **fields)
+            with pytest.raises(OverflowError):
+                expand_witness(witness)
+            with pytest.raises(OverflowError):
+                verify_symbolic(NilpotencyCertificate(2, 1, 1, 1, witness))
+
+    def test_mutated_dump_difference(self):
+        cert = extract_certificate(grow_digraph(ProblemInstance.generic(3, 3)), 2)
+        doc = json.loads(dump_certificate(cert))
+        bump = 5 * avar(1) ** 2 * bvar(0)
+        doc["rel_coeffs"]["3"] = (MultiPoly.parse(doc["rel_coeffs"]["3"]) + bump).render()
+        loaded = load_certificate(json.dumps(doc))
+        check = verify_symbolic(loaded)
+        assert not check.ok
+        assert check.diff == operator_expansion(loaded.root_witness) - avar(2) ** loaded.exponent
+        assert check.diff == bump * relation_poly(3, 3, 3)
+
+
 class TestConcreteChecks:
     def test_worked_example_minimal_exponents(self):
         instance = ProblemInstance.concrete(8, [1, 2, 4], [1, 6])
@@ -465,6 +535,8 @@ MALFORMED_DUMPS = {
     "rel key with a plus sign": _dump_fields(rel_coeffs={"+1": "1*a0"}),
     "repeated top-level key": _dump_fields()[:-1] + ', "e": 3}',
     "repeated rel key": _dump_fields().replace('"rel_coeffs": {', '"rel_coeffs": {"1": "1*a0", '),
+    "deeply nested array": "[" * 100_000 + "]" * 100_000,
+    "deeply nested object": '{"a": ' * 100_000 + "1" + "}" * 100_000,
 }
 
 

@@ -15,7 +15,7 @@ from nilcert import (
     avar,
     bvar,
 )
-from nilcert.poly import FIELD_BITS, MAX_INDEX
+from nilcert.poly import FIELD_BITS, MAX_INDEX, _fields
 
 A0, A1, A2 = Indeterminate.a(0), Indeterminate.a(1), Indeterminate.a(2)
 B0, B1 = Indeterminate.b(0), Indeterminate.b(1)
@@ -301,3 +301,62 @@ class TestOverflowGuard:
             avar(MAX_INDEX + 1)
         with pytest.raises(OverflowError):
             MultiPoly.parse(f"1*b{MAX_INDEX + 1}")
+
+
+# -- rendering ----------------------------------------------------------------
+
+
+def reference_render(p: MultiPoly) -> str:
+    """The canonical text form written row by row, one packed monomial at a
+    time, as render was before it read the monomials column by column."""
+    if not p._terms:
+        return "0"
+    nbytes = _fields(max(p._terms)).nbytes
+    nbytes += nbytes % (2 * FIELD_BITS // 8)
+    half = nbytes * 8 // FIELD_BITS // 2
+    names = [f"a{i}" for i in range(half)] + [f"b{j}" for j in range(half)]
+    rows = []
+    for packed, coeff in p._terms.items():
+        fields = _fields(packed, nbytes).tolist()
+        exps = fields[0::2] + fields[1::2]
+        rows.append((sum(exps), exps, coeff))
+    rows.sort(reverse=True)
+    return " + ".join(
+        "*".join([str(coeff), *[name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]])
+        for _, exps, coeff in rows
+    )
+
+
+TOP = 2**FIELD_BITS - 1
+RENDER_CASES = {
+    "zero": MultiPoly.zero(),
+    "constant only": MultiPoly.const(-5),
+    "constant plus terms": 3 + avar(1) * bvar(0) - 2 * avar(0) ** 2,
+    "one factor b4095": bvar(MAX_INDEX),
+    "exponents 1 and 2**32 - 1": MultiPoly({((A0, 1), (B1, TOP)): 1, ((A0, TOP),): -1, ((B0, 1),): 2}),
+    "negative and 50-digit coefficients": MultiPoly(
+        {((A1, 1),): -(10**49 + 7), ((B0, 2),): 10**49 + 3, ((A0, 1), (B0, 1)): -1, (): -(10**50)}
+    ),
+    "slots with gaps": avar(40) ** 3 * bvar(7) + avar(2) * bvar(39) ** 2 - avar(40) * bvar(0) + bvar(12),
+}
+
+
+class TestRenderMatchesReference:
+    @pytest.mark.parametrize("p", RENDER_CASES.values(), ids=RENDER_CASES.keys())
+    def test_cases(self, p):
+        assert p.render() == reference_render(p)
+        assert MultiPoly.parse(p.render()) == p
+
+    def test_pinned_texts(self):
+        assert RENDER_CASES["one factor b4095"].render() == "1*b4095"
+        assert RENDER_CASES["exponents 1 and 2**32 - 1"].render() == f"1*a0*b1^{TOP} + -1*a0^{TOP} + 2*b0"
+
+    @given(p=polys())
+    @settings(max_examples=80)
+    def test_narrow_polys(self, p):
+        assert p.render() == reference_render(p)
+
+    @given(p=wide_polys(12))
+    @settings(max_examples=80)
+    def test_wide_polys(self, p):
+        assert p.render() == reference_render(p)
