@@ -29,7 +29,8 @@ higher a_p' and b_q' on the right being replaced by its own element witness:
       a_k = a0 * (a_k*b_0) - a_k*r0
 
   (mirrored through a_0*b_k for b_k).  A generator is its own witness, so
-  the closure is read only for membership and generator status;
+  the builder reads only bits: the closed bits of ``oracles._closure_bits``
+  for membership, the label's own for generator status;
 
 * ``combine`` multiplies two child witnesses u^k = v + s*a_i and
   u^l = w + t*b_j into u^(k+l) = v*u^l + s*a_i*w + s*t*(a_i*b_j) at the
@@ -53,12 +54,12 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .engine import CaseTag, Digraph, ProblemInstance, relation_poly
-from .oracles import IdealLabel, generic_closure
+from .oracles import IdealLabel, _closure_bits
 from .poly import EXPONENT_LIMIT, MAX_INDEX, Indeterminate, MultiPoly, avar, bvar, sum_of_products
 
 
 class NotInClosure(Exception):
-    """No derivation admits the element at this label."""
+    """The closure rule does not admit the element at this label."""
 
 
 def unit_relation() -> MultiPoly:
@@ -142,21 +143,23 @@ class WitnessBuilder:
 
     def __init__(self, label: IdealLabel):
         self.label = label
-        self.derivations = generic_closure(label)
+        a_bits, b_bits, _ = _closure_bits(label.a_bits, label.b_bits)
+        # Per family: the closed bits (membership), the label's own (generators).
+        self._bits = {"a": (a_bits, label.a_bits), "b": (b_bits, label.b_bits)}
         self._memo: dict[Indeterminate, MembershipWitness] = {}
 
     def witness(self, element: Indeterminate) -> MembershipWitness:
-        derivation = self.derivations.get(element)
-        if derivation is None:
+        k = element.index
+        closed, given = self._bits[element.kind]
+        if not (1 <= k <= len(closed) and closed[k - 1]):
             raise NotInClosure(f"{element} is not forced into {self.label.render()}")
         cached = self._memo.get(element)
         if cached is not None:
             return cached
-        if derivation.rule == "generator":
+        if given[k - 1]:
             built = MembershipWitness(MultiPoly.variable(element), self.label, {element: MultiPoly.one()})
         else:
             # x_k = x0 * (x_k*y0) - x_k*r0, because x0*y0 = 1 + r0.
-            k = element.index
             x, isolated = (avar, self.isolate(k, 0)) if element.kind == "a" else (bvar, self.isolate(0, k))
             r0 = MembershipWitness(unit_relation(), self.label, unit_coeff=MultiPoly.one())
             built = _combination(self.label, x(k), [(x(0), isolated), (-x(k), r0)])
@@ -201,17 +204,15 @@ def combine(
     last term is replaced by the product witness.  The three terms are one
     combination, each child without its split-off generator.
     """
-    parent = left.label.meet(right.label)
-    parent_gens = set(parent.generators())
-    a_extra = [d for d in left.label.generators() if d not in parent_gens]
-    b_extra = [d for d in right.label.generators() if d not in parent_gens]
-    if len(a_extra) != 1 or a_extra[0].kind != "a":
-        raise ValueError("left witness must live at parent plus one a-generator")
-    if len(b_extra) != 1 or b_extra[0].kind != "b":
-        raise ValueError("right witness must live at parent plus one b-generator")
-    if product.label != parent:
-        raise ValueError("product witness must live at the parent label")
-    a_gen, b_gen = a_extra[0], b_extra[0]
+    parent = product.label
+    a_added = [i for i, (x, y) in enumerate(zip(left.label.a_bits, parent.a_bits), 1) if x != y]
+    b_added = [j for j, (x, y) in enumerate(zip(right.label.b_bits, parent.b_bits), 1) if x != y]
+    if len(a_added) != 1 or len(b_added) != 1:
+        raise ValueError("each child must add one generator to the product witness's label")
+    i, j = a_added[0], b_added[0]
+    if CaseTag.branch(i, j).children(parent) != (left.label, right.label):
+        raise ValueError("child witnesses must live at parent + a_i and parent + b_j")
+    a_gen, b_gen = Indeterminate.a(i), Indeterminate.b(j)
     s = left.gen_coeffs.get(a_gen, MultiPoly.zero())
     t = right.gen_coeffs.get(b_gen, MultiPoly.zero())
     return _combination(

@@ -20,21 +20,20 @@ Two oracles answer which coefficients lie in the ideal of a generator set:
       for (x, y) = (a, b) and (b, a),
 
   together with a well-founded derivation record for each admitted
-  element, from which an explicit polynomial-identity witness can later be
-  rebuilt.  Memberships reported here are eventually discharged as
-  verified identities by the certificate layer; non-memberships only shape
-  the search and are never load-bearing.
+  element.  Memberships reported by the closure are eventually discharged
+  as verified identities by the certificate layer; non-memberships only
+  shape the search and are never load-bearing.
 
 The rule itself runs once, on bit lists, in ``_closure_bits``: it returns
-the closed bits and the admissions in order.  The case split reads only
-the bits; ``generic_closure`` turns the admissions into derivation
-records, which only the certificate layer consumes.
+the closed bits and the admissions in order.  The case split and the
+certificate layer's witness builder read only the bits;
+``generic_closure`` turns the admissions into derivation records, the
+public view behind ``generic_membership``, which no pipeline path calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .poly import Indeterminate
@@ -213,20 +212,13 @@ def _closure_bits(
     return inside["a"], inside["b"], admissions
 
 
-# Only certificate extraction asks for derivation records; the case split
-# reads the closure bits and never consults this cache.  An extraction at
-# (n, m) asks for the closures of its nm+n+m digraph labels, once per
-# target.  1024 entries hold every label of a run with n, m <= 31, so
-# repeated targets and sizes hit, while a process that extracts many large
-# certificates no longer keeps every closure it ever computed.
-@lru_cache(maxsize=1024)
 def generic_closure(label: IdealLabel) -> dict[Indeterminate, Derivation]:
     """Least fixed point of the derivation rules, with derivation records.
 
-    Returns a dict (treat as read-only: results are cached) mapping each
-    member of the closure to its derivation: generators first, then the
-    relation-admitted elements in admission order.  The closure is
-    monotone and idempotent in the generator set.
+    Returns a dict mapping each member of the closure to its derivation:
+    generators first, then the relation-admitted elements in admission
+    order.  The closure is monotone and idempotent in the generator set.
+    Nothing is cached: no pipeline path calls this view.
     """
     given = {"a": label.a_bits, "b": label.b_bits}
     elements = {

@@ -93,8 +93,20 @@ class TestMembershipWitness:
                 for b_bits in product((0, 1), repeat=m):
                     lab = IdealLabel(a_bits, b_bits)
                     builder = WitnessBuilder(lab)
-                    for element in builder.derivations:
+                    for element in generic_closure(lab):
                         assert witness_gap(builder.witness(element)).is_zero, (lab, element)
+
+    def test_out_of_range_elements_not_in_closure(self):
+        """a0, b0, a_{n+1} and b_{m+1} are never closure elements; index 0
+        must not wrap round to the last bit."""
+        for total in range(1, 5):
+            for n in range(1, total + 1):
+                for a_bits in product((0, 1), repeat=n):
+                    for b_bits in product((0, 1), repeat=total - n):
+                        builder = WitnessBuilder(IdealLabel(a_bits, b_bits))
+                        for element in (A(0), B(0), A(n + 1), B(total - n + 1)):
+                            with pytest.raises(NotInClosure):
+                                builder.witness(element)
 
 
 class TestGaussProductWitness:
@@ -248,6 +260,36 @@ class TestCombine:
         with pytest.raises(ValueError):
             combine(wk, wl, gp)
 
+    def test_worked_interior_node_fields(self):
+        wk = membership_witness(label(2, 1, "a1", "a2"), A(1))
+        wl = membership_witness(label(2, 1, "a2", "b1"), A(1))
+        parent = combine(wk, wl, gauss_product_witness(1, 1, label(2, 1, "a2")))
+        assert parent.subject == avar(1) ** 2
+        assert parent.label == label(2, 1, "a2")
+        assert parent.gen_coeffs == {A(2): MultiPoly.parse("1*a0^2*b0")}
+        assert parent.rel_coeffs == {1: MultiPoly.parse("1*a0*a1"), 2: MultiPoly.parse("-1*a0^2")}
+        assert parent.unit_coeff == MultiPoly.parse("-1*a1^2")
+
+    # (left, right, product) labels around the parent (a2) of n=2, m=1,
+    # whose branch(1, 1) children are (a1,a2) and (a2,b1).
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            pytest.param(((2, 1, "a2", "b1"), (2, 1, "a2", "b1"), (2, 1, "a2")), id="left-adds-b"),
+            pytest.param(((3, 1, "a1", "a2", "a3"), (3, 1, "a3", "b1"), (3, 1, "a3")), id="left-adds-two-a"),
+            pytest.param(((2, 1, "a1", "a2"), (2, 1, "a2"), (2, 1, "a2")), id="right-is-parent"),
+            pytest.param(((2, 1, "a2", "b1"), (2, 1, "a1", "a2"), (2, 1, "a2")), id="swapped"),
+            pytest.param(((3, 1, "a1", "a2"), (3, 1, "a2", "b1"), (2, 1, "a2")), id="children-other-size"),
+            pytest.param(((2, 1, "a1", "a2"), (2, 1, "a2", "b1"), (2, 1)), id="product-at-root"),
+            pytest.param(((2, 1, "a1", "a2"), (2, 1, "a2", "b1"), (2, 1, "a1")), id="product-at-a1"),
+        ],
+    )
+    def test_malformed_labels_rejected(self, labels):
+        # The zero witness holds at every label, so only the labels differ.
+        left, right, product_ = (MembershipWitness(MultiPoly.zero(), label(*spec)) for spec in labels)
+        with pytest.raises(ValueError):
+            combine(left, right, product_)
+
 
 class TestExtractCertificate:
     def test_worked_example_target_one(self):
@@ -289,6 +331,21 @@ class TestExtractCertificate:
                         assert exponent == d.nodes[lab].exponent, (n, m, i0, lab)
                         assert witness.subject == avar(i0) ** exponent
                         assert witness_gap(witness).is_zero, (n, m, i0, lab)
+
+    def test_extraction_never_consults_generic_closure(self, monkeypatch):
+        """Extraction reads closure bits only; the derivation records of
+        generic_closure are a separate public view."""
+
+        def refuse(lab):
+            raise AssertionError(f"generic_closure called at {lab}")
+
+        monkeypatch.setattr("nilcert.oracles.generic_closure", refuse)
+        monkeypatch.setattr("nilcert.certificates.generic_closure", refuse, raising=False)
+        for n in range(1, 6):
+            for m in range(0, 6 - n):
+                d = grow_digraph(ProblemInstance.generic(n, m))
+                for target in range(1, n + 1):
+                    assert verify_symbolic(extract_certificate(d, target)).ok, (n, m, target)
 
     def test_rejects_concrete_digraphs(self):
         d = grow_digraph(ProblemInstance.concrete(8, [1, 2, 4], [1, 6]))

@@ -166,9 +166,6 @@ class TestGenericClosure:
                             reference_closure(lab).items()
                         ), lab
 
-    def test_cache_is_bounded(self):
-        assert generic_closure.cache_info().maxsize is not None
-
 
 class TestGenericMembership:
     def test_outside(self):
