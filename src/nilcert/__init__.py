@@ -59,12 +59,7 @@ from .induction import (
     run_induction,
     spt_modn,
 )
-from .oracles import (
-    IdealLabel,
-    generic_closure,
-    generic_membership,
-    mod_membership,
-)
+from .oracles import IdealLabel, mod_membership
 from .poly import (
     Indeterminate,
     MissingAssignment,
@@ -113,8 +108,6 @@ __all__ = [
     "emit_dot",
     "extract_certificate",
     "gauss_product_witness",
-    "generic_closure",
-    "generic_membership",
     "grow_digraph",
     "label_poset",
     "ln_decompose",

@@ -15,8 +15,9 @@ c_{p+q},
 
     a_p*b_q = c_{p+q} - sum_{q'>q} a_{p+q-q'}*b_q' - sum_{p'>p} a_p'*b_{p+q-p'},
 
-builds every element and product witness (``WitnessBuilder.isolate``), each
-higher a_p' and b_q' on the right being replaced by its own element witness:
+builds every element and product witness from the same parts
+(``WitnessBuilder._isolation_parts``), each higher a_p' and b_q' on the
+right being replaced by its own element witness:
 
 * product witnesses: at a branch(i, j) label, maximality of i and j puts
   every a_p (p > i) and b_q (q > j) into the ideal, so isolating a_i*b_j
@@ -28,8 +29,9 @@ higher a_p' and b_q' on the right being replaced by its own element witness:
 
       a_k = a0 * (a_k*b_0) - a_k*r0
 
-  (mirrored through a_0*b_k for b_k).  A generator is its own witness, so
-  the builder reads only bits: the closed bits of ``oracles._closure_bits``
+  (mirrored through a_0*b_k for b_k), one combination of the isolation
+  parts, each scaled by a0.  A generator is its own witness, so the
+  builder reads only bits: the closed bits of ``oracles.closure_bits``
   for membership, the label's own for generator status;
 
 * ``combine`` multiplies two child witnesses u^k = v + s*a_i and
@@ -54,7 +56,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .engine import CaseTag, Digraph, ProblemInstance, relation_poly
-from .oracles import IdealLabel, _closure_bits
+from .oracles import IdealLabel, closure_bits
 from .poly import EXPONENT_LIMIT, MAX_INDEX, Indeterminate, MultiPoly, avar, bvar, sum_of_products
 
 
@@ -143,7 +145,7 @@ class WitnessBuilder:
 
     def __init__(self, label: IdealLabel):
         self.label = label
-        a_bits, b_bits, _ = _closure_bits(label.a_bits, label.b_bits)
+        a_bits, b_bits = closure_bits(label.a_bits, label.b_bits)
         # Per family: the closed bits (membership), the label's own (generators).
         self._bits = {"a": (a_bits, label.a_bits), "b": (b_bits, label.b_bits)}
         self._memo: dict[Indeterminate, MembershipWitness] = {}
@@ -159,23 +161,29 @@ class WitnessBuilder:
         if given[k - 1]:
             built = MembershipWitness(MultiPoly.variable(element), self.label, {element: MultiPoly.one()})
         else:
-            # x_k = x0 * (x_k*y0) - x_k*r0, because x0*y0 = 1 + r0.
-            x, isolated = (avar, self.isolate(k, 0)) if element.kind == "a" else (bvar, self.isolate(0, k))
+            # x_k = x0 * (x_k*y0) - x_k*r0, because x0*y0 = 1 + r0: the parts
+            # isolating x_k*y0, each scaled by x0, in one combination.
+            x, (p, q) = (avar, (k, 0)) if element.kind == "a" else (bvar, (0, k))
+            parts = [(factor * x(0), part) for factor, part in self._isolation_parts(p, q)]
             r0 = MembershipWitness(unit_relation(), self.label, unit_coeff=MultiPoly.one())
-            built = _combination(self.label, x(k), [(x(0), isolated), (-x(k), r0)])
+            built = _combination(self.label, x(k), [*parts, (-x(k), r0)])
         self._memo[element] = built
         return built
 
-    def isolate(self, p: int, q: int) -> MembershipWitness:
-        """Witness for a_p*b_q: c_{p+q} minus its other terms, each of which
-        has a higher b_q' (q' > q) or a higher a_p' (p' > p) and is removed
-        through that element's witness."""
+    def _isolation_parts(self, p: int, q: int) -> list[tuple[MultiPoly, MembershipWitness]]:
+        """The parts of ``isolate(p, q)``: c_{p+q} once, and each of its
+        other terms, removed through the element witness of its higher
+        b_q' (q' > q) or higher a_p' (p' > p)."""
         n, m, k = self.label.n, self.label.m, p + q
         relation = MembershipWitness(relation_poly(n, m, k), self.label, rel_coeffs={k: MultiPoly.one()})
         parts = [(MultiPoly.one(), relation)]
         parts += [(-avar(k - q2), self.witness(Indeterminate.b(q2))) for q2 in range(q + 1, min(k, m) + 1)]
         parts += [(-bvar(k - p2), self.witness(Indeterminate.a(p2))) for p2 in range(p + 1, min(k, n) + 1)]
-        return _combination(self.label, avar(p) * bvar(q), parts)
+        return parts
+
+    def isolate(self, p: int, q: int) -> MembershipWitness:
+        """Witness for a_p*b_q: c_{p+q} minus its other terms."""
+        return _combination(self.label, avar(p) * bvar(q), self._isolation_parts(p, q))
 
 
 def membership_witness(label: IdealLabel, element: Indeterminate) -> MembershipWitness:

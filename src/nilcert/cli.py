@@ -216,6 +216,8 @@ def _run_ln(args: argparse.Namespace) -> int:
 def _run_pascal(args: argparse.Namespace) -> int:
     if args.n < 1 or args.m < 0:
         return _usage_error("pascal needs --n >= 1 and --m >= 0")
+    if max(args.n, args.m) > MAX_INDEX:
+        return _usage_error(f"pascal needs --n and --m <= {MAX_INDEX}")
     nodes = grow_digraph(ProblemInstance.generic(args.n, args.m)).nodes
     rows: list[list[str]] = []
     for added_a in range(args.n + 1):

@@ -24,8 +24,8 @@ from functools import lru_cache
 from math import gcd
 from typing import Sequence
 
-from .oracles import IdealLabel, _closure_bits
-from .poly import Indeterminate, MultiPoly, avar, bvar
+from .oracles import IdealLabel, closure_bits
+from .poly import MultiPoly, avar, bvar
 from .rings import RingHandle
 
 
@@ -159,14 +159,6 @@ class ProblemInstance:
     def targets(self) -> list[int]:
         return [self.target] if self.target is not None else list(range(1, self.n + 1))
 
-    def coefficient_assignment(self) -> dict[Indeterminate, int]:
-        """Assignment a_i -> value, b_j -> value for specializing polynomials."""
-        if self.is_generic:
-            raise ValueError("generic instances carry no coefficient values")
-        out = {Indeterminate.a(i): v for i, v in enumerate(self.a)}
-        out.update({Indeterminate.b(j): v for j, v in enumerate(self.b)})
-        return out
-
 
 def convolution(a: Sequence[int], b: Sequence[int], ring: RingHandle) -> list[int]:
     """c_k = sum over i+j = k of a_i * b_j in the ring, for k = 0..n+m,
@@ -228,7 +220,7 @@ def case_split(
     if early_stop_target is not None and not 1 <= early_stop_target <= n:
         raise ValueError(f"early-stop target must lie in 1..{n}, got {early_stop_target}")
     if instance.is_generic:
-        a_in, b_in, _ = _closure_bits(label.a_bits, label.b_bits)
+        a_in, b_in = closure_bits(label.a_bits, label.b_bits)
     else:
         a_values, b_values = instance.a[1:], instance.b[1:]
         g = gcd(

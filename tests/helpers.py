@@ -2,16 +2,92 @@
 
 Everything here is intentionally independent of the package internals:
 ideals are enumerated element by element, radicals by powering, the grid
-exponent by direct dynamic programming, and inverse pairs by power-series
-division.  These are the reference values the implementation is checked
-against.
+exponent by direct dynamic programming, inverse pairs by power-series
+division, and the rule closure as a plain fixed point over elements.
+Labels are built bit by bit; only the package's value types (labels,
+indeterminates) are borrowed.  These are the reference values the
+implementation is checked against.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import gcd
+
+from nilcert import IdealLabel, Indeterminate
+
+
+def label(n: int, m: int, *names: str) -> IdealLabel:
+    """The label with the named generators set, e.g. label(2, 1, "a2", "b1")."""
+    bits = {"a": [0] * n, "b": [0] * m}
+    for name in names:
+        family, k = bits[name[0]], int(name[1:])
+        if not 1 <= k <= len(family):
+            raise ValueError(f"{name} out of range for n={n}, m={m}")
+        family[k - 1] = 1
+    return IdealLabel(tuple(bits["a"]), tuple(bits["b"]))
+
+
+def add(lab: IdealLabel, element: Indeterminate) -> IdealLabel:
+    """The label with one more generator, its bit set in a fresh copy."""
+    bits = {"a": list(lab.a_bits), "b": list(lab.b_bits)}
+    bits[element.kind][element.index - 1] = 1
+    return IdealLabel(tuple(bits["a"]), tuple(bits["b"]))
+
+
+def generators(lab: IdealLabel) -> list[Indeterminate]:
+    """The generators of a label, a-family first, by index."""
+    out = [Indeterminate.a(i) for i, bit in enumerate(lab.a_bits, 1) if bit]
+    return out + [Indeterminate.b(j) for j, bit in enumerate(lab.b_bits, 1) if bit]
+
+
+@dataclass(frozen=True)
+class Admission:
+    """Why an element is in the closure: rule is "generator" or "relation";
+    premises are the opposite-family elements the relation rule consumed."""
+
+    rule: str
+    premises: tuple[Indeterminate, ...] = ()
+
+
+def reference_closure(lab: IdealLabel) -> dict[Indeterminate, Admission]:
+    """The rule closure as a plain fixed point: every round scans the
+    a-family, then the b-family, admitting each element whose full premise
+    tuple is already in.  Keys are in admission order, generators first."""
+    sizes = {"a": lab.n, "b": lab.m}
+    rule = {
+        Indeterminate(kind, k): tuple(Indeterminate(other, q) for q in range(1, min(k, sizes[other]) + 1))
+        for kind, other in (("a", "b"), ("b", "a"))
+        for k in range(1, sizes[kind] + 1)
+    }
+    admitted = {gen: Admission("generator") for gen in generators(lab)}
+    changed = True
+    while changed:
+        changed = False
+        for element, premises in rule.items():
+            if element not in admitted and all(p in admitted for p in premises):
+                admitted[element] = Admission("relation", premises)
+                changed = True
+    return admitted
+
+
+def reference_closure_bits(lab: IdealLabel) -> tuple[list[int], list[int]]:
+    """reference_closure as one bit list per family."""
+    closure = reference_closure(lab)
+    return (
+        [int(Indeterminate.a(i) in closure) for i in range(1, lab.n + 1)],
+        [int(Indeterminate.b(j) in closure) for j in range(1, lab.m + 1)],
+    )
+
+
+def assignment(a: tuple[int, ...], b: tuple[int, ...]) -> dict[Indeterminate, int]:
+    """a_i -> a[i] and b_j -> b[j], for evaluating polynomials at concrete
+    coefficients."""
+    out = {Indeterminate.a(i): v for i, v in enumerate(a)}
+    out.update({Indeterminate.b(j): v for j, v in enumerate(b)})
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -188,7 +188,7 @@ def test_criterion_08_specialization_end_to_end(capsys):
                 pairs += 1
                 instance = ProblemInstance.concrete(modulus, f, g)
                 ring = instance.ring
-                assignment = instance.coefficient_assignment()
+                assignment = helpers.assignment(instance.a, instance.b)
                 for i0 in range(1, instance.n + 1):
                     key = (instance.n, instance.m, i0)
                     certificate = certificates.get(key)

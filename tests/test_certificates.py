@@ -28,7 +28,6 @@ from nilcert import (
     dump_certificate,
     extract_certificate,
     gauss_product_witness,
-    generic_closure,
     grow_digraph,
     load_certificate,
     membership_witness,
@@ -48,9 +47,7 @@ A = Indeterminate.a
 B = Indeterminate.b
 
 
-def label(n: int, m: int, *names: str) -> IdealLabel:
-    elems = [Indeterminate(name[0], int(name[1:])) for name in names]
-    return IdealLabel.from_elements(n, m, elems)
+label = helpers.label
 
 
 class TestMembershipWitness:
@@ -93,7 +90,7 @@ class TestMembershipWitness:
                 for b_bits in product((0, 1), repeat=m):
                     lab = IdealLabel(a_bits, b_bits)
                     builder = WitnessBuilder(lab)
-                    for element in generic_closure(lab):
+                    for element in helpers.reference_closure(lab):
                         assert witness_gap(builder.witness(element)).is_zero, (lab, element)
 
     def test_out_of_range_elements_not_in_closure(self):
@@ -148,7 +145,7 @@ class ReferenceWitnesses:
     """The element rule and the product correction sums as first written,
     before both became the one isolation identity of ``WitnessBuilder``.
 
-    Element witnesses follow each derivation's premises:
+    Element witnesses follow the premises of the reference closure:
     x_k = x0*c_k - x0 * sum_{y_q in premises} x_{k-q}*y_q - x_k*r0.
     Product witnesses remove the terms of c_{i+j} other than a_i*b_j by
     two correction sums, b-side first.
@@ -156,7 +153,7 @@ class ReferenceWitnesses:
 
     def __init__(self, lab: IdealLabel):
         self.label = lab
-        self.derivations = generic_closure(lab)
+        self.admissions = helpers.reference_closure(lab)
         self.memo: dict = {}
 
     def generator_part(self, gen, coeff):
@@ -170,17 +167,17 @@ class ReferenceWitnesses:
         return MembershipWitness(coeff * unit_relation(), self.label, unit_coeff=coeff)
 
     def element(self, element):
-        derivation = self.derivations.get(element)
-        if derivation is None:
+        admission = self.admissions.get(element)
+        if admission is None:
             raise NotInClosure(str(element))
         if element not in self.memo:
-            if derivation.rule == "generator":
+            if admission.rule == "generator":
                 built = self.generator_part(element, MultiPoly.one())
             else:
                 var = avar if element.kind == "a" else bvar
                 k = element.index
                 built = self.relation_part(k, var(0)) + self.unit_part(-var(k))
-                for premise in derivation.premises:
+                for premise in admission.premises:
                     built = built + self.element(premise).scaled(-(var(0) * var(k - premise.index)))
             self.memo[element] = built
         return self.memo[element]
@@ -331,21 +328,6 @@ class TestExtractCertificate:
                         assert exponent == d.nodes[lab].exponent, (n, m, i0, lab)
                         assert witness.subject == avar(i0) ** exponent
                         assert witness_gap(witness).is_zero, (n, m, i0, lab)
-
-    def test_extraction_never_consults_generic_closure(self, monkeypatch):
-        """Extraction reads closure bits only; the derivation records of
-        generic_closure are a separate public view."""
-
-        def refuse(lab):
-            raise AssertionError(f"generic_closure called at {lab}")
-
-        monkeypatch.setattr("nilcert.oracles.generic_closure", refuse)
-        monkeypatch.setattr("nilcert.certificates.generic_closure", refuse, raising=False)
-        for n in range(1, 6):
-            for m in range(0, 6 - n):
-                d = grow_digraph(ProblemInstance.generic(n, m))
-                for target in range(1, n + 1):
-                    assert verify_symbolic(extract_certificate(d, target)).ok, (n, m, target)
 
     def test_rejects_concrete_digraphs(self):
         d = grow_digraph(ProblemInstance.concrete(8, [1, 2, 4], [1, 6]))
@@ -501,7 +483,7 @@ class TestConcreteChecks:
         from nilcert import convolution_polys
 
         instance = ProblemInstance.concrete(8, [1, 2, 4], [1, 6])
-        assignment = instance.coefficient_assignment()
+        assignment = helpers.assignment(instance.a, instance.b)
         ring = instance.ring
         d = grow_digraph(ProblemInstance.generic(2, 1))
         for i0 in (1, 2):

@@ -192,11 +192,16 @@ class TestGenericCommand:
 
     @pytest.mark.parametrize(
         "argv",
-        [("--n", "4096", "--m", "0", "--target", "4096"), ("--n", "1", "--m", "4096")],
-        ids=["n past MAX_INDEX", "m past MAX_INDEX"],
+        [
+            ("generic", "--n", "4096", "--m", "0", "--target", "4096"),
+            ("generic", "--n", "1", "--m", "4096"),
+            ("pascal", "--n", "4096", "--m", "0"),
+            ("pascal", "--n", "1", "--m", "4096"),
+        ],
+        ids=["n past MAX_INDEX", "m past MAX_INDEX", "pascal n past MAX_INDEX", "pascal m past MAX_INDEX"],
     )
     def test_sizes_past_max_index(self, capsys, argv):
-        code, out, err = run(capsys, "generic", *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err.startswith("ERROR:usage:")

@@ -272,8 +272,8 @@ class TestLabelPosetCrossValidation:
                 reachable.add(lab)
                 tag = tags[lab]
                 if not tag.is_leaf:
-                    frontier.append(lab.add(Indeterminate.a(tag.i)))
-                    frontier.append(lab.add(Indeterminate.b(tag.j)))
+                    frontier.append(helpers.add(lab, Indeterminate.a(tag.i)))
+                    frontier.append(helpers.add(lab, Indeterminate.b(tag.j)))
             assert reachable == set(digraph.nodes)
             for lab in reachable:
                 assert evidence[lab][0] == digraph.nodes[lab].exponent

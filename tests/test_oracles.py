@@ -2,53 +2,22 @@
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
-from nilcert import (
-    IdealLabel,
-    Indeterminate,
-    RingHandle,
-    generic_closure,
-    generic_membership,
-    mod_membership,
-)
-from nilcert.oracles import Derivation
+from nilcert import IdealLabel, RingHandle, mod_membership
+from nilcert.oracles import closure_bits
+
+label = helpers.label
 
 
-def label(n: int, m: int, *names: str) -> IdealLabel:
-    elems = [Indeterminate(name[0], int(name[1:])) for name in names]
-    return IdealLabel.from_elements(n, m, elems)
-
-
-def reference_closure(label: IdealLabel) -> dict[Indeterminate, Derivation]:
-    """The rule closure as a plain fixed point: every round scans the
-    a-family, then the b-family, admitting each element whose full premise
-    tuple is already in."""
-    n, m = label.n, label.m
-    derivs = {gen: Derivation(gen, "generator", ()) for gen in label.generators()}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, n + 1):
-            element = Indeterminate.a(i)
-            if element in derivs:
-                continue
-            premises = tuple(Indeterminate.b(q) for q in range(1, min(i, m) + 1))
-            if all(p in derivs for p in premises):
-                derivs[element] = Derivation(element, "relation", premises)
-                changed = True
-        for j in range(1, m + 1):
-            element = Indeterminate.b(j)
-            if element in derivs:
-                continue
-            premises = tuple(Indeterminate.a(p) for p in range(1, min(j, n) + 1))
-            if all(p in derivs for p in premises):
-                derivs[element] = Derivation(element, "relation", premises)
-                changed = True
-    return derivs
+def closure(lab: IdealLabel) -> tuple[list[int], list[int]]:
+    return closure_bits(lab.a_bits, lab.b_bits)
 
 
 class TestModMembership:
@@ -94,28 +63,19 @@ class TestModMembership:
 
 
 class TestGenericClosure:
+    """``closure_bits`` against the element-wise fixed point of helpers."""
+
     def test_b1_forces_everything(self):
-        cl = generic_closure(label(2, 1, "b1"))
-        assert set(cl) == {Indeterminate.a(1), Indeterminate.a(2), Indeterminate.b(1)}
+        assert closure(label(2, 1, "b1")) == ([1, 1], [1])
 
     def test_a2_forces_nothing_else(self):
-        cl = generic_closure(label(2, 1, "a2"))
-        assert set(cl) == {Indeterminate.a(2)}
+        assert closure(label(2, 1, "a2")) == ([0, 1], [0])
 
     def test_empty_premises_when_m_is_zero(self):
-        cl = generic_closure(IdealLabel.root(3, 0))
-        assert {Indeterminate.a(i) for i in (1, 2, 3)} <= set(cl)
+        assert closure(IdealLabel.root(3, 0)) == ([1, 1, 1], [])
 
     def test_closure_of_everything_is_everything(self):
-        full = IdealLabel((1, 1), (1, 1, 1))
-        assert set(generic_closure(full)) == set(full.generators())
-
-    def test_derivations_are_well_founded(self):
-        cl = generic_closure(label(3, 2, "b1", "b2"))
-        order = {element: k for k, element in enumerate(cl)}
-        for element, derivation in cl.items():
-            for premise in derivation.premises:
-                assert order[premise] < order[element]
+        assert closure(IdealLabel((1, 1), (1, 1, 1))) == ([1, 1], [1, 1, 1])
 
     def test_monotone_and_idempotent(self):
         for n, m in [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]:
@@ -125,20 +85,21 @@ class TestGenericClosure:
                 for b_bits in product((0, 1), repeat=m)
             ]
             for lab in labels:
-                closed = set(generic_closure(lab))
-                again = set(generic_closure(IdealLabel.from_elements(n, m, closed)))
-                assert again == closed, lab
+                closed = closure(lab)
+                assert closure_bits(*closed) == closed, lab
             for small in labels:
                 for big in labels:
                     if small.issubset(big):
-                        assert set(generic_closure(small)) <= set(generic_closure(big))
+                        (a_small, b_small), (a_big, b_big) = closure(small), closure(big)
+                        assert IdealLabel(tuple(a_small), tuple(b_small)).issubset(
+                            IdealLabel(tuple(a_big), tuple(b_big))
+                        ), (small, big)
 
     def test_root_closure_full_iff_m_zero(self):
         for n in range(1, 5):
             for m in range(0, 4):
-                cl = generic_closure(IdealLabel.root(n, m))
-                all_a = {Indeterminate.a(i) for i in range(1, n + 1)}
-                assert (all_a <= set(cl)) == (m == 0)
+                a_in, _ = closure(IdealLabel.root(n, m))
+                assert all(a_in) == (m == 0)
 
     def test_leaf_symmetry(self):
         """All a's are forced in exactly when all b's are, n, m >= 1."""
@@ -146,38 +107,46 @@ class TestGenericClosure:
             for m in range(1, 8):
                 if n + m > 8:
                     continue
-                all_a = {Indeterminate.a(i) for i in range(1, n + 1)}
-                all_b = {Indeterminate.b(j) for j in range(1, m + 1)}
                 for a_bits in product((0, 1), repeat=n):
                     for b_bits in product((0, 1), repeat=m):
-                        cl = set(generic_closure(IdealLabel(a_bits, b_bits)))
-                        assert (all_a <= cl) == (all_b <= cl), (a_bits, b_bits)
-
+                        a_in, b_in = closure_bits(a_bits, b_bits)
+                        assert all(a_in) == all(b_in), (a_bits, b_bits)
 
     def test_matches_reference_fixed_point(self):
-        """Same keys in the same admission order, with equal derivation
-        records, for every label with n + m <= 8."""
+        """Same bits as the element-wise fixed point, for every label with
+        n + m <= 8."""
         for n in range(1, 9):
             for m in range(0, 9 - n):
                 for a_bits in product((0, 1), repeat=n):
                     for b_bits in product((0, 1), repeat=m):
                         lab = IdealLabel(a_bits, b_bits)
-                        assert list(generic_closure(lab).items()) == list(
-                            reference_closure(lab).items()
-                        ), lab
+                        assert closure(lab) == helpers.reference_closure_bits(lab), lab
 
+    @given(st.data())
+    @settings(deadline=None)
+    def test_matches_reference_at_random_densities(self, data):
+        """Sizes up to 200 + 200, each family with its own bit density."""
+        rng = data.draw(st.randoms(use_true_random=False))
+        bits = []
+        for size in (data.draw(st.integers(1, 200)), data.draw(st.integers(0, 200))):
+            density = data.draw(st.floats(0, 1))
+            bits.append(tuple(int(rng.random() < density) for _ in range(size)))
+        lab = IdealLabel(*bits)
+        assert closure(lab) == helpers.reference_closure_bits(lab), lab
 
-class TestGenericMembership:
-    def test_outside(self):
-        assert not generic_membership(label(2, 1, "a2"), Indeterminate.a(1)).member
+    def test_matches_reference_on_alternating_labels(self):
+        """a = 0101.., b = 1010..: each round admits a bit or two, so the
+        runs take about n rounds to stop growing."""
+        for size in range(1, 61):
+            for n, m in ((size, size), (size, size - 1), (size + 1, size)):
+                lab = IdealLabel(tuple(k % 2 for k in range(n)), tuple(1 - k % 2 for k in range(m)))
+                assert closure(lab) == helpers.reference_closure_bits(lab), lab
 
-    def test_generator(self):
-        assert generic_membership(label(2, 1, "a1", "a2"), Indeterminate.a(1)).member
-
-    def test_via_rule(self):
-        decision = generic_membership(label(2, 1, "a2", "b1"), Indeterminate.a(1))
-        assert decision.member
-        assert decision.witness is None
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=200))
+    @settings(deadline=None)
+    def test_matches_reference_at_m_zero(self, a_bits):
+        lab = IdealLabel(tuple(a_bits), ())
+        assert closure(lab) == helpers.reference_closure_bits(lab) == ([1] * len(a_bits), [])
 
 
 class TestIdealLabel:
@@ -192,9 +161,6 @@ class TestIdealLabel:
         assert k.meet(l) == parent
         assert parent.issubset(k) and parent.issubset(l)
         assert not k.issubset(l)
-
-    def test_add(self):
-        assert label(2, 1, "a2").add(Indeterminate.b(1)) == label(2, 1, "a2", "b1")
 
     def test_bad_bits(self):
         with pytest.raises(ValueError):
