@@ -9,9 +9,12 @@ writing u^e as a combination of the defining relations.
 """
 
 from .certificates import (
+    UNIT_RELATION,
     NilpotencyCertificate,
+    NodeProof,
     NotInClosure,
     WitnessBuilder,
+    check_node_local,
     combine,
     dump_certificate,
     extract_certificate,
@@ -20,7 +23,6 @@ from .certificates import (
     membership_witness,
     node_witnesses,
     power_check,
-    unit_relation,
     verify_concrete,
     verify_symbolic,
     witness_gap,
@@ -86,6 +88,7 @@ __all__ = [
     "ModIdeal",
     "MultiPoly",
     "NilpotencyCertificate",
+    "NodeProof",
     "NotAUnit",
     "NotInClosure",
     "NotReducible",
@@ -94,12 +97,14 @@ __all__ = [
     "ProblemInstance",
     "Reduce",
     "RingHandle",
+    "UNIT_RELATION",
     "UnitIdeal",
     "WitnessBuilder",
     "avar",
     "bvar",
     "case_split",
     "check_key_lemma",
+    "check_node_local",
     "check_unit",
     "combine",
     "convolution",
@@ -123,7 +128,6 @@ __all__ = [
     "run_induction",
     "spt_modn",
     "structural_metrics",
-    "unit_relation",
     "verify_concrete",
     "verify_symbolic",
     "witness_gap",

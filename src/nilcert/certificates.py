@@ -44,9 +44,21 @@ Each witness is one linear combination of existing ones, summed term by
 term into fresh coefficient maps (``_combination``), with its subject in
 closed form: u^k*u^l, a_p*b_q or x_k.
 
-At the root the generator sum is empty, leaving the nilpotency certificate
-u^e = sum relCoeffs[k]*c_k + unitCoeff*r0, which an independent checker
-verifies by expanding it, less u^e, as one sum of products that must be 0.
+A digraph's proof is checked node by node.  ``NodeProof`` builds each
+node's own witness once per digraph: the product witness of a_i*b_j at a
+branch(i, j), which every target shares, and at a leaf the witness of each
+target u.  ``check_node_local`` expands each of these small identities
+exactly and checks the digraph's structure around it; by the key lemma
+(u^k in I + (D, a_i), u^l in I + (D, b_j) and a_i*b_j in I + (D) give
+u^(k+l) in I + (D)) that proves u^e = 0 without expanding u^e.  Its cost
+is polynomial in the digraph, while the root identity grows exponentially
+in n + m.
+
+That root identity is built only for a dump: ``node_witnesses`` combines
+the same local witnesses up to the root, where the generator sum is empty,
+leaving the nilpotency certificate u^e = sum relCoeffs[k]*c_k +
+unitCoeff*r0, which ``verify_symbolic`` checks independently by expanding
+it, less u^e, as one sum of products that must be 0.
 """
 
 from __future__ import annotations
@@ -64,9 +76,9 @@ class NotInClosure(Exception):
     """The closure rule does not admit the element at this label."""
 
 
-def unit_relation() -> MultiPoly:
-    """The polynomial a0*b0 - 1."""
-    return avar(0) * bvar(0) - 1
+# The polynomial a0*b0 - 1.  MultiPoly is immutable, so one value serves
+# every witness and every expansion.
+UNIT_RELATION = avar(0) * bvar(0) - 1
 
 
 @dataclass
@@ -119,11 +131,13 @@ def _combination(
     return MembershipWitness(subject, label, gen_coeffs, rel_coeffs, unit_coeff)
 
 
-def _expansion_minus(witness: MembershipWitness, subject: MultiPoly) -> MultiPoly:
+_MINUS_ONE = MultiPoly.const(-1)
+
+
+def _expansion_minus(witness: MembershipWitness, subject: MultiPoly, n: int, m: int) -> MultiPoly:
     """sum genCoeffs[d]*d + sum relCoeffs[k]*c_k + unitCoeff*r0 - subject,
-    as one sum of products."""
-    n, m = witness.label.n, witness.label.m
-    pairs = [(subject, MultiPoly.const(-1)), (witness.unit_coeff, unit_relation())]
+    as one sum of products, with c_k the relations of size (n, m)."""
+    pairs = [(subject, _MINUS_ONE), (witness.unit_coeff, UNIT_RELATION)]
     pairs += [(coeff, MultiPoly.variable(d)) for d, coeff in witness.gen_coeffs.items()]
     pairs += [(coeff, relation_poly(n, m, k)) for k, coeff in witness.rel_coeffs.items()]
     return sum_of_products(pairs)
@@ -131,12 +145,12 @@ def _expansion_minus(witness: MembershipWitness, subject: MultiPoly) -> MultiPol
 
 def expand_witness(witness: MembershipWitness) -> MultiPoly:
     """Expand the combination side of the witness identity in Z[a, b]."""
-    return _expansion_minus(witness, MultiPoly.zero())
+    return _expansion_minus(witness, MultiPoly.zero(), witness.label.n, witness.label.m)
 
 
 def witness_gap(witness: MembershipWitness) -> MultiPoly:
     """Expansion minus subject; the zero polynomial iff the witness holds."""
-    return _expansion_minus(witness, witness.subject)
+    return _expansion_minus(witness, witness.subject, witness.label.n, witness.label.m)
 
 
 class WitnessBuilder:
@@ -165,7 +179,7 @@ class WitnessBuilder:
             # isolating x_k*y0, each scaled by x0, in one combination.
             x, (p, q) = (avar, (k, 0)) if element.kind == "a" else (bvar, (0, k))
             parts = [(factor * x(0), part) for factor, part in self._isolation_parts(p, q)]
-            r0 = MembershipWitness(unit_relation(), self.label, unit_coeff=MultiPoly.one())
+            r0 = MembershipWitness(UNIT_RELATION, self.label, unit_coeff=MultiPoly.one())
             built = _combination(self.label, x(k), [*parts, (-x(k), r0)])
         self._memo[element] = built
         return built
@@ -242,45 +256,148 @@ class NilpotencyCertificate:
     root_witness: MembershipWitness
 
 
+def _induction_step(
+    tag: CaseTag, local: MembershipWitness, children: Sequence[tuple[int, MembershipWitness]]
+) -> tuple[int, MembershipWitness]:
+    """(1, local) at a leaf, where local is the witness of u; at a
+    branch(i, j), the children's (k, u^k) and (l, u^l) combined through
+    the local product witness into (k + l, u^(k+l))."""
+    if tag.is_leaf:
+        return 1, local
+    (k, left), (l, right) = children
+    return k + l, combine(left, right, local)
+
+
 def node_witness(
     label: IdealLabel, tag: CaseTag, u: Indeterminate, children: Sequence[tuple[int, MembershipWitness]]
 ) -> tuple[int, MembershipWitness]:
     """The induction step at one label: (1, witness of u) at a leaf; at a
     branch(i, j), the children's (k, u^k) at label + a_i and (l, u^l) at
     label + b_j give (k + l, u^(k+l)) through the product witness."""
-    if tag.is_leaf:
-        return 1, membership_witness(label, u)
-    (k, left), (l, right) = children
-    return k + l, combine(left, right, gauss_product_witness(tag.i, tag.j, label))
+    local = membership_witness(label, u) if tag.is_leaf else gauss_product_witness(tag.i, tag.j, label)
+    return _induction_step(tag, local, children)
+
+
+class NodeProof:
+    """The node-local witnesses of one generic digraph, each built once and
+    shared by every target: at a branch(i, j), the product witness of
+    a_i*b_j; at a leaf, one ``WitnessBuilder`` for the witness of each
+    target a_i0.  ``check_node_local`` checks them, ``node_witnesses``
+    combines them."""
+
+    def __init__(self, digraph: Digraph):
+        if not digraph.generic:
+            raise ValueError("certificates are extracted from indeterminate-coefficient runs")
+        self.digraph = digraph
+        self.products: dict[IdealLabel, MembershipWitness] = {}
+        self.leaves: dict[IdealLabel, WitnessBuilder] = {}
+        for label, node in digraph.nodes.items():
+            if node.tag.is_leaf:
+                self.leaves[label] = WitnessBuilder(label)
+            else:
+                self.products[label] = gauss_product_witness(node.tag.i, node.tag.j, label)
+
+    def local(self, label: IdealLabel, tag: CaseTag, u: Indeterminate) -> MembershipWitness | None:
+        """The node's own witness for ``tag``: of u at a leaf, of a_i*b_j at
+        a branch(i, j); None when the proof holds none."""
+        if not tag.is_leaf:
+            return self.products.get(label)
+        builder = self.leaves.get(label)
+        try:
+            return None if builder is None else builder.witness(u)
+        except NotInClosure:
+            return None
+
+
+def check_node_local(proof: NodeProof, target_index: int) -> bool:
+    """Exact node-local check of the digraph's claim u^e = 0, for u = a_i0
+    and e the root exponent, by the key lemma one node at a time.
+
+    Walking the nodes children first, it requires at each label D:
+
+    * the stored children to be ``tag.children(D)``, each already checked;
+    * the stored exponent to be 1 at a leaf and the sum of the children's
+      recomputed exponents at a branch;
+    * every generator key of the node's witness to be a generator of D, and
+      every relation index to lie in 1..n+m;
+    * the witness, expanded less its expected subject (u at a leaf, a_i*b_j
+      at a branch(i, j), never the witness's own subject or label), to be
+      the zero polynomial.
+
+    Then u^k in I + (D, a_i), u^l in I + (D, b_j) and a_i*b_j in I + (D)
+    give u^(k+l) in I + (D), I the ideal of the relations; the root label
+    must be empty, which leaves u^e in I.  u^e itself is never expanded.
+    """
+    digraph = proof.digraph
+    n, m = digraph.n, digraph.m
+    if not 1 <= target_index <= n:
+        raise ValueError(f"target index must lie in 1..{n}, got {target_index}")
+    u = Indeterminate.a(target_index)
+    u_poly = MultiPoly.variable(u)
+    exponents: dict[IdealLabel, int] = {}
+    for label, node in digraph.nodes.items():
+        tag = node.tag
+        try:
+            children = tag.children(label)
+        except ValueError:
+            return False
+        child_exponents = [exponents.get(child) for child in children]
+        if node.children != children or None in child_exponents:
+            return False
+        exponent = sum(child_exponents) if children else 1
+        witness = proof.local(label, tag, u)
+        if exponent != node.exponent or witness is None:
+            return False
+        for d in witness.gen_coeffs:
+            family = label.a_bits if d.kind == "a" else label.b_bits
+            if not (1 <= d.index <= len(family) and family[d.index - 1]):
+                return False
+        rels = witness.rel_coeffs
+        if rels and not (min(rels) >= 1 and max(rels) <= n + m):
+            return False
+        subject = u_poly if tag.is_leaf else avar(tag.i) * bvar(tag.j)
+        if not _expansion_minus(witness, subject, n, m).is_zero:
+            return False
+        exponents[label] = exponent
+    return digraph.root == IdealLabel.root(n, m) and digraph.root in exponents
 
 
 def node_witnesses(
-    digraph: Digraph, target_index: int
+    digraph: Digraph, target_index: int, proof: NodeProof | None = None
 ) -> dict[IdealLabel, tuple[int, MembershipWitness]]:
     """Exponent and witness of u^exponent at every node of the digraph.
 
-    Each node takes one ``node_witness`` step.  The per-node exponents
-    equal the digraph's exponent recursion.  One forward pass suffices,
-    because the digraph stores its nodes in post-order.
+    Each node takes one induction step over its own witness from ``proof``
+    (built here when not given).  The per-node exponents equal the
+    digraph's exponent recursion.  One forward pass suffices, because the
+    digraph stores its nodes in post-order.
     """
-    if not digraph.generic:
-        raise ValueError("certificates are extracted from indeterminate-coefficient runs")
+    if proof is None:
+        proof = NodeProof(digraph)
+    elif proof.digraph is not digraph:
+        raise ValueError("the node proof belongs to another digraph")
     if not 1 <= target_index <= digraph.n:
         raise ValueError(f"target index must lie in 1..{digraph.n}, got {target_index}")
     u = Indeterminate.a(target_index)
     memo: dict[IdealLabel, tuple[int, MembershipWitness]] = {}
     for label, node in digraph.nodes.items():
-        memo[label] = node_witness(label, node.tag, u, [memo[child] for child in node.children])
+        local = proof.local(label, node.tag, u)
+        if local is None:
+            raise NotInClosure(f"{u} is not forced into {label.render()}")
+        memo[label] = _induction_step(node.tag, local, [memo[child] for child in node.children])
     return memo
 
 
-def extract_certificate(digraph: Digraph, target_index: int) -> NilpotencyCertificate:
-    """The root-level witness of u^e, with e the root exponent.
+def extract_certificate(
+    digraph: Digraph, target_index: int, proof: NodeProof | None = None
+) -> NilpotencyCertificate:
+    """The root-level witness of u^e, with e the root exponent, combined
+    from the node-local witnesses of ``proof``.
 
     The same e serves every target index; only the witness polynomials
     depend on the choice.
     """
-    witnesses = node_witnesses(digraph, target_index)
+    witnesses = node_witnesses(digraph, target_index, proof)
     exponent, witness = witnesses[digraph.root]
     return NilpotencyCertificate(digraph.n, digraph.m, target_index, exponent, witness)
 
@@ -303,7 +420,8 @@ def verify_symbolic(certificate: NilpotencyCertificate) -> SymbolicCheck:
         raise ValueError("root witness must not use ideal generators")
     if (witness.label.n, witness.label.m) != (certificate.n, certificate.m):
         raise ValueError("root witness and certificate disagree on (n, m)")
-    diff = _expansion_minus(witness, avar(certificate.target_index) ** certificate.exponent)
+    subject = avar(certificate.target_index) ** certificate.exponent
+    diff = _expansion_minus(witness, subject, certificate.n, certificate.m)
     return SymbolicCheck(diff.is_zero, diff)
 
 

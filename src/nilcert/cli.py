@@ -11,8 +11,10 @@ Subcommands:
 
 generic and concrete run one pipeline: grow the induction digraph (one per
 target with --early-stop), write the DOT files, check each target and
-print the report.  Only the per-target check differs: generic mode extracts
-a certificate and verifies it symbolically, concrete mode evaluates u^e in
+print the report.  Only the per-target check differs.  Generic mode checks
+the digraph's proof node by node, each node's own witness expanded
+exactly; with --emit-cert it also combines the root certificate, verifies
+it by full expansion and then dumps it.  Concrete mode evaluates u^e in
 Z/modulus.  The argument parser is built once per process.
 
 Results go to stdout as a JSON report (the pascal grid as plain text);
@@ -31,7 +33,14 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
-from .certificates import dump_certificate, extract_certificate, power_check, verify_symbolic
+from .certificates import (
+    NodeProof,
+    check_node_local,
+    dump_certificate,
+    extract_certificate,
+    power_check,
+    verify_symbolic,
+)
 from .dot import emit_dot
 from .engine import (
     NotAUnit,
@@ -138,12 +147,18 @@ def _run_generic(args: argparse.Namespace) -> int:
     if args.target is not None and not 1 <= args.target <= args.n:
         return _usage_error(f"--target must lie in 1..{args.n}")
 
+    proof = None
+
     def check(digraph, i0, emit):
-        certificate = extract_certificate(digraph, i0)
-        ok = verify_symbolic(certificate).ok
+        nonlocal proof
+        if proof is None or proof.digraph is not digraph:
+            proof = NodeProof(digraph)
+        ok = check_node_local(proof, i0)
         if args.emit_cert:
+            certificate = extract_certificate(digraph, i0, proof)
+            ok = verify_symbolic(certificate).ok and ok
             emit("certificates", args.emit_cert, i0, dump_certificate(certificate))
-        return {"i0": i0, "e": certificate.exponent}, ok
+        return {"i0": i0, "e": digraph.nodes[digraph.root].exponent}, ok
 
     return _run_digraph(
         args,

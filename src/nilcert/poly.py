@@ -212,7 +212,7 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, ind: Indeterminate) -> MultiPoly:
-        return _new({1 << (FIELD_BITS * _slot(ind.kind, ind.index)): 1}, 1)
+        return _variable(ind.kind, ind.index)
 
     # -- structure ---------------------------------------------------------
 
@@ -432,14 +432,22 @@ class MultiPoly:
         return FIELD_BITS * _slot(kind, int(index)), e
 
 
+def _variable(kind: str, index: int) -> MultiPoly:
+    """The polynomial of one indeterminate, packed directly.  Not cached: a
+    packed a4095 is 32 KiB."""
+    if index < 0:
+        raise ValueError(f"indeterminate index must be >= 0, got {index}")
+    return _new({1 << (FIELD_BITS * _slot(kind, index)): 1}, 1)
+
+
 def avar(i: int) -> MultiPoly:
     """The polynomial a_i."""
-    return MultiPoly.variable(Indeterminate.a(i))
+    return _variable("a", i)
 
 
 def bvar(j: int) -> MultiPoly:
     """The polynomial b_j."""
-    return MultiPoly.variable(Indeterminate.b(j))
+    return _variable("b", j)
 
 
 def sum_of_products(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:

@@ -9,21 +9,26 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
 import helpers
 from nilcert import (
+    UNIT_RELATION,
+    CaseTag,
     IdealLabel,
     Indeterminate,
     MultiPoly,
     NilpotencyCertificate,
+    NodeProof,
     NotInClosure,
     ProblemInstance,
     WitnessBuilder,
     avar,
     bvar,
+    check_node_local,
     combine,
     dump_certificate,
     extract_certificate,
@@ -34,7 +39,6 @@ from nilcert import (
     node_witnesses,
     power_check,
     root_exponent,
-    unit_relation,
     verify_concrete,
     verify_symbolic,
     witness_gap,
@@ -164,7 +168,7 @@ class ReferenceWitnesses:
         return MembershipWitness(subject, self.label, rel_coeffs={k: coeff})
 
     def unit_part(self, coeff):
-        return MembershipWitness(coeff * unit_relation(), self.label, unit_coeff=coeff)
+        return MembershipWitness(coeff * UNIT_RELATION, self.label, unit_coeff=coeff)
 
     def element(self, element):
         admission = self.admissions.get(element)
@@ -341,6 +345,203 @@ class TestExtractCertificate:
         assert cert.exponent <= root_exponent(grow_digraph(ProblemInstance.generic(3, 2)))[0]
 
 
+def small_generic_runs(max_total: int = 5):
+    """(digraph, i0) for every generic (n, m) with n+m <= max_total and
+    every target: the shared digraph, and the target's early-stop one."""
+    for total in range(1, max_total + 1):
+        for n in range(1, total + 1):
+            for i0 in range(1, n + 1):
+                instance = ProblemInstance.generic(n, total - n, target=i0)
+                yield grow_digraph(instance), i0
+                yield grow_digraph(instance, early_stop=True), i0
+
+
+def with_local(proof: NodeProof, at: IdealLabel, change) -> NodeProof:
+    """The proof with its witness at label ``at`` passed through change."""
+    original = proof.local
+
+    def local(label, tag, u):
+        witness = original(label, tag, u)
+        return change(witness, label, tag, u) if label == at else witness
+
+    proof.local = local
+    return proof
+
+
+def with_node(digraph, at: IdealLabel, **fields) -> NodeProof:
+    """A proof built from the digraph, whose node at ``at`` then has the
+    given fields replaced: the claim changes, the witnesses do not."""
+    proof = NodeProof(digraph)
+    digraph.nodes[at] = replace(digraph.nodes[at], **fields)
+    return proof
+
+
+def fresh(digraph):
+    return replace(digraph, nodes=dict(digraph.nodes))
+
+
+class TestNodeLocalCheck:
+    """check_node_local accepts every proof the builder makes and rejects
+    each kind of tampering, on every generic run with n+m <= 5, plain and
+    --early-stop, all targets."""
+
+    def test_accepts_every_unmodified_proof(self):
+        for digraph, i0 in small_generic_runs():
+            assert check_node_local(NodeProof(digraph), i0), (digraph.n, digraph.m, i0)
+
+    def test_shared_proof_serves_every_target(self):
+        digraph = grow_digraph(ProblemInstance.generic(3, 2))
+        proof = NodeProof(digraph)
+        assert all(check_node_local(proof, i0) for i0 in (1, 2, 3))
+
+    def test_reads_neither_subject_nor_label_of_a_witness(self):
+        for digraph, i0 in small_generic_runs(4):
+            for at in digraph.nodes:
+                proof = with_local(
+                    NodeProof(digraph),
+                    at,
+                    lambda w, *_: replace(w, subject=MultiPoly.zero(), label=IdealLabel.root(1, 0)),
+                )
+                assert check_node_local(proof, i0)
+
+    def test_rejects_a_perturbed_coefficient(self):
+        def perturbations(witness):
+            one = MultiPoly.one()
+            for d, c in witness.gen_coeffs.items():
+                yield replace(witness, gen_coeffs={**witness.gen_coeffs, d: c + one})
+            for k, c in witness.rel_coeffs.items():
+                yield replace(witness, rel_coeffs={**witness.rel_coeffs, k: c + one})
+            yield replace(witness, unit_coeff=witness.unit_coeff + one)
+
+        for digraph, i0 in small_generic_runs():
+            proof = NodeProof(digraph)
+            for at, node in digraph.nodes.items():
+                u = Indeterminate.a(i0)
+                for mutated in perturbations(proof.local(at, node.tag, u)):
+                    tampered = with_local(NodeProof(digraph), at, lambda *_: mutated)
+                    assert not check_node_local(tampered, i0), (digraph.n, digraph.m, i0, at)
+
+    def test_rejects_the_witness_of_a_neighbouring_product(self):
+        """A witness of a_i*b_(j-1), built where it exists (at label + b_j),
+        in place of the branch's a_i*b_j."""
+        seen = 0
+        for digraph, i0 in small_generic_runs():
+            for at, node in digraph.nodes.items():
+                if node.tag.is_leaf:
+                    continue
+                i, j = node.tag.i, node.tag.j
+                neighbour = WitnessBuilder(node.children[1]).isolate(i, j - 1)
+                tampered = with_local(NodeProof(digraph), at, lambda *_: neighbour)
+                assert not check_node_local(tampered, i0), (digraph.n, digraph.m, i0, at)
+                seen += 1
+        assert seen > 100
+
+    def test_rejects_the_leaf_witness_of_another_target(self):
+        """Valid at the leaf, with the leaf's own generators, but for a
+        different subject."""
+        seen = 0
+        for digraph, i0 in small_generic_runs():
+            if digraph.n == 1:
+                continue
+            other = Indeterminate.a(i0 % digraph.n + 1)
+            for at, node in digraph.nodes.items():
+                if not node.tag.is_leaf:
+                    continue
+                try:
+                    substitute = membership_witness(at, other)
+                except NotInClosure:
+                    continue
+                tampered = with_local(NodeProof(digraph), at, lambda *_: substitute)
+                assert not check_node_local(tampered, i0), (digraph.n, digraph.m, i0, at)
+                seen += 1
+        assert seen > 50
+
+    def test_rejects_a_generator_key_outside_the_label(self):
+        """subject = 1 * subject holds as an identity; it proves nothing
+        when the subject is not a generator of the label."""
+        seen = 0
+        for digraph, i0 in small_generic_runs():
+            for at, node in digraph.nodes.items():
+                tag = node.tag
+                if tag.is_leaf:
+                    key, coeff = Indeterminate.a(i0), MultiPoly.one()
+                else:
+                    key, coeff = Indeterminate.a(tag.i), bvar(tag.j)
+                if helpers.label(digraph.n, digraph.m, str(key)).issubset(at):
+                    continue
+                trivial = MembershipWitness(MultiPoly.zero(), at, {key: coeff})
+                tampered = with_local(NodeProof(digraph), at, lambda *_: trivial)
+                assert not check_node_local(tampered, i0), (digraph.n, digraph.m, i0, at)
+                seen += 1
+        assert seen > 100
+
+    def test_rejects_relation_c0(self):
+        """u = u*c_0 - u*r0 holds, but c_0 = a0*b0 is 1, not 0, modulo the
+        relations, so index 0 is refused."""
+        digraph = grow_digraph(ProblemInstance.generic(2, 1))
+        u = avar(1)
+        leaf = next(label for label, node in digraph.nodes.items() if node.tag.is_leaf)
+        c0_witness = MembershipWitness(MultiPoly.zero(), leaf, rel_coeffs={0: u}, unit_coeff=-u)
+        assert expand_witness(c0_witness) == u
+        assert not check_node_local(with_local(NodeProof(digraph), leaf, lambda *_: c0_witness), 1)
+
+    def test_rejects_an_altered_child_or_tag(self):
+        for digraph, i0 in small_generic_runs():
+            n, m = digraph.n, digraph.m
+            for at, node in digraph.nodes.items():
+                tags = [CaseTag.leaf()] + [
+                    CaseTag.branch(i, j) for i in range(1, n + 1) for j in range(1, m + 1)
+                ]
+                for tag in tags:
+                    if tag == node.tag:
+                        continue
+                    # The tag alone, then the tag with its own children.
+                    for children in (node.children, tag.children(at)):
+                        d = fresh(digraph)
+                        proof = with_node(d, at, tag=tag, children=children)
+                        assert not check_node_local(proof, i0), (n, m, i0, at, tag)
+                if node.children:
+                    left, right = node.children
+                    for children in ((right, left), (left, left), (left,), ()):
+                        proof = with_node(fresh(digraph), at, children=children)
+                        assert not check_node_local(proof, i0), (n, m, i0, at, children)
+
+    def test_rejects_an_exponent_off_by_one(self):
+        for digraph, i0 in small_generic_runs():
+            for at, node in digraph.nodes.items():
+                for delta in (-1, 1):
+                    proof = with_node(fresh(digraph), at, exponent=node.exponent + delta)
+                    assert not check_node_local(proof, i0), (digraph.n, digraph.m, i0, at, delta)
+
+    def test_rejects_a_nonempty_root_and_unchecked_children(self):
+        digraph = grow_digraph(ProblemInstance.generic(3, 2))
+        child = digraph.nodes[digraph.root].children[0]
+        leaf = next(label for label, node in digraph.nodes.items() if node.tag.is_leaf)
+        proof = NodeProof(digraph)
+        proof.digraph = replace(digraph, root=child)
+        assert not check_node_local(proof, 1)
+        proof.digraph = replace(digraph, nodes=dict(reversed(digraph.nodes.items())))
+        assert not check_node_local(proof, 1)
+        # A parent may not count a leaf that is never checked.
+        proof.digraph = replace(digraph, nodes={k: v for k, v in digraph.nodes.items() if k != leaf})
+        assert not check_node_local(proof, 1)
+
+    def test_rejects_a_missing_witness(self):
+        digraph = grow_digraph(ProblemInstance.generic(2, 2, target=2), early_stop=True)
+        # a1 is not in the closure at every leaf of a2's early-stop digraph.
+        assert not check_node_local(NodeProof(digraph), 1)
+
+    def test_extraction_combines_the_checked_witnesses(self):
+        digraph = grow_digraph(ProblemInstance.generic(3, 2))
+        proof = NodeProof(digraph)
+        for i0 in (1, 2, 3):
+            assert extract_certificate(digraph, i0, proof).root_witness == extract_certificate(
+                digraph, i0
+            ).root_witness
+        with pytest.raises(ValueError):
+            extract_certificate(grow_digraph(ProblemInstance.generic(3, 2)), 1, proof)
+
+
 class TestVerifySymbolic:
     def test_detects_single_perturbation(self):
         d = grow_digraph(ProblemInstance.generic(2, 1))
@@ -389,7 +590,7 @@ class TestVerifySymbolic:
 def operator_expansion(witness: MembershipWitness) -> MultiPoly:
     """sum c*x_d + sum c*c_k + u*r0, built with the MultiPoly operators."""
     n, m = witness.label.n, witness.label.m
-    total = witness.unit_coeff * unit_relation()
+    total = witness.unit_coeff * UNIT_RELATION
     for d, coeff in witness.gen_coeffs.items():
         total = total + coeff * MultiPoly.variable(d)
     for k, coeff in witness.rel_coeffs.items():
@@ -496,7 +697,7 @@ class TestConcreteChecks:
                 total,
                 ring.mul(
                     witness.unit_coeff.evaluate(assignment, ring),
-                    unit_relation().evaluate(assignment, ring),
+                    UNIT_RELATION.evaluate(assignment, ring),
                 ),
             )
             assert total == 0

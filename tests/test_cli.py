@@ -12,7 +12,15 @@ from pathlib import Path
 
 import pytest
 
-from nilcert import load_certificate, verify_symbolic
+from nilcert import (
+    MultiPoly,
+    NodeProof,
+    ProblemInstance,
+    grow_digraph,
+    load_certificate,
+    structural_metrics,
+    verify_symbolic,
+)
 from nilcert.cli import main
 
 
@@ -212,6 +220,75 @@ class TestGenericCommand:
         assert json.loads(out)["targets"] == [{"i0": 4095, "e": 1}]
 
 
+class TestNodeLocalVerdict:
+    """Without --emit-cert a generic run checks each target node by node
+    and never builds the root identity."""
+
+    def test_no_root_expansion_without_emit_cert(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("root identity built without --emit-cert")
+
+        for name in (
+            "nilcert.certificates.combine",
+            "nilcert.certificates.node_witnesses",
+            "nilcert.certificates.extract_certificate",
+            "nilcert.certificates.verify_symbolic",
+            "nilcert.cli.extract_certificate",
+            "nilcert.cli.verify_symbolic",
+        ):
+            monkeypatch.setattr(name, forbidden)
+        for argv in (
+            ("--n", "3", "--m", "2"),
+            ("--n", "3", "--m", "2", "--early-stop"),
+            ("--n", "2", "--m", "3", "--target", "2"),
+        ):
+            code, out, err = run(capsys, "generic", *argv)
+            assert (code, err) == (0, ""), argv
+            assert json.loads(out)["certificate"] == "verified"
+
+    @pytest.mark.parametrize("emit", [False, True], ids=["node-local", "with --emit-cert"])
+    def test_rejected_proof_fails_verification(self, capsys, monkeypatch, tmp_path, emit):
+        class Perturbed(NodeProof):
+            """One coefficient of the root's product witness is off by one."""
+
+            def __init__(self, digraph):
+                super().__init__(digraph)
+                witness = self.products[digraph.root]
+                witness.unit_coeff = witness.unit_coeff + MultiPoly.one()
+
+        monkeypatch.setattr("nilcert.cli.NodeProof", Perturbed)
+        argv = ["generic", "--n", "2", "--m", "1"]
+        if emit:
+            argv += ["--emit-cert", str(tmp_path / "cert.json")]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert json.loads(out)["certificate"] == "failed"
+        assert err == "ERROR:verification:symbolic certificate check failed\n"
+
+    @pytest.mark.parametrize("n, m", [(4, 4), (10, 10)])
+    def test_large_runs_finish(self, n, m):
+        """(4,4) ran for more than 300 s when every target's root identity
+        was expanded; both sizes now take well under a second."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "nilcert", "generic", "--n", str(n), "--m", str(m)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=30,
+        )
+        report = {
+            "mode": "generic",
+            "n": n,
+            "m": m,
+            "targets": [{"i0": i0, "e": comb(n + m, n)} for i0 in range(1, n + 1)],
+            "metrics": structural_metrics(grow_digraph(ProblemInstance.generic(n, m))),
+            "certificate": "verified",
+        }
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == json.dumps(report, indent=2) + "\n"
+
+
 class TestParserReuse:
     def test_emit_dot_does_not_carry_over_to_the_next_run(self, capsys, tmp_path):
         argv = ["generic", "--n", "2", "--m", "1"]
@@ -302,10 +379,10 @@ class TestUnknownCommand:
 
 class TestInternalErrors:
     def test_unexpected_exception_maps_to_internal(self, capsys, monkeypatch):
-        def explode(digraph, target_index):
+        def explode(proof, target_index):
             raise OverflowError("a product exponent could reach 2**32")
 
-        monkeypatch.setattr("nilcert.cli.extract_certificate", explode)
+        monkeypatch.setattr("nilcert.cli.check_node_local", explode)
         code, out, err = run(capsys, "generic", "--n", "2", "--m", "1")
         assert code == 4
         assert out == ""

@@ -302,6 +302,16 @@ class TestOverflowGuard:
         with pytest.raises(OverflowError):
             MultiPoly.parse(f"1*b{MAX_INDEX + 1}")
 
+    def test_variables_packed_directly(self):
+        """avar and bvar pack their term without an Indeterminate, with the
+        same value and the same refusal of a negative index."""
+        for i in (0, 1, 7, MAX_INDEX):
+            for var, ind in ((avar, Indeterminate.a(i)), (bvar, Indeterminate.b(i))):
+                assert var(i) == MultiPoly.variable(ind) == MultiPoly({((ind, 1),): 1})
+        for var in (avar, bvar):
+            with pytest.raises(ValueError):
+                var(-1)
+
 
 # -- rendering ----------------------------------------------------------------
 
