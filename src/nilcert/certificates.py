@@ -433,16 +433,16 @@ class ConcreteCheck:
 
 
 def power_check(instance: ProblemInstance, target_index: int, exponent: int) -> ConcreteCheck:
-    """Evaluate u^exponent in the instance's ring; also scan for the least
-    exponent <= the given one that already kills u."""
+    """Evaluate u^exponent in Z/N; also scan for the least exponent <= the
+    given one that already kills u."""
     if instance.is_generic:
         raise ValueError("power checks need a concrete instance")
-    ring = instance.ring
+    modulus = instance.modulus
     u = instance.a[target_index]
-    value = ring.power(u, exponent)
+    value = pow(u, exponent, modulus)
     minimal = None
     for e in range(1, exponent + 1):
-        if ring.power(u, e) == 0:
+        if pow(u, e, modulus) == 0:
             minimal = e
             break
     return ConcreteCheck(value == 0, value, minimal)

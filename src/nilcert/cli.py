@@ -185,7 +185,7 @@ def _run_concrete(args: argparse.Namespace) -> int:
     if args.target is not None and not 1 <= args.target <= len(f) - 1:
         return _usage_error(f"--target must lie in 1..{len(f) - 1}")
     instance = ProblemInstance.concrete(args.modulus, f, g, target=args.target)
-    check_unit(convolution(instance.a, instance.b, instance.ring))
+    check_unit(convolution(instance.a, instance.b, instance.modulus))
 
     def check(digraph, i0, emit):
         exponent = digraph.nodes[digraph.root].exponent

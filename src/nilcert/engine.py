@@ -26,7 +26,6 @@ from typing import Sequence
 
 from .oracles import IdealLabel, closure_bits
 from .poly import MultiPoly, avar, bvar
-from .rings import RingHandle
 
 
 class NotAUnit(Exception):
@@ -91,16 +90,17 @@ class CaseTag:
 class ProblemInstance:
     """One run of the pipeline: degrees n, m plus the coefficient mode.
 
-    Generic mode (ring is None) treats the coefficients as indeterminates
-    subject only to the inverse-pair relations; concrete mode carries a
-    modular ring and the coefficient lists a (length n+1) and b (length
-    m+1), lowest degree first.  ``target`` optionally fixes the index i0 of
-    the coefficient u = a_i0 under study; None means all of 1..n.
+    Generic mode (modulus is None) treats the coefficients as
+    indeterminates subject only to the inverse-pair relations; concrete
+    mode carries a modulus N >= 2 and the coefficient lists a (length n+1)
+    and b (length m+1) over Z/N, lowest degree first, each canonical in
+    [0, N).  ``target`` optionally fixes the index i0 of the coefficient
+    u = a_i0 under study; None means all of 1..n.
     """
 
     n: int
     m: int
-    ring: RingHandle | None = None
+    modulus: int | None = None
     a: tuple[int, ...] | None = None
     b: tuple[int, ...] | None = None
     target: int | None = None
@@ -110,17 +110,17 @@ class ProblemInstance:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.m < 0:
             raise ValueError(f"m must be >= 0, got {self.m}")
-        concrete_fields = (self.ring, self.a, self.b)
+        concrete_fields = (self.modulus, self.a, self.b)
         if any(x is not None for x in concrete_fields) and not all(
             x is not None for x in concrete_fields
         ):
-            raise ValueError("concrete instances need ring, a and b together")
-        if self.ring is not None:
-            if not self.ring.is_modular:
-                raise ValueError("concrete instances run over a modular ring")
+            raise ValueError("concrete instances need modulus, a and b together")
+        if self.modulus is not None:
+            if self.modulus < 2:
+                raise ValueError(f"modulus must be >= 2, got {self.modulus}")
             if len(self.a) != self.n + 1 or len(self.b) != self.m + 1:
                 raise ValueError("coefficient list lengths must be n+1 and m+1")
-            if any(v != self.ring.canon(v) for v in self.a + self.b):
+            if any(not 0 <= v < self.modulus for v in self.a + self.b):
                 raise ValueError("concrete coefficients must be canonical")
         if self.target is not None and not 1 <= self.target <= self.n:
             raise ValueError(f"target must lie in 1..{self.n}, got {self.target}")
@@ -138,7 +138,8 @@ class ProblemInstance:
         target: int | None = None,
     ) -> ProblemInstance:
         """Build a concrete instance, reducing coefficients mod the modulus."""
-        ring = RingHandle.mod(modulus)
+        if modulus < 2:
+            raise ValueError(f"modulus must be >= 2, got {modulus}")
         if len(f) < 2:
             raise ValueError("f needs a nonconstant coefficient (degree >= 1)")
         if len(g) < 1:
@@ -146,22 +147,22 @@ class ProblemInstance:
         return cls(
             n=len(f) - 1,
             m=len(g) - 1,
-            ring=ring,
-            a=tuple(ring.canon(v) for v in f),
-            b=tuple(ring.canon(v) for v in g),
+            modulus=modulus,
+            a=tuple(v % modulus for v in f),
+            b=tuple(v % modulus for v in g),
             target=target,
         )
 
     @property
     def is_generic(self) -> bool:
-        return self.ring is None
+        return self.modulus is None
 
     def targets(self) -> list[int]:
         return [self.target] if self.target is not None else list(range(1, self.n + 1))
 
 
-def convolution(a: Sequence[int], b: Sequence[int], ring: RingHandle) -> list[int]:
-    """c_k = sum over i+j = k of a_i * b_j in the ring, for k = 0..n+m,
+def convolution(a: Sequence[int], b: Sequence[int], modulus: int) -> list[int]:
+    """c_k = sum over i+j = k of a_i * b_j in Z/modulus, for k = 0..n+m,
     each canonical."""
     if not a or not b:
         raise ValueError("coefficient lists must be nonempty")
@@ -169,7 +170,7 @@ def convolution(a: Sequence[int], b: Sequence[int], ring: RingHandle) -> list[in
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             c[i + j] = c[i + j] + ai * bj
-    return [ring.canon(ck) for ck in c]
+    return [ck % modulus for ck in c]
 
 
 # One run at (n, m) reads at most n+m+1 relations.  1024 entries hold every
@@ -224,7 +225,7 @@ def case_split(
     else:
         a_values, b_values = instance.a[1:], instance.b[1:]
         g = gcd(
-            instance.ring.modulus,
+            instance.modulus,
             *(v for v, bit in zip(a_values, label.a_bits) if bit),
             *(v for v, bit in zip(b_values, label.b_bits) if bit),
         )

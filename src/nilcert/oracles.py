@@ -3,10 +3,11 @@
 Two oracles answer which coefficients lie in the ideal of a generator set:
 
 * ``mod_membership`` decides membership in a finitely generated ideal of
-  Z/n exactly.  The ideal generated by values g_1..g_t equals the ideal of
-  gcd(g_1, .., g_t, n), so membership is a divisibility test and a witness
-  (an explicit linear combination of the generators) falls out of extended
-  gcd back-substitution.  The empty generator list denotes the zero ideal.
+  Z/n exactly, for a modulus n >= 2 given as a plain int.  The ideal
+  generated by values g_1..g_t equals the ideal of gcd(g_1, .., g_t, n),
+  so membership is a divisibility test and a witness (an explicit linear
+  combination of the generators) falls out of extended gcd
+  back-substitution.  The empty generator list denotes the zero ideal.
   The case split needs no witness and tests divisibility by that gcd
   directly, once per label.
 
@@ -34,16 +35,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .rings import RingHandle, xgcd
+from .rings import xgcd
 
 
 @dataclass(frozen=True)
 class MembershipDecision:
     """Outcome of a membership test.
 
-    When ``member`` is true, ``witness`` holds one ring coefficient per
+    When ``member`` is true, ``witness`` holds one coefficient in Z/n per
     input generator (positionally), such that
-    r = sum(witness[t] * generators[t]) holds exactly in the ring; it is
+    r = sum(witness[t] * generators[t]) holds exactly in Z/n; it is
     None otherwise.  Closure memberships have no such decision: their
     witnesses involve the defining relations and live in the certificate
     layer.
@@ -53,24 +54,22 @@ class MembershipDecision:
     witness: tuple[int, ...] | None = None
 
 
-def mod_membership(ring: RingHandle, generators: Sequence[int], r: int) -> MembershipDecision:
-    """Decide r in (generators) over Z/n, with an explicit witness.
+def mod_membership(modulus: int, generators: Sequence[int], r: int) -> MembershipDecision:
+    """Decide r in (generators) over Z/modulus, with an explicit witness.
 
     The ideal equals (g) for g = gcd of the generators and the modulus, so
     r is a member iff g divides r.  The witness coefficients reproduce r
     exactly: they are the Bezout coefficients of the fold, scaled by r/g.
     """
-    if not ring.is_modular:
-        raise ValueError("mod_membership requires a modular ring")
-    n = ring.modulus
-    assert n is not None
-    gens = [g % n for g in generators]
-    value = r % n
+    if modulus < 2:
+        raise ValueError(f"modulus must be >= 2, got {modulus}")
+    gens = [g % modulus for g in generators]
+    value = r % modulus
 
-    # Fold the generators into gcd(gens, n), maintaining integer Bezout
-    # coefficients for the generator part (the n-multiple part vanishes
-    # mod n and is not tracked).
-    g = n
+    # Fold the generators into gcd(gens, modulus), maintaining integer
+    # Bezout coefficients for the generator part (the modulus-multiple part
+    # vanishes and is not tracked).
+    g = modulus
     coeffs = [0] * len(gens)
     for idx, gen in enumerate(gens):
         g_new, s, t = xgcd(g, gen)
@@ -81,7 +80,7 @@ def mod_membership(ring: RingHandle, generators: Sequence[int], r: int) -> Membe
     if value % g != 0:
         return MembershipDecision(member=False)
     scale = value // g
-    witness = tuple((scale * c) % n for c in coeffs)
+    witness = tuple((scale * c) % modulus for c in coeffs)
     return MembershipDecision(member=True, witness=witness)
 
 

@@ -48,8 +48,6 @@ from functools import reduce
 from itertools import repeat
 from operator import itemgetter, or_
 
-from .rings import RingHandle
-
 
 class MissingAssignment(KeyError):
     """Evaluation met an indeterminate that has no assigned value."""
@@ -339,20 +337,21 @@ class MultiPoly:
 
     # -- evaluation --------------------------------------------------------
 
-    def evaluate(self, assignment: Mapping[Indeterminate, int], ring: RingHandle) -> int:
-        """Homomorphic image of the polynomial in the target ring.
+    def evaluate(self, assignment: Mapping[Indeterminate, int], modulus: int | None) -> int:
+        """Homomorphic image of the polynomial in Z/modulus, canonical in
+        [0, modulus), or in Z when modulus is None.
 
         Raises MissingAssignment if an occurring indeterminate has no value.
         """
-        total = ring.zero
+        total = 0
         for packed, coeff in self._terms.items():
-            value = ring.canon(coeff)
+            value = coeff
             for ind, e in _decode(packed):
                 if ind not in assignment:
                     raise MissingAssignment(ind.name)
-                value = ring.mul(value, ring.power(ring.canon(assignment[ind]), e))
-            total = ring.add(total, value)
-        return total
+                value *= pow(assignment[ind], e, modulus)
+            total += value
+        return total if modulus is None else total % modulus
 
     # -- canonical text form -----------------------------------------------
 

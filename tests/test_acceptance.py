@@ -187,7 +187,7 @@ def test_criterion_08_specialization_end_to_end(capsys):
             for f, g in helpers.unit_pairs(modulus, max_deg_f=3, max_deg_g=3):
                 pairs += 1
                 instance = ProblemInstance.concrete(modulus, f, g)
-                ring = instance.ring
+                modulus = instance.modulus
                 assignment = helpers.assignment(instance.a, instance.b)
                 for i0 in range(1, instance.n + 1):
                     key = (instance.n, instance.m, i0)
@@ -199,7 +199,7 @@ def test_criterion_08_specialization_end_to_end(capsys):
                         certificates[key] = certificate
                     check = verify_concrete(certificate, instance)
                     assert check.ok, (modulus, f, g, i0)
-                    assert certificate.root_witness.subject.evaluate(assignment, ring) == 0
+                    assert certificate.root_witness.subject.evaluate(assignment, modulus) == 0
                     checks += 1
         assert pairs > 0
     assert timer.elapsed < budget

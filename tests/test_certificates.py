@@ -685,23 +685,20 @@ class TestConcreteChecks:
 
         instance = ProblemInstance.concrete(8, [1, 2, 4], [1, 6])
         assignment = helpers.assignment(instance.a, instance.b)
-        ring = instance.ring
+        modulus = instance.modulus
         d = grow_digraph(ProblemInstance.generic(2, 1))
         for i0 in (1, 2):
             witness = extract_certificate(d, i0).root_witness
             total = 0
             for k, coeff in witness.rel_coeffs.items():
                 c_k = convolution_polys(2, 1)[k]
-                total = ring.add(total, ring.mul(coeff.evaluate(assignment, ring), c_k.evaluate(assignment, ring)))
-            total = ring.add(
-                total,
-                ring.mul(
-                    witness.unit_coeff.evaluate(assignment, ring),
-                    UNIT_RELATION.evaluate(assignment, ring),
-                ),
-            )
+                total = (total + coeff.evaluate(assignment, modulus) * c_k.evaluate(assignment, modulus)) % modulus
+            total = (
+                total
+                + witness.unit_coeff.evaluate(assignment, modulus) * UNIT_RELATION.evaluate(assignment, modulus)
+            ) % modulus
             assert total == 0
-            assert witness.subject.evaluate(assignment, ring) == 0
+            assert witness.subject.evaluate(assignment, modulus) == 0
 
     def test_specialization_small_sample(self):
         for modulus in (4, 8, 9):

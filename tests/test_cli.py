@@ -400,6 +400,8 @@ class TestEntryPoint:
             (["generic", "--n", "0", "--m", "1"], 1, "", "ERROR:usage:"),
             (["concrete", "--modulus", "8", "--f", "1,1", "--g", "1"], 2, "", "ERROR:not-a-unit:"),
             (["ln", "--modulus", "12", "--ideal", "5"], 1, "", "ERROR:bad-input:"),
+            (["concrete", "--modulus", "1", "--f", "1,1", "--g", "1"], 1, "", "ERROR:usage:"),
+            (["concrete", "--modulus", "0", "--f", "1,1", "--g", "1"], 1, "", "ERROR:usage:"),
         ],
     )
     def test_exit_code_and_output(self, argv, code, out, err_prefix):

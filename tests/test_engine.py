@@ -16,7 +16,6 @@ from nilcert import (
     InternalInconsistency,
     NotAUnit,
     ProblemInstance,
-    RingHandle,
     avar,
     bvar,
     case_split,
@@ -40,10 +39,10 @@ Z8_INSTANCE = ProblemInstance.concrete(8, [1, 2, 4], [1, 6])
 class TestConvolution:
     def test_worked_example_mod8(self):
         # (1 + 2T + 4T^2)(1 + 6T) = 1 + 8T + 16T^2 + 24T^3 = 1 mod 8
-        assert convolution((1, 2, 4), (1, 6), RingHandle.mod(8)) == [1, 0, 0, 0]
+        assert convolution((1, 2, 4), (1, 6), 8) == [1, 0, 0, 0]
 
     def test_constants(self):
-        assert convolution((1,), (1,), RingHandle.mod(5)) == [1]
+        assert convolution((1,), (1,), 5) == [1]
 
     def test_generic_degree_one(self):
         c = convolution_polys(1, 1)
@@ -53,7 +52,7 @@ class TestConvolution:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            convolution((), (1,), RingHandle.mod(5))
+            convolution((), (1,), 5)
 
 
 class TestCheckUnit:
@@ -124,7 +123,7 @@ class TestCaseSplit:
             gens = [value(ind) for ind in helpers.generators(lab)]
 
             def member(ind):
-                return mod_membership(instance.ring, gens, value(ind)).member
+                return mod_membership(instance.modulus, gens, value(ind)).member
 
             if early_stop_target is not None and member(Indeterminate.a(early_stop_target)):
                 return CaseTag.leaf()
@@ -387,3 +386,10 @@ class TestProblemInstance:
             ProblemInstance.generic(2, 1, target=3)
         with pytest.raises(ValueError):
             ProblemInstance.concrete(8, [1], [1])
+        for modulus in (1, 0, -4):
+            with pytest.raises(ValueError):
+                ProblemInstance.concrete(modulus, [1, 2], [1])
+        with pytest.raises(ValueError):
+            ProblemInstance(1, 0, modulus=1, a=(0, 0), b=(0,))
+        with pytest.raises(ValueError):
+            ProblemInstance(1, 0, modulus=8, a=(1, 8), b=(1,))
