@@ -291,6 +291,9 @@ class NodeProof:
         self.digraph = digraph
         self.products: dict[IdealLabel, MembershipWitness] = {}
         self.leaves: dict[IdealLabel, WitnessBuilder] = {}
+        # The product witness that passed ``check_node_local`` at each
+        # (label, tag); a witness put in its place is checked again.
+        self.checked: dict[tuple[IdealLabel, CaseTag], MembershipWitness] = {}
         for label, node in digraph.nodes.items():
             if node.tag.is_leaf:
                 self.leaves[label] = WitnessBuilder(label)
@@ -327,6 +330,12 @@ def check_node_local(proof: NodeProof, target_index: int) -> bool:
     Then u^k in I + (D, a_i), u^l in I + (D, b_j) and a_i*b_j in I + (D)
     give u^(k+l) in I + (D), I the ideal of the relations; the root label
     must be empty, which leaves u^e in I.  u^e itself is never expanded.
+
+    A branch's product identity does not depend on the target, so it is
+    checked once per proof: ``proof.checked`` records the witness object
+    that passed at each (label, tag), and any other witness there is
+    checked anew (one edited in place is not).  The structure, the
+    exponents and the leaves are checked for every target.
     """
     digraph = proof.digraph
     n, m = digraph.n, digraph.m
@@ -348,18 +357,28 @@ def check_node_local(proof: NodeProof, target_index: int) -> bool:
         witness = proof.local(label, tag, u)
         if exponent != node.exponent or witness is None:
             return False
-        for d in witness.gen_coeffs:
-            family = label.a_bits if d.kind == "a" else label.b_bits
-            if not (1 <= d.index <= len(family) and family[d.index - 1]):
+        if tag.is_leaf:
+            if not _identity_holds(witness, label, u_poly, n, m):
                 return False
-        rels = witness.rel_coeffs
-        if rels and not (min(rels) >= 1 and max(rels) <= n + m):
-            return False
-        subject = u_poly if tag.is_leaf else avar(tag.i) * bvar(tag.j)
-        if not _expansion_minus(witness, subject, n, m).is_zero:
-            return False
+        elif proof.checked.get((label, tag)) is not witness:
+            if not _identity_holds(witness, label, avar(tag.i) * bvar(tag.j), n, m):
+                return False
+            proof.checked[label, tag] = witness
         exponents[label] = exponent
     return digraph.root == IdealLabel.root(n, m) and digraph.root in exponents
+
+
+def _identity_holds(witness: MembershipWitness, label: IdealLabel, subject: MultiPoly, n: int, m: int) -> bool:
+    """The witness keys only generators of label and relations 1..n+m, and
+    its expansion less subject is the zero polynomial."""
+    for d in witness.gen_coeffs:
+        family = label.a_bits if d.kind == "a" else label.b_bits
+        if not (1 <= d.index <= len(family) and family[d.index - 1]):
+            return False
+    rels = witness.rel_coeffs
+    if rels and not (min(rels) >= 1 and max(rels) <= n + m):
+        return False
+    return _expansion_minus(witness, subject, n, m).is_zero
 
 
 def node_witnesses(
@@ -412,8 +431,9 @@ def verify_symbolic(certificate: NilpotencyCertificate) -> SymbolicCheck:
     """Independent expansion check of the certificate identity.
 
     Recomputes from (n, m) only the relation polynomials the witness
-    uses, expands sum relCoeffs[k]*c_k + unitCoeff*(a0*b0 - 1) - u^e with
-    expand_witness, and passes iff the difference is the zero polynomial.
+    uses, expands sum relCoeffs[k]*c_k + unitCoeff*(a0*b0 - 1) - u^e as
+    one sum of products (``_expansion_minus``), and passes iff the
+    difference is the zero polynomial.
     """
     witness = certificate.root_witness
     if witness.gen_coeffs:
@@ -505,8 +525,9 @@ def load_certificate(text: str) -> NilpotencyCertificate:
     Raises ValueError for any malformed dump: bad or too deeply nested JSON,
     a key repeated in one object, wrong field types, a relation key k that
     is not str(int(k)), sizes outside 1 <= n <= MAX_INDEX, 0 <= m <=
-    MAX_INDEX, 1 <= i0 <= n, 1 <= e < EXPONENT_LIMIT, or a coefficient that
-    the packed monomials of verify_symbolic cannot hold.
+    MAX_INDEX, 1 <= i0 <= n, 1 <= e < EXPONENT_LIMIT, a coefficient string
+    that ``MultiPoly.parse`` refuses (``PolyParseError``), or a coefficient
+    that the packed monomials of verify_symbolic cannot hold.
     """
     try:
         doc = _DUMP_DECODER.decode(text)

@@ -36,6 +36,16 @@ b-indeterminates, ascending index), highest term first, e.g.
     -1*a0*b0 + 2*a1^2
 
 and the same form parses back via MultiPoly.parse.
+
+Parsing.  Each parse keeps one factor table (``_FactorTable``): every
+distinct factor text such as ``a3^17`` is parsed once into one int, its
+packed contribution ``e << FIELD_BITS*slot`` plus a presence bit
+``1 << (base + slot)`` above every field.  A term is then one C-level sum
+over its factor texts.  The fields below ``base`` are its monomial.  The
+presence bits add without a carry only when every slot is distinct, so
+their popcount equals the number of factors exactly when no indeterminate
+repeats.  A table starts with room for a0..a7 and b0..b7; a factor in a
+wider slot s widens it to 2*(s + 1) slots.
 """
 
 from __future__ import annotations
@@ -383,17 +393,25 @@ class MultiPoly:
         degrees = list(map(sum, zip(*columns))) if columns else [0]
         return " + ".join(map(itemgetter(-1), sorted(zip(degrees, *columns, texts), reverse=True)))
 
-    _FACTOR_RE = re.compile(r"([ab])(\d+)(?:\^(\d+))?\Z")
-
     @classmethod
     def parse(cls, text: str) -> MultiPoly:
-        """Parse the canonical text form produced by render."""
+        """Parse the canonical text form produced by render.
+
+        Any factor order is accepted, each indeterminate at most once per
+        term.  A term costs one C-level sum of its factor texts' entries in
+        a ``_FactorTable``: the fields of the sum are the term's monomial,
+        and the popcount of its presence bits shows a repeated
+        indeterminate.  Faults are raised in text order: within a term its
+        coefficient, then its factors left to right, then a repeat of an
+        earlier term's monomial.
+        """
         text = text.strip()
         if text == "0":
             return cls.zero()
         terms: dict[int, int] = {}
-        # (shift, exponent) of every distinct factor string met so far.
-        factors: dict[str, tuple[int, int]] = {}
+        table = _FactorTable()
+        lookup = table.__getitem__
+        base, mask = table.base, table.mask
         for chunk in text.split(" + "):
             pieces = chunk.split("*")
             try:
@@ -402,33 +420,103 @@ class MultiPoly:
                 raise PolyParseError(f"bad coefficient in term {chunk!r}") from None
             if coeff == 0:
                 raise PolyParseError(f"zero coefficient in term {chunk!r}")
-            packed = 0
-            for piece in pieces[1:]:
-                factor = factors.get(piece)
-                if factor is None:
-                    factor = factors[piece] = cls._parse_factor(piece, chunk)
-                shift, e = factor
-                if packed >> shift & (EXPONENT_LIMIT - 1):
-                    raise PolyParseError(f"repeated indeterminate in term {chunk!r}")
-                packed += e << shift
+            del pieces[0]
+            try:
+                total = sum(map(lookup, pieces))
+            except KeyError:
+                total = None
+            if total is None:
+                total = table.read(pieces, chunk)
+                base, mask = table.base, table.mask
+            if (total >> base).bit_count() != len(pieces):
+                raise PolyParseError(f"repeated indeterminate in term {chunk!r}")
+            packed = total & mask
             if packed in terms:
                 raise PolyParseError(f"repeated monomial in {text!r}")
             terms[packed] = coeff
-        return _new(terms, max((e for _, e in factors.values()), default=0))
+        return _new(terms, table.bound)
 
-    @classmethod
-    def _parse_factor(cls, piece: str, chunk: str) -> tuple[int, int]:
-        """Bit shift and exponent of one factor such as a2^3."""
-        match = cls._FACTOR_RE.match(piece)
-        if match is None:
-            raise PolyParseError(f"bad factor {piece!r} in term {chunk!r}")
-        kind, index, exp = match.groups()
-        e = int(exp) if exp else 1
-        if e < 1:
-            raise PolyParseError(f"bad exponent in factor {piece!r}")
-        if e >= EXPONENT_LIMIT:
-            raise OverflowError(f"exponent in {piece!r} does not fit a {FIELD_BITS}-bit field")
-        return FIELD_BITS * _slot(kind, int(index)), e
+
+_FACTOR_RE = re.compile(r"([ab])(\d+)(?:\^(\d+))?\Z")
+
+
+def _parse_factor(piece: str, chunk: str) -> tuple[int, int]:
+    """Slot and exponent of one factor such as a2^3 in the term chunk."""
+    match = _FACTOR_RE.match(piece)
+    if match is None:
+        raise PolyParseError(f"bad factor {piece!r} in term {chunk!r}")
+    kind, index, exp = match.groups()
+    e = int(exp) if exp else 1
+    if e < 1:
+        raise PolyParseError(f"bad exponent in factor {piece!r}")
+    if e >= EXPONENT_LIMIT:
+        raise OverflowError(f"exponent in {piece!r} does not fit a {FIELD_BITS}-bit field")
+    return _slot(kind, int(index)), e
+
+
+class _FactorTable(dict):
+    """The factor table of one parse: each distinct factor text, parsed
+    once, mapped to one int, so that a term is the plain sum of its
+    factors' entries.
+
+    The entry of a factor x^e in slot s is its packed contribution
+    e << FIELD_BITS*s plus the presence bit 1 << (base + s) above every
+    field.  In a term's sum, the bits below base are the packed monomial.
+    Presence bits add without a carry, so their popcount equals the number
+    of factors exactly when no slot repeats.  base leaves one spare field
+    above the ``width`` slots the table holds: a repeated slot's exponents
+    may carry out of their field, but for that carry to pass the spare
+    field into the presence bits a term would need 2**32 factors.
+
+    A lookup miss parses the factor text and stores its entry.  It raises
+    KeyError instead for a malformed factor, or for a slot past the width;
+    ``read`` then re-reads that term in order and reports the fault, or
+    widens the table.  The table lives for one parse: no cache outlives it.
+    """
+
+    # A fresh table holds 16 slots: a0..a7 and b0..b7.
+    width = 16
+    base = FIELD_BITS * (width + 1)
+    mask = (1 << base) - 1
+    bound = 0  # the largest exponent stored
+
+    def __missing__(self, piece: str) -> int:
+        try:
+            slot, e = _parse_factor(piece, "")
+        except (PolyParseError, OverflowError):
+            raise KeyError(piece) from None  # ``read`` reports it with its term
+        if slot >= self.width:
+            raise KeyError(piece)
+        if e > self.bound:
+            self.bound = e
+        value = self[piece] = e << FIELD_BITS * slot | 1 << self.base + slot
+        return value
+
+    def _widen(self, width: int) -> None:
+        """Hold slots below width: every presence bit moves up to the new base."""
+        old_base, old_mask = self.base, self.mask
+        self.width, self.base = width, FIELD_BITS * (width + 1)
+        self.mask = (1 << self.base) - 1
+        self.update({piece: v & old_mask | v >> old_base << self.base for piece, v in self.items()})
+
+    def read(self, pieces: list[str], chunk: str) -> int:
+        """The sum over a term's factor texts, read one by one in text order
+        after a lookup missed: a bad factor or a repeated indeterminate is
+        raised where it is met, and a factor in a slot s past the width
+        widens the table to 2*(s + 1) slots."""
+        seen = 0
+        for piece in pieces:
+            value = self.get(piece)
+            if value is None:
+                slot, _ = _parse_factor(piece, chunk)
+                if slot >= self.width:
+                    self._widen(2 * (slot + 1))
+                value = self[piece]
+            presence = value >> self.base
+            if seen & presence:
+                raise PolyParseError(f"repeated indeterminate in term {chunk!r}")
+            seen |= presence
+        return sum(map(self.__getitem__, pieces))
 
 
 def _variable(kind: str, index: int) -> MultiPoly:

@@ -6,17 +6,21 @@ exponent by direct dynamic programming, inverse pairs by power-series
 division, and the rule closure as a plain fixed point over elements.
 Labels are built bit by bit; only the package's value types (labels,
 indeterminates) are borrowed.  These are the reference values the
-implementation is checked against.
+implementation is checked against.  ``reference_parse`` is the canonical
+text parser as it was before it summed factor tables: one packing step per
+factor.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import gcd
 
-from nilcert import IdealLabel, Indeterminate
+from nilcert import IdealLabel, Indeterminate, PolyParseError
+from nilcert.poly import EXPONENT_LIMIT, FIELD_BITS, MAX_INDEX
 
 
 def label(n: int, m: int, *names: str) -> IdealLabel:
@@ -187,3 +191,56 @@ def unit_pairs(modulus: int, max_deg_f: int = 3, max_deg_g: int = 3):
                     g = polynomial_inverse(modulus, f)
                     if g is not None and len(g) - 1 <= max_deg_g:
                         yield f, g
+
+
+_FACTOR_RE = re.compile(r"([ab])(\d+)(?:\^(\d+))?\Z")
+
+
+def _reference_factor(piece: str, chunk: str) -> tuple[int, int]:
+    """Bit shift and exponent of one factor such as a2^3."""
+    match = _FACTOR_RE.match(piece)
+    if match is None:
+        raise PolyParseError(f"bad factor {piece!r} in term {chunk!r}")
+    kind, index, exp = match.groups()
+    e = int(exp) if exp else 1
+    if e < 1:
+        raise PolyParseError(f"bad exponent in factor {piece!r}")
+    if e >= EXPONENT_LIMIT:
+        raise OverflowError(f"exponent in {piece!r} does not fit a {FIELD_BITS}-bit field")
+    if int(index) > MAX_INDEX:
+        raise OverflowError(f"{kind}{int(index)}: packed monomials hold indices up to {MAX_INDEX}")
+    return FIELD_BITS * (2 * int(index) + (kind == "b")), e
+
+
+def reference_parse(text: str) -> tuple[dict[int, int], int]:
+    """The packed terms and the exponent bound of a canonical text form,
+    one factor at a time: each factor's field must still be empty before
+    its exponent is added.  Raises what MultiPoly.parse raises, with the
+    same message, at the same fault."""
+    text = text.strip()
+    if text == "0":
+        return {}, 0
+    terms: dict[int, int] = {}
+    # (shift, exponent) of every distinct factor string met so far.
+    factors: dict[str, tuple[int, int]] = {}
+    for chunk in text.split(" + "):
+        pieces = chunk.split("*")
+        try:
+            coeff = int(pieces[0])
+        except ValueError:
+            raise PolyParseError(f"bad coefficient in term {chunk!r}") from None
+        if coeff == 0:
+            raise PolyParseError(f"zero coefficient in term {chunk!r}")
+        packed = 0
+        for piece in pieces[1:]:
+            factor = factors.get(piece)
+            if factor is None:
+                factor = factors[piece] = _reference_factor(piece, chunk)
+            shift, e = factor
+            if packed >> shift & (EXPONENT_LIMIT - 1):
+                raise PolyParseError(f"repeated indeterminate in term {chunk!r}")
+            packed += e << shift
+        if packed in terms:
+            raise PolyParseError(f"repeated monomial in {text!r}")
+        terms[packed] = coeff
+    return terms, max((e for _, e in factors.values()), default=0)

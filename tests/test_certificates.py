@@ -28,6 +28,7 @@ from nilcert import (
     WitnessBuilder,
     avar,
     bvar,
+    certificates,
     check_node_local,
     combine,
     dump_certificate,
@@ -393,6 +394,29 @@ class TestNodeLocalCheck:
         digraph = grow_digraph(ProblemInstance.generic(3, 2))
         proof = NodeProof(digraph)
         assert all(check_node_local(proof, i0) for i0 in (1, 2, 3))
+
+    def test_products_checked_once_per_proof(self, monkeypatch):
+        """A branch's product identity is expanded for the first target
+        only; every leaf identity is expanded for every target."""
+        digraph = grow_digraph(ProblemInstance.generic(3, 2))
+        proof = NodeProof(digraph)
+        expand = certificates._expansion_minus
+        calls = []
+        monkeypatch.setattr(certificates, "_expansion_minus", lambda *args: calls.append(1) or expand(*args))
+        assert all(check_node_local(proof, i0) for i0 in (1, 2, 3))
+        assert len(calls) == len(proof.products) + 3 * len(proof.leaves)
+
+    def test_a_replaced_product_witness_is_checked_again(self):
+        """The record of checked products holds the witness object: a false
+        witness put in after a passing check fails the next target."""
+        digraph = grow_digraph(ProblemInstance.generic(3, 2))
+        proof = NodeProof(digraph)
+        assert check_node_local(proof, 1)
+        for at, witness in list(proof.products.items()):
+            proof.products[at] = replace(witness, unit_coeff=witness.unit_coeff + MultiPoly.one())
+            assert not check_node_local(proof, 2), at
+            proof.products[at] = witness
+            assert check_node_local(proof, 3), at
 
     def test_reads_neither_subject_nor_label_of_a_witness(self):
         for digraph, i0 in small_generic_runs(4):

@@ -265,10 +265,10 @@ class TestNodeLocalVerdict:
         assert json.loads(out)["certificate"] == "failed"
         assert err == "ERROR:verification:symbolic certificate check failed\n"
 
-    @pytest.mark.parametrize("n, m", [(4, 4), (10, 10)])
+    @pytest.mark.parametrize("n, m", [(4, 4), (10, 10), (15, 15)])
     def test_large_runs_finish(self, n, m):
         """(4,4) ran for more than 300 s when every target's root identity
-        was expanded; both sizes now take well under a second."""
+        was expanded; all three sizes now take well under a second."""
         src = Path(__file__).resolve().parent.parent / "src"
         done = subprocess.run(
             [sys.executable, "-m", "nilcert", "generic", "--n", str(n), "--m", str(m)],

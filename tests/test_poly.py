@@ -16,6 +16,8 @@ from nilcert import (
 )
 from nilcert.poly import FIELD_BITS, MAX_INDEX, _fields
 
+from helpers import reference_parse
+
 A0, A1, A2 = Indeterminate.a(0), Indeterminate.a(1), Indeterminate.a(2)
 B0, B1 = Indeterminate.b(0), Indeterminate.b(1)
 
@@ -168,6 +170,16 @@ class TestTextForm:
         for bad in ["1*x0", "a0", "1*a0^0", "1 + 1", "2*a0*a0", "0*a1"]:
             with pytest.raises(PolyParseError):
                 MultiPoly.parse(bad)
+
+    def test_accepted_language(self):
+        """Any factor order; each indeterminate at most once per term."""
+        assert MultiPoly.parse("1*b0*a0") == avar(0) * bvar(0)
+        for text in ("2*a0*a0^2", "1*b1*a0*b1^3"):
+            with pytest.raises(PolyParseError, match="repeated indeterminate"):
+                MultiPoly.parse(text)
+        for text in ("5*", "5**a1"):
+            with pytest.raises(PolyParseError, match="bad factor"):
+                MultiPoly.parse(text)
 
     @given(p=polys())
     @settings(max_examples=80)
@@ -368,3 +380,133 @@ class TestRenderMatchesReference:
     @settings(max_examples=80)
     def test_wide_polys(self, p):
         assert p.render() == reference_render(p)
+
+
+# -- parsing ------------------------------------------------------------------
+#
+# MultiPoly.parse must accept exactly what reference_parse accepts, with the
+# same value and exponent bound, and must refuse the rest with the same
+# exception class and message.  Indices up to MAX_INDEX make a parse widen
+# its factor table; the mutations break rendered text in every way the
+# parser refuses, and in some ways it accepts.
+
+
+def far_polys(max_terms: int = 4) -> st.SearchStrategy[MultiPoly]:
+    far = st.builds(
+        Indeterminate,
+        kind=st.sampled_from(["a", "b"]),
+        index=st.one_of(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=MAX_INDEX)),
+    )
+    exponent = st.one_of(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=TOP))
+    mono = st.dictionaries(far, exponent, max_size=4).map(lambda exps: tuple(sorted(exps.items())))
+    return st.dictionaries(mono, st.integers(min_value=-9, max_value=9), max_size=max_terms).map(MultiPoly)
+
+
+def packed_parse(text: str) -> tuple[dict[int, int], int]:
+    p = MultiPoly.parse(text)
+    return p._terms, p.exponent_bound
+
+
+def parse_outcome(parse, text: str):
+    """What a parser makes of text: (terms, bound), or (class, message)."""
+    try:
+        return parse(text)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_parses_as_reference(text: str) -> None:
+    assert parse_outcome(packed_parse, text) == parse_outcome(reference_parse, text), text
+
+
+MUTATIONS = (
+    "repeat factor",
+    "swap factors",
+    "zero coefficient",
+    "blank coefficient",
+    "signed coefficient",
+    "empty factor",
+    "exponent 0",
+    "index 4096",
+    "exponent 2**32",
+    "repeat term",
+)
+
+
+def mutate(terms: list[list[str]], kind: str, data) -> None:
+    """Break one term in place; positions come from data.  A mutation that
+    needs a factor leaves a constant term alone."""
+    term = terms[data.draw(st.integers(min_value=0, max_value=len(terms) - 1))]
+    gap = data.draw(st.integers(min_value=1, max_value=len(term)))  # a place after the coefficient
+    at = min(gap, len(term) - 1)  # a factor, or 0 in a constant term
+    name = term[at].partition("^")[0] if at else ""
+    if kind == "repeat factor" and name:
+        term.insert(gap, f"{name}^{data.draw(st.integers(min_value=1, max_value=9))}")
+    elif kind == "swap factors" and len(term) > 2:
+        other = data.draw(st.integers(min_value=1, max_value=len(term) - 1))
+        term[at], term[other] = term[other], term[at]
+    elif kind == "zero coefficient":
+        term[0] = data.draw(st.sampled_from(["0", "-0", "00", "+0"]))
+    elif kind == "blank coefficient":
+        term[0] = data.draw(st.sampled_from(["", " ", "-", "+", " 1"]))
+    elif kind == "signed coefficient":
+        term[0] = "+" + term[0].lstrip("-")
+    elif kind == "empty factor":
+        term.insert(gap, "")
+    elif kind == "exponent 0" and name:
+        term[at] = f"{name}^0"
+    elif kind == "index 4096" and name:
+        term[at] = f"{name[0]}{MAX_INDEX + 1}"
+    elif kind == "exponent 2**32" and name:
+        term[at] = f"{name}^{2**FIELD_BITS}"
+    elif kind == "repeat term":
+        copy = [data.draw(st.sampled_from([term[0], "7"])), *term[1:]]
+        terms.insert(data.draw(st.integers(min_value=0, max_value=len(terms))), copy)
+
+
+class TestParseMatchesReference:
+    @given(p=polys())
+    @settings(max_examples=80)
+    def test_narrow_polys(self, p):
+        assert_parses_as_reference(p.render())
+
+    @given(p=wide_polys())
+    @settings(max_examples=80)
+    def test_wide_polys(self, p):
+        assert_parses_as_reference(p.render())
+
+    @given(p=far_polys())
+    @settings(max_examples=80)
+    def test_indices_up_to_max(self, p):
+        assert_parses_as_reference(p.render())
+
+    @given(
+        p=st.one_of(polys(), wide_polys(4), far_polys(3)),
+        kinds=st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    @settings(max_examples=300)
+    def test_malformed_text(self, p, kinds, data):
+        terms = [chunk.split("*") for chunk in p.render().split(" + ")]
+        for kind in kinds:
+            mutate(terms, kind, data)
+        assert_parses_as_reference(" + ".join("*".join(term) for term in terms))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1*a0 + 1*a9*b20 + -1*b4095^3",  # widens twice, after terms are packed
+            f"1*b7^{TOP}*b7",  # the top slot of a fresh table carries out of its field
+            f"1*a2^{TOP}*a2^{TOP}*a2^{TOP}",
+            "1*a0*a0*x",  # the repeat comes before the bad factor
+            "1*a0*x*a0",
+            "1*a0*a9*a0",  # a repeat before a factor that widens the table
+            "1*a1 + 1*a1 + 1*x",  # the repeated monomial comes before the bad factor
+            "1*a1 + 1*x + 1*a1",
+            "+3*a1 + -0*b0",
+            f"1*a{MAX_INDEX + 1}*a0^0",
+            f"1*a0^0*a{MAX_INDEX + 1}",
+        ],
+    )
+    def test_pinned_texts(self, text):
+        assert_parses_as_reference(text)
