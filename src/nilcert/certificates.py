@@ -47,8 +47,9 @@ closed form: u^k*u^l, a_p*b_q or x_k.
 A digraph's proof is checked node by node.  ``NodeProof`` builds each
 node's own witness once per digraph: the product witness of a_i*b_j at a
 branch(i, j), which every target shares, and at a leaf the witness of each
-target u.  ``check_node_local`` expands each of these small identities
-exactly and checks the digraph's structure around it; by the key lemma
+target u.  ``check_node_local`` walks the digraph once for all the targets
+it is given, expands each of these small identities exactly and checks the
+digraph's structure around it; by the key lemma
 (u^k in I + (D, a_i), u^l in I + (D, b_j) and a_i*b_j in I + (D) give
 u^(k+l) in I + (D)) that proves u^e = 0 without expanding u^e.  Its cost
 is polynomial in the digraph, while the root identity grows exponentially
@@ -283,7 +284,8 @@ class NodeProof:
     shared by every target: at a branch(i, j), the product witness of
     a_i*b_j; at a leaf, one ``WitnessBuilder`` for the witness of each
     target a_i0.  ``check_node_local`` checks them, ``node_witnesses``
-    combines them."""
+    combines them.  The proof records no verdict: every check expands the
+    witnesses as they stand."""
 
     def __init__(self, digraph: Digraph):
         if not digraph.generic:
@@ -291,9 +293,6 @@ class NodeProof:
         self.digraph = digraph
         self.products: dict[IdealLabel, MembershipWitness] = {}
         self.leaves: dict[IdealLabel, WitnessBuilder] = {}
-        # The product witness that passed ``check_node_local`` at each
-        # (label, tag); a witness put in its place is checked again.
-        self.checked: dict[tuple[IdealLabel, CaseTag], MembershipWitness] = {}
         for label, node in digraph.nodes.items():
             if node.tag.is_leaf:
                 self.leaves[label] = WitnessBuilder(label)
@@ -312,37 +311,34 @@ class NodeProof:
             return None
 
 
-def check_node_local(proof: NodeProof, target_index: int) -> bool:
-    """Exact node-local check of the digraph's claim u^e = 0, for u = a_i0
-    and e the root exponent, by the key lemma one node at a time.
+def check_node_local(proof: NodeProof, *target_indices: int) -> bool:
+    """Exact node-local check of the digraph's claim u^e = 0, for each
+    u = a_i0 with i0 in target_indices and e the root exponent, by the key
+    lemma one node at a time.
 
-    Walking the nodes children first, it requires at each label D:
+    One walk over the nodes, children first, requires at each label D:
 
     * the stored children to be ``tag.children(D)``, each already checked;
     * the stored exponent to be 1 at a leaf and the sum of the children's
       recomputed exponents at a branch;
-    * every generator key of the node's witness to be a generator of D, and
-      every relation index to lie in 1..n+m;
-    * the witness, expanded less its expected subject (u at a leaf, a_i*b_j
-      at a branch(i, j), never the witness's own subject or label), to be
-      the zero polynomial.
+    * every generator key of the node's witnesses to be a generator of D,
+      and every relation index to lie in 1..n+m;
+    * each witness, expanded less its expected subject (every target u at
+      a leaf, a_i*b_j once at a branch(i, j), never the witness's own
+      subject or label), to be the zero polynomial.
 
     Then u^k in I + (D, a_i), u^l in I + (D, b_j) and a_i*b_j in I + (D)
     give u^(k+l) in I + (D), I the ideal of the relations; the root label
     must be empty, which leaves u^e in I.  u^e itself is never expanded.
-
-    A branch's product identity does not depend on the target, so it is
-    checked once per proof: ``proof.checked`` records the witness object
-    that passed at each (label, tag), and any other witness there is
-    checked anew (one edited in place is not).  The structure, the
-    exponents and the leaves are checked for every target.
+    The structure, the exponents and each product identity do not depend
+    on the target, so one call checks them once for all its targets.
+    Raises ValueError when no target is given or one lies outside 1..n.
     """
     digraph = proof.digraph
     n, m = digraph.n, digraph.m
-    if not 1 <= target_index <= n:
-        raise ValueError(f"target index must lie in 1..{n}, got {target_index}")
-    u = Indeterminate.a(target_index)
-    u_poly = MultiPoly.variable(u)
+    if not target_indices or not all(1 <= i0 <= n for i0 in target_indices):
+        raise ValueError(f"target indices must be given, each in 1..{n}, got {target_indices}")
+    targets = [(Indeterminate.a(i0), avar(i0)) for i0 in target_indices]
     exponents: dict[IdealLabel, int] = {}
     for label, node in digraph.nodes.items():
         tag = node.tag
@@ -354,16 +350,14 @@ def check_node_local(proof: NodeProof, target_index: int) -> bool:
         if node.children != children or None in child_exponents:
             return False
         exponent = sum(child_exponents) if children else 1
-        witness = proof.local(label, tag, u)
-        if exponent != node.exponent or witness is None:
+        if exponent != node.exponent:
             return False
-        if tag.is_leaf:
-            if not _identity_holds(witness, label, u_poly, n, m):
+        # (u, subject): every target at a leaf, the product once at a branch.
+        expected = targets if tag.is_leaf else [(targets[0][0], avar(tag.i) * bvar(tag.j))]
+        for u, subject in expected:
+            witness = proof.local(label, tag, u)
+            if witness is None or not _identity_holds(witness, label, subject, n, m):
                 return False
-        elif proof.checked.get((label, tag)) is not witness:
-            if not _identity_holds(witness, label, avar(tag.i) * bvar(tag.j), n, m):
-                return False
-            proof.checked[label, tag] = witness
         exponents[label] = exponent
     return digraph.root == IdealLabel.root(n, m) and digraph.root in exponents
 
@@ -454,14 +448,18 @@ class ConcreteCheck:
 
 def power_check(instance: ProblemInstance, target_index: int, exponent: int) -> ConcreteCheck:
     """Evaluate u^exponent in Z/N; also scan for the least exponent <= the
-    given one that already kills u."""
+    given one that already kills u.
+
+    A nilpotent u dies by the largest prime exponent of N, which is below
+    N.bit_length(), so the scan stops there, whatever the given exponent.
+    """
     if instance.is_generic:
         raise ValueError("power checks need a concrete instance")
     modulus = instance.modulus
     u = instance.a[target_index]
     value = pow(u, exponent, modulus)
     minimal = None
-    for e in range(1, exponent + 1):
+    for e in range(1, min(exponent, modulus.bit_length()) + 1):
         if pow(u, e, modulus) == 0:
             minimal = e
             break

@@ -9,13 +9,20 @@ Subcommands:
   ln        --modulus N --ideal D
   pascal    --n N --m M
 
-generic and concrete run one pipeline: grow the induction digraph (one per
-target with --early-stop), write the DOT files, check each target and
-print the report.  Only the per-target check differs.  Generic mode checks
-the digraph's proof node by node, each node's own witness expanded
-exactly; with --emit-cert it also combines the root certificate, verifies
-it by full expansion and then dumps it.  Concrete mode evaluates u^e in
-Z/modulus.  The argument parser is built once per process.
+generic and concrete run one pipeline over (digraph, targets) pairs: the
+shared digraph with every target, or with --early-stop one digraph per
+target.  Each digraph is grown, its DOT file written and its targets
+checked; then the report is printed.  Only the check differs.  Generic
+mode checks the digraph's proof node by node for all its targets in one
+walk, each node's own witness expanded exactly; with --emit-cert it also
+combines each target's root certificate, verifies it by full expansion and
+then dumps it.  Concrete mode evaluates u^e in Z/modulus.  The argument
+parser is built once per process.
+
+Refused before any digraph is grown: --n or --m above 4095 (generic and
+pascal) and f or g of degree above 4095 (concrete), with ERROR:usage:;
+an --emit-dot or --emit-cert path that names no file (such as "/", "."
+or ""), with ERROR:bad-input:.
 
 Results go to stdout as a JSON report (the pascal grid as plain text);
 notices and errors go to stderr.  Error lines start with a machine-parsable
@@ -29,7 +36,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
@@ -85,18 +91,23 @@ def _run_digraph(
     args: argparse.Namespace,
     instance: ProblemInstance,
     head: dict,
-    check: Callable[..., tuple[dict, bool]],
+    check: Callable[..., tuple[list[dict], bool]],
     failure: str,
 ) -> int:
     """The pipeline shared by generic and concrete mode.
 
-    Grows one digraph, or with --early-stop one per target, writes the DOT
-    files, asks ``check(digraph, i0, emit)`` for each target's report entry
-    and whether its check passed, and prints the report.  ``emit(kind,
-    path, i0, text)`` writes a file, named per target when there are
-    several targets and i0 is given.
+    Refuses an output path that names no file, then takes each digraph in
+    turn with the targets it serves: the shared one with every target, or
+    with --early-stop one per target.  Each is grown, its DOT file written,
+    and ``check(digraph, i0s, emit)`` returns the report entries of its
+    targets and whether their checks passed; then the report is printed.
+    ``emit(kind, path, i0, text)`` writes a file, named per target when
+    there are several targets and i0 is given.
     """
-    targets = instance.targets()
+    for flag, path in (("--emit-dot", args.emit_dot), ("--emit-cert", getattr(args, "emit_cert", None))):
+        if path is not None and not Path(path).name:
+            raise BadInput(f"{flag} path {path!r} names no file")
+    targets = list(range(1, instance.n + 1)) if args.target is None else [args.target]
     files: dict[str, list[str]] = {}
 
     def emit(kind: str, path: str, i0: int | None, text: str) -> None:
@@ -106,29 +117,23 @@ def _run_digraph(
         target_path.write_text(text, encoding="utf-8")
         files.setdefault(kind, []).append(str(target_path))
 
-    shared_digraph = None
-    if not args.early_stop:
-        shared_digraph = grow_digraph(instance)
-        if args.emit_dot:
-            emit("dot", args.emit_dot, None, emit_dot(shared_digraph))
-
+    runs = [(i0, [i0]) for i0 in targets] if args.early_stop else [(None, targets)]
     target_reports = []
     all_verified = True
-    for i0 in targets:
-        digraph = shared_digraph
-        if args.early_stop:
-            digraph = grow_digraph(replace(instance, target=i0), early_stop=True)
-            if args.emit_dot:
-                emit("dot", args.emit_dot, i0, emit_dot(digraph))
-        entry, ok = check(digraph, i0, emit)
+    for stop, i0s in runs:
+        digraph = grow_digraph(instance, early_stop_target=stop)
+        if args.emit_dot:
+            emit("dot", args.emit_dot, stop, emit_dot(digraph))
+        entries, ok = check(digraph, i0s, emit)
         all_verified = all_verified and ok
         if args.early_stop:
-            entry["metrics"] = structural_metrics(digraph)
-        target_reports.append(entry)
+            for entry in entries:
+                entry["metrics"] = structural_metrics(digraph)
+        target_reports += entries
 
     report = {**head, "targets": target_reports}
-    if shared_digraph is not None:
-        report["metrics"] = structural_metrics(shared_digraph)
+    if not args.early_stop:
+        report["metrics"] = structural_metrics(digraph)
     report["certificate"] = "verified" if all_verified else "failed"
     if files:
         report["files"] = files
@@ -147,22 +152,20 @@ def _run_generic(args: argparse.Namespace) -> int:
     if args.target is not None and not 1 <= args.target <= args.n:
         return _usage_error(f"--target must lie in 1..{args.n}")
 
-    proof = None
-
-    def check(digraph, i0, emit):
-        nonlocal proof
-        if proof is None or proof.digraph is not digraph:
-            proof = NodeProof(digraph)
-        ok = check_node_local(proof, i0)
+    def check(digraph, i0s, emit):
+        proof = NodeProof(digraph)
+        ok = check_node_local(proof, *i0s)
         if args.emit_cert:
-            certificate = extract_certificate(digraph, i0, proof)
-            ok = verify_symbolic(certificate).ok and ok
-            emit("certificates", args.emit_cert, i0, dump_certificate(certificate))
-        return {"i0": i0, "e": digraph.nodes[digraph.root].exponent}, ok
+            for i0 in i0s:
+                certificate = extract_certificate(digraph, i0, proof)
+                ok = verify_symbolic(certificate).ok and ok
+                emit("certificates", args.emit_cert, i0, dump_certificate(certificate))
+        exponent = digraph.nodes[digraph.root].exponent
+        return [{"i0": i0, "e": exponent} for i0 in i0s], ok
 
     return _run_digraph(
         args,
-        ProblemInstance.generic(args.n, args.m, target=args.target),
+        ProblemInstance.generic(args.n, args.m),
         {"mode": "generic", "n": args.n, "m": args.m},
         check,
         "symbolic certificate check failed",
@@ -176,6 +179,8 @@ def _run_concrete(args: argparse.Namespace) -> int:
     g = _parse_coeffs(args.g, "--g")
     if len(f) < 2:
         return _usage_error("--f needs at least two coefficients (degree >= 1)")
+    if max(len(f), len(g)) - 1 > MAX_INDEX:
+        return _usage_error(f"concrete mode needs --f and --g of degree <= {MAX_INDEX}")
     reduced = [v % args.modulus for v in f + g]
     if reduced != f + g:
         print(
@@ -184,16 +189,18 @@ def _run_concrete(args: argparse.Namespace) -> int:
         )
     if args.target is not None and not 1 <= args.target <= len(f) - 1:
         return _usage_error(f"--target must lie in 1..{len(f) - 1}")
-    instance = ProblemInstance.concrete(args.modulus, f, g, target=args.target)
+    instance = ProblemInstance.concrete(args.modulus, f, g)
     check_unit(convolution(instance.a, instance.b, instance.modulus))
 
-    def check(digraph, i0, emit):
+    def check(digraph, i0s, emit):
         exponent = digraph.nodes[digraph.root].exponent
-        result = power_check(instance, i0, exponent)
-        entry = {"i0": i0, "e": exponent}
-        if args.minimal:
-            entry["minimal"] = result.minimal_exponent
-        return entry, result.ok
+        entries, ok = [], True
+        for i0 in i0s:
+            result = power_check(instance, i0, exponent)
+            minimal = {"minimal": result.minimal_exponent} if args.minimal else {}
+            entries.append({"i0": i0, "e": exponent, **minimal})
+            ok = ok and result.ok
+        return entries, ok
 
     head = {
         "mode": "concrete",

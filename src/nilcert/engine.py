@@ -94,8 +94,9 @@ class ProblemInstance:
     indeterminates subject only to the inverse-pair relations; concrete
     mode carries a modulus N >= 2 and the coefficient lists a (length n+1)
     and b (length m+1) over Z/N, lowest degree first, each canonical in
-    [0, N).  ``target`` optionally fixes the index i0 of the coefficient
-    u = a_i0 under study; None means all of 1..n.
+    [0, N).  The instance does not name the coefficient u = a_i0 under
+    study: one digraph serves every target, and only ``grow_digraph``'s
+    early stop is tied to one.
     """
 
     n: int
@@ -103,7 +104,6 @@ class ProblemInstance:
     modulus: int | None = None
     a: tuple[int, ...] | None = None
     b: tuple[int, ...] | None = None
-    target: int | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -122,21 +122,13 @@ class ProblemInstance:
                 raise ValueError("coefficient list lengths must be n+1 and m+1")
             if any(not 0 <= v < self.modulus for v in self.a + self.b):
                 raise ValueError("concrete coefficients must be canonical")
-        if self.target is not None and not 1 <= self.target <= self.n:
-            raise ValueError(f"target must lie in 1..{self.n}, got {self.target}")
 
     @classmethod
-    def generic(cls, n: int, m: int, target: int | None = None) -> ProblemInstance:
-        return cls(n=n, m=m, target=target)
+    def generic(cls, n: int, m: int) -> ProblemInstance:
+        return cls(n=n, m=m)
 
     @classmethod
-    def concrete(
-        cls,
-        modulus: int,
-        f: Sequence[int],
-        g: Sequence[int],
-        target: int | None = None,
-    ) -> ProblemInstance:
+    def concrete(cls, modulus: int, f: Sequence[int], g: Sequence[int]) -> ProblemInstance:
         """Build a concrete instance, reducing coefficients mod the modulus."""
         if modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {modulus}")
@@ -150,15 +142,11 @@ class ProblemInstance:
             modulus=modulus,
             a=tuple(v % modulus for v in f),
             b=tuple(v % modulus for v in g),
-            target=target,
         )
 
     @property
     def is_generic(self) -> bool:
         return self.modulus is None
-
-    def targets(self) -> list[int]:
-        return [self.target] if self.target is not None else list(range(1, self.n + 1))
 
 
 def convolution(a: Sequence[int], b: Sequence[int], modulus: int) -> list[int]:
@@ -299,21 +287,19 @@ class Digraph:
         return out
 
 
-def grow_digraph(instance: ProblemInstance, early_stop: bool = False) -> Digraph:
+def grow_digraph(instance: ProblemInstance, early_stop_target: int | None = None) -> Digraph:
     """Post-order construction keyed by label.
 
     Children add one generator each, so labels strictly grow along edges
     and the walk terminates.  Leaves carry exponent 1, branches the sum of
-    their children's exponents.
+    their children's exponents.  Without ``early_stop_target`` the digraph
+    serves every target a_1..a_n; with it (in 1..n, else ValueError) a
+    label is a leaf as soon as that one coefficient is in its ideal, and
+    the digraph serves that target alone.
     """
-    early_target = None
-    if early_stop:
-        if instance.target is None:
-            raise ValueError("early stopping needs a fixed target index")
-        early_target = instance.target
 
     def expand(label: IdealLabel) -> tuple[CaseTag, tuple[IdealLabel, ...]]:
-        tag = case_split(label, instance, early_stop_target=early_target)
+        tag = case_split(label, instance, early_stop_target)
         return tag, tag.children(label)
 
     def finish(label, tag, children, child_nodes) -> DigraphNode:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
@@ -340,7 +341,7 @@ class TestExtractCertificate:
             extract_certificate(d, 1)
 
     def test_early_stop_certificates_still_verify(self):
-        d = grow_digraph(ProblemInstance.generic(3, 2, target=3), early_stop=True)
+        d = grow_digraph(ProblemInstance.generic(3, 2), early_stop_target=3)
         cert = extract_certificate(d, 3)
         assert verify_symbolic(cert).ok
         assert cert.exponent <= root_exponent(grow_digraph(ProblemInstance.generic(3, 2)))[0]
@@ -352,9 +353,9 @@ def small_generic_runs(max_total: int = 5):
     for total in range(1, max_total + 1):
         for n in range(1, total + 1):
             for i0 in range(1, n + 1):
-                instance = ProblemInstance.generic(n, total - n, target=i0)
+                instance = ProblemInstance.generic(n, total - n)
                 yield grow_digraph(instance), i0
-                yield grow_digraph(instance, early_stop=True), i0
+                yield grow_digraph(instance, early_stop_target=i0), i0
 
 
 def with_local(proof: NodeProof, at: IdealLabel, change) -> NodeProof:
@@ -394,21 +395,46 @@ class TestNodeLocalCheck:
         digraph = grow_digraph(ProblemInstance.generic(3, 2))
         proof = NodeProof(digraph)
         assert all(check_node_local(proof, i0) for i0 in (1, 2, 3))
+        assert check_node_local(proof, 1, 2, 3)
+
+    @pytest.mark.parametrize("targets", [(), (0,), (4,), (1, 4)])
+    def test_refuses_a_missing_or_out_of_range_target(self, targets):
+        proof = NodeProof(grow_digraph(ProblemInstance.generic(3, 2)))
+        with pytest.raises(ValueError):
+            check_node_local(proof, *targets)
 
     def test_products_checked_once_per_proof(self, monkeypatch):
-        """A branch's product identity is expanded for the first target
-        only; every leaf identity is expanded for every target."""
+        """One call for three targets expands each branch's product
+        identity once and each leaf identity once per target."""
         digraph = grow_digraph(ProblemInstance.generic(3, 2))
         proof = NodeProof(digraph)
         expand = certificates._expansion_minus
-        calls = []
-        monkeypatch.setattr(certificates, "_expansion_minus", lambda *args: calls.append(1) or expand(*args))
-        assert all(check_node_local(proof, i0) for i0 in (1, 2, 3))
-        assert len(calls) == len(proof.products) + 3 * len(proof.leaves)
+        subjects = Counter()
+        monkeypatch.setattr(
+            certificates, "_expansion_minus", lambda *args: subjects.update([args[1].render()]) or expand(*args)
+        )
+        assert check_node_local(proof, 1, 2, 3)
+        expected = Counter(f"1*a{node.tag.i}*b{node.tag.j}" for node in digraph.nodes.values() if node.children)
+        expected.update({f"1*a{i0}": len(proof.leaves) for i0 in (1, 2, 3)})
+        assert subjects == expected
+        assert subjects.total() == len(proof.products) + 3 * len(proof.leaves)
+
+    def test_a_product_witness_edited_in_place_is_checked_again(self):
+        """A proof keeps no verdict: after a passing check, a product
+        witness made false in place fails the next check."""
+        digraph = grow_digraph(ProblemInstance.generic(3, 2))
+        proof = NodeProof(digraph)
+        assert check_node_local(proof, 1)
+        for at, witness in proof.products.items():
+            unit_coeff = witness.unit_coeff
+            witness.unit_coeff = unit_coeff + MultiPoly.one()
+            assert not check_node_local(proof, 2), at
+            witness.unit_coeff = unit_coeff
+            assert check_node_local(proof, 3), at
 
     def test_a_replaced_product_witness_is_checked_again(self):
-        """The record of checked products holds the witness object: a false
-        witness put in after a passing check fails the next target."""
+        """A false witness put in after a passing check fails the next
+        target."""
         digraph = grow_digraph(ProblemInstance.generic(3, 2))
         proof = NodeProof(digraph)
         assert check_node_local(proof, 1)
@@ -551,9 +577,12 @@ class TestNodeLocalCheck:
         assert not check_node_local(proof, 1)
 
     def test_rejects_a_missing_witness(self):
-        digraph = grow_digraph(ProblemInstance.generic(2, 2, target=2), early_stop=True)
+        digraph = grow_digraph(ProblemInstance.generic(2, 2), early_stop_target=2)
         # a1 is not in the closure at every leaf of a2's early-stop digraph.
-        assert not check_node_local(NodeProof(digraph), 1)
+        proof = NodeProof(digraph)
+        assert not check_node_local(proof, 1)
+        assert check_node_local(proof, 2)
+        assert not check_node_local(proof, 2, 1)
 
     def test_extraction_combines_the_checked_witnesses(self):
         digraph = grow_digraph(ProblemInstance.generic(3, 2))
@@ -695,6 +724,23 @@ class TestConcreteChecks:
         instance = ProblemInstance.concrete(8, [1, 2, 4], [1, 6])
         check = power_check(instance, 1, 0)
         assert not check.ok and check.value == 1
+
+    def test_huge_exponent_returns_at_once(self):
+        """u = 1 never dies in Z/6; the scan for a minimal exponent stops
+        at the bit length of the modulus, not at e."""
+        check = power_check(ProblemInstance.concrete(6, [1, 1], [1]), 1, 2**32 - 1)
+        assert (check.ok, check.minimal_exponent) == (False, None)
+
+    def test_minimal_exponent_matches_a_full_scan(self):
+        """Every u modulo every N <= 64, every exponent up to N + 1."""
+        for modulus in range(2, 65):
+            for u in range(modulus):
+                instance = ProblemInstance.concrete(modulus, [1, u], [1])
+                least = next((e for e in range(1, modulus + 2) if pow(u, e, modulus) == 0), None)
+                for exponent in range(modulus + 2):
+                    full = least if least is not None and least <= exponent else None
+                    got = power_check(instance, 1, exponent).minimal_exponent
+                    assert got == full, (modulus, u, exponent)
 
     def test_dimension_mismatch(self):
         instance = ProblemInstance.concrete(8, [1, 2, 4], [1, 6])

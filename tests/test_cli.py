@@ -80,6 +80,22 @@ class TestConcreteCommand:
         assert code == 1
         assert err.startswith("ERROR:bad-input:")
 
+    def test_degree_past_max_index(self):
+        """The convolution is quadratic in the degree: degree 30 000 ran
+        for 142 s before degrees past 4095 were refused."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        f = "1" + ",0" * 4096
+        for argv in (["--f", f, "--g", "1"], ["--f", "1,0", "--g", f]):
+            done = subprocess.run(
+                [sys.executable, "-m", "nilcert", "concrete", "--modulus", "8", *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(src)},
+                timeout=10,
+            )
+            assert (done.returncode, done.stdout) == (1, "")
+            assert done.stderr == "ERROR:usage:concrete mode needs --f and --g of degree <= 4095\n"
+
     def test_early_stop_per_target(self, capsys, tmp_path):
         path = tmp_path / "run.dot"
         code, out, _ = run(
@@ -300,22 +316,42 @@ class TestParserReuse:
         assert "files" not in json.loads(out)
 
 
+GENERIC_2_1 = ["generic", "--n", "2", "--m", "1"]
+CONCRETE_Z8 = ["concrete", "--modulus", "8", "--f", "1,2,4", "--g", "1,6"]
+
+
 class TestUnwritableOutput:
     @pytest.mark.parametrize(
-        "argv, flag",
+        "argv, flag, path",
         [
-            (["generic", "--n", "2", "--m", "1"], "--emit-dot"),
-            (["generic", "--n", "2", "--m", "1"], "--emit-cert"),
-            (["concrete", "--modulus", "8", "--f", "1,2,4", "--g", "1,6"], "--emit-dot"),
+            pytest.param(GENERIC_2_1, "--emit-dot", None, id="argv0---emit-dot"),
+            pytest.param(GENERIC_2_1, "--emit-cert", None, id="argv1---emit-cert"),
+            pytest.param(CONCRETE_Z8, "--emit-dot", None, id="argv2---emit-dot"),
+            # Paths that name no file, refused before any digraph is grown,
+            # so the DOT file named first is not written either.
+            *(
+                pytest.param([*GENERIC_2_1, *extra, "--emit-dot", "d.dot"], "--emit-cert", path, id=name + tag)
+                for path, name in (("/", "--emit-cert-root"), (".", "--emit-cert-dot"), ("", "--emit-cert-empty"))
+                for extra, tag in (([], ""), (["--target", "1"], "-target1"))
+            ),
+            pytest.param([*GENERIC_2_1, "--early-stop"], "--emit-dot", "/", id="early-stop--emit-dot-root"),
+            pytest.param([*CONCRETE_Z8, "--target", "2"], "--emit-dot", ".", id="concrete--emit-dot-dot"),
         ],
     )
-    def test_missing_directory(self, capsys, tmp_path, argv, flag):
-        path = tmp_path / "missing" / "out.txt"
-        code, out, err = run(capsys, *argv, flag, str(path))
+    def test_missing_directory(self, capsys, tmp_path, monkeypatch, argv, flag, path):
+        """A file in a missing directory, or a path that names no file, is
+        bad input: exit 1, no report and no file written."""
+        monkeypatch.chdir(tmp_path)
+        shown = repr(path)
+        if path is None:
+            path = str(tmp_path / "missing" / "out.txt")
+            shown = str(tmp_path / "missing")
+        code, out, err = run(capsys, *argv, flag, path)
         assert code == 1
         assert out == ""
         assert err.startswith("ERROR:bad-input:")
-        assert str(path.parent) in err
+        assert shown in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLnCommand:
@@ -379,7 +415,7 @@ class TestUnknownCommand:
 
 class TestInternalErrors:
     def test_unexpected_exception_maps_to_internal(self, capsys, monkeypatch):
-        def explode(proof, target_index):
+        def explode(*args):
             raise OverflowError("a product exponent could reach 2**32")
 
         monkeypatch.setattr("nilcert.cli.check_node_local", explode)

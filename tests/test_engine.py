@@ -107,7 +107,7 @@ class TestCaseSplit:
         # at (a2) the studied coefficient a2 is a generator, so early
         # stopping declares a leaf where the uniform run still branches
         lab = label(2, 1, "a2")
-        instance = ProblemInstance.generic(2, 1, target=2)
+        instance = ProblemInstance.generic(2, 1)
         assert case_split(lab, instance, early_stop_target=2).is_leaf
         assert not case_split(lab, instance).is_leaf
 
@@ -139,7 +139,7 @@ class TestCaseSplit:
                 for a_bits in product((0, 1), repeat=instance.n):
                     for b_bits in product((0, 1), repeat=instance.m):
                         lab = IdealLabel(a_bits, b_bits)
-                        for stop in (None, *instance.targets()):
+                        for stop in (None, *range(1, instance.n + 1)):
                             assert case_split(lab, instance, stop) == reference(
                                 lab, instance, stop
                             ), (modulus, f, g, lab, stop)
@@ -165,7 +165,7 @@ class TestCaseSplit:
                 for a_bits in product((0, 1), repeat=n):
                     for b_bits in product((0, 1), repeat=m):
                         lab = IdealLabel(a_bits, b_bits)
-                        for stop in (None, *instance.targets()):
+                        for stop in (None, *range(1, n + 1)):
                             tag = case_split(lab, instance, stop)
                             assert tag == reference(lab, stop), (lab, stop)
 
@@ -242,13 +242,9 @@ class TestGrowDigraphGeneric:
 
     def test_early_stop_shrinks_tree_for_high_target(self):
         uniform = grow_digraph(ProblemInstance.generic(2, 1))
-        stopped = grow_digraph(ProblemInstance.generic(2, 1, target=2), early_stop=True)
+        stopped = grow_digraph(ProblemInstance.generic(2, 1), early_stop_target=2)
         assert len(stopped.nodes) < len(uniform.nodes)
         assert root_exponent(stopped)[0] <= root_exponent(uniform)[0]
-
-    def test_early_stop_needs_target(self):
-        with pytest.raises(ValueError):
-            grow_digraph(ProblemInstance.generic(2, 1), early_stop=True)
 
 
 class TestGrowDigraphConcrete:
@@ -295,7 +291,7 @@ def _generic_digraphs():
         for m in range(0, 7 - n):
             yield grow_digraph(ProblemInstance.generic(n, m))
             for i0 in range(1, n + 1):
-                yield grow_digraph(ProblemInstance.generic(n, m, target=i0), early_stop=True)
+                yield grow_digraph(ProblemInstance.generic(n, m), early_stop_target=i0)
 
 
 class TestPostOrder:
@@ -314,9 +310,8 @@ class TestPostOrder:
 
     def test_concrete_worked_example(self):
         self.assert_post_order(grow_digraph(Z8_INSTANCE))
-        for i0 in Z8_INSTANCE.targets():
-            per_target = ProblemInstance.concrete(8, [1, 2, 4], [1, 6], target=i0)
-            self.assert_post_order(grow_digraph(per_target, early_stop=True))
+        for i0 in range(1, Z8_INSTANCE.n + 1):
+            self.assert_post_order(grow_digraph(Z8_INSTANCE, early_stop_target=i0))
 
 
 class TestExponents:
@@ -375,15 +370,11 @@ class TestProblemInstance:
         assert instance.a == (1, 2, 4)
         assert instance.b == (1, 6)
 
-    def test_targets_default_to_all(self):
-        assert ProblemInstance.generic(3, 1).targets() == [1, 2, 3]
-        assert ProblemInstance.generic(3, 1, target=2).targets() == [2]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ProblemInstance.generic(0, 1)
         with pytest.raises(ValueError):
-            ProblemInstance.generic(2, 1, target=3)
+            grow_digraph(ProblemInstance.generic(2, 1), early_stop_target=3)
         with pytest.raises(ValueError):
             ProblemInstance.concrete(8, [1], [1])
         for modulus in (1, 0, -4):
