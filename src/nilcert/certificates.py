@@ -38,35 +38,39 @@ right being replaced by its own element witness:
   u^l = w + t*b_j into u^(k+l) = v*u^l + s*a_i*w + s*t*(a_i*b_j) at the
   parent, substituting the product witness for a_i*b_j.  ``node_witness``,
   the one induction step per label, calls it at every branch, for the
-  digraph pass and the label-poset runner of ``induction`` alike.
+  digraph walk and the label-poset runner of ``induction`` alike.
 
 Each witness is one linear combination of existing ones, summed term by
 term into fresh coefficient maps (``_combination``), with its subject in
 closed form: u^k*u^l, a_p*b_q or x_k.
 
-A digraph's proof is checked node by node.  ``NodeProof`` builds each
-node's own witness once per digraph: the product witness of a_i*b_j at a
+A digraph's proof is checked node by node.  ``local_witnesses`` is the one
+source of a node's own witnesses: the product witness of a_i*b_j at a
 branch(i, j), which every target shares, and at a leaf the witness of each
-target u.  ``check_node_local`` walks the digraph once for all the targets
-it is given, expands each of these small identities exactly and checks the
-digraph's structure around it; by the key lemma
-(u^k in I + (D, a_i), u^l in I + (D, b_j) and a_i*b_j in I + (D) give
-u^(k+l) in I + (D)) that proves u^e = 0 without expanding u^e.  Its cost
-is polynomial in the digraph, while the root identity grows exponentially
-in n + m.
+target u, all from one ``WitnessBuilder``.  ``check_node_local`` walks the
+digraph once, children first, for all the targets it is given: it builds
+each node's witnesses, expands each of these small identities exactly,
+checks the digraph's structure around it and drops them, keeping only the
+node's exponent.  By the key lemma (u^k in I + (D, a_i), u^l in
+I + (D, b_j) and a_i*b_j in I + (D) give u^(k+l) in I + (D)) that proves
+u^e = 0 without expanding u^e.  Its cost is polynomial in the digraph,
+and its memory that of the digraph and one node's witnesses, while the
+root identity grows exponentially in n + m.
 
-That root identity is built only for a dump: ``node_witnesses`` combines
-the same local witnesses up to the root, where the generator sum is empty,
-leaving the nilpotency certificate u^e = sum relCoeffs[k]*c_k +
-unitCoeff*r0, which ``verify_symbolic`` checks independently by expanding
-it, less u^e, as one sum of products that must be 0.
+That root identity is built only for a dump: ``certify`` (all targets) and
+``node_witnesses`` (one) run the same walk, which then also takes each
+node's ``node_witness`` step over the witnesses it has just checked, up to
+the root, where the generator sum is empty.  That leaves the nilpotency
+certificate u^e = sum relCoeffs[k]*c_k + unitCoeff*r0, which
+``verify_symbolic`` checks independently by expanding it, less u^e, as one
+sum of products that must be 0.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .engine import CaseTag, Digraph, ProblemInstance, relation_poly
 from .oracles import IdealLabel, closure_bits
@@ -257,66 +261,84 @@ class NilpotencyCertificate:
     root_witness: MembershipWitness
 
 
-def _induction_step(
-    tag: CaseTag, local: MembershipWitness, children: Sequence[tuple[int, MembershipWitness]]
+def local_witnesses(label: IdealLabel, tag: CaseTag, targets: Sequence[Indeterminate]) -> list[MembershipWitness]:
+    """A node's own witnesses, built afresh: at a branch(i, j) the product
+    witness of a_i*b_j, which every target shares; at a leaf the witness of
+    each target u, all from one ``WitnessBuilder``.  Raises NotInClosure
+    when a target is not in the leaf's closure."""
+    if not tag.is_leaf:
+        return [gauss_product_witness(tag.i, tag.j, label)]
+    builder = WitnessBuilder(label)
+    return [builder.witness(u) for u in targets]
+
+
+def node_witness(
+    local: MembershipWitness, children: Sequence[tuple[int, MembershipWitness]]
 ) -> tuple[int, MembershipWitness]:
-    """(1, local) at a leaf, where local is the witness of u; at a
-    branch(i, j), the children's (k, u^k) and (l, u^l) combined through
-    the local product witness into (k + l, u^(k+l))."""
-    if tag.is_leaf:
+    """The induction step at one label: (1, local) at a leaf, where local
+    is the witness of u; at a branch(i, j), the children's (k, u^k) at
+    label + a_i and (l, u^l) at label + b_j combined through the product
+    witness local into (k + l, u^(k+l))."""
+    if not children:
         return 1, local
     (k, left), (l, right) = children
     return k + l, combine(left, right, local)
 
 
-def node_witness(
-    label: IdealLabel, tag: CaseTag, u: Indeterminate, children: Sequence[tuple[int, MembershipWitness]]
-) -> tuple[int, MembershipWitness]:
-    """The induction step at one label: (1, witness of u) at a leaf; at a
-    branch(i, j), the children's (k, u^k) at label + a_i and (l, u^l) at
-    label + b_j give (k + l, u^(k+l)) through the product witness."""
-    local = membership_witness(label, u) if tag.is_leaf else gauss_product_witness(tag.i, tag.j, label)
-    return _induction_step(tag, local, children)
-
-
-class NodeProof:
-    """The node-local witnesses of one generic digraph, each built once and
-    shared by every target: at a branch(i, j), the product witness of
-    a_i*b_j; at a leaf, one ``WitnessBuilder`` for the witness of each
-    target a_i0.  ``check_node_local`` checks them, ``node_witnesses``
-    combines them.  The proof records no verdict: every check expands the
-    witnesses as they stand."""
-
-    def __init__(self, digraph: Digraph):
-        if not digraph.generic:
-            raise ValueError("certificates are extracted from indeterminate-coefficient runs")
-        self.digraph = digraph
-        self.products: dict[IdealLabel, MembershipWitness] = {}
-        self.leaves: dict[IdealLabel, WitnessBuilder] = {}
-        for label, node in digraph.nodes.items():
-            if node.tag.is_leaf:
-                self.leaves[label] = WitnessBuilder(label)
-            else:
-                self.products[label] = gauss_product_witness(node.tag.i, node.tag.j, label)
-
-    def local(self, label: IdealLabel, tag: CaseTag, u: Indeterminate) -> MembershipWitness | None:
-        """The node's own witness for ``tag``: of u at a leaf, of a_i*b_j at
-        a branch(i, j); None when the proof holds none."""
-        if not tag.is_leaf:
-            return self.products.get(label)
-        builder = self.leaves.get(label)
+def _walk(
+    digraph: Digraph, target_indices: Sequence[int], source: Callable, combined: bool
+) -> dict[IdealLabel, list[tuple[int, MembershipWitness]]] | None:
+    """The walk of ``check_node_local``; None when the check fails.  With
+    ``combined``, each node also takes one ``node_witness`` step per target
+    over the witnesses just checked, and the result maps every label to its
+    (exponent, witness of u^exponent) per target; else it is empty."""
+    if not digraph.generic:
+        raise ValueError("certificates are extracted from indeterminate-coefficient runs")
+    n, m = digraph.n, digraph.m
+    if not target_indices or not all(1 <= i0 <= n for i0 in target_indices):
+        raise ValueError(f"target indices must be given, each in 1..{n}, got {tuple(target_indices)}")
+    targets = [Indeterminate.a(i0) for i0 in target_indices]
+    target_subjects = [avar(i0) for i0 in target_indices]
+    exponents: dict[IdealLabel, int] = {}
+    steps: dict[IdealLabel, list[tuple[int, MembershipWitness]]] = {}
+    for label, node in digraph.nodes.items():
+        tag = node.tag
         try:
-            return None if builder is None else builder.witness(u)
-        except NotInClosure:
+            children = tag.children(label)
+        except ValueError:
             return None
+        child_exponents = [exponents.get(child) for child in children]
+        if node.children != children or None in child_exponents:
+            return None
+        exponent = sum(child_exponents) if children else 1
+        if exponent != node.exponent:
+            return None
+        # Every target's subject at a leaf, the product's once at a branch.
+        subjects = target_subjects if tag.is_leaf else [avar(tag.i) * bvar(tag.j)]
+        local = source(label, tag, targets)
+        if len(local) != len(subjects):
+            return None
+        for witness, subject in zip(local, subjects):
+            if not _identity_holds(witness, label, subject, n, m):
+                return None
+        exponents[label] = exponent
+        if combined:
+            local = local if tag.is_leaf else local * len(targets)
+            steps[label] = [node_witness(w, [steps[child][t] for child in children]) for t, w in enumerate(local)]
+    if digraph.root != IdealLabel.root(n, m) or digraph.root not in exponents:
+        return None
+    return steps
 
 
-def check_node_local(proof: NodeProof, *target_indices: int) -> bool:
+def check_node_local(digraph: Digraph, *target_indices: int, source: Callable = local_witnesses) -> bool:
     """Exact node-local check of the digraph's claim u^e = 0, for each
     u = a_i0 with i0 in target_indices and e the root exponent, by the key
     lemma one node at a time.
 
-    One walk over the nodes, children first, requires at each label D:
+    One walk over the nodes, children first, takes each node's own
+    witnesses from ``source`` (a test may give a fake ``local_witnesses``),
+    checks them and drops them, keeping only the node's exponent.  It
+    requires at each label D:
 
     * the stored children to be ``tag.children(D)``, each already checked;
     * the stored exponent to be 1 at a leaf and the sum of the children's
@@ -332,34 +354,25 @@ def check_node_local(proof: NodeProof, *target_indices: int) -> bool:
     must be empty, which leaves u^e in I.  u^e itself is never expanded.
     The structure, the exponents and each product identity do not depend
     on the target, so one call checks them once for all its targets.
-    Raises ValueError when no target is given or one lies outside 1..n.
+    Raises ValueError for a concrete digraph, or when no target is given or
+    one lies outside 1..n.
     """
-    digraph = proof.digraph
-    n, m = digraph.n, digraph.m
-    if not target_indices or not all(1 <= i0 <= n for i0 in target_indices):
-        raise ValueError(f"target indices must be given, each in 1..{n}, got {target_indices}")
-    targets = [(Indeterminate.a(i0), avar(i0)) for i0 in target_indices]
-    exponents: dict[IdealLabel, int] = {}
-    for label, node in digraph.nodes.items():
-        tag = node.tag
-        try:
-            children = tag.children(label)
-        except ValueError:
-            return False
-        child_exponents = [exponents.get(child) for child in children]
-        if node.children != children or None in child_exponents:
-            return False
-        exponent = sum(child_exponents) if children else 1
-        if exponent != node.exponent:
-            return False
-        # (u, subject): every target at a leaf, the product once at a branch.
-        expected = targets if tag.is_leaf else [(targets[0][0], avar(tag.i) * bvar(tag.j))]
-        for u, subject in expected:
-            witness = proof.local(label, tag, u)
-            if witness is None or not _identity_holds(witness, label, subject, n, m):
-                return False
-        exponents[label] = exponent
-    return digraph.root == IdealLabel.root(n, m) and digraph.root in exponents
+    try:
+        return _walk(digraph, target_indices, source, combined=False) is not None
+    except NotInClosure:
+        return False
+
+
+def certify(digraph: Digraph, *target_indices: int) -> list[NilpotencyCertificate] | None:
+    """The walk of ``check_node_local``, which also combines the root
+    certificate of each target from the witnesses it checks; None when the
+    check fails.  Raises NotInClosure when a leaf's closure misses a
+    target."""
+    steps = _walk(digraph, target_indices, local_witnesses, combined=True)
+    if steps is None:
+        return None
+    roots = steps[digraph.root]
+    return [NilpotencyCertificate(digraph.n, digraph.m, i0, *root) for i0, root in zip(target_indices, roots)]
 
 
 def _identity_holds(witness: MembershipWitness, label: IdealLabel, subject: MultiPoly, n: int, m: int) -> bool:
@@ -375,43 +388,25 @@ def _identity_holds(witness: MembershipWitness, label: IdealLabel, subject: Mult
     return _expansion_minus(witness, subject, n, m).is_zero
 
 
-def node_witnesses(
-    digraph: Digraph, target_index: int, proof: NodeProof | None = None
-) -> dict[IdealLabel, tuple[int, MembershipWitness]]:
-    """Exponent and witness of u^exponent at every node of the digraph.
-
-    Each node takes one induction step over its own witness from ``proof``
-    (built here when not given).  The per-node exponents equal the
-    digraph's exponent recursion.  One forward pass suffices, because the
-    digraph stores its nodes in post-order.
-    """
-    if proof is None:
-        proof = NodeProof(digraph)
-    elif proof.digraph is not digraph:
-        raise ValueError("the node proof belongs to another digraph")
-    if not 1 <= target_index <= digraph.n:
-        raise ValueError(f"target index must lie in 1..{digraph.n}, got {target_index}")
-    u = Indeterminate.a(target_index)
-    memo: dict[IdealLabel, tuple[int, MembershipWitness]] = {}
-    for label, node in digraph.nodes.items():
-        local = proof.local(label, node.tag, u)
-        if local is None:
-            raise NotInClosure(f"{u} is not forced into {label.render()}")
-        memo[label] = _induction_step(node.tag, local, [memo[child] for child in node.children])
-    return memo
+def node_witnesses(digraph: Digraph, target_index: int) -> dict[IdealLabel, tuple[int, MembershipWitness]]:
+    """Exponent and witness of u^exponent at every node of the digraph,
+    combined by ``certify``'s walk; the per-node exponents equal the
+    digraph's exponent recursion.  Raises NotInClosure when a leaf's
+    closure misses u, and ValueError when the check fails."""
+    steps = _walk(digraph, (target_index,), local_witnesses, combined=True)
+    if steps is None:
+        raise ValueError("the digraph's node-local proof fails its check")
+    return {label: step for label, (step,) in steps.items()}
 
 
-def extract_certificate(
-    digraph: Digraph, target_index: int, proof: NodeProof | None = None
-) -> NilpotencyCertificate:
+def extract_certificate(digraph: Digraph, target_index: int) -> NilpotencyCertificate:
     """The root-level witness of u^e, with e the root exponent, combined
-    from the node-local witnesses of ``proof``.
+    from the checked node-local witnesses.
 
     The same e serves every target index; only the witness polynomials
     depend on the choice.
     """
-    witnesses = node_witnesses(digraph, target_index, proof)
-    exponent, witness = witnesses[digraph.root]
+    exponent, witness = node_witnesses(digraph, target_index)[digraph.root]
     return NilpotencyCertificate(digraph.n, digraph.m, target_index, exponent, witness)
 
 

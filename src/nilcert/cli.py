@@ -14,15 +14,16 @@ shared digraph with every target, or with --early-stop one digraph per
 target.  Each digraph is grown, its DOT file written and its targets
 checked; then the report is printed.  Only the check differs.  Generic
 mode checks the digraph's proof node by node for all its targets in one
-walk, each node's own witness expanded exactly; with --emit-cert it also
-combines each target's root certificate, verifies it by full expansion and
-then dumps it.  Concrete mode evaluates u^e in Z/modulus.  The argument
+walk, each node's own witness built, expanded exactly and dropped; with
+--emit-cert the same walk also combines each target's root certificate
+from the witnesses it checked, and each is verified by full expansion and
+then dumped.  Concrete mode evaluates u^e in Z/modulus.  The argument
 parser is built once per process.
 
 Refused before any digraph is grown: --n or --m above 4095 (generic and
 pascal) and f or g of degree above 4095 (concrete), with ERROR:usage:;
-an --emit-dot or --emit-cert path that names no file (such as "/", "."
-or ""), with ERROR:bad-input:.
+an --emit-dot or --emit-cert path that names no file (such as "/", ".",
+"", ".." or any existing directory), with ERROR:bad-input:.
 
 Results go to stdout as a JSON report (the pascal grid as plain text);
 notices and errors go to stderr.  Error lines start with a machine-parsable
@@ -39,14 +40,7 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from .certificates import (
-    NodeProof,
-    check_node_local,
-    dump_certificate,
-    extract_certificate,
-    power_check,
-    verify_symbolic,
-)
+from .certificates import certify, check_node_local, dump_certificate, power_check, verify_symbolic
 from .dot import emit_dot
 from .engine import (
     NotAUnit,
@@ -96,16 +90,17 @@ def _run_digraph(
 ) -> int:
     """The pipeline shared by generic and concrete mode.
 
-    Refuses an output path that names no file, then takes each digraph in
-    turn with the targets it serves: the shared one with every target, or
-    with --early-stop one per target.  Each is grown, its DOT file written,
-    and ``check(digraph, i0s, emit)`` returns the report entries of its
-    targets and whether their checks passed; then the report is printed.
+    Refuses an output path that names a directory, not a file, then takes
+    each digraph in turn with the targets it serves: the shared one with
+    every target, or with --early-stop one per target.  Each is grown, its
+    DOT file written, and ``check(digraph, i0s, emit)`` returns the report
+    entries of its targets and whether their checks passed; then the
+    report is printed.
     ``emit(kind, path, i0, text)`` writes a file, named per target when
     there are several targets and i0 is given.
     """
     for flag, path in (("--emit-dot", args.emit_dot), ("--emit-cert", getattr(args, "emit_cert", None))):
-        if path is not None and not Path(path).name:
+        if path is not None and (Path(path).name in ("", "..") or Path(path).is_dir()):
             raise BadInput(f"{flag} path {path!r} names no file")
     targets = list(range(1, instance.n + 1)) if args.target is None else [args.target]
     files: dict[str, list[str]] = {}
@@ -153,15 +148,18 @@ def _run_generic(args: argparse.Namespace) -> int:
         return _usage_error(f"--target must lie in 1..{args.n}")
 
     def check(digraph, i0s, emit):
-        proof = NodeProof(digraph)
-        ok = check_node_local(proof, *i0s)
-        if args.emit_cert:
-            for i0 in i0s:
-                certificate = extract_certificate(digraph, i0, proof)
-                ok = verify_symbolic(certificate).ok and ok
-                emit("certificates", args.emit_cert, i0, dump_certificate(certificate))
         exponent = digraph.nodes[digraph.root].exponent
-        return [{"i0": i0, "e": exponent} for i0 in i0s], ok
+        entries = [{"i0": i0, "e": exponent} for i0 in i0s]
+        if not args.emit_cert:
+            return entries, check_node_local(digraph, *i0s)
+        certificates = certify(digraph, *i0s)
+        if certificates is None:
+            return entries, False
+        ok = True
+        for certificate in certificates:
+            ok = verify_symbolic(certificate).ok and ok
+            emit("certificates", args.emit_cert, certificate.target_index, dump_certificate(certificate))
+        return entries, ok
 
     return _run_digraph(
         args,

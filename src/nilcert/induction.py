@@ -28,7 +28,7 @@ from itertools import product
 from math import gcd, lcm
 from typing import Any, Callable, Union
 
-from .certificates import MembershipWitness, node_witness
+from .certificates import MembershipWitness, local_witnesses, node_witness
 from .engine import CaseTag, ProblemInstance, _post_order, case_split
 from .oracles import IdealLabel
 from .poly import Indeterminate
@@ -362,15 +362,19 @@ def nc_run_induction(
     u = Indeterminate.a(target_index)
     tags: dict[IdealLabel, CaseTag] = {}
 
+    def step(label: IdealLabel, children: tuple) -> tuple[int, MembershipWitness]:
+        (local,) = local_witnesses(label, tags[label], [u])
+        return node_witness(local, children)
+
     def goodness(label: IdealLabel) -> GoodnessOutcome:
         tag = case_split(label, instance)
         tags[label] = tag
         if tag.is_leaf:
-            return Holds(node_witness(label, tag, u, ()))
+            return Holds(step(label, ()))
         return Reduce(*tag.children(label))
 
     def merge(parent, left_label, right_label, ev_left, ev_right):
-        return node_witness(parent, tags[parent], u, (ev_left, ev_right))
+        return step(parent, (ev_left, ev_right))
 
     evidence = run_induction(label_poset(instance.n, instance.m), goodness, merge)
     return evidence, tags

@@ -23,7 +23,6 @@ from nilcert import (
     Indeterminate,
     MultiPoly,
     NilpotencyCertificate,
-    NodeProof,
     NotInClosure,
     ProblemInstance,
     WitnessBuilder,
@@ -45,7 +44,7 @@ from nilcert import (
     verify_symbolic,
     witness_gap,
 )
-from nilcert.certificates import MembershipWitness, expand_witness
+from nilcert.certificates import MembershipWitness, certify, expand_witness, local_witnesses
 from nilcert.engine import relation_poly
 from nilcert.poly import FIELD_BITS, MAX_INDEX
 
@@ -358,24 +357,36 @@ def small_generic_runs(max_total: int = 5):
                 yield grow_digraph(instance, early_stop_target=i0), i0
 
 
-def with_local(proof: NodeProof, at: IdealLabel, change) -> NodeProof:
-    """The proof with its witness at label ``at`` passed through change."""
-    original = proof.local
+def with_local(at: IdealLabel, change):
+    """The witness source with each witness at label ``at`` passed
+    through change."""
 
-    def local(label, tag, u):
-        witness = original(label, tag, u)
-        return change(witness, label, tag, u) if label == at else witness
+    def source(label, tag, targets):
+        witnesses = local_witnesses(label, tag, targets)
+        return [change(witness) for witness in witnesses] if label == at else witnesses
 
-    proof.local = local
-    return proof
+    return source
 
 
-def with_node(digraph, at: IdealLabel, **fields) -> NodeProof:
-    """A proof built from the digraph, whose node at ``at`` then has the
-    given fields replaced: the claim changes, the witnesses do not."""
-    proof = NodeProof(digraph)
+def with_node(digraph, at: IdealLabel, **fields):
+    """A source of the digraph's own witnesses, after which its node at
+    ``at`` has the given fields replaced: the claim changes, the witnesses
+    do not."""
+    tags = {label: node.tag for label, node in digraph.nodes.items()}
     digraph.nodes[at] = replace(digraph.nodes[at], **fields)
-    return proof
+    return lambda label, tag, targets: local_witnesses(label, tags[label], targets)
+
+
+def keeping_products(kept: dict):
+    """The witness source, handing out the product witness of each branch
+    label from ``kept``, where the first call stores it."""
+
+    def source(label, tag, targets):
+        if tag.is_leaf:
+            return local_witnesses(label, tag, targets)
+        return kept.setdefault(label, local_witnesses(label, tag, targets))
+
+    return source
 
 
 def fresh(digraph):
@@ -385,74 +396,77 @@ def fresh(digraph):
 class TestNodeLocalCheck:
     """check_node_local accepts every proof the builder makes and rejects
     each kind of tampering, on every generic run with n+m <= 5, plain and
-    --early-stop, all targets."""
+    --early-stop, all targets.  A tampered witness comes from a witness
+    source that stands in for ``local_witnesses``."""
 
     def test_accepts_every_unmodified_proof(self):
         for digraph, i0 in small_generic_runs():
-            assert check_node_local(NodeProof(digraph), i0), (digraph.n, digraph.m, i0)
+            assert check_node_local(digraph, i0), (digraph.n, digraph.m, i0)
 
     def test_shared_proof_serves_every_target(self):
         digraph = grow_digraph(ProblemInstance.generic(3, 2))
-        proof = NodeProof(digraph)
-        assert all(check_node_local(proof, i0) for i0 in (1, 2, 3))
-        assert check_node_local(proof, 1, 2, 3)
+        assert all(check_node_local(digraph, i0) for i0 in (1, 2, 3))
+        assert check_node_local(digraph, 1, 2, 3)
 
     @pytest.mark.parametrize("targets", [(), (0,), (4,), (1, 4)])
     def test_refuses_a_missing_or_out_of_range_target(self, targets):
-        proof = NodeProof(grow_digraph(ProblemInstance.generic(3, 2)))
+        digraph = grow_digraph(ProblemInstance.generic(3, 2))
         with pytest.raises(ValueError):
-            check_node_local(proof, *targets)
+            check_node_local(digraph, *targets)
 
     def test_products_checked_once_per_proof(self, monkeypatch):
-        """One call for three targets expands each branch's product
-        identity once and each leaf identity once per target."""
+        """One call for three targets builds and expands each branch's
+        product identity once and each leaf identity once per target."""
         digraph = grow_digraph(ProblemInstance.generic(3, 2))
-        proof = NodeProof(digraph)
-        expand = certificates._expansion_minus
-        subjects = Counter()
+        branches = sum(not node.tag.is_leaf for node in digraph.nodes.values())
+        leaves = len(digraph.nodes) - branches
+        expand, build = certificates._expansion_minus, certificates.gauss_product_witness
+        subjects, built = Counter(), []
         monkeypatch.setattr(
             certificates, "_expansion_minus", lambda *args: subjects.update([args[1].render()]) or expand(*args)
         )
-        assert check_node_local(proof, 1, 2, 3)
+        monkeypatch.setattr(certificates, "gauss_product_witness", lambda *args: built.append(args) or build(*args))
+        assert check_node_local(digraph, 1, 2, 3)
         expected = Counter(f"1*a{node.tag.i}*b{node.tag.j}" for node in digraph.nodes.values() if node.children)
-        expected.update({f"1*a{i0}": len(proof.leaves) for i0 in (1, 2, 3)})
+        expected.update({f"1*a{i0}": leaves for i0 in (1, 2, 3)})
         assert subjects == expected
-        assert subjects.total() == len(proof.products) + 3 * len(proof.leaves)
+        assert subjects.total() == branches + 3 * leaves
+        assert len(built) == branches
 
     def test_a_product_witness_edited_in_place_is_checked_again(self):
-        """A proof keeps no verdict: after a passing check, a product
-        witness made false in place fails the next check."""
+        """The check keeps no verdict: after a passing check, a product
+        witness that the source hands out again, made false in place,
+        fails the next check."""
         digraph = grow_digraph(ProblemInstance.generic(3, 2))
-        proof = NodeProof(digraph)
-        assert check_node_local(proof, 1)
-        for at, witness in proof.products.items():
+        kept = {}
+        source = keeping_products(kept)
+        assert check_node_local(digraph, 1, source=source)
+        assert len(kept) == sum(not node.tag.is_leaf for node in digraph.nodes.values())
+        for at, (witness,) in kept.items():
             unit_coeff = witness.unit_coeff
             witness.unit_coeff = unit_coeff + MultiPoly.one()
-            assert not check_node_local(proof, 2), at
+            assert not check_node_local(digraph, 2, source=source), at
             witness.unit_coeff = unit_coeff
-            assert check_node_local(proof, 3), at
+            assert check_node_local(digraph, 3, source=source), at
 
     def test_a_replaced_product_witness_is_checked_again(self):
         """A false witness put in after a passing check fails the next
         target."""
         digraph = grow_digraph(ProblemInstance.generic(3, 2))
-        proof = NodeProof(digraph)
-        assert check_node_local(proof, 1)
-        for at, witness in list(proof.products.items()):
-            proof.products[at] = replace(witness, unit_coeff=witness.unit_coeff + MultiPoly.one())
-            assert not check_node_local(proof, 2), at
-            proof.products[at] = witness
-            assert check_node_local(proof, 3), at
+        kept = {}
+        source = keeping_products(kept)
+        assert check_node_local(digraph, 1, source=source)
+        for at, (witness,) in list(kept.items()):
+            kept[at] = [replace(witness, unit_coeff=witness.unit_coeff + MultiPoly.one())]
+            assert not check_node_local(digraph, 2, source=source), at
+            kept[at] = [witness]
+            assert check_node_local(digraph, 3, source=source), at
 
     def test_reads_neither_subject_nor_label_of_a_witness(self):
         for digraph, i0 in small_generic_runs(4):
             for at in digraph.nodes:
-                proof = with_local(
-                    NodeProof(digraph),
-                    at,
-                    lambda w, *_: replace(w, subject=MultiPoly.zero(), label=IdealLabel.root(1, 0)),
-                )
-                assert check_node_local(proof, i0)
+                source = with_local(at, lambda w: replace(w, subject=MultiPoly.zero(), label=IdealLabel.root(1, 0)))
+                assert check_node_local(digraph, i0, source=source)
 
     def test_rejects_a_perturbed_coefficient(self):
         def perturbations(witness):
@@ -464,12 +478,11 @@ class TestNodeLocalCheck:
             yield replace(witness, unit_coeff=witness.unit_coeff + one)
 
         for digraph, i0 in small_generic_runs():
-            proof = NodeProof(digraph)
             for at, node in digraph.nodes.items():
-                u = Indeterminate.a(i0)
-                for mutated in perturbations(proof.local(at, node.tag, u)):
-                    tampered = with_local(NodeProof(digraph), at, lambda *_: mutated)
-                    assert not check_node_local(tampered, i0), (digraph.n, digraph.m, i0, at)
+                (witness,) = local_witnesses(at, node.tag, [Indeterminate.a(i0)])
+                for mutated in perturbations(witness):
+                    tampered = with_local(at, lambda _: mutated)
+                    assert not check_node_local(digraph, i0, source=tampered), (digraph.n, digraph.m, i0, at)
 
     def test_rejects_the_witness_of_a_neighbouring_product(self):
         """A witness of a_i*b_(j-1), built where it exists (at label + b_j),
@@ -481,8 +494,8 @@ class TestNodeLocalCheck:
                     continue
                 i, j = node.tag.i, node.tag.j
                 neighbour = WitnessBuilder(node.children[1]).isolate(i, j - 1)
-                tampered = with_local(NodeProof(digraph), at, lambda *_: neighbour)
-                assert not check_node_local(tampered, i0), (digraph.n, digraph.m, i0, at)
+                tampered = with_local(at, lambda _: neighbour)
+                assert not check_node_local(digraph, i0, source=tampered), (digraph.n, digraph.m, i0, at)
                 seen += 1
         assert seen > 100
 
@@ -501,8 +514,8 @@ class TestNodeLocalCheck:
                     substitute = membership_witness(at, other)
                 except NotInClosure:
                     continue
-                tampered = with_local(NodeProof(digraph), at, lambda *_: substitute)
-                assert not check_node_local(tampered, i0), (digraph.n, digraph.m, i0, at)
+                tampered = with_local(at, lambda _: substitute)
+                assert not check_node_local(digraph, i0, source=tampered), (digraph.n, digraph.m, i0, at)
                 seen += 1
         assert seen > 50
 
@@ -520,8 +533,8 @@ class TestNodeLocalCheck:
                 if helpers.label(digraph.n, digraph.m, str(key)).issubset(at):
                     continue
                 trivial = MembershipWitness(MultiPoly.zero(), at, {key: coeff})
-                tampered = with_local(NodeProof(digraph), at, lambda *_: trivial)
-                assert not check_node_local(tampered, i0), (digraph.n, digraph.m, i0, at)
+                tampered = with_local(at, lambda _: trivial)
+                assert not check_node_local(digraph, i0, source=tampered), (digraph.n, digraph.m, i0, at)
                 seen += 1
         assert seen > 100
 
@@ -533,7 +546,7 @@ class TestNodeLocalCheck:
         leaf = next(label for label, node in digraph.nodes.items() if node.tag.is_leaf)
         c0_witness = MembershipWitness(MultiPoly.zero(), leaf, rel_coeffs={0: u}, unit_coeff=-u)
         assert expand_witness(c0_witness) == u
-        assert not check_node_local(with_local(NodeProof(digraph), leaf, lambda *_: c0_witness), 1)
+        assert not check_node_local(digraph, 1, source=with_local(leaf, lambda _: c0_witness))
 
     def test_rejects_an_altered_child_or_tag(self):
         for digraph, i0 in small_generic_runs():
@@ -548,51 +561,59 @@ class TestNodeLocalCheck:
                     # The tag alone, then the tag with its own children.
                     for children in (node.children, tag.children(at)):
                         d = fresh(digraph)
-                        proof = with_node(d, at, tag=tag, children=children)
-                        assert not check_node_local(proof, i0), (n, m, i0, at, tag)
+                        source = with_node(d, at, tag=tag, children=children)
+                        assert not check_node_local(d, i0, source=source), (n, m, i0, at, tag)
                 if node.children:
                     left, right = node.children
                     for children in ((right, left), (left, left), (left,), ()):
-                        proof = with_node(fresh(digraph), at, children=children)
-                        assert not check_node_local(proof, i0), (n, m, i0, at, children)
+                        d = fresh(digraph)
+                        source = with_node(d, at, children=children)
+                        assert not check_node_local(d, i0, source=source), (n, m, i0, at, children)
 
     def test_rejects_an_exponent_off_by_one(self):
         for digraph, i0 in small_generic_runs():
             for at, node in digraph.nodes.items():
                 for delta in (-1, 1):
-                    proof = with_node(fresh(digraph), at, exponent=node.exponent + delta)
-                    assert not check_node_local(proof, i0), (digraph.n, digraph.m, i0, at, delta)
+                    d = fresh(digraph)
+                    source = with_node(d, at, exponent=node.exponent + delta)
+                    assert not check_node_local(d, i0, source=source), (digraph.n, digraph.m, i0, at, delta)
 
     def test_rejects_a_nonempty_root_and_unchecked_children(self):
         digraph = grow_digraph(ProblemInstance.generic(3, 2))
         child = digraph.nodes[digraph.root].children[0]
         leaf = next(label for label, node in digraph.nodes.items() if node.tag.is_leaf)
-        proof = NodeProof(digraph)
-        proof.digraph = replace(digraph, root=child)
-        assert not check_node_local(proof, 1)
-        proof.digraph = replace(digraph, nodes=dict(reversed(digraph.nodes.items())))
-        assert not check_node_local(proof, 1)
+        assert not check_node_local(replace(digraph, root=child), 1)
+        assert not check_node_local(replace(digraph, nodes=dict(reversed(digraph.nodes.items()))), 1)
         # A parent may not count a leaf that is never checked.
-        proof.digraph = replace(digraph, nodes={k: v for k, v in digraph.nodes.items() if k != leaf})
-        assert not check_node_local(proof, 1)
+        assert not check_node_local(replace(digraph, nodes={k: v for k, v in digraph.nodes.items() if k != leaf}), 1)
 
     def test_rejects_a_missing_witness(self):
         digraph = grow_digraph(ProblemInstance.generic(2, 2), early_stop_target=2)
         # a1 is not in the closure at every leaf of a2's early-stop digraph.
-        proof = NodeProof(digraph)
-        assert not check_node_local(proof, 1)
-        assert check_node_local(proof, 2)
-        assert not check_node_local(proof, 2, 1)
+        assert not check_node_local(digraph, 1)
+        assert check_node_local(digraph, 2)
+        assert not check_node_local(digraph, 2, 1)
+        with pytest.raises(NotInClosure):
+            certify(digraph, 2, 1)
+        with pytest.raises(NotInClosure):
+            extract_certificate(digraph, 1)
 
     def test_extraction_combines_the_checked_witnesses(self):
+        """One walk for three targets checks each node's witnesses and
+        combines the root certificate of each target, equal to the one
+        extracted for that target alone."""
         digraph = grow_digraph(ProblemInstance.generic(3, 2))
-        proof = NodeProof(digraph)
-        for i0 in (1, 2, 3):
-            assert extract_certificate(digraph, i0, proof).root_witness == extract_certificate(
-                digraph, i0
-            ).root_witness
+        alone = [extract_certificate(digraph, i0) for i0 in (1, 2, 3)]
+        together = certify(digraph, 1, 2, 3)
+        assert [cert.target_index for cert in together] == [1, 2, 3]
+        assert [cert.root_witness for cert in together] == [cert.root_witness for cert in alone]
+        assert all(cert.exponent == root_exponent(digraph)[0] for cert in together)
+        # Nothing is combined from a proof that fails its check.
+        tampered = fresh(digraph)
+        tampered.nodes[digraph.root] = replace(digraph.nodes[digraph.root], exponent=root_exponent(digraph)[0] + 1)
+        assert certify(tampered, 1, 2, 3) is None
         with pytest.raises(ValueError):
-            extract_certificate(grow_digraph(ProblemInstance.generic(3, 2)), 1, proof)
+            extract_certificate(tampered, 1)
 
 
 class TestVerifySymbolic:

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from math import comb
 from pathlib import Path
 
@@ -14,8 +15,9 @@ import pytest
 
 from nilcert import (
     MultiPoly,
-    NodeProof,
     ProblemInstance,
+    WitnessBuilder,
+    certificates,
     grow_digraph,
     load_certificate,
     structural_metrics,
@@ -246,10 +248,12 @@ class TestNodeLocalVerdict:
 
         for name in (
             "nilcert.certificates.combine",
+            "nilcert.certificates.node_witness",
             "nilcert.certificates.node_witnesses",
             "nilcert.certificates.extract_certificate",
+            "nilcert.certificates.certify",
             "nilcert.certificates.verify_symbolic",
-            "nilcert.cli.extract_certificate",
+            "nilcert.cli.certify",
             "nilcert.cli.verify_symbolic",
         ):
             monkeypatch.setattr(name, forbidden)
@@ -264,15 +268,16 @@ class TestNodeLocalVerdict:
 
     @pytest.mark.parametrize("emit", [False, True], ids=["node-local", "with --emit-cert"])
     def test_rejected_proof_fails_verification(self, capsys, monkeypatch, tmp_path, emit):
-        class Perturbed(NodeProof):
+        build = certificates.gauss_product_witness
+
+        def perturbed(i, j, label):
             """One coefficient of the root's product witness is off by one."""
-
-            def __init__(self, digraph):
-                super().__init__(digraph)
-                witness = self.products[digraph.root]
+            witness = build(i, j, label)
+            if not any(label.a_bits + label.b_bits):
                 witness.unit_coeff = witness.unit_coeff + MultiPoly.one()
+            return witness
 
-        monkeypatch.setattr("nilcert.cli.NodeProof", Perturbed)
+        monkeypatch.setattr(certificates, "gauss_product_witness", perturbed)
         argv = ["generic", "--n", "2", "--m", "1"]
         if emit:
             argv += ["--emit-cert", str(tmp_path / "cert.json")]
@@ -280,6 +285,29 @@ class TestNodeLocalVerdict:
         assert code == 3
         assert json.loads(out)["certificate"] == "failed"
         assert err == "ERROR:verification:symbolic certificate check failed\n"
+
+    @pytest.mark.parametrize("extra", [[], ["--early-stop"]], ids=["shared", "early-stop"])
+    def test_each_node_witness_built_once_with_emit_cert(self, capsys, monkeypatch, tmp_path, extra):
+        """With --emit-cert, the walk that checks a digraph also combines
+        its root certificates: one witness builder per node and one
+        product witness per branch, for all targets."""
+        build, builders, products = certificates.gauss_product_witness, [], []
+
+        class Counting(WitnessBuilder):
+            def __init__(self, label):
+                builders.append(label)
+                super().__init__(label)
+
+        monkeypatch.setattr(certificates, "WitnessBuilder", Counting)
+        monkeypatch.setattr(certificates, "gauss_product_witness", lambda *args: products.append(args) or build(*args))
+        code, out, _ = run(capsys, "generic", "--n", "3", "--m", "2", *extra, "--emit-cert", str(tmp_path / "c.json"))
+        assert code == 0 and json.loads(out)["certificate"] == "verified"
+        instance = ProblemInstance.generic(3, 2)
+        stops = (1, 2, 3) if extra else (None,)
+        digraphs = [grow_digraph(instance, early_stop_target=stop) for stop in stops]
+        nodes = [(label, node) for digraph in digraphs for label, node in digraph.nodes.items()]
+        assert Counter(products) == Counter((node.tag.i, node.tag.j, label) for label, node in nodes if node.children)
+        assert Counter(builders) == Counter(label for label, _ in nodes)
 
     @pytest.mark.parametrize("n, m", [(4, 4), (10, 10), (15, 15)])
     def test_large_runs_finish(self, n, m):
@@ -305,6 +333,30 @@ class TestNodeLocalVerdict:
         assert done.stdout == json.dumps(report, indent=2) + "\n"
 
 
+    def test_peak_memory_of_a_deep_run(self):
+        """(200,1) keeps only each checked node's exponent: under 40 MB
+        peak RSS, where keeping every node's witness took 130 MB.  An
+        intermediate process runs it, so RUSAGE_CHILDREN (KiB on Linux)
+        covers that one run and not every earlier child of this test
+        process."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        probe = (
+            "import resource, subprocess, sys; "
+            "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, timeout=120).returncode; "
+            "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe, sys.executable, "-m", "nilcert", "generic", "--n", "200", "--m", "1"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=150,
+        )
+        code, peak_kib = map(int, done.stdout.split())
+        assert (code, done.stderr) == (0, "")
+        assert peak_kib < 40 * 1024
+
+
 class TestParserReuse:
     def test_emit_dot_does_not_carry_over_to_the_next_run(self, capsys, tmp_path):
         argv = ["generic", "--n", "2", "--m", "1"]
@@ -328,20 +380,31 @@ class TestUnwritableOutput:
             pytest.param(GENERIC_2_1, "--emit-cert", None, id="argv1---emit-cert"),
             pytest.param(CONCRETE_Z8, "--emit-dot", None, id="argv2---emit-dot"),
             # Paths that name no file, refused before any digraph is grown,
-            # so the DOT file named first is not written either.
+            # so the DOT file named first is not written either.  The run
+            # starts in tmp_path/work, so ".." and "../work" are existing
+            # directories.
             *(
                 pytest.param([*GENERIC_2_1, *extra, "--emit-dot", "d.dot"], "--emit-cert", path, id=name + tag)
-                for path, name in (("/", "--emit-cert-root"), (".", "--emit-cert-dot"), ("", "--emit-cert-empty"))
+                for path, name in (
+                    ("/", "--emit-cert-root"),
+                    (".", "--emit-cert-dot"),
+                    ("", "--emit-cert-empty"),
+                    ("..", "--emit-cert-parent"),
+                    ("../work", "--emit-cert-directory"),
+                )
                 for extra, tag in (([], ""), (["--target", "1"], "-target1"))
             ),
             pytest.param([*GENERIC_2_1, "--early-stop"], "--emit-dot", "/", id="early-stop--emit-dot-root"),
             pytest.param([*CONCRETE_Z8, "--target", "2"], "--emit-dot", ".", id="concrete--emit-dot-dot"),
+            pytest.param([*GENERIC_2_1, "--early-stop"], "--emit-dot", "..", id="early-stop--emit-dot-parent"),
         ],
     )
     def test_missing_directory(self, capsys, tmp_path, monkeypatch, argv, flag, path):
         """A file in a missing directory, or a path that names no file, is
         bad input: exit 1, no report and no file written."""
-        monkeypatch.chdir(tmp_path)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
         shown = repr(path)
         if path is None:
             path = str(tmp_path / "missing" / "out.txt")
@@ -351,7 +414,8 @@ class TestUnwritableOutput:
         assert out == ""
         assert err.startswith("ERROR:bad-input:")
         assert shown in err
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == [work]
+        assert list(work.iterdir()) == []
 
 
 class TestLnCommand:
