@@ -19,12 +19,10 @@ from .certificates import (
     extract_certificate,
     gauss_product_witness,
     load_certificate,
-    membership_witness,
     node_witnesses,
     power_check,
     verify_concrete,
     verify_symbolic,
-    witness_gap,
 )
 from .dot import emit_dot
 from .engine import (
@@ -36,9 +34,7 @@ from .engine import (
     case_split,
     check_unit,
     convolution,
-    convolution_polys,
     grow_digraph,
-    root_exponent,
     structural_metrics,
 )
 from .induction import (
@@ -63,7 +59,6 @@ from .induction import (
 from .oracles import IdealLabel, mod_membership
 from .poly import (
     Indeterminate,
-    MissingAssignment,
     MultiPoly,
     PolyParseError,
     avar,
@@ -82,7 +77,6 @@ __all__ = [
     "IdealLabel",
     "Indeterminate",
     "InternalInconsistency",
-    "MissingAssignment",
     "ModIdeal",
     "MultiPoly",
     "NilpotencyCertificate",
@@ -104,7 +98,6 @@ __all__ = [
     "check_unit",
     "combine",
     "convolution",
-    "convolution_polys",
     "dump_certificate",
     "emit_dot",
     "extract_certificate",
@@ -113,18 +106,15 @@ __all__ = [
     "label_poset",
     "ln_decompose",
     "load_certificate",
-    "membership_witness",
     "mod_membership",
     "nc_run_induction",
     "node_witnesses",
     "power_check",
     "radical_ideal_poset",
     "radical_modn",
-    "root_exponent",
     "run_induction",
     "spt_modn",
     "structural_metrics",
     "verify_concrete",
     "verify_symbolic",
-    "witness_gap",
 ]

@@ -148,16 +148,6 @@ def _expansion_minus(witness: MembershipWitness, subject: MultiPoly, n: int, m: 
     return sum_of_products(pairs)
 
 
-def expand_witness(witness: MembershipWitness) -> MultiPoly:
-    """Expand the combination side of the witness identity in Z[a, b]."""
-    return _expansion_minus(witness, MultiPoly.zero(), witness.label.n, witness.label.m)
-
-
-def witness_gap(witness: MembershipWitness) -> MultiPoly:
-    """Expansion minus subject; the zero polynomial iff the witness holds."""
-    return _expansion_minus(witness, witness.subject, witness.label.n, witness.label.m)
-
-
 class WitnessBuilder:
     """Memoized element witnesses for one label's closure, built through
     the isolation identity ``isolate``."""
@@ -203,11 +193,6 @@ class WitnessBuilder:
     def isolate(self, p: int, q: int) -> MembershipWitness:
         """Witness for a_p*b_q: c_{p+q} minus its other terms."""
         return _combination(self.label, avar(p) * bvar(q), self._isolation_parts(p, q))
-
-
-def membership_witness(label: IdealLabel, element: Indeterminate) -> MembershipWitness:
-    """Witness that a closure element lies in the ideal of the label."""
-    return WitnessBuilder(label).witness(element)
 
 
 def gauss_product_witness(i: int, j: int, label: IdealLabel) -> MembershipWitness:

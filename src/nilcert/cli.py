@@ -23,7 +23,9 @@ parser is built once per process.
 Refused before any digraph is grown: --n or --m above 4095 (generic and
 pascal) and f or g of degree above 4095 (concrete), with ERROR:usage:;
 an --emit-dot or --emit-cert path that names no file (such as "/", ".",
-"", ".." or any existing directory), with ERROR:bad-input:.
+"", ".." or any existing directory), and an --emit-dot path whose DOT
+file a certificate dump would overwrite (such as "out.txt" and
+"./out.txt" with one target), with ERROR:bad-input:.
 
 Results go to stdout as a JSON report (the pascal grid as plain text);
 notices and errors go to stderr.  Error lines start with a machine-parsable
@@ -90,35 +92,50 @@ def _run_digraph(
 ) -> int:
     """The pipeline shared by generic and concrete mode.
 
-    Refuses an output path that names a directory, not a file, then takes
-    each digraph in turn with the targets it serves: the shared one with
-    every target, or with --early-stop one per target.  Each is grown, its
-    DOT file written, and ``check(digraph, i0s, emit)`` returns the report
-    entries of its targets and whether their checks passed; then the
-    report is printed.
+    Refuses an output path that names a directory, not a file, and a DOT
+    file that a certificate dump would overwrite.  Then takes each digraph
+    in turn with the targets it serves: the shared one with every target,
+    or with --early-stop one per target.  Each is grown, its DOT file
+    written, and ``check(digraph, i0s, emit)`` returns the report entries
+    of its targets and whether their checks passed; then the report is
+    printed.
     ``emit(kind, path, i0, text)`` writes a file, named per target when
     there are several targets and i0 is given.
     """
-    for flag, path in (("--emit-dot", args.emit_dot), ("--emit-cert", getattr(args, "emit_cert", None))):
+    dot, cert = args.emit_dot, getattr(args, "emit_cert", None)
+    for flag, path in (("--emit-dot", dot), ("--emit-cert", cert)):
         if path is not None and (Path(path).name in ("", "..") or Path(path).is_dir()):
             raise BadInput(f"{flag} path {path!r} names no file")
     targets = list(range(1, instance.n + 1)) if args.target is None else [args.target]
+    runs = [(i0, [i0]) for i0 in targets] if args.early_stop else [(None, targets)]
     files: dict[str, list[str]] = {}
 
-    def emit(kind: str, path: str, i0: int | None, text: str) -> None:
+    def named(path: str, i0: int | None) -> Path:
         target_path = Path(path)
         if i0 is not None and len(targets) > 1:
             target_path = target_path.with_name(f"{target_path.stem}.a{i0}{target_path.suffix}")
+        return target_path
+
+    # Per-target naming keeps a path's directory, so file names are
+    # compared first and the directories resolved only if two coincide.
+    if dot and cert:
+        names = {named(dot, stop).name for stop, _ in runs}
+        if not names.isdisjoint(named(cert, i0).name for i0 in targets) and (
+            Path(dot).parent.resolve() == Path(cert).parent.resolve()
+        ):
+            raise BadInput(f"--emit-dot path {dot!r} and --emit-cert path {cert!r} would write the same file")
+
+    def emit(kind: str, path: str, i0: int | None, text: str) -> None:
+        target_path = named(path, i0)
         target_path.write_text(text, encoding="utf-8")
         files.setdefault(kind, []).append(str(target_path))
 
-    runs = [(i0, [i0]) for i0 in targets] if args.early_stop else [(None, targets)]
     target_reports = []
     all_verified = True
     for stop, i0s in runs:
         digraph = grow_digraph(instance, early_stop_target=stop)
-        if args.emit_dot:
-            emit("dot", args.emit_dot, stop, emit_dot(digraph))
+        if dot:
+            emit("dot", dot, stop, emit_dot(digraph))
         entries, ok = check(digraph, i0s, emit)
         all_verified = all_verified and ok
         if args.early_stop:

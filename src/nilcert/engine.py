@@ -176,11 +176,6 @@ def relation_poly(n: int, m: int, k: int) -> MultiPoly:
     return c
 
 
-def convolution_polys(n: int, m: int) -> tuple[MultiPoly, ...]:
-    """The defining relation polynomials c_0..c_{n+m} in Z[a, b]."""
-    return tuple(relation_poly(n, m, k) for k in range(n + m + 1))
-
-
 def check_unit(c: Sequence[int]) -> None:
     """Require c_0 = 1 and c_k = 0 for k >= 1; raise NotAUnit otherwise."""
     if c[0] != 1:
@@ -309,13 +304,6 @@ def grow_digraph(instance: ProblemInstance, early_stop_target: int | None = None
     root = IdealLabel.root(instance.n, instance.m)
     _post_order(root, expand, finish, nodes)
     return Digraph(instance.n, instance.m, root, nodes, instance.is_generic)
-
-
-def root_exponent(digraph: Digraph) -> tuple[int, dict[IdealLabel, int]]:
-    """The root exponent together with the per-node exponent map, as
-    stored at construction time."""
-    exponents = {label: node.exponent for label, node in digraph.nodes.items()}
-    return exponents[digraph.root], exponents
 
 
 def structural_metrics(digraph: Digraph) -> dict[str, int]:

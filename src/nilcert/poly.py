@@ -19,15 +19,14 @@ Overflow guard.  A field must never carry into its neighbour.  Every
 MultiPoly carries an upper bound on each of its exponents; a product's
 bound is the sum of its factors' bounds, so one comparison per
 multiplication or power shows whether a field could reach EXPONENT_LIMIT =
-2**FIELD_BITS.  Multiplication, powers, the constructor and parse raise
-OverflowError before that can happen.  They raise it as well for an index
-above MAX_INDEX, which caps a packed monomial at 32 KiB.
+2**FIELD_BITS.  Multiplication, powers and parse raise OverflowError
+before that can happen.  Parse and the variable constructors raise it as
+well for an index above MAX_INDEX, which caps a packed monomial at 32 KiB.
 
-Boundary.  Indeterminate and the tuple form of a monomial (Monomial: sorted
-(indeterminate, exponent) pairs, all exponents positive) appear only at the
-API boundary: the constructor takes a tuple-keyed map, ``.terms`` is a
-read-only tuple-keyed view decoded on access, and evaluate, indeterminates
-and total_degree decode the fields they need.
+Boundary.  Packed ints are the only representation: a MultiPoly is built
+by zero, const, one, variable (of an Indeterminate), avar, bvar or parse,
+and grown by the arithmetic operators; render is the one view of its
+terms.  MultiPoly(...) itself raises TypeError.
 
 The canonical text form orders terms by graded lexicographic order (total
 degree first, then the dense exponent vector with a-indeterminates before
@@ -52,15 +51,11 @@ from __future__ import annotations
 
 import re
 import sys
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
 from operator import itemgetter, or_
-
-
-class MissingAssignment(KeyError):
-    """Evaluation met an indeterminate that has no assigned value."""
 
 
 class PolyParseError(ValueError):
@@ -100,10 +95,6 @@ class Indeterminate:
         return self.name
 
 
-# A monomial at the API boundary: a sorted tuple of (indeterminate, exponent)
-# pairs with positive exponents; the empty tuple is the monomial 1.
-Monomial = tuple[tuple[Indeterminate, int], ...]
-
 FIELD_BITS = 32
 EXPONENT_LIMIT = 1 << FIELD_BITS
 MAX_INDEX = 4095
@@ -119,32 +110,10 @@ def _slot(kind: str, index: int) -> int:
     return 2 * index + (kind == "b")
 
 
-def _pack(mono: Monomial) -> tuple[int, int]:
-    """The packed int of a tuple monomial, and its largest exponent."""
-    exps: dict[int, int] = {}
-    for ind, e in mono:
-        if e < 0:
-            raise ValueError(f"negative exponent {e} of {ind.name}")
-        slot = _slot(ind.kind, ind.index)
-        exps[slot] = exps.get(slot, 0) + e
-    top = max(exps.values(), default=0)
-    if top >= EXPONENT_LIMIT:
-        raise OverflowError(f"exponent {top} does not fit a {FIELD_BITS}-bit field")
-    return sum(e << (FIELD_BITS * slot) for slot, e in exps.items()), top
-
-
-def _fields(packed: int, nbytes: int | None = None) -> memoryview:
+def _fields(packed: int) -> memoryview:
     """The exponents of a packed monomial, indexed by slot."""
-    if nbytes is None:
-        nbytes = (packed.bit_length() + FIELD_BITS - 1) // FIELD_BITS * (FIELD_BITS // 8)
+    nbytes = (packed.bit_length() + FIELD_BITS - 1) // FIELD_BITS * (FIELD_BITS // 8)
     return memoryview(packed.to_bytes(nbytes, sys.byteorder)).cast("I")
-
-
-def _decode(packed: int) -> Monomial:
-    fields = _fields(packed)
-    return tuple((Indeterminate("a", i), e) for i, e in enumerate(fields[0::2]) if e) + tuple(
-        (Indeterminate("b", j), e) for j, e in enumerate(fields[1::2]) if e
-    )
 
 
 def _new(terms: dict[int, int], bound: int) -> MultiPoly:
@@ -153,33 +122,6 @@ def _new(terms: dict[int, int], bound: int) -> MultiPoly:
     poly._terms = terms
     poly._bound = bound
     return poly
-
-
-class _TermsView(Mapping):
-    """Read-only tuple-keyed view of a polynomial's packed terms."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: dict[int, int]):
-        self._terms = terms
-
-    def __getitem__(self, mono: Monomial) -> int:
-        try:
-            packed = _pack(mono)[0]
-        except (TypeError, ValueError, AttributeError, OverflowError):
-            raise KeyError(mono) from None
-        if packed not in self._terms or _decode(packed) != mono:
-            raise KeyError(mono)
-        return self._terms[packed]
-
-    def __iter__(self) -> Iterator[Monomial]:
-        return map(_decode, self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
 
 
 class MultiPoly:
@@ -192,17 +134,8 @@ class MultiPoly:
 
     __slots__ = ("_terms", "_bound")
 
-    def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        packed_terms: dict[int, int] = {}
-        bound = 0
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff:
-                    packed, top = _pack(mono)
-                    packed_terms[packed] = packed_terms.get(packed, 0) + coeff
-                    bound = max(bound, top)
-        self._terms = {packed: coeff for packed, coeff in packed_terms.items() if coeff}
-        self._bound = bound
+    def __init__(self, *args: object, **kwargs: object):
+        raise TypeError("build a MultiPoly with zero, const, one, variable, parse, avar or bvar")
 
     # -- constructors ------------------------------------------------------
 
@@ -225,11 +158,6 @@ class MultiPoly:
     # -- structure ---------------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[Monomial, int]:
-        """The terms keyed by tuple monomials, decoded on access."""
-        return _TermsView(self._terms)
-
-    @property
     def exponent_bound(self) -> int:
         """An upper bound on every exponent (exact for parsed polynomials)."""
         return self._bound
@@ -237,17 +165,6 @@ class MultiPoly:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    def total_degree(self) -> int:
-        return max((sum(_fields(packed)) for packed in self._terms), default=0)
-
-    def indeterminates(self) -> set[Indeterminate]:
-        # A field is nonzero in the OR of all monomials iff it is nonzero
-        # in one of them.
-        union = 0
-        for packed in self._terms:
-            union |= packed
-        return {ind for ind, _ in _decode(union)}
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -260,7 +177,7 @@ class MultiPoly:
         return self._terms == other._terms
 
     def __repr__(self) -> str:
-        return f"MultiPoly({self.render()!r})"
+        return f"MultiPoly.parse({self.render()!r})"
 
     # -- arithmetic --------------------------------------------------------
 
@@ -344,24 +261,6 @@ class MultiPoly:
             if e:
                 base = base * base
         return result
-
-    # -- evaluation --------------------------------------------------------
-
-    def evaluate(self, assignment: Mapping[Indeterminate, int], modulus: int | None) -> int:
-        """Homomorphic image of the polynomial in Z/modulus, canonical in
-        [0, modulus), or in Z when modulus is None.
-
-        Raises MissingAssignment if an occurring indeterminate has no value.
-        """
-        total = 0
-        for packed, coeff in self._terms.items():
-            value = coeff
-            for ind, e in _decode(packed):
-                if ind not in assignment:
-                    raise MissingAssignment(ind.name)
-                value *= pow(assignment[ind], e, modulus)
-            total += value
-        return total if modulus is None else total % modulus
 
     # -- canonical text form -----------------------------------------------
 

@@ -8,7 +8,12 @@ Labels are built bit by bit; only the package's value types (labels,
 indeterminates) are borrowed.  These are the reference values the
 implementation is checked against.  ``reference_parse`` is the canonical
 text parser as it was before it summed factor tables: one packing step per
-factor.
+factor.  ``reference_poly``, ``reference_terms`` and ``reference_evaluate``
+pack, decode and evaluate polynomials keyed by tuple monomials (sorted
+(indeterminate, exponent) pairs, the empty tuple for 1) over the documented
+layout: the exponent of a_i in the field at bit FIELD_BITS*(2*i), that of
+b_j at FIELD_BITS*(2*j + 1).  MultiPoly has no tuple-keyed API, so they
+borrow its packed term map: ``_terms`` to read it, ``_new`` to build one.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from functools import lru_cache
 from itertools import product
 from math import gcd
 
-from nilcert import IdealLabel, Indeterminate, PolyParseError
-from nilcert.poly import EXPONENT_LIMIT, FIELD_BITS, MAX_INDEX
+from nilcert import IdealLabel, Indeterminate, MultiPoly, PolyParseError
+from nilcert.poly import EXPONENT_LIMIT, FIELD_BITS, MAX_INDEX, _new
 
 
 def label(n: int, m: int, *names: str) -> IdealLabel:
@@ -209,7 +214,7 @@ def _reference_factor(piece: str, chunk: str) -> tuple[int, int]:
         raise OverflowError(f"exponent in {piece!r} does not fit a {FIELD_BITS}-bit field")
     if int(index) > MAX_INDEX:
         raise OverflowError(f"{kind}{int(index)}: packed monomials hold indices up to {MAX_INDEX}")
-    return FIELD_BITS * (2 * int(index) + (kind == "b")), e
+    return _shift(Indeterminate(kind, int(index))), e
 
 
 def reference_parse(text: str) -> tuple[dict[int, int], int]:
@@ -244,3 +249,52 @@ def reference_parse(text: str) -> tuple[dict[int, int], int]:
             raise PolyParseError(f"repeated monomial in {text!r}")
         terms[packed] = coeff
     return terms, max((e for _, e in factors.values()), default=0)
+
+
+def _shift(ind: Indeterminate) -> int:
+    return FIELD_BITS * (2 * ind.index + (ind.kind == "b"))
+
+
+def reference_poly(terms: dict[tuple, int]) -> MultiPoly:
+    """The polynomial of a map from tuple monomials to coefficients, each
+    indeterminate at most once per monomial, packed field by field; equal
+    monomials merge and zero coefficients drop.  Its exponent bound is its
+    largest exponent, as for a parsed polynomial."""
+    packed_terms: dict[int, int] = {}
+    bound = 0
+    for mono, coeff in terms.items():
+        packed = 0
+        for ind, e in mono:
+            assert 0 < e < EXPONENT_LIMIT and ind.index <= MAX_INDEX, mono
+            assert not packed >> _shift(ind) & (EXPONENT_LIMIT - 1), mono
+            packed += e << _shift(ind)
+            bound = max(bound, e)
+        packed_terms[packed] = packed_terms.get(packed, 0) + coeff
+    return _new({packed: coeff for packed, coeff in packed_terms.items() if coeff}, bound)
+
+
+def reference_terms(p: MultiPoly) -> dict[tuple, int]:
+    """The terms of p keyed by tuple monomials, decoded one field at a time."""
+    out = {}
+    for packed, coeff in p._terms.items():
+        mono = []
+        slot = 0
+        while packed:
+            e = packed & (EXPONENT_LIMIT - 1)
+            if e:
+                mono.append((Indeterminate("ab"[slot % 2], slot // 2), e))
+            packed >>= FIELD_BITS
+            slot += 1
+        out[tuple(sorted(mono))] = coeff
+    return out
+
+
+def reference_evaluate(p: MultiPoly, values: dict[Indeterminate, int], modulus: int | None) -> int:
+    """p at the given values, in Z/modulus (canonical in [0, modulus)) or
+    in Z for None; KeyError for an indeterminate without a value."""
+    total = 0
+    for mono, coeff in reference_terms(p).items():
+        for ind, e in mono:
+            coeff *= pow(values[ind], e, modulus)
+        total += coeff
+    return total if modulus is None else total % modulus

@@ -36,15 +36,12 @@ from nilcert import (
     gauss_product_witness,
     grow_digraph,
     load_certificate,
-    membership_witness,
     node_witnesses,
     power_check,
-    root_exponent,
     verify_concrete,
     verify_symbolic,
-    witness_gap,
 )
-from nilcert.certificates import MembershipWitness, certify, expand_witness, local_witnesses
+from nilcert.certificates import MembershipWitness, _expansion_minus, certify, local_witnesses
 from nilcert.engine import relation_poly
 from nilcert.poly import FIELD_BITS, MAX_INDEX
 
@@ -55,37 +52,47 @@ B = Indeterminate.b
 label = helpers.label
 
 
+def expansion(witness: MembershipWitness) -> MultiPoly:
+    """The combination side of the witness identity, expanded in Z[a, b]."""
+    return _expansion_minus(witness, MultiPoly.zero(), witness.label.n, witness.label.m)
+
+
+def gap(witness: MembershipWitness) -> MultiPoly:
+    """Expansion minus subject; the zero polynomial iff the witness holds."""
+    return _expansion_minus(witness, witness.subject, witness.label.n, witness.label.m)
+
+
 class TestMembershipWitness:
     def test_generator_case(self):
-        w = membership_witness(label(2, 1, "a2"), A(2))
+        w = WitnessBuilder(label(2, 1, "a2")).witness(A(2))
         assert w.subject == avar(2)
         assert w.gen_coeffs == {A(2): MultiPoly.one()}
         assert w.rel_coeffs == {}
         assert w.unit_coeff.is_zero
-        assert witness_gap(w).is_zero
+        assert gap(w).is_zero
 
     def test_rule_case_expands_to_zero(self):
         # a1 enters the closure of (b1) through the degree-1 convolution
-        w = membership_witness(label(2, 1, "b1"), A(1))
+        w = WitnessBuilder(label(2, 1, "b1")).witness(A(1))
         assert w.subject == avar(1)
-        assert witness_gap(w).is_zero
+        assert gap(w).is_zero
         assert set(w.gen_coeffs) == {B(1)}
 
     def test_empty_premise_sum_when_m_zero(self):
-        w = membership_witness(IdealLabel.root(1, 0), A(1))
+        w = WitnessBuilder(IdealLabel.root(1, 0)).witness(A(1))
         assert w.gen_coeffs == {}
         assert w.rel_coeffs == {1: avar(0)}
         assert w.unit_coeff == -avar(1)
-        assert witness_gap(w).is_zero
+        assert gap(w).is_zero
 
     def test_not_in_closure(self):
         with pytest.raises(NotInClosure):
-            membership_witness(label(2, 1, "a2"), A(1))
+            WitnessBuilder(label(2, 1, "a2")).witness(A(1))
 
     def test_b_side_rule(self):
-        w = membership_witness(label(1, 2, "a1"), B(2))
+        w = WitnessBuilder(label(1, 2, "a1")).witness(B(2))
         assert w.subject == bvar(2)
-        assert witness_gap(w).is_zero
+        assert gap(w).is_zero
 
     def test_every_closure_element_everywhere(self):
         from itertools import product
@@ -96,7 +103,7 @@ class TestMembershipWitness:
                     lab = IdealLabel(a_bits, b_bits)
                     builder = WitnessBuilder(lab)
                     for element in helpers.reference_closure(lab):
-                        assert witness_gap(builder.witness(element)).is_zero, (lab, element)
+                        assert gap(builder.witness(element)).is_zero, (lab, element)
 
     def test_out_of_range_elements_not_in_closure(self):
         """a0, b0, a_{n+1} and b_{m+1} are never closure elements; index 0
@@ -126,7 +133,7 @@ class TestGaussProductWitness:
         assert w.subject == avar(1) * bvar(1)
         assert w.rel_coeffs == {2: MultiPoly.one()}
         assert w.gen_coeffs == {A(2): -bvar(0)}
-        assert witness_gap(w).is_zero
+        assert gap(w).is_zero
 
     def test_degenerate_top_indices(self):
         w = gauss_product_witness(3, 2, label(3, 2, "a3"))
@@ -139,7 +146,7 @@ class TestGaussProductWitness:
         assert w.subject == avar(1) * bvar(1)
         assert w.rel_coeffs == {2: MultiPoly.one()}
         assert w.gen_coeffs == {A(2): -bvar(0), B(2): -avar(0)}
-        assert witness_gap(w).is_zero
+        assert gap(w).is_zero
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -242,13 +249,13 @@ class TestCombine:
     def test_worked_interior_node(self):
         # children of (a2): witnesses of u at (a1,a2) and (a2,b1) merge
         # into a witness of u^2 at (a2), u = a1
-        wk = membership_witness(label(2, 1, "a1", "a2"), A(1))
-        wl = membership_witness(label(2, 1, "a2", "b1"), A(1))
+        wk = WitnessBuilder(label(2, 1, "a1", "a2")).witness(A(1))
+        wl = WitnessBuilder(label(2, 1, "a2", "b1")).witness(A(1))
         gp = gauss_product_witness(1, 1, label(2, 1, "a2"))
         parent = combine(wk, wl, gp)
         assert parent.label == label(2, 1, "a2")
         assert parent.subject == avar(1) ** 2
-        assert witness_gap(parent).is_zero
+        assert gap(parent).is_zero
 
     def test_leaf_pair_sums_exponents(self):
         d = grow_digraph(ProblemInstance.generic(1, 1))
@@ -256,15 +263,15 @@ class TestCombine:
         assert cert.exponent == 2
 
     def test_label_mismatch_rejected(self):
-        wk = membership_witness(label(2, 1, "a1", "a2"), A(1))
-        wl = membership_witness(label(2, 1, "a2", "b1"), A(1))
+        wk = WitnessBuilder(label(2, 1, "a1", "a2")).witness(A(1))
+        wl = WitnessBuilder(label(2, 1, "a2", "b1")).witness(A(1))
         gp = gauss_product_witness(2, 1, IdealLabel.root(2, 1))
         with pytest.raises(ValueError):
             combine(wk, wl, gp)
 
     def test_worked_interior_node_fields(self):
-        wk = membership_witness(label(2, 1, "a1", "a2"), A(1))
-        wl = membership_witness(label(2, 1, "a2", "b1"), A(1))
+        wk = WitnessBuilder(label(2, 1, "a1", "a2")).witness(A(1))
+        wl = WitnessBuilder(label(2, 1, "a2", "b1")).witness(A(1))
         parent = combine(wk, wl, gauss_product_witness(1, 1, label(2, 1, "a2")))
         assert parent.subject == avar(1) ** 2
         assert parent.label == label(2, 1, "a2")
@@ -318,7 +325,7 @@ class TestExtractCertificate:
         for n, m in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2), (4, 1)]:
             d = grow_digraph(ProblemInstance.generic(n, m))
             for i0 in range(1, n + 1):
-                assert extract_certificate(d, i0).exponent == root_exponent(d)[0]
+                assert extract_certificate(d, i0).exponent == d.nodes[d.root].exponent
 
     def test_witness_soundness_at_every_node(self):
         """Every node of every digraph with n+m <= 7, every target: the
@@ -332,7 +339,7 @@ class TestExtractCertificate:
                     for lab, (exponent, witness) in node_witnesses(d, i0).items():
                         assert exponent == d.nodes[lab].exponent, (n, m, i0, lab)
                         assert witness.subject == avar(i0) ** exponent
-                        assert witness_gap(witness).is_zero, (n, m, i0, lab)
+                        assert gap(witness).is_zero, (n, m, i0, lab)
 
     def test_rejects_concrete_digraphs(self):
         d = grow_digraph(ProblemInstance.concrete(8, [1, 2, 4], [1, 6]))
@@ -343,7 +350,8 @@ class TestExtractCertificate:
         d = grow_digraph(ProblemInstance.generic(3, 2), early_stop_target=3)
         cert = extract_certificate(d, 3)
         assert verify_symbolic(cert).ok
-        assert cert.exponent <= root_exponent(grow_digraph(ProblemInstance.generic(3, 2)))[0]
+        full = grow_digraph(ProblemInstance.generic(3, 2))
+        assert cert.exponent <= full.nodes[full.root].exponent
 
 
 def small_generic_runs(max_total: int = 5):
@@ -511,7 +519,7 @@ class TestNodeLocalCheck:
                 if not node.tag.is_leaf:
                     continue
                 try:
-                    substitute = membership_witness(at, other)
+                    substitute = WitnessBuilder(at).witness(other)
                 except NotInClosure:
                     continue
                 tampered = with_local(at, lambda _: substitute)
@@ -545,7 +553,7 @@ class TestNodeLocalCheck:
         u = avar(1)
         leaf = next(label for label, node in digraph.nodes.items() if node.tag.is_leaf)
         c0_witness = MembershipWitness(MultiPoly.zero(), leaf, rel_coeffs={0: u}, unit_coeff=-u)
-        assert expand_witness(c0_witness) == u
+        assert expansion(c0_witness) == u
         assert not check_node_local(digraph, 1, source=with_local(leaf, lambda _: c0_witness))
 
     def test_rejects_an_altered_child_or_tag(self):
@@ -607,10 +615,10 @@ class TestNodeLocalCheck:
         together = certify(digraph, 1, 2, 3)
         assert [cert.target_index for cert in together] == [1, 2, 3]
         assert [cert.root_witness for cert in together] == [cert.root_witness for cert in alone]
-        assert all(cert.exponent == root_exponent(digraph)[0] for cert in together)
+        assert all(cert.exponent == digraph.nodes[digraph.root].exponent for cert in together)
         # Nothing is combined from a proof that fails its check.
         tampered = fresh(digraph)
-        tampered.nodes[digraph.root] = replace(digraph.nodes[digraph.root], exponent=root_exponent(digraph)[0] + 1)
+        tampered.nodes[digraph.root] = replace(digraph.nodes[digraph.root], exponent=digraph.nodes[digraph.root].exponent + 1)
         assert certify(tampered, 1, 2, 3) is None
         with pytest.raises(ValueError):
             extract_certificate(tampered, 1)
@@ -634,8 +642,8 @@ class TestVerifySymbolic:
             slots = sorted(witness.rel_coeffs) + ["unit"]
             slot = rng.choice(slots)
             poly = witness.unit_coeff if slot == "unit" else witness.rel_coeffs[slot]
-            monos = sorted(poly.terms, key=str) + [()]
-            bump = MultiPoly({rng.choice(monos): 1})
+            monos = sorted(helpers.reference_terms(poly), key=str) + [()]
+            bump = helpers.reference_poly({rng.choice(monos): 1})
             if slot == "unit":
                 witness.unit_coeff = witness.unit_coeff + bump
             else:
@@ -643,7 +651,7 @@ class TestVerifySymbolic:
             assert not verify_symbolic(cert).ok
 
     def test_rejects_generator_coefficients(self):
-        w = membership_witness(label(2, 1, "b1"), A(1))
+        w = WitnessBuilder(label(2, 1, "b1")).witness(A(1))
         from nilcert import NilpotencyCertificate
 
         bogus = NilpotencyCertificate(2, 1, 1, 1, w)
@@ -678,12 +686,13 @@ def random_poly(rng: random.Random, n: int, m: int) -> MultiPoly:
     for _ in range(rng.randrange(0, 6)):
         factors = rng.sample(names, rng.randrange(0, 4))
         terms[tuple(sorted((ind, rng.randrange(1, 4)) for ind in factors))] = rng.randrange(-3, 4)
-    return MultiPoly(terms)
+    return helpers.reference_poly(terms)
 
 
 class TestFusedExpansion:
-    """expand_witness and verify_symbolic add every product into one sum;
-    the reference adds polynomials built by the operators."""
+    """The expansion of ``verify_symbolic`` and the node-local check adds
+    every product into one sum; the reference adds polynomials built by the
+    operators."""
 
     def test_random_witnesses(self):
         rng = random.Random(20261018)
@@ -699,22 +708,22 @@ class TestFusedExpansion:
                 rel_coeffs={k: random_poly(rng, n, m) for k in rels},
                 unit_coeff=random_poly(rng, n, m),
             )
-            assert expand_witness(witness) == operator_expansion(witness)
-            assert witness_gap(witness) == operator_expansion(witness) - witness.subject
+            assert expansion(witness) == operator_expansion(witness)
+            assert gap(witness) == operator_expansion(witness) - witness.subject
 
     def test_cancelling_terms_leave_no_zero_coefficients(self):
         witness = MembershipWitness(
             MultiPoly.zero(), IdealLabel.root(1, 1), rel_coeffs={1: bvar(0)}, unit_coeff=-bvar(1)
         )
         # b0*(a0*b1 + a1*b0) - b1*(a0*b0 - 1) = a1*b0^2 + b1
-        assert expand_witness(witness) == avar(1) * bvar(0) ** 2 + bvar(1)
+        assert expansion(witness) == avar(1) * bvar(0) ** 2 + bvar(1)
 
     def test_overflow_guard_kept(self):
         big = avar(0) ** (2**FIELD_BITS - 2)
         for fields in ({"rel_coeffs": {1: big}}, {"unit_coeff": big}):
             witness = MembershipWitness(avar(1), IdealLabel.root(2, 1), **fields)
             with pytest.raises(OverflowError):
-                expand_witness(witness)
+                expansion(witness)
             with pytest.raises(OverflowError):
                 verify_symbolic(NilpotencyCertificate(2, 1, 1, 1, witness))
 
@@ -772,24 +781,23 @@ class TestConcreteChecks:
     def test_specialized_expansion_vanishes(self):
         """Evaluating the full right-hand side at the Z/8 coefficients gives
         the same value as u^e, namely zero (homomorphism argument)."""
-        from nilcert import convolution_polys
-
         instance = ProblemInstance.concrete(8, [1, 2, 4], [1, 6])
         assignment = helpers.assignment(instance.a, instance.b)
         modulus = instance.modulus
+
+        def evaluate(p: MultiPoly) -> int:
+            return helpers.reference_evaluate(p, assignment, modulus)
+
         d = grow_digraph(ProblemInstance.generic(2, 1))
         for i0 in (1, 2):
             witness = extract_certificate(d, i0).root_witness
             total = 0
             for k, coeff in witness.rel_coeffs.items():
-                c_k = convolution_polys(2, 1)[k]
-                total = (total + coeff.evaluate(assignment, modulus) * c_k.evaluate(assignment, modulus)) % modulus
-            total = (
-                total
-                + witness.unit_coeff.evaluate(assignment, modulus) * UNIT_RELATION.evaluate(assignment, modulus)
-            ) % modulus
+                c_k = relation_poly(2, 1, k)
+                total = (total + evaluate(coeff) * evaluate(c_k)) % modulus
+            total = (total + evaluate(witness.unit_coeff) * evaluate(UNIT_RELATION)) % modulus
             assert total == 0
-            assert witness.subject.evaluate(assignment, modulus) == 0
+            assert evaluate(witness.subject) == 0
 
     def test_specialization_small_sample(self):
         for modulus in (4, 8, 9):

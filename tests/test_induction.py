@@ -30,11 +30,10 @@ from nilcert import (
     node_witnesses,
     radical_ideal_poset,
     radical_modn,
-    root_exponent,
     run_induction,
     spt_modn,
-    witness_gap,
 )
+from nilcert.certificates import _expansion_minus
 from nilcert.induction import _ideal_elements, _radical_of_ideal
 
 
@@ -255,7 +254,7 @@ class TestLabelPosetCrossValidation:
         assert len(evidence) == 2 ** 3
         exponent, witness = evidence[digraph.root]
         assert exponent == 3
-        assert witness_gap(witness).is_zero
+        assert _expansion_minus(witness, witness.subject, 2, 1).is_zero
         assert witness.subject == avar(1) ** 3
 
     def test_reachable_labels_match(self):
@@ -301,4 +300,4 @@ class TestLabelPosetCrossValidation:
         instance = ProblemInstance.generic(2, 2)
         evidence, _ = nc_run_induction(instance, 2)
         digraph = grow_digraph(instance)
-        assert evidence[digraph.root][0] == root_exponent(digraph)[0]
+        assert evidence[digraph.root][0] == digraph.nodes[digraph.root].exponent
