@@ -3,7 +3,8 @@
 Everything here is an identity in the free ring Z[a0..an, b0..bm].  Write
 c_k for the convolution polynomials of the pair (so c_k collects the
 degree-k products a_i*b_j), and r0 = a0*b0 - 1 for the unit relation.  A
-membership witness for a subject s at a label D is a stored identity
+membership witness for a subject s at a label D is the coefficients of an
+identity
 
     s = sum_{d in D} genCoeffs[d] * d
       + sum_{k=1..n+m} relCoeffs[k] * c_k
@@ -41,8 +42,9 @@ right being replaced by its own element witness:
   digraph walk and the label-poset runner of ``induction`` alike.
 
 Each witness is one linear combination of existing ones, summed term by
-term into fresh coefficient maps (``_combination``), with its subject in
-closed form: u^k*u^l, a_p*b_q or x_k.
+term into fresh coefficient maps (``_combination``).  A witness is its
+coefficients alone: its subject and label are stated by whoever checks
+it, never read from the witness.
 
 A digraph's proof is checked node by node.  ``local_witnesses`` is the one
 source of a node's own witnesses: the product witness of a_i*b_j at a
@@ -70,9 +72,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
-from .engine import CaseTag, Digraph, ProblemInstance, relation_poly
+from .engine import CaseTag, Digraph, ProblemInstance
 from .oracles import IdealLabel, closure_bits
 from .poly import EXPONENT_LIMIT, MAX_INDEX, Indeterminate, MultiPoly, avar, bvar, sum_of_products
 
@@ -86,42 +89,43 @@ class NotInClosure(Exception):
 UNIT_RELATION = avar(0) * bvar(0) - 1
 
 
+# One run at (n, m) reads at most n+m+1 relations.  1024 entries hold every
+# relation of every size with n+m <= 13 at once, which covers the sizes
+# whose certificates are built routinely, yet a process no longer keeps
+# every relation it ever expanded.
+@lru_cache(maxsize=1024)
+def relation_poly(n: int, m: int, k: int) -> MultiPoly:
+    """The defining relation polynomial c_k = sum over i+j = k of a_i*b_j."""
+    if not 0 <= k <= n + m:
+        raise ValueError(f"relation index {k} out of range 0..{n + m}")
+    c = MultiPoly.zero()
+    for i in range(max(0, k - m), min(k, n) + 1):
+        c = c + avar(i) * bvar(k - i)
+    return c
+
+
 @dataclass
 class MembershipWitness:
-    """A stored identity proving subject in the ideal of label.
+    """The coefficients of one identity
+    s = sum gen_coeffs[d]*d + sum rel_coeffs[k]*c_k + unit_coeff*r0.
 
-    The subject is kept explicitly rather than reconstructed, so a checker
-    can expand the right-hand side and compare without trusting the
-    builder.  Coefficient polynomials are kept exactly as built; zero
-    coefficients are dropped.
+    Neither the subject s nor the label D is stored: a checker expands the
+    right-hand side against the s and D it expects, so it never trusts the
+    builder's claim.  Zero coefficients are dropped.
     """
 
-    subject: MultiPoly
-    label: IdealLabel
     gen_coeffs: dict[Indeterminate, MultiPoly] = field(default_factory=dict)
     rel_coeffs: dict[int, MultiPoly] = field(default_factory=dict)
     unit_coeff: MultiPoly = field(default_factory=MultiPoly.zero)
 
-    def scaled(self, factor: MultiPoly) -> MembershipWitness:
-        """The witness for factor * subject, every coefficient scaled."""
-        return _combination(self.label, self.subject * factor, [(factor, self)])
-
-    def __add__(self, other: MembershipWitness) -> MembershipWitness:
-        if self.label != other.label:
-            raise ValueError("cannot add witnesses at different labels")
-        one = MultiPoly.one()
-        return _combination(self.label, self.subject + other.subject, [(one, self), (one, other)])
-
 
 def _combination(
-    label: IdealLabel,
-    subject: MultiPoly,
     parts: Sequence[tuple[MultiPoly, MembershipWitness]],
     without: tuple[Indeterminate, ...] = (),
 ) -> MembershipWitness:
-    """The witness sum factor*witness over parts, at label, each coefficient
-    one sum of products; the generators in without are left out.  The
-    caller gives the subject in closed form."""
+    """The witness sum factor*witness over parts, each coefficient one sum
+    of products; the generators in without are left out.  It witnesses the
+    same sum of the parts' subjects, at the label they share."""
     gens: dict[Indeterminate, list] = {}
     rels: dict[int, list] = {}
     for factor, witness in parts:
@@ -133,7 +137,7 @@ def _combination(
     gen_coeffs = {d: c for d, c in zip(gens, map(sum_of_products, gens.values())) if not c.is_zero}
     rel_coeffs = {k: c for k, c in zip(rels, map(sum_of_products, rels.values())) if not c.is_zero}
     unit_coeff = sum_of_products((witness.unit_coeff, factor) for factor, witness in parts)
-    return MembershipWitness(subject, label, gen_coeffs, rel_coeffs, unit_coeff)
+    return MembershipWitness(gen_coeffs, rel_coeffs, unit_coeff)
 
 
 _MINUS_ONE = MultiPoly.const(-1)
@@ -168,14 +172,14 @@ class WitnessBuilder:
         if cached is not None:
             return cached
         if given[k - 1]:
-            built = MembershipWitness(MultiPoly.variable(element), self.label, {element: MultiPoly.one()})
+            built = MembershipWitness({element: MultiPoly.one()})
         else:
             # x_k = x0 * (x_k*y0) - x_k*r0, because x0*y0 = 1 + r0: the parts
             # isolating x_k*y0, each scaled by x0, in one combination.
             x, (p, q) = (avar, (k, 0)) if element.kind == "a" else (bvar, (0, k))
             parts = [(factor * x(0), part) for factor, part in self._isolation_parts(p, q)]
-            r0 = MembershipWitness(UNIT_RELATION, self.label, unit_coeff=MultiPoly.one())
-            built = _combination(self.label, x(k), [*parts, (-x(k), r0)])
+            r0 = MembershipWitness(unit_coeff=MultiPoly.one())
+            built = _combination([*parts, (-x(k), r0)])
         self._memo[element] = built
         return built
 
@@ -184,15 +188,14 @@ class WitnessBuilder:
         other terms, removed through the element witness of its higher
         b_q' (q' > q) or higher a_p' (p' > p)."""
         n, m, k = self.label.n, self.label.m, p + q
-        relation = MembershipWitness(relation_poly(n, m, k), self.label, rel_coeffs={k: MultiPoly.one()})
-        parts = [(MultiPoly.one(), relation)]
+        parts = [(MultiPoly.one(), MembershipWitness(rel_coeffs={k: MultiPoly.one()}))]
         parts += [(-avar(k - q2), self.witness(Indeterminate.b(q2))) for q2 in range(q + 1, min(k, m) + 1)]
         parts += [(-bvar(k - p2), self.witness(Indeterminate.a(p2))) for p2 in range(p + 1, min(k, n) + 1)]
         return parts
 
     def isolate(self, p: int, q: int) -> MembershipWitness:
         """Witness for a_p*b_q: c_{p+q} minus its other terms."""
-        return _combination(self.label, avar(p) * bvar(q), self._isolation_parts(p, q))
+        return _combination(self._isolation_parts(p, q))
 
 
 def gauss_product_witness(i: int, j: int, label: IdealLabel) -> MembershipWitness:
@@ -207,30 +210,24 @@ def combine(
     left: MembershipWitness,
     right: MembershipWitness,
     product: MembershipWitness,
+    tag: CaseTag,
+    u_l: MultiPoly,
 ) -> MembershipWitness:
-    """Merge child witnesses u^k (at D + a_i) and u^l (at D + b_j) into a
-    witness of u^(k+l) at the parent D.
+    """Merge child witnesses of u^k (at D + a_i) and u^l (at D + b_j) into
+    a witness of u^(k+l) at the parent D, whose case tag is branch(i, j)
+    and whose product witness of a_i*b_j is product.
 
     Splitting off the child generators as u^k = v + s*a_i and
     u^l = w + t*b_j gives u^(k+l) = v*u^l + s*a_i*w + s*t*(a_i*b_j); the
     last term is replaced by the product witness.  The three terms are one
-    combination, each child without its split-off generator.
+    combination, each child without its split-off generator.  The caller
+    vouches for the labels; the node-local check re-derives them.
     """
-    parent = product.label
-    a_added = [i for i, (x, y) in enumerate(zip(left.label.a_bits, parent.a_bits), 1) if x != y]
-    b_added = [j for j, (x, y) in enumerate(zip(right.label.b_bits, parent.b_bits), 1) if x != y]
-    if len(a_added) != 1 or len(b_added) != 1:
-        raise ValueError("each child must add one generator to the product witness's label")
-    i, j = a_added[0], b_added[0]
-    if CaseTag.branch(i, j).children(parent) != (left.label, right.label):
-        raise ValueError("child witnesses must live at parent + a_i and parent + b_j")
-    a_gen, b_gen = Indeterminate.a(i), Indeterminate.b(j)
+    a_gen, b_gen = Indeterminate.a(tag.i), Indeterminate.b(tag.j)
     s = left.gen_coeffs.get(a_gen, MultiPoly.zero())
     t = right.gen_coeffs.get(b_gen, MultiPoly.zero())
     return _combination(
-        parent,
-        left.subject * right.subject,
-        [(right.subject, left), (s * MultiPoly.variable(a_gen), right), (s * t, product)],
+        [(u_l, left), (s * MultiPoly.variable(a_gen), right), (s * t, product)],
         without=(a_gen, b_gen),
     )
 
@@ -258,16 +255,16 @@ def local_witnesses(label: IdealLabel, tag: CaseTag, targets: Sequence[Indetermi
 
 
 def node_witness(
-    local: MembershipWitness, children: Sequence[tuple[int, MembershipWitness]]
+    local: MembershipWitness, children: Sequence[tuple[int, MembershipWitness]], u: MultiPoly, tag: CaseTag
 ) -> tuple[int, MembershipWitness]:
-    """The induction step at one label: (1, local) at a leaf, where local
-    is the witness of u; at a branch(i, j), the children's (k, u^k) at
-    label + a_i and (l, u^l) at label + b_j combined through the product
-    witness local into (k + l, u^(k+l))."""
+    """The induction step at one label, whose case tag is tag: (1, local)
+    at a leaf, where local is the witness of u; at a branch(i, j), the
+    children's (k, u^k) at label + a_i and (l, u^l) at label + b_j combined
+    through the product witness local into (k + l, u^(k+l))."""
     if not children:
         return 1, local
     (k, left), (l, right) = children
-    return k + l, combine(left, right, local)
+    return k + l, combine(left, right, local, tag, u**l)
 
 
 def _walk(
@@ -304,12 +301,15 @@ def _walk(
         if len(local) != len(subjects):
             return None
         for witness, subject in zip(local, subjects):
-            if not _identity_holds(witness, label, subject, n, m):
+            if not _identity_holds(witness, label, subject):
                 return None
         exponents[label] = exponent
         if combined:
             local = local if tag.is_leaf else local * len(targets)
-            steps[label] = [node_witness(w, [steps[child][t] for child in children]) for t, w in enumerate(local)]
+            steps[label] = [
+                node_witness(w, [steps[child][t] for child in children], u, tag)
+                for t, (w, u) in enumerate(zip(local, target_subjects))
+            ]
     if digraph.root != IdealLabel.root(n, m) or digraph.root not in exponents:
         return None
     return steps
@@ -331,8 +331,8 @@ def check_node_local(digraph: Digraph, *target_indices: int, source: Callable = 
     * every generator key of the node's witnesses to be a generator of D,
       and every relation index to lie in 1..n+m;
     * each witness, expanded less its expected subject (every target u at
-      a leaf, a_i*b_j once at a branch(i, j), never the witness's own
-      subject or label), to be the zero polynomial.
+      a leaf, a_i*b_j once at a branch(i, j)) in the relations of D's
+      size, to be the zero polynomial.
 
     Then u^k in I + (D, a_i), u^l in I + (D, b_j) and a_i*b_j in I + (D)
     give u^(k+l) in I + (D), I the ideal of the relations; the root label
@@ -360,9 +360,11 @@ def certify(digraph: Digraph, *target_indices: int) -> list[NilpotencyCertificat
     return [NilpotencyCertificate(digraph.n, digraph.m, i0, *root) for i0, root in zip(target_indices, roots)]
 
 
-def _identity_holds(witness: MembershipWitness, label: IdealLabel, subject: MultiPoly, n: int, m: int) -> bool:
+def _identity_holds(witness: MembershipWitness, label: IdealLabel, subject: MultiPoly) -> bool:
     """The witness keys only generators of label and relations 1..n+m, and
-    its expansion less subject is the zero polynomial."""
+    its expansion less subject is the zero polynomial, with (n, m) the
+    label's size."""
+    n, m = label.n, label.m
     for d in witness.gen_coeffs:
         family = label.a_bits if d.kind == "a" else label.b_bits
         if not (1 <= d.index <= len(family) and family[d.index - 1]):
@@ -412,8 +414,6 @@ def verify_symbolic(certificate: NilpotencyCertificate) -> SymbolicCheck:
     witness = certificate.root_witness
     if witness.gen_coeffs:
         raise ValueError("root witness must not use ideal generators")
-    if (witness.label.n, witness.label.m) != (certificate.n, certificate.m):
-        raise ValueError("root witness and certificate disagree on (n, m)")
     subject = avar(certificate.target_index) ** certificate.exponent
     diff = _expansion_minus(witness, subject, certificate.n, certificate.m)
     return SymbolicCheck(diff.is_zero, diff)
@@ -435,6 +435,8 @@ def power_check(instance: ProblemInstance, target_index: int, exponent: int) -> 
     """
     if instance.is_generic:
         raise ValueError("power checks need a concrete instance")
+    if not 1 <= target_index <= instance.n:
+        raise ValueError(f"target index must lie in 1..{instance.n}, got {target_index}")
     modulus = instance.modulus
     u = instance.a[target_index]
     value = pow(u, exponent, modulus)
@@ -541,10 +543,5 @@ def load_certificate(text: str) -> NilpotencyCertificate:
     # carried exponent bound is 2 (they are sums of products a_i*b_j).
     if any(c.exponent_bound + 2 >= EXPONENT_LIMIT for c in (*rel_coeffs.values(), unit_coeff)):
         raise ValueError(f"coefficient exponents must stay below {EXPONENT_LIMIT - 2}")
-    witness = MembershipWitness(
-        subject=avar(target_index) ** exponent,
-        label=IdealLabel.root(n, m),
-        rel_coeffs=rel_coeffs,
-        unit_coeff=unit_coeff,
-    )
+    witness = MembershipWitness(rel_coeffs=rel_coeffs, unit_coeff=unit_coeff)
     return NilpotencyCertificate(n, m, target_index, exponent, witness)

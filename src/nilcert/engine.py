@@ -20,12 +20,10 @@ satisfies u^e = 0 for every choice of u.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 from typing import Sequence
 
 from .oracles import IdealLabel, closure_bits
-from .poly import MultiPoly, avar, bvar
 
 
 class NotAUnit(Exception):
@@ -159,21 +157,6 @@ def convolution(a: Sequence[int], b: Sequence[int], modulus: int) -> list[int]:
         for j, bj in enumerate(b):
             c[i + j] = c[i + j] + ai * bj
     return [ck % modulus for ck in c]
-
-
-# One run at (n, m) reads at most n+m+1 relations.  1024 entries hold every
-# relation of every size with n+m <= 13 at once, which covers the sizes
-# whose certificates are built routinely, yet a process no longer keeps
-# every relation it ever expanded.
-@lru_cache(maxsize=1024)
-def relation_poly(n: int, m: int, k: int) -> MultiPoly:
-    """The defining relation polynomial c_k = sum over i+j = k of a_i*b_j."""
-    if not 0 <= k <= n + m:
-        raise ValueError(f"relation index {k} out of range 0..{n + m}")
-    c = MultiPoly.zero()
-    for i in range(max(0, k - m), min(k, n) + 1):
-        c = c + avar(i) * bvar(k - i)
-    return c
 
 
 def check_unit(c: Sequence[int]) -> None:

@@ -31,7 +31,7 @@ from typing import Any, Callable, Union
 from .certificates import MembershipWitness, local_witnesses, node_witness
 from .engine import CaseTag, ProblemInstance, _post_order, case_split
 from .oracles import IdealLabel
-from .poly import Indeterminate
+from .poly import Indeterminate, avar
 
 
 class BadInput(ValueError):
@@ -364,7 +364,7 @@ def nc_run_induction(
 
     def step(label: IdealLabel, children: tuple) -> tuple[int, MembershipWitness]:
         (local,) = local_witnesses(label, tags[label], [u])
-        return node_witness(local, children)
+        return node_witness(local, children, avar(target_index), tags[label])
 
     def goodness(label: IdealLabel) -> GoodnessOutcome:
         tag = case_split(label, instance)

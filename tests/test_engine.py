@@ -26,7 +26,7 @@ from nilcert import (
     grow_digraph,
     structural_metrics,
 )
-from nilcert.engine import relation_poly
+from nilcert.certificates import relation_poly
 
 
 label = helpers.label

@@ -20,8 +20,8 @@ import json
 import pytest
 
 from nilcert import ProblemInstance, dump_certificate, extract_certificate, grow_digraph
+from nilcert.certificates import relation_poly
 from nilcert.cli import main
-from nilcert.engine import relation_poly
 
 # (n, m, i0) -> sha256 of dump_certificate(...) for generic (n, m), target i0.
 DUMP_SHA256 = {

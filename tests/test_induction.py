@@ -254,8 +254,7 @@ class TestLabelPosetCrossValidation:
         assert len(evidence) == 2 ** 3
         exponent, witness = evidence[digraph.root]
         assert exponent == 3
-        assert _expansion_minus(witness, witness.subject, 2, 1).is_zero
-        assert witness.subject == avar(1) ** 3
+        assert _expansion_minus(witness, avar(1) ** 3, 2, 1).is_zero
 
     def test_reachable_labels_match(self):
         for n, m in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]:
@@ -288,7 +287,6 @@ class TestLabelPosetCrossValidation:
                     for lab in digraph.nodes:
                         (k, got), (e, want) = evidence[lab], extracted[lab]
                         assert k == e, (n, m, i0, lab)
-                        assert got.subject == want.subject, (n, m, i0, lab)
                         assert got.gen_coeffs == want.gen_coeffs, (n, m, i0, lab)
                         assert got.rel_coeffs == want.rel_coeffs, (n, m, i0, lab)
                         assert got.unit_coeff == want.unit_coeff, (n, m, i0, lab)
