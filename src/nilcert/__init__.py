@@ -19,7 +19,6 @@ from .certificates import (
     extract_certificate,
     gauss_product_witness,
     load_certificate,
-    node_witnesses,
     power_check,
     verify_concrete,
     verify_symbolic,
@@ -108,7 +107,6 @@ __all__ = [
     "load_certificate",
     "mod_membership",
     "nc_run_induction",
-    "node_witnesses",
     "power_check",
     "radical_ideal_poset",
     "radical_modn",

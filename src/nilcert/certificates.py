@@ -49,7 +49,8 @@ it, never read from the witness.
 A digraph's proof is checked node by node.  ``local_witnesses`` is the one
 source of a node's own witnesses: the product witness of a_i*b_j at a
 branch(i, j), which every target shares, and at a leaf the witness of each
-target u, all from one ``WitnessBuilder``.  ``check_node_local`` walks the
+target u, all from one ``WitnessBuilder``; a target outside a leaf's
+closure has none, and the check fails.  ``check_node_local`` walks the
 digraph once, children first, for all the targets it is given: it builds
 each node's witnesses, expands each of these small identities exactly,
 checks the digraph's structure around it and drops them, keeping only the
@@ -59,13 +60,14 @@ u^e = 0 without expanding u^e.  Its cost is polynomial in the digraph,
 and its memory that of the digraph and one node's witnesses, while the
 root identity grows exponentially in n + m.
 
-That root identity is built only for a dump: ``certify`` (all targets) and
-``node_witnesses`` (one) run the same walk, which then also takes each
+That root identity is built only for a dump, by ``certify`` alone (for
+one target, ``extract_certificate``): the same walk then also takes each
 node's ``node_witness`` step over the witnesses it has just checked, up to
-the root, where the generator sum is empty.  That leaves the nilpotency
-certificate u^e = sum relCoeffs[k]*c_k + unitCoeff*r0, which
-``verify_symbolic`` checks independently by expanding it, less u^e, as one
-sum of products that must be 0.
+the root, where the generator sum is empty; a failed check yields none.
+That leaves the nilpotency certificate u^e = sum relCoeffs[k]*c_k +
+unitCoeff*r0, which ``verify_symbolic`` checks independently by expanding
+it, less u^e, as one sum of products that must be 0.  It, the dump and
+the load refuse the same out-of-range certificates (``_check_ranges``).
 """
 
 from __future__ import annotations
@@ -243,15 +245,28 @@ class NilpotencyCertificate:
     root_witness: MembershipWitness
 
 
-def local_witnesses(label: IdealLabel, tag: CaseTag, targets: Sequence[Indeterminate]) -> list[MembershipWitness]:
+def _check_ranges(cert: NilpotencyCertificate) -> None:
+    """ValueError unless 1 <= n <= MAX_INDEX, 0 <= m <= MAX_INDEX, 1 <= i0 <= n,
+    1 <= e < EXPONENT_LIMIT, the root witness keys no generator and every
+    relation index lies in 1..n+m (c_0 = a0*b0 is 1, not 0, modulo them)."""
+    n, m, i0, e, rels = cert.n, cert.m, cert.target_index, cert.exponent, cert.root_witness.rel_coeffs
+    if not (1 <= n <= MAX_INDEX and 0 <= m <= MAX_INDEX and 1 <= i0 <= n and 1 <= e < EXPONENT_LIMIT):
+        raise ValueError(f"sizes out of range: n={n}, m={m}, i0={i0}, e={e}")
+    if cert.root_witness.gen_coeffs:
+        raise ValueError("root witness must not use ideal generators")
+    if not all(1 <= k <= n + m for k in rels):
+        raise ValueError(f"relation indices {sorted(rels)} out of range 1..{n + m}")
+
+
+def local_witnesses(label: IdealLabel, tag: CaseTag, target_indices: Sequence[int]) -> list[MembershipWitness]:
     """A node's own witnesses, built afresh: at a branch(i, j) the product
     witness of a_i*b_j, which every target shares; at a leaf the witness of
-    each target u, all from one ``WitnessBuilder``.  Raises NotInClosure
+    each target a_i0, all from one ``WitnessBuilder``.  Raises NotInClosure
     when a target is not in the leaf's closure."""
     if not tag.is_leaf:
         return [gauss_product_witness(tag.i, tag.j, label)]
     builder = WitnessBuilder(label)
-    return [builder.witness(u) for u in targets]
+    return [builder.witness(Indeterminate.a(i0)) for i0 in target_indices]
 
 
 def node_witness(
@@ -269,18 +284,18 @@ def node_witness(
 
 def _walk(
     digraph: Digraph, target_indices: Sequence[int], source: Callable, combined: bool
-) -> dict[IdealLabel, list[tuple[int, MembershipWitness]]] | None:
-    """The walk of ``check_node_local``; None when the check fails.  With
-    ``combined``, each node also takes one ``node_witness`` step per target
-    over the witnesses just checked, and the result maps every label to its
-    (exponent, witness of u^exponent) per target; else it is empty."""
+) -> list[tuple[int, MembershipWitness]] | None:
+    """The walk of ``check_node_local``; None when the check fails, as it
+    does when source raises NotInClosure.  With ``combined``, each node
+    also takes one ``node_witness`` step per target over the witnesses just
+    checked, and the result is the root's (exponent, witness of
+    u^exponent) per target; else it is empty."""
     if not digraph.generic:
         raise ValueError("certificates are extracted from indeterminate-coefficient runs")
     n, m = digraph.n, digraph.m
     if not target_indices or not all(1 <= i0 <= n for i0 in target_indices):
         raise ValueError(f"target indices must be given, each in 1..{n}, got {tuple(target_indices)}")
-    targets = [Indeterminate.a(i0) for i0 in target_indices]
-    target_subjects = [avar(i0) for i0 in target_indices]
+    targets = [avar(i0) for i0 in target_indices]
     exponents: dict[IdealLabel, int] = {}
     steps: dict[IdealLabel, list[tuple[int, MembershipWitness]]] = {}
     for label, node in digraph.nodes.items():
@@ -296,8 +311,11 @@ def _walk(
         if exponent != node.exponent:
             return None
         # Every target's subject at a leaf, the product's once at a branch.
-        subjects = target_subjects if tag.is_leaf else [avar(tag.i) * bvar(tag.j)]
-        local = source(label, tag, targets)
+        subjects = targets if tag.is_leaf else [avar(tag.i) * bvar(tag.j)]
+        try:
+            local = source(label, tag, target_indices)
+        except NotInClosure:
+            return None
         if len(local) != len(subjects):
             return None
         for witness, subject in zip(local, subjects):
@@ -308,11 +326,11 @@ def _walk(
             local = local if tag.is_leaf else local * len(targets)
             steps[label] = [
                 node_witness(w, [steps[child][t] for child in children], u, tag)
-                for t, (w, u) in enumerate(zip(local, target_subjects))
+                for t, (w, u) in enumerate(zip(local, targets))
             ]
     if digraph.root != IdealLabel.root(n, m) or digraph.root not in exponents:
         return None
-    return steps
+    return steps.get(digraph.root, [])
 
 
 def check_node_local(digraph: Digraph, *target_indices: int, source: Callable = local_witnesses) -> bool:
@@ -338,25 +356,22 @@ def check_node_local(digraph: Digraph, *target_indices: int, source: Callable = 
     give u^(k+l) in I + (D), I the ideal of the relations; the root label
     must be empty, which leaves u^e in I.  u^e itself is never expanded.
     The structure, the exponents and each product identity do not depend
-    on the target, so one call checks them once for all its targets.
-    Raises ValueError for a concrete digraph, or when no target is given or
-    one lies outside 1..n.
+    on the target, so one call checks them once for all its targets.  A
+    target outside a leaf's closure fails the check.  Raises ValueError
+    for a concrete digraph, or when no target is given or one lies outside
+    1..n.
     """
-    try:
-        return _walk(digraph, target_indices, source, combined=False) is not None
-    except NotInClosure:
-        return False
+    return _walk(digraph, target_indices, source, combined=False) is not None
 
 
 def certify(digraph: Digraph, *target_indices: int) -> list[NilpotencyCertificate] | None:
     """The walk of ``check_node_local``, which also combines the root
-    certificate of each target from the witnesses it checks; None when the
-    check fails.  Raises NotInClosure when a leaf's closure misses a
-    target."""
-    steps = _walk(digraph, target_indices, local_witnesses, combined=True)
-    if steps is None:
+    certificate of each target from the witnesses it checks, in the order
+    of target_indices; None whenever ``check_node_local`` would be False.
+    Raises ValueError as ``check_node_local`` does."""
+    roots = _walk(digraph, target_indices, local_witnesses, combined=True)
+    if roots is None:
         return None
-    roots = steps[digraph.root]
     return [NilpotencyCertificate(digraph.n, digraph.m, i0, *root) for i0, root in zip(target_indices, roots)]
 
 
@@ -375,26 +390,17 @@ def _identity_holds(witness: MembershipWitness, label: IdealLabel, subject: Mult
     return _expansion_minus(witness, subject, n, m).is_zero
 
 
-def node_witnesses(digraph: Digraph, target_index: int) -> dict[IdealLabel, tuple[int, MembershipWitness]]:
-    """Exponent and witness of u^exponent at every node of the digraph,
-    combined by ``certify``'s walk; the per-node exponents equal the
-    digraph's exponent recursion.  Raises NotInClosure when a leaf's
-    closure misses u, and ValueError when the check fails."""
-    steps = _walk(digraph, (target_index,), local_witnesses, combined=True)
-    if steps is None:
-        raise ValueError("the digraph's node-local proof fails its check")
-    return {label: step for label, (step,) in steps.items()}
-
-
 def extract_certificate(digraph: Digraph, target_index: int) -> NilpotencyCertificate:
-    """The root-level witness of u^e, with e the root exponent, combined
-    from the checked node-local witnesses.
+    """``certify`` for one target: the root-level witness of u^e, with e
+    the root exponent; ValueError when the check fails.
 
     The same e serves every target index; only the witness polynomials
     depend on the choice.
     """
-    exponent, witness = node_witnesses(digraph, target_index)[digraph.root]
-    return NilpotencyCertificate(digraph.n, digraph.m, target_index, exponent, witness)
+    certificates = certify(digraph, target_index)
+    if certificates is None:
+        raise ValueError("the digraph's node-local proof fails its check")
+    return certificates[0]
 
 
 @dataclass(frozen=True)
@@ -409,11 +415,11 @@ def verify_symbolic(certificate: NilpotencyCertificate) -> SymbolicCheck:
     Recomputes from (n, m) only the relation polynomials the witness
     uses, expands sum relCoeffs[k]*c_k + unitCoeff*(a0*b0 - 1) - u^e as
     one sum of products (``_expansion_minus``), and passes iff the
-    difference is the zero polynomial.
+    difference is the zero polynomial.  Refuses what ``load_certificate``
+    refuses for its ranges (``_check_ranges``) with ValueError.
     """
+    _check_ranges(certificate)
     witness = certificate.root_witness
-    if witness.gen_coeffs:
-        raise ValueError("root witness must not use ideal generators")
     subject = avar(certificate.target_index) ** certificate.exponent
     diff = _expansion_minus(witness, subject, certificate.n, certificate.m)
     return SymbolicCheck(diff.is_zero, diff)
@@ -432,11 +438,14 @@ def power_check(instance: ProblemInstance, target_index: int, exponent: int) -> 
 
     A nilpotent u dies by the largest prime exponent of N, which is below
     N.bit_length(), so the scan stops there, whatever the given exponent.
+    Raises ValueError for a negative exponent.
     """
     if instance.is_generic:
         raise ValueError("power checks need a concrete instance")
     if not 1 <= target_index <= instance.n:
         raise ValueError(f"target index must lie in 1..{instance.n}, got {target_index}")
+    if exponent < 0:
+        raise ValueError(f"exponent must be >= 0, got {exponent}")
     modulus = instance.modulus
     u = instance.a[target_index]
     value = pow(u, exponent, modulus)
@@ -465,11 +474,11 @@ def dump_certificate(certificate: NilpotencyCertificate) -> str:
 
     Relation coefficients are canonical polynomial strings keyed by the
     relation index; zero coefficients are omitted.  The dump re-verifies in
-    isolation after load_certificate.
+    isolation after load_certificate; what that would refuse for its
+    ranges (``_check_ranges``) raises ValueError here.
     """
+    _check_ranges(certificate)
     witness = certificate.root_witness
-    if witness.gen_coeffs:
-        raise ValueError("only root-level certificates are dumped")
     rel = {
         str(k): witness.rel_coeffs[k].render()
         for k in sorted(witness.rel_coeffs)
@@ -504,10 +513,10 @@ def load_certificate(text: str) -> NilpotencyCertificate:
 
     Raises ValueError for any malformed dump: bad or too deeply nested JSON,
     a key repeated in one object, wrong field types, a relation key k that
-    is not str(int(k)), sizes outside 1 <= n <= MAX_INDEX, 0 <= m <=
-    MAX_INDEX, 1 <= i0 <= n, 1 <= e < EXPONENT_LIMIT, a coefficient string
-    that ``MultiPoly.parse`` refuses (``PolyParseError``), or a coefficient
-    that the packed monomials of verify_symbolic cannot hold.
+    is not str(int(k)), a coefficient string that ``MultiPoly.parse``
+    refuses (``PolyParseError``), a coefficient that the packed monomials
+    of verify_symbolic cannot hold, or what ``_check_ranges`` refuses
+    (sizes, exponent or relation indices out of range).
     """
     try:
         doc = _DUMP_DECODER.decode(text)
@@ -518,14 +527,6 @@ def load_certificate(text: str) -> NilpotencyCertificate:
     sizes = [doc.get(key) for key in ("n", "m", "i0", "e")]
     if any(type(value) is not int for value in sizes):
         raise ValueError(f"n, m, i0 and e must be integers, got {sizes}")
-    n, m, target_index, exponent = sizes
-    if (
-        not 1 <= n <= MAX_INDEX
-        or not 0 <= m <= MAX_INDEX
-        or not 1 <= target_index <= n
-        or not 1 <= exponent < EXPONENT_LIMIT
-    ):
-        raise ValueError(f"sizes out of range: n={n}, m={m}, i0={target_index}, e={exponent}")
     rel, unit = doc.get("rel_coeffs"), doc.get("unit_coeff")
     if not isinstance(rel, dict) or not all(isinstance(v, str) for v in (*rel.values(), unit)):
         raise ValueError("rel_coeffs must map indices to polynomial strings, unit_coeff a string")
@@ -537,11 +538,11 @@ def load_certificate(text: str) -> NilpotencyCertificate:
         unit_coeff = MultiPoly.parse(unit)
     except OverflowError as exc:
         raise ValueError(f"dump does not fit packed monomials: {exc}") from None
-    if not all(1 <= k <= n + m for k in rel_coeffs):
-        raise ValueError(f"relation indices {sorted(rel_coeffs)} out of range 1..{n + m}")
     # verify_symbolic multiplies each coefficient by c_k or a0*b0 - 1, whose
     # carried exponent bound is 2 (they are sums of products a_i*b_j).
     if any(c.exponent_bound + 2 >= EXPONENT_LIMIT for c in (*rel_coeffs.values(), unit_coeff)):
         raise ValueError(f"coefficient exponents must stay below {EXPONENT_LIMIT - 2}")
     witness = MembershipWitness(rel_coeffs=rel_coeffs, unit_coeff=unit_coeff)
-    return NilpotencyCertificate(n, m, target_index, exponent, witness)
+    certificate = NilpotencyCertificate(*sizes, witness)
+    _check_ranges(certificate)
+    return certificate

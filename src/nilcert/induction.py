@@ -31,7 +31,7 @@ from typing import Any, Callable, Union
 from .certificates import MembershipWitness, local_witnesses, node_witness
 from .engine import CaseTag, ProblemInstance, _post_order, case_split
 from .oracles import IdealLabel
-from .poly import Indeterminate, avar
+from .poly import avar
 
 
 class BadInput(ValueError):
@@ -359,11 +359,10 @@ def nc_run_induction(
         raise ValueError("the label-poset run needs an indeterminate-coefficient instance")
     if not 1 <= target_index <= instance.n:
         raise ValueError(f"target index must lie in 1..{instance.n}")
-    u = Indeterminate.a(target_index)
     tags: dict[IdealLabel, CaseTag] = {}
 
     def step(label: IdealLabel, children: tuple) -> tuple[int, MembershipWitness]:
-        (local,) = local_witnesses(label, tags[label], [u])
+        (local,) = local_witnesses(label, tags[label], [target_index])
         return node_witness(local, children, avar(target_index), tags[label])
 
     def goodness(label: IdealLabel) -> GoodnessOutcome:

@@ -37,7 +37,7 @@ from nilcert import (
     gauss_product_witness,
     grow_digraph,
     load_certificate,
-    node_witnesses,
+    nc_run_induction,
     power_check,
     verify_concrete,
     verify_symbolic,
@@ -314,14 +314,18 @@ class TestExtractCertificate:
 
     def test_witness_soundness_at_every_node(self):
         """Every node of every digraph with n+m <= 7, every target: the
-        stored witness identity expands to zero and the exponent matches
-        the digraph's."""
+        witness that the per-label induction step builds there (the
+        ``local_witnesses``/``node_witness`` steps of the label-poset run)
+        expands to zero and its exponent matches the digraph's."""
         for total in range(1, 8):
             for n in range(1, total + 1):
                 m = total - n
-                d = grow_digraph(ProblemInstance.generic(n, m))
+                instance = ProblemInstance.generic(n, m)
+                d = grow_digraph(instance)
                 for i0 in range(1, n + 1):
-                    for lab, (exponent, witness) in node_witnesses(d, i0).items():
+                    evidence, _ = nc_run_induction(instance, i0)
+                    for lab in d.nodes:
+                        exponent, witness = evidence[lab]
                         assert exponent == d.nodes[lab].exponent, (n, m, i0, lab)
                         assert _identity_holds(witness, lab, avar(i0) ** exponent), (n, m, i0, lab)
 
@@ -470,7 +474,7 @@ class TestNodeLocalCheck:
 
         for digraph, i0 in small_generic_runs():
             for at, node in digraph.nodes.items():
-                (witness,) = local_witnesses(at, node.tag, [Indeterminate.a(i0)])
+                (witness,) = local_witnesses(at, node.tag, [i0])
                 for mutated in perturbations(witness):
                     tampered = with_local(at, lambda _: mutated)
                     assert not check_node_local(digraph, i0, source=tampered), (digraph.n, digraph.m, i0, at)
@@ -584,9 +588,9 @@ class TestNodeLocalCheck:
         assert not check_node_local(digraph, 1)
         assert check_node_local(digraph, 2)
         assert not check_node_local(digraph, 2, 1)
-        with pytest.raises(NotInClosure):
-            certify(digraph, 2, 1)
-        with pytest.raises(NotInClosure):
+        # A failed check has one outcome: no certificate, never NotInClosure.
+        assert certify(digraph, 2, 1) is None
+        with pytest.raises(ValueError):
             extract_certificate(digraph, 1)
 
     def test_extraction_combines_the_checked_witnesses(self):
@@ -734,6 +738,13 @@ class TestConcreteChecks:
         check = power_check(instance, 1, 0)
         assert not check.ok and check.value == 1
 
+    @pytest.mark.parametrize("f", [[1, 3], [1, 2, 4]], ids=["invertible u", "non-invertible u"])
+    def test_refuses_a_negative_exponent(self, f):
+        """pow(u, -1, N) is the inverse of an invertible u and Python's own
+        error for any other; neither is a power of u."""
+        with pytest.raises(ValueError, match="exponent must be >= 0"):
+            power_check(ProblemInstance.concrete(8, f, [1]), 1, -1)
+
     @pytest.mark.parametrize("target_index", [0, -1, 3])
     def test_refuses_a_target_outside_1_to_n(self, target_index):
         """a_0 is the unit and -1 would wrap round to a_n; neither, nor
@@ -818,6 +829,26 @@ class TestDump:
     def test_load_rejects_foreign_documents(self):
         with pytest.raises(ValueError):
             load_certificate('{"format": "something-else"}')
+
+
+_VALID = extract_certificate(grow_digraph(ProblemInstance.generic(2, 1)), 1)
+
+OUT_OF_RANGE = {
+    # u = u*c_0 - u*r0 expands exactly (see test_rejects_relation_c0), but
+    # c_0 = a0*b0 is 1, not 0, modulo the relations: this claims a1 = 0.
+    "relation c_0": NilpotencyCertificate(2, 1, 1, 1, MembershipWitness(rel_coeffs={0: avar(1)}, unit_coeff=-avar(1))),
+    "e = 0": replace(_VALID, exponent=0),
+    "i0 = 0": replace(_VALID, target_index=0),
+    "i0 = n + 1": replace(_VALID, target_index=3),
+}
+
+
+@pytest.mark.parametrize("certificate", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+def test_verify_and_dump_refuse_what_load_refuses(certificate):
+    with pytest.raises(ValueError):
+        verify_symbolic(certificate)
+    with pytest.raises(ValueError):
+        dump_certificate(certificate)
 
 
 def _dump_fields(*drop, **changes):

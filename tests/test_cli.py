@@ -194,6 +194,25 @@ class TestGenericCommand:
             with open(file_name, encoding="utf-8") as handle:
                 assert verify_symbolic(load_certificate(handle.read())).ok
 
+    def test_unverified_certificates_are_not_written(self, capsys, monkeypatch, tmp_path):
+        """Each dump is re-verified by full expansion before it is written,
+        and one that fails is neither written nor listed."""
+        build = certificates.combine
+
+        def off_by_one(*args):
+            witness = build(*args)
+            witness.unit_coeff = witness.unit_coeff + MultiPoly.one()
+            return witness
+
+        monkeypatch.setattr(certificates, "combine", off_by_one)
+        code, out, err = run(capsys, "generic", "--n", "2", "--m", "1", "--emit-cert", str(tmp_path / "c.json"))
+        assert code == 3
+        assert err.startswith("ERROR:verification:")
+        report = json.loads(out)
+        assert report["certificate"] == "failed"
+        assert "files" not in report
+        assert list(tmp_path.iterdir()) == []
+
     def test_early_stop_reports_per_target_metrics(self, capsys):
         code, out, _ = run(capsys, "generic", "--n", "2", "--m", "1", "--early-stop")
         assert code == 0
@@ -249,7 +268,6 @@ class TestNodeLocalVerdict:
         for name in (
             "nilcert.certificates.combine",
             "nilcert.certificates.node_witness",
-            "nilcert.certificates.node_witnesses",
             "nilcert.certificates.extract_certificate",
             "nilcert.certificates.certify",
             "nilcert.certificates.verify_symbolic",

@@ -23,11 +23,11 @@ from nilcert import (
     UnitIdeal,
     avar,
     check_key_lemma,
+    extract_certificate,
     grow_digraph,
     label_poset,
     ln_decompose,
     nc_run_induction,
-    node_witnesses,
     radical_ideal_poset,
     radical_modn,
     run_induction,
@@ -283,13 +283,13 @@ class TestLabelPosetCrossValidation:
                 digraph = grow_digraph(instance)
                 for i0 in range(1, n + 1):
                     evidence, _ = nc_run_induction(instance, i0)
-                    extracted = node_witnesses(digraph, i0)
-                    for lab in digraph.nodes:
-                        (k, got), (e, want) = evidence[lab], extracted[lab]
-                        assert k == e, (n, m, i0, lab)
-                        assert got.gen_coeffs == want.gen_coeffs, (n, m, i0, lab)
-                        assert got.rel_coeffs == want.rel_coeffs, (n, m, i0, lab)
-                        assert got.unit_coeff == want.unit_coeff, (n, m, i0, lab)
+                    k, got = evidence[digraph.root]
+                    certificate = extract_certificate(digraph, i0)
+                    want = certificate.root_witness
+                    assert k == certificate.exponent, (n, m, i0)
+                    assert got.gen_coeffs == want.gen_coeffs == {}, (n, m, i0)
+                    assert got.rel_coeffs == want.rel_coeffs, (n, m, i0)
+                    assert got.unit_coeff == want.unit_coeff, (n, m, i0)
 
     def test_poset_size(self):
         assert len(label_poset(2, 2).elements) == 16

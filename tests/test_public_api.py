@@ -59,7 +59,6 @@ EXPORTS = [
     "load_certificate",
     "mod_membership",
     "nc_run_induction",
-    "node_witnesses",
     "power_check",
     "radical_ideal_poset",
     "radical_modn",
@@ -72,7 +71,7 @@ EXPORTS = [
 
 
 def test_exports_are_pinned():
-    assert len(EXPORTS) == 49 and EXPORTS == sorted(EXPORTS)
+    assert len(EXPORTS) == 48 and EXPORTS == sorted(EXPORTS)
     assert nilcert.__all__ == EXPORTS
     for name in EXPORTS:
         assert getattr(nilcert, name, None) is not None, name
