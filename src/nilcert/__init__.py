@@ -41,7 +41,6 @@ from .induction import (
     CompositeWitness,
     FinitePoset,
     Holds,
-    ModIdeal,
     NotReducible,
     PrimeIdeal,
     Reduce,
@@ -76,7 +75,6 @@ __all__ = [
     "IdealLabel",
     "Indeterminate",
     "InternalInconsistency",
-    "ModIdeal",
     "MultiPoly",
     "NilpotencyCertificate",
     "NotAUnit",

@@ -7,11 +7,15 @@ order, on an explicit stack.  The walk follows the natural inclusion order
 of ideals (children are larger), so no order reversal is needed.
 
 Instantiation one: radical decomposition over Z/n.  The radical ideals of
-Z/n are exactly the ideals (r) for squarefree divisors r of n; on that
-lattice the strong primality test supplies the case split (unit ideal,
-prime ideal, or an explicit zero-divisor pair), a composite witness (x, y)
-reduces (r) to the meet of (gcd(r, x)) and (gcd(r, y)), and evidence (the
+Z/n are exactly the ideals (r) for squarefree divisors r of n, so the
+lattice is those divisors as plain ints, each ideal given by its
+generator: (r) lies in (s) iff s divides r, and their meet is lcm(r, s).
+On that lattice the strong primality test supplies the case split (unit
+ideal, prime ideal, or an explicit zero-divisor pair), a composite witness
+(x, y) reduces r to the meet of gcd(r, x) and gcd(r, y), and evidence (the
 list of primes whose ideals intersect to the radical) merges by union.
+Only the modulus and divisor given from outside are checked; every
+element built from them divides the modulus by construction.
 
 Instantiation two: the label poset of an inverse pair, where goodness is
 the digraph's case split and its tag's children, and the evidence (an
@@ -201,74 +205,46 @@ def radical_modn(modulus: int, d: int) -> int:
     return result
 
 
-@dataclass(frozen=True, order=True)
-class ModIdeal:
-    """The ideal (generator) of Z/modulus, generator a divisor of the
-    modulus; generator = modulus encodes the zero ideal."""
-
-    modulus: int
-    generator: int
-
-    def __post_init__(self) -> None:
-        _check_modulus_divisor(self.modulus, self.generator)
-
-    def elements(self) -> frozenset[int]:
-        return frozenset(range(0, self.modulus, self.generator))
-
-    def leq(self, other: ModIdeal) -> bool:
-        """(d) is contained in (d') iff d' divides d."""
-        if self.modulus != other.modulus:
-            raise ValueError("ideals of different rings are incomparable")
-        return self.generator % other.generator == 0
-
-
 def radical_ideal_poset(modulus: int) -> FinitePoset:
-    """The lattice of radical ideals of Z/modulus.
+    """The lattice of radical ideals of Z/modulus, each given by its generator.
 
-    These are the ideals of the squarefree divisors of the modulus, the
-    products of subsets of its primes, in ascending order; the meet of (r)
-    and (r') is their intersection (lcm(r, r')).
+    These are the ideals (r) of the squarefree divisors r of the modulus,
+    the products of subsets of its primes, in ascending order; (r) lies in
+    (s) iff s divides r, and the meet of (r) and (s) is their intersection
+    (lcm(r, s)).
     """
     _check_modulus_divisor(modulus, modulus)
     divisors = [1]
     for p, _ in _factorize(modulus):
         divisors += [d * p for d in divisors]
-    elements = tuple(ModIdeal(modulus, r) for r in sorted(divisors))
-    return FinitePoset(
-        elements=elements,
-        leq=lambda x, y: x.leq(y),
-        meet=lambda y, z: ModIdeal(modulus, lcm(y.generator, z.generator)),
-    )
+    return FinitePoset(elements=tuple(sorted(divisors)), leq=lambda r, s: r % s == 0, meet=lcm)
 
 
 def ln_decompose(modulus: int, d: int) -> list[int]:
     """Primes p_1..p_r with (p_1) ∩ .. ∩ (p_r) equal to the radical of (d).
 
-    Runs the induction pattern on the radical-ideal lattice: the strong
-    primality test splits each ideal, a composite witness (x, y) reduces
-    (r) to (gcd(r, x)) and (gcd(r, y)), and prime lists merge by union.
-    The answer is the evidence at the radical of (d).
+    Runs the induction pattern on the radical-ideal lattice, each ideal (r)
+    given by its generator r: the strong primality test splits each ideal,
+    a composite witness (x, y) reduces r to gcd(r, x) and gcd(r, y), and
+    prime lists merge by union.  The answer is the evidence at the radical
+    of (d), checked to intersect back to it: lcm(primes) equals
+    radical_modn(modulus, d), else RuntimeError.
     """
     _check_modulus_divisor(modulus, d)
     rad = radical_modn(modulus, d)
-    poset = radical_ideal_poset(modulus)
 
-    def goodness(ideal: ModIdeal) -> GoodnessOutcome:
-        outcome = spt_modn(modulus, ideal.generator)
+    def goodness(r: int) -> GoodnessOutcome:
+        outcome = spt_modn(modulus, r)
         if isinstance(outcome, UnitIdeal):
             return Holds(())
         if isinstance(outcome, PrimeIdeal):
-            return Holds((ideal.generator,))
-        return Reduce(
-            ModIdeal(modulus, gcd(ideal.generator, outcome.x)),
-            ModIdeal(modulus, gcd(ideal.generator, outcome.y)),
-        )
+            return Holds((r,))
+        return Reduce(gcd(r, outcome.x), gcd(r, outcome.y))
 
-    def merge(parent: ModIdeal, left: ModIdeal, right: ModIdeal, ev_left, ev_right):
+    def merge(parent: int, left: int, right: int, ev_left, ev_right):
         return tuple(sorted(set(ev_left) | set(ev_right)))
 
-    evidence = run_induction(poset, goodness, merge)
-    primes = list(evidence[ModIdeal(modulus, rad)])
+    primes = list(run_induction(radical_ideal_poset(modulus), goodness, merge)[rad])
     if lcm(*primes) != rad:
         raise RuntimeError("decomposition does not intersect to the radical")
     return primes
@@ -337,11 +313,7 @@ def label_poset(n: int, m: int) -> FinitePoset:
         for a_bits in product((0, 1), repeat=n)
         for b_bits in product((0, 1), repeat=m)
     )
-    return FinitePoset(
-        elements=labels,
-        leq=lambda x, y: x.issubset(y),
-        meet=lambda y, z: y.meet(z),
-    )
+    return FinitePoset(elements=labels, leq=IdealLabel.issubset, meet=IdealLabel.meet)
 
 
 def nc_run_induction(

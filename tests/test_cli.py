@@ -445,6 +445,24 @@ class TestUnwritableOutput:
         assert list(tmp_path.iterdir()) == [work]
         assert list(work.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, directory",
+        [
+            pytest.param(["generic", "--n", "3", "--m", "2", "--emit-cert", "c.json"], "c.a2.json", id="generic-cert"),
+            pytest.param([*CONCRETE_Z8, "--early-stop", "--emit-dot", "d.dot"], "d.a1.dot", id="concrete-dot"),
+        ],
+    )
+    def test_per_target_name_is_a_directory(self, capsys, tmp_path, monkeypatch, argv, directory):
+        """A per-target file name that is an existing directory is refused
+        before any digraph is grown: no report and no other file written."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / directory).mkdir()
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"ERROR:bad-input:{argv[-2]} path {directory!r} names no file\n"
+        assert [path.name for path in tmp_path.iterdir()] == [directory]
+
 
 class TestLnCommand:
     def test_mod12(self, capsys):

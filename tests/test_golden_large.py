@@ -53,3 +53,22 @@ def run_digest(argv: list[str], workdir) -> str:
 def test_large_runs_match_golden_bytes(name, tmp_path):
     argv, expected = CASES[name]
     assert run_digest(argv, tmp_path) == expected
+
+
+# ln over every divisor of 510510 = 2*3*5*7*11*13*17 (a 128-element radical
+# lattice), of 720720 = 2^4*3^2*5*7*11*13 (prime powers), and of the moduli
+# 2, 999983 (prime) and 10^6 = 2^6*5^6; one sha256 over every run's exit
+# code, stdout and stderr, recorded from the lattice of ModIdeal values that
+# plain divisors replaced.
+LN_MODULI = (510510, 720720, 2, 999983, 10**6)
+LN_SHA256 = "3b9bb8846ae6afcab199cfb9f3d5f9eacefd20c2c9c649af3c5987d59541ed1a"
+
+
+def test_ln_runs_match_golden_bytes():
+    records = []
+    for modulus, d in ((N, d) for N in LN_MODULI for d in range(1, N + 1) if N % d == 0):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["ln", "--modulus", str(modulus), "--ideal", str(d)])
+        records.append([modulus, d, code, out.getvalue(), err.getvalue()])
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == LN_SHA256

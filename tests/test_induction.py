@@ -15,7 +15,6 @@ from nilcert import (
     FinitePoset,
     Holds,
     Indeterminate,
-    ModIdeal,
     NotReducible,
     PrimeIdeal,
     ProblemInstance,
@@ -152,20 +151,17 @@ class TestRadical:
 
 
 class TestModIdeal:
+    """Radical ideals of Z/n given by their generators: the order and meet
+    of radical_ideal_poset."""
+
     def test_order(self):
-        assert ModIdeal(12, 12).leq(ModIdeal(12, 6))
-        assert not ModIdeal(12, 6).leq(ModIdeal(12, 4))
+        leq = radical_ideal_poset(12).leq
+        assert leq(12, 6)
+        assert not leq(6, 4)
 
-    def test_elements(self):
-        assert ModIdeal(12, 4).elements() == frozenset({0, 4, 8})
-
-    def test_validation(self):
-        with pytest.raises(BadInput):
-            ModIdeal(12, 5)
-
-    def test_radical_poset_laws(self):
-        poset = radical_ideal_poset(12)
-        assert {ideal.generator for ideal in poset.elements} == {1, 2, 3, 6}
+    @pytest.mark.parametrize("modulus", [12, 16, 30, 2310, 999983])
+    def test_radical_poset_laws(self, modulus):
+        poset = radical_ideal_poset(modulus)
         for x in poset.elements:
             assert poset.leq(x, x)
             for y in poset.elements:
@@ -175,11 +171,11 @@ class TestModIdeal:
                     if poset.leq(x, y) and poset.leq(y, z):
                         assert poset.leq(x, z)
                 meet = poset.meet(y, x)
+                assert meet in poset.elements
                 assert poset.leq(meet, x) and poset.leq(meet, y)
                 for below in poset.elements:
                     if poset.leq(below, x) and poset.leq(below, y):
                         assert poset.leq(below, meet)
-
 
     def test_radical_poset_elements_against_brute_force(self):
         for n in range(2, 3001):
@@ -188,7 +184,7 @@ class TestModIdeal:
                 for d in range(1, n + 1)
                 if n % d == 0 and all(d % (p * p) for p in range(2, isqrt(d) + 1))
             ]
-            assert radical_ideal_poset(n).elements == tuple(ModIdeal(n, d) for d in squarefree), n
+            assert radical_ideal_poset(n).elements == tuple(squarefree), n
 
 
 class TestLnDecompose:
