@@ -53,12 +53,15 @@ target u, all from one ``WitnessBuilder``; a target outside a leaf's
 closure has none, and the check fails.  ``check_node_local`` walks the
 digraph once, children first, for all the targets it is given: it builds
 each node's witnesses, expands each of these small identities exactly,
-checks the digraph's structure around it and drops them, keeping only the
-node's exponent.  By the key lemma (u^k in I + (D, a_i), u^l in
-I + (D, b_j) and a_i*b_j in I + (D) give u^(k+l) in I + (D)) that proves
-u^e = 0 without expanding u^e.  Its cost is polynomial in the digraph,
-and its memory that of the digraph and one node's witnesses, while the
-root identity grows exponentially in n + m.
+checks the digraph's structure around it and drops them, keeping only
+which labels it has met.  Given each target's own digraph (its
+``--early-stop`` cut), the same single walk checks them all: each
+distinct branch identity once for every target whose digraph reaches it,
+each leaf identity per target whose digraph ends there.  By the key lemma
+(u^k in I + (D, a_i), u^l in I + (D, b_j) and a_i*b_j in I + (D) give
+u^(k+l) in I + (D)) that proves u^e = 0 without expanding u^e.  Its cost
+is polynomial in the digraph, and its memory that of the digraphs and one
+node's witnesses, while the root identity grows exponentially in n + m.
 
 That root identity is built only for a dump, by ``certify`` alone (for
 one target, ``extract_certificate``): the same walk then also takes each
@@ -75,9 +78,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .engine import CaseTag, Digraph, ProblemInstance
+from .engine import CaseTag, Digraph, DigraphNode, ProblemInstance
 from .oracles import IdealLabel, closure_bits
 from .poly import EXPONENT_LIMIT, MAX_INDEX, Indeterminate, MultiPoly, avar, bvar, sum_of_products
 
@@ -283,96 +286,150 @@ def node_witness(
 
 
 def _walk(
-    digraph: Digraph, target_indices: Sequence[int], source: Callable, combined: bool
+    digraph: Digraph,
+    proofs: Mapping[int, Digraph],
+    source: Callable,
+    combined: bool,
 ) -> list[tuple[int, MembershipWitness]] | None:
-    """The walk of ``check_node_local``; None when the check fails, as it
-    does when source raises NotInClosure.  With ``combined``, each node
-    also takes one ``node_witness`` step per target over the witnesses just
+    """The walk of ``check_proofs``; None when the check fails, as it does
+    when source raises NotInClosure.  With ``combined``, each node also
+    takes one ``node_witness`` step per target over the witnesses just
     checked, and the result is the root's (exponent, witness of
     u^exponent) per target; else it is empty."""
     if not digraph.generic:
         raise ValueError("certificates are extracted from indeterminate-coefficient runs")
     n, m = digraph.n, digraph.m
+    target_indices = list(proofs)
     if not target_indices or not all(1 <= i0 <= n for i0 in target_indices):
         raise ValueError(f"target indices must be given, each in 1..{n}, got {tuple(target_indices)}")
+    if not all(proof.generic for proof in proofs.values()):
+        raise ValueError("certificates are extracted from indeterminate-coefficient runs")
+    # Targets of one proof share its structure check.
+    groups: dict[int, tuple[Digraph, list[int]]] = {}
+    for position, proof in enumerate(proofs.values()):
+        groups.setdefault(id(proof), (proof, []))[1].append(position)
+    shared = list(groups.values())
+    # Every node of each proof that has a label is checked when the walk
+    # meets it, or the walk fails: a met label is a checked one.
+    met: set[IdealLabel] = set()
     targets = [avar(i0) for i0 in target_indices]
-    exponents: dict[IdealLabel, int] = {}
-    steps: dict[IdealLabel, list[tuple[int, MembershipWitness]]] = {}
-    for label, node in digraph.nodes.items():
-        tag = node.tag
-        try:
-            children = tag.children(label)
-        except ValueError:
-            return None
-        child_exponents = [exponents.get(child) for child in children]
-        if node.children != children or None in child_exponents:
-            return None
-        exponent = sum(child_exponents) if children else 1
-        if exponent != node.exponent:
-            return None
-        # Every target's subject at a leaf, the product's once at a branch.
-        subjects = targets if tag.is_leaf else [avar(tag.i) * bvar(tag.j)]
-        try:
-            local = source(label, tag, target_indices)
-        except NotInClosure:
-            return None
-        if len(local) != len(subjects):
-            return None
-        for witness, subject in zip(local, subjects):
-            if not _identity_holds(witness, label, subject):
+    steps: list[dict[IdealLabel, tuple[int, MembershipWitness]]] = [{} for _ in targets]
+    for label in digraph.nodes:
+        # The proofs that reach this label, by the tag each gives it.
+        by_tag: dict[CaseTag, list[tuple[dict[IdealLabel, DigraphNode], list[int], DigraphNode]]] = {}
+        for proof, positions in shared:
+            node = proof.nodes.get(label)
+            if node is not None:
+                by_tag.setdefault(node.tag, []).append((proof.nodes, positions, node))
+        for tag, members in by_tag.items():
+            try:
+                children = tag.children(label)
+            except ValueError:
                 return None
-        exponents[label] = exponent
-        if combined:
-            local = local if tag.is_leaf else local * len(targets)
-            steps[label] = [
-                node_witness(w, [steps[child][t] for child in children], u, tag)
-                for t, (w, u) in enumerate(zip(local, targets))
-            ]
-    if digraph.root != IdealLabel.root(n, m) or digraph.root not in exponents:
-        return None
-    return steps.get(digraph.root, [])
+            if not met.issuperset(children):
+                return None
+            positions = []
+            for nodes, proof_positions, node in members:
+                if node.children is not children:
+                    if node.children != children:
+                        return None
+                    # Cuts share their children tuples: compare each once.
+                    children = node.children
+                exponent = 1
+                if children:
+                    left, right = map(nodes.get, children)
+                    if left is None or right is None:
+                        return None
+                    exponent = left.exponent + right.exponent
+                if node.exponent != exponent:
+                    return None
+                positions += proof_positions
+            # Each target's subject at a leaf, the product's once at a branch.
+            subjects = [targets[p] for p in positions] if tag.is_leaf else [avar(tag.i) * bvar(tag.j)]
+            try:
+                local = source(label, tag, [target_indices[p] for p in positions])
+            except NotInClosure:
+                return None
+            if len(local) != len(subjects):
+                return None
+            for witness, subject in zip(local, subjects):
+                if not _identity_holds(witness, label, subject):
+                    return None
+            if combined:
+                local = local if tag.is_leaf else local * len(positions)
+                for p, witness in zip(positions, local):
+                    steps[p][label] = node_witness(witness, [steps[p][child] for child in children], targets[p], tag)
+        met.add(label)
+    # Each proof's root is empty, and every node of it was met.
+    root = IdealLabel.root(n, m)
+    for proof, _ in shared:
+        if proof.root != root or root not in proof.nodes or not met.issuperset(proof.nodes):
+            return None
+    return [steps[p][root] for p in range(len(targets))] if combined else []
 
 
 def check_node_local(digraph: Digraph, *target_indices: int, source: Callable = local_witnesses) -> bool:
     """Exact node-local check of the digraph's claim u^e = 0, for each
     u = a_i0 with i0 in target_indices and e the root exponent, by the key
-    lemma one node at a time.
+    lemma one node at a time: ``check_proofs`` with the digraph as each
+    target's proof, so one walk checks the structure, the exponents and
+    each product identity once for all the targets."""
+    return check_proofs(digraph, dict.fromkeys(target_indices, digraph), source)
 
-    One walk over the nodes, children first, takes each node's own
-    witnesses from ``source`` (a test may give a fake ``local_witnesses``),
-    checks them and drops them, keeping only the node's exponent.  It
-    requires at each label D:
+
+def check_proofs(digraph: Digraph, proofs: Mapping[int, Digraph], source: Callable = local_witnesses) -> bool:
+    """Exact node-local check of each proof's claim u^e = 0, for every
+    u = a_i0 and its proof ``proofs[i0]`` with e the proof's root exponent,
+    by the key lemma one node at a time.  A proof is ``digraph`` itself
+    or, such as ``engine.early_stop_cut(digraph, i0)``, a digraph whose
+    labels ``digraph`` has, in its order.
+
+    One walk over ``digraph``'s labels, children first, takes each node's
+    own witnesses from ``source`` (a test may give a fake
+    ``local_witnesses``), checks them and drops them, keeping only which
+    labels it has met.  It requires at each label D, for every proof that
+    has D:
 
     * the stored children to be ``tag.children(D)``, each already checked;
     * the stored exponent to be 1 at a leaf and the sum of the children's
       recomputed exponents at a branch;
     * every generator key of the node's witnesses to be a generator of D,
       and every relation index to lie in 1..n+m;
-    * each witness, expanded less its expected subject (every target u at
-      a leaf, a_i*b_j once at a branch(i, j)) in the relations of D's
+    * each witness, expanded less its expected subject (u at a leaf where
+      u's proof ends, a_i*b_j at a branch(i, j)) in the relations of D's
       size, to be the zero polynomial.
 
     Then u^k in I + (D, a_i), u^l in I + (D, b_j) and a_i*b_j in I + (D)
     give u^(k+l) in I + (D), I the ideal of the relations; the root label
     must be empty, which leaves u^e in I.  u^e itself is never expanded.
-    The structure, the exponents and each product identity do not depend
-    on the target, so one call checks them once for all its targets.  A
-    target outside a leaf's closure fails the check.  Raises ValueError
-    for a concrete digraph, or when no target is given or one lies outside
-    1..n.
+    Every node of every proof must be met on the way.  The structure and
+    the exponents of one proof, and each (label, tag) product identity, do
+    not depend on the target, so the walk checks each once for all the
+    targets that share it; exponents stay per proof.  A target outside a
+    leaf's closure fails the check.  Raises ValueError for a concrete
+    digraph or proof, or when no target is given or one lies outside 1..n.
     """
-    return _walk(digraph, target_indices, source, combined=False) is not None
+    return _walk(digraph, proofs, source, False) is not None
 
 
 def certify(digraph: Digraph, *target_indices: int) -> list[NilpotencyCertificate] | None:
-    """The walk of ``check_node_local``, which also combines the root
-    certificate of each target from the witnesses it checks, in the order
-    of target_indices; None whenever ``check_node_local`` would be False.
-    Raises ValueError as ``check_node_local`` does."""
-    roots = _walk(digraph, target_indices, local_witnesses, combined=True)
+    """``certify_proofs`` with the digraph as each target's proof, in the
+    order of target_indices; a repeated target is certified once."""
+    return certify_proofs(digraph, dict.fromkeys(target_indices, digraph))
+
+
+def certify_proofs(digraph: Digraph, proofs: Mapping[int, Digraph]) -> list[NilpotencyCertificate] | None:
+    """The walk of ``check_proofs``, which also combines the root
+    certificate of each target from the witnesses it checks, up that
+    target's own proof, in the order of ``proofs``; None whenever
+    ``check_proofs`` would be False.  A product witness that several
+    targets share is built once and combined into each of their steps at
+    its label before the walk moves on.  Raises ValueError as
+    ``check_proofs`` does."""
+    roots = _walk(digraph, proofs, local_witnesses, True)
     if roots is None:
         return None
-    return [NilpotencyCertificate(digraph.n, digraph.m, i0, *root) for i0, root in zip(target_indices, roots)]
+    return [NilpotencyCertificate(digraph.n, digraph.m, i0, *root) for i0, root in zip(proofs, roots)]
 
 
 def _identity_holds(witness: MembershipWitness, label: IdealLabel, subject: MultiPoly) -> bool:

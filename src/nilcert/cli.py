@@ -9,15 +9,21 @@ Subcommands:
   ln        --modulus N --ideal D
   pascal    --n N --m M
 
-generic and concrete run one pipeline over (digraph, targets) pairs: the
-shared digraph with every target, or with --early-stop one digraph per
-target.  Each digraph is grown, its DOT file written and its targets
-checked; then the report is printed.  Only the check differs.  Generic
-mode checks the digraph's proof node by node for all its targets in one
-walk, each node's own witness built, expanded exactly and dropped; with
---emit-cert the same walk also combines each target's root certificate
-from the witnesses it checked, and each is verified by full expansion and
-dumped only if it holds.  Concrete mode evaluates u^e in Z/modulus.  The
+generic and concrete run one pipeline that grows one digraph per run: the
+plain one, which serves every target, or with --early-stop and --target
+the one early-stopped for that target.  With --early-stop over every
+target, each target's early-stop digraph is cut from the plain one, since
+stopping once every target is in is the plain leaf rule.  Each target's
+DOT file is written and every target checked in one call (in a few, each
+over consecutive targets, when the cuts would hold more than
+CUT_NODES_PER_WALK nodes at once); then the report is printed.  Only the
+check differs.  Generic mode checks the proofs node by node for all
+targets in one walk over the grown digraph, each node's own witnesses
+built, expanded exactly and dropped, each branch identity once however
+many targets' digraphs share it; with --emit-cert the same walk also
+combines each target's root certificate up its own digraph from the
+witnesses it checked, and each is verified by full expansion and dumped
+only if it holds.  Concrete mode evaluates u^e in Z/modulus.  The
 argument parser is built once per process.
 
 Refused before any digraph is grown: --n or --m above 4095 (generic and
@@ -42,15 +48,17 @@ import json
 import sys
 from math import prod
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
-from .certificates import certify, check_node_local, dump_certificate, power_check, verify_symbolic
+from .certificates import certify_proofs, check_proofs, dump_certificate, power_check, verify_symbolic
 from .dot import emit_dot
 from .engine import (
+    Digraph,
     NotAUnit,
     ProblemInstance,
     check_unit,
     convolution,
+    early_stop_cut,
     grow_digraph,
     structural_metrics,
 )
@@ -85,6 +93,36 @@ def _parse_coeffs(text: str, what: str) -> list[int]:
         raise BadInput(f"{what} must be a comma-separated integer list, got {text!r}") from None
 
 
+# The most cut nodes an --early-stop run over every target holds at once.
+# A cut node takes about 110 bytes, so 2^17 of them take about 14 MB, less
+# than the interpreter with this package loaded (16 MB), and such a run
+# stays within twice the plain run's peak RSS.  Targets past the budget
+# are checked in further walks, each over the cuts of consecutive targets,
+# which expand the branch identities they share once more: the 80 cuts of
+# (80,80) hold 268 840 nodes and take 3 walks, those of (1000,1) hold
+# 1 002 000 and take 8.
+CUT_NODES_PER_WALK = 1 << 17
+
+
+def _proof_batches(digraph: Digraph, targets: list[int], cut: bool) -> Iterator[dict[int, Digraph]]:
+    """Each target with its digraph, the grown one or with ``cut`` its
+    early-stop cut, in runs of consecutive targets; the cuts of a run hold
+    at most CUT_NODES_PER_WALK nodes together, unless it has one target."""
+    batch: dict[int, Digraph] = {}
+    held = 0
+    for i0 in targets:
+        proof = early_stop_cut(digraph, i0) if cut else digraph
+        size = len(proof.nodes) if cut else 0
+        if batch and held + size > CUT_NODES_PER_WALK:
+            yield batch
+            # The caller is done with these cuts: free them before the next.
+            batch.clear()
+            held = 0
+        batch[i0] = proof
+        held += size
+    yield batch
+
+
 def _run_digraph(
     args: argparse.Namespace,
     instance: ProblemInstance,
@@ -96,12 +134,17 @@ def _run_digraph(
 
     Refuses an output path that names a directory, not a file, or whose
     per-target name does, and a DOT file that a certificate dump would
-    overwrite.  Then takes each digraph
-    in turn with the targets it serves: the shared one with every target,
-    or with --early-stop one per target.  Each is grown, its DOT file
-    written, and ``check(digraph, i0s, emit)`` returns the report entries
-    of its targets and whether their checks passed; then the report is
-    printed.
+    overwrite.  Then grows one digraph: the plain one, or with --early-stop
+    and --target the one early-stopped for that target.  Each target is
+    proved by that digraph, except with --early-stop over every target:
+    stopping once every target is in is the plain leaf rule, so the plain
+    digraph is grown and each target's early-stop digraph is cut from it.
+    Each target's digraph has its DOT file written, and
+    ``check(digraph, proofs, emit)``, with ``proofs`` mapping targets to
+    their digraphs, returns the report entries of those targets and
+    whether their checks passed: one call for all targets, or one per run
+    of consecutive targets when their cuts would hold more than
+    CUT_NODES_PER_WALK nodes at once.  Then the report is printed.
     ``emit(kind, path, i0, text)`` writes a file, named per target when
     there are several targets and i0 is given.
     """
@@ -110,7 +153,8 @@ def _run_digraph(
         if path is not None and (Path(path).name in ("", "..") or Path(path).is_dir()):
             raise BadInput(f"{flag} path {path!r} names no file")
     targets = list(range(1, instance.n + 1)) if args.target is None else [args.target]
-    runs = [(i0, [i0]) for i0 in targets] if args.early_stop else [(None, targets)]
+    # The target each DOT file is named for: every one with --early-stop.
+    stops = targets if args.early_stop else [None]
     files: dict[str, list[str]] = {}
 
     def named(path: str, i0: int | None) -> Path:
@@ -120,7 +164,7 @@ def _run_digraph(
         return target_path
 
     # So is a per-target name of a file the run will write.
-    writes = [("--emit-dot", named(dot, stop)) for stop, _ in runs if dot]
+    writes = [("--emit-dot", named(dot, stop)) for stop in stops if dot]
     writes += [("--emit-cert", named(cert, i0)) for i0 in targets if cert]
     for flag, target_path in writes:
         if target_path.is_dir():
@@ -129,7 +173,7 @@ def _run_digraph(
     # Per-target naming keeps a path's directory, so file names are
     # compared first and the directories resolved only if two coincide.
     if dot and cert:
-        names = {named(dot, stop).name for stop, _ in runs}
+        names = {named(dot, stop).name for stop in stops}
         if not names.isdisjoint(named(cert, i0).name for i0 in targets) and (
             Path(dot).parent.resolve() == Path(cert).parent.resolve()
         ):
@@ -140,17 +184,19 @@ def _run_digraph(
         target_path.write_text(text, encoding="utf-8")
         files.setdefault(kind, []).append(str(target_path))
 
+    digraph = grow_digraph(instance, early_stop_target=args.target if args.early_stop else None)
+    if dot and not args.early_stop:
+        emit("dot", dot, None, emit_dot(digraph))
     target_reports = []
     all_verified = True
-    for stop, i0s in runs:
-        digraph = grow_digraph(instance, early_stop_target=stop)
-        if dot:
-            emit("dot", dot, stop, emit_dot(digraph))
-        entries, ok = check(digraph, i0s, emit)
+    for proofs in _proof_batches(digraph, targets, args.early_stop and args.target is None):
+        for i0, proof in proofs.items() if dot and args.early_stop else ():
+            emit("dot", dot, i0, emit_dot(proof))
+        entries, ok = check(digraph, proofs, emit)
         all_verified = all_verified and ok
         if args.early_stop:
-            for entry in entries:
-                entry["metrics"] = structural_metrics(digraph)
+            for entry, proof in zip(entries, proofs.values()):
+                entry["metrics"] = structural_metrics(proof)
         target_reports += entries
 
     report = {**head, "targets": target_reports}
@@ -174,12 +220,11 @@ def _run_generic(args: argparse.Namespace) -> int:
     if args.target is not None and not 1 <= args.target <= args.n:
         return _usage_error(f"--target must lie in 1..{args.n}")
 
-    def check(digraph, i0s, emit):
-        exponent = digraph.nodes[digraph.root].exponent
-        entries = [{"i0": i0, "e": exponent} for i0 in i0s]
+    def check(digraph, proofs, emit):
+        entries = [{"i0": i0, "e": proof.nodes[proof.root].exponent} for i0, proof in proofs.items()]
         if not args.emit_cert:
-            return entries, check_node_local(digraph, *i0s)
-        certificates = certify(digraph, *i0s)
+            return entries, check_proofs(digraph, proofs)
+        certificates = certify_proofs(digraph, proofs)
         if certificates is None:
             return entries, False
         verified = [certificate for certificate in certificates if verify_symbolic(certificate).ok]
@@ -212,10 +257,10 @@ def _run_concrete(args: argparse.Namespace) -> int:
         return _usage_error(f"--target must lie in 1..{instance.n}")
     check_unit(convolution(instance.a, instance.b, instance.modulus))
 
-    def check(digraph, i0s, emit):
-        exponent = digraph.nodes[digraph.root].exponent
+    def check(digraph, proofs, emit):
         entries, ok = [], True
-        for i0 in i0s:
+        for i0, proof in proofs.items():
+            exponent = proof.nodes[proof.root].exponent
             result = power_check(instance, i0, exponent)
             minimal = {"minimal": result.minimal_exponent} if args.minimal else {}
             entries.append({"i0": i0, "e": exponent, **minimal})

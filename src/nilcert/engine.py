@@ -14,12 +14,15 @@ acyclic digraph; labels grow strictly along edges, so construction
 terminates.  It runs as one post-order walk on an explicit stack, so depth
 is unbounded, and stores nodes children-first: later passes are loops.
 The root exponent e is the number of leaves of the unfolded tree and
-satisfies u^e = 0 for every choice of u.
+satisfies u^e = 0 for every choice of u.  Each node keeps the closed
+a-bits its label was classified by, so that a target's early-stop digraph
+is a cut of the plain one, with no label classified twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 from typing import Sequence
 
@@ -44,7 +47,7 @@ class InternalInconsistency(Exception):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseTag:
     """Classification of a label: leaf, or branch(i, j) with the maximal
     indices of an a- and a b-coefficient outside the ideal."""
@@ -93,8 +96,8 @@ class ProblemInstance:
     mode carries a modulus N >= 2 and the coefficient lists a (length n+1)
     and b (length m+1) over Z/N, lowest degree first, each canonical in
     [0, N).  The instance does not name the coefficient u = a_i0 under
-    study: one digraph serves every target, and only ``grow_digraph``'s
-    early stop is tied to one.
+    study: one digraph serves every target, and only an early stop, in
+    ``grow_digraph`` or ``early_stop_cut``, is tied to one.
     """
 
     n: int
@@ -168,48 +171,48 @@ def check_unit(c: Sequence[int]) -> None:
             raise NotAUnit(k, c[k])
 
 
+def _check_target(n: int, early_stop_target: int | None) -> None:
+    if early_stop_target is not None and not 1 <= early_stop_target <= n:
+        raise ValueError(f"early-stop target must lie in 1..{n}, got {early_stop_target}")
+
+
 def case_split(
     label: IdealLabel,
     instance: ProblemInstance,
     early_stop_target: int | None = None,
-) -> CaseTag:
-    """Classify a label as leaf or branch(i, j) with maximal i, j.
+) -> tuple[CaseTag, bytes]:
+    """Classify a label as leaf or branch(i, j) with maximal i, j; also
+    return its closed a-bits, byte i-1 set when a_i lies in the ideal.
 
-    The split works on two bit lists, one per family, with bit k-1 set when
-    the k-th coefficient lies in the ideal of the label.  Generic mode
-    takes them from the rule closure's bits; over Z/N the ideal of the
-    generators is (g) with g = gcd(N, generator values), so one gcd per
+    The split works on two such byte strings, one per family.  Generic
+    mode takes them from the rule closure's bits; over Z/N the ideal of
+    the generators is (g) with g = gcd(N, generator values), so one gcd per
     label decides every coefficient by divisibility.  With
     ``early_stop_target`` set (it must lie in 1..n), the node is already a
     leaf once the studied coefficient itself lies in the ideal.
     """
-    n = instance.n
-    if early_stop_target is not None and not 1 <= early_stop_target <= n:
-        raise ValueError(f"early-stop target must lie in 1..{n}, got {early_stop_target}")
+    _check_target(instance.n, early_stop_target)
     if instance.is_generic:
-        a_in, b_in = closure_bits(label.a_bits, label.b_bits)
+        a_in, b_in = map(bytes, closure_bits(label.a_bits, label.b_bits))
     else:
         a_values, b_values = instance.a[1:], instance.b[1:]
-        g = gcd(
-            instance.modulus,
-            *(v for v, bit in zip(a_values, label.a_bits) if bit),
-            *(v for v, bit in zip(b_values, label.b_bits) if bit),
-        )
-        a_in = [v % g == 0 for v in a_values]
-        b_in = [v % g == 0 for v in b_values]
+        g = gcd(instance.modulus, *compress(a_values, label.a_bits), *compress(b_values, label.b_bits))
+        a_in = bytes(v % g == 0 for v in a_values)
+        b_in = bytes(v % g == 0 for v in b_values)
 
     if early_stop_target is not None and a_in[early_stop_target - 1]:
-        return CaseTag.leaf()
-    missing_a = [i for i, inside in enumerate(a_in, 1) if not inside]
-    if not missing_a:
-        return CaseTag.leaf()
-    missing_b = [j for j, inside in enumerate(b_in, 1) if not inside]
-    if not missing_b:
+        return CaseTag.leaf(), a_in
+    # The largest index outside the ideal, per family; 0 when there is none.
+    i = a_in.rfind(0) + 1
+    if not i:
+        return CaseTag.leaf(), a_in
+    j = b_in.rfind(0) + 1
+    if not j:
         raise InternalInconsistency(
-            f"a{max(missing_a)} lies outside the ideal of {label.render()} "
+            f"a{i} lies outside the ideal of {label.render()} "
             "but every b does not; the instance is not an inverse pair"
         )
-    return CaseTag.branch(max(missing_a), max(missing_b))
+    return CaseTag.branch(i, j), a_in
 
 
 def _post_order(root, expand, finish, memo: dict):
@@ -236,11 +239,15 @@ def _post_order(root, expand, finish, memo: dict):
     return memo[root]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DigraphNode:
+    """A label's case tag, children and exponent, and its closed a-bits:
+    ``closed_a[i-1]`` is 1 when a_i lies in the ideal of the label."""
+
     tag: CaseTag
     children: tuple[IdealLabel, ...]
     exponent: int
+    closed_a: bytes
 
 
 @dataclass
@@ -270,23 +277,69 @@ def grow_digraph(instance: ProblemInstance, early_stop_target: int | None = None
 
     Children add one generator each, so labels strictly grow along edges
     and the walk terminates.  Leaves carry exponent 1, branches the sum of
-    their children's exponents.  Without ``early_stop_target`` the digraph
-    serves every target a_1..a_n; with it (in 1..n, else ValueError) a
-    label is a leaf as soon as that one coefficient is in its ideal, and
-    the digraph serves that target alone.
+    their children's exponents.  Each label is classified once, and its
+    node keeps the closed a-bits that gave its tag.  Without
+    ``early_stop_target`` the digraph serves every target a_1..a_n, and
+    ``early_stop_cut`` cuts each target's early-stop digraph from it; with
+    it (in 1..n, else ValueError) a label is a leaf as soon as that one
+    coefficient is in its ideal, and the digraph serves that target alone.
     """
 
-    def expand(label: IdealLabel) -> tuple[CaseTag, tuple[IdealLabel, ...]]:
-        tag = case_split(label, instance, early_stop_target)
-        return tag, tag.children(label)
+    def expand(label: IdealLabel) -> tuple[tuple[CaseTag, bytes], tuple[IdealLabel, ...]]:
+        tag, closed_a = case_split(label, instance, early_stop_target)
+        return (tag, closed_a), tag.children(label)
 
-    def finish(label, tag, children, child_nodes) -> DigraphNode:
-        return DigraphNode(tag, children, sum(c.exponent for c in child_nodes) if children else 1)
+    def finish(label, payload, children, child_nodes) -> DigraphNode:
+        tag, closed_a = payload
+        return DigraphNode(tag, children, sum(c.exponent for c in child_nodes) if children else 1, closed_a)
 
     nodes: dict[IdealLabel, DigraphNode] = {}
     root = IdealLabel.root(instance.n, instance.m)
     _post_order(root, expand, finish, nodes)
     return Digraph(instance.n, instance.m, root, nodes, instance.is_generic)
+
+
+def early_stop_cut(digraph: Digraph, target: int) -> Digraph:
+    """The early-stop digraph of a_target, cut from ``digraph``.
+
+    ``digraph`` is grown without early stop, or with this same target.
+    Until a_target enters the ideal, early-stop growth makes the plain
+    tags and children, so the cut walks ``digraph`` from its root as
+    ``grow_digraph`` walks the labels, in the same post-order: a label whose
+    closed a-bits hold a_target becomes a leaf with exponent 1, every other
+    label keeps its tag and children, and exponents are summed again,
+    children first.  Labels the cut no longer reaches are dropped, and
+    nodes that come out unchanged are shared.  The result equals
+    ``grow_digraph(instance, early_stop_target=target)`` node for node,
+    with no closure or gcd recomputed.  Raises ValueError when target lies
+    outside 1..n, or at a leaf that a_target is not in (a digraph
+    early-stopped for another target).
+    """
+    _check_target(digraph.n, target)
+    nodes = digraph.nodes
+    # A cut's exponents repeat the digraph's own, so the cut shares those
+    # ints: the cuts of every target of a large run would else hold one
+    # large int per node.
+    exponents = {node.exponent: node.exponent for node in nodes.values()}
+
+    def expand(label: IdealLabel) -> tuple[DigraphNode, tuple[IdealLabel, ...]]:
+        node = nodes[label]
+        if node.closed_a[target - 1]:
+            return node, ()
+        if not node.children:
+            raise ValueError(f"a{target} is not in the ideal of the leaf {label.render()}")
+        return node, node.children
+
+    def finish(label, node, children, child_nodes) -> DigraphNode:
+        exponent = sum(c.exponent for c in child_nodes) if children else 1
+        exponent = exponents.get(exponent, exponent)
+        if node.children == children and node.exponent == exponent:
+            return node
+        return DigraphNode(node.tag if children else CaseTag.leaf(), children, exponent, node.closed_a)
+
+    cut: dict[IdealLabel, DigraphNode] = {}
+    _post_order(digraph.root, expand, finish, cut)
+    return Digraph(digraph.n, digraph.m, digraph.root, cut, digraph.generic)
 
 
 def structural_metrics(digraph: Digraph) -> dict[str, int]:

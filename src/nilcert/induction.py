@@ -10,6 +10,8 @@ Instantiation one: radical decomposition over Z/n.  The radical ideals of
 Z/n are exactly the ideals (r) for squarefree divisors r of n, so the
 lattice is those divisors as plain ints, each ideal given by its
 generator: (r) lies in (s) iff s divides r, and their meet is lcm(r, s).
+Decomposing the radical rad of one ideal walks only the divisors of rad,
+the radical ideals that contain it.
 On that lattice the strong primality test supplies the case split (unit
 ideal, prime ideal, or an explicit zero-divisor pair), a composite witness
 (x, y) reduces r to the meet of gcd(r, x) and gcd(r, y), and evidence (the
@@ -223,15 +225,21 @@ def radical_ideal_poset(modulus: int) -> FinitePoset:
 def ln_decompose(modulus: int, d: int) -> list[int]:
     """Primes p_1..p_r with (p_1) ∩ .. ∩ (p_r) equal to the radical of (d).
 
-    Runs the induction pattern on the radical-ideal lattice, each ideal (r)
-    given by its generator r: the strong primality test splits each ideal,
-    a composite witness (x, y) reduces r to gcd(r, x) and gcd(r, y), and
-    prime lists merge by union.  The answer is the evidence at the radical
-    of (d), checked to intersect back to it: lcm(primes) equals
-    radical_modn(modulus, d), else RuntimeError.
+    Runs the induction pattern on the lattice of radical ideals that
+    contain the radical of (d), each ideal (r) given by its generator r:
+    the squarefree divisors of rad = radical_modn(modulus, d), which is
+    ``radical_ideal_poset(rad)``, a sub-lattice of the radical ideals of
+    Z/modulus with the same meets.  The strong primality test splits each
+    ideal, a composite witness (x, y) reduces r to gcd(r, x) and gcd(r, y),
+    both divisors of r, and prime lists merge by union.  The answer is the
+    evidence at rad, checked to intersect back to it: lcm(primes) equals
+    rad, else RuntimeError.  The unit ideal (rad = 1) is the empty
+    intersection.
     """
     _check_modulus_divisor(modulus, d)
     rad = radical_modn(modulus, d)
+    if rad == 1:
+        return []
 
     def goodness(r: int) -> GoodnessOutcome:
         outcome = spt_modn(modulus, r)
@@ -244,7 +252,7 @@ def ln_decompose(modulus: int, d: int) -> list[int]:
     def merge(parent: int, left: int, right: int, ev_left, ev_right):
         return tuple(sorted(set(ev_left) | set(ev_right)))
 
-    primes = list(run_induction(radical_ideal_poset(modulus), goodness, merge)[rad])
+    primes = list(run_induction(radical_ideal_poset(rad), goodness, merge)[rad])
     if lcm(*primes) != rad:
         raise RuntimeError("decomposition does not intersect to the radical")
     return primes
@@ -338,7 +346,7 @@ def nc_run_induction(
         return node_witness(local, children, avar(target_index), tags[label])
 
     def goodness(label: IdealLabel) -> GoodnessOutcome:
-        tag = case_split(label, instance)
+        tag, _ = case_split(label, instance)
         tags[label] = tag
         if tag.is_leaf:
             return Holds(step(label, ()))

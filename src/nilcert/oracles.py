@@ -90,7 +90,8 @@ class IdealLabel:
 
     a_bits has length n and a_bits[i-1] == 1 iff a_i is a generator;
     likewise b_bits for the b side.  Labels of one problem instance form a
-    finite lattice under bitwise inclusion.
+    finite lattice under bitwise inclusion.  A label is hashed once, when
+    it is made: labels key every dict of the digraph and its walks.
     """
 
     a_bits: tuple[int, ...]
@@ -100,6 +101,10 @@ class IdealLabel:
         for bits in (self.a_bits, self.b_bits):
             if bits.count(0) + bits.count(1) != len(bits):
                 raise ValueError(f"label bits must be 0 or 1, got {bits}")
+        object.__setattr__(self, "_hash", hash((self.a_bits, self.b_bits)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def root(cls, n: int, m: int) -> IdealLabel:

@@ -179,6 +179,26 @@ def polynomial_inverse(modulus: int, f: tuple[int, ...], max_terms: int = 64) ->
     return tuple(b)
 
 
+def random_inverse_pair(rng, degree: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """A seeded inverse pair (modulus, f, g) with deg f = degree.
+
+    The modulus is a product of one or two prime powers p^2..p^4; f has a
+    unit constant term and every other coefficient a multiple of the
+    primes, so nilpotent, with a nonzero leading one.  Such an f is a unit,
+    and g is its inverse by power-series division.
+    """
+    primes = rng.sample((2, 3, 5, 7), rng.randint(1, 2))
+    modulus, rad = 1, 1
+    for p in primes:
+        modulus, rad = modulus * p ** rng.randint(2, 4), rad * p
+    a0 = rng.choice([a for a in range(1, modulus) if gcd(a, modulus) == 1])
+    body = [rad * rng.randrange(modulus // rad) for _ in range(degree - 1)]
+    f = (a0, *body, rad * rng.randrange(1, modulus // rad))
+    g = polynomial_inverse(modulus, f)
+    assert g is not None, (modulus, f)
+    return modulus, f, g
+
+
 def unit_pairs(modulus: int, max_deg_f: int = 3, max_deg_g: int = 3):
     """All inverse pairs (f, g) over Z/modulus with the stated true degrees.
 

@@ -47,9 +47,12 @@ from nilcert.certificates import (
     _expansion_minus,
     _identity_holds,
     certify,
+    certify_proofs,
+    check_proofs,
     local_witnesses,
     relation_poly,
 )
+from nilcert.engine import early_stop_cut
 from nilcert.poly import FIELD_BITS, MAX_INDEX
 
 A = Indeterminate.a
@@ -428,6 +431,73 @@ class TestNodeLocalCheck:
         assert subjects == expected
         assert subjects.total() == branches + 3 * leaves
         assert len(built) == branches
+
+        # All three --early-stop cuts in one check: each distinct branch
+        # identity once, however many cuts share it, and each target's
+        # leaf identity once per leaf of its own cut.
+        cuts = {i0: early_stop_cut(digraph, i0) for i0 in (1, 2, 3)}
+        subjects.clear()
+        built.clear()
+        assert check_proofs(digraph, cuts)
+        branch_nodes = {
+            (label, node.tag) for cut in cuts.values() for label, node in cut.nodes.items() if node.children
+        }
+        assert sum(sum(bool(node.children) for node in cut.nodes.values()) for cut in cuts.values()) > len(branch_nodes)
+        expected = Counter(f"1*a{tag.i}*b{tag.j}" for _, tag in branch_nodes)
+        for i0, cut in cuts.items():
+            expected.update({f"1*a{i0}": sum(not node.children for node in cut.nodes.values())})
+        assert subjects == expected
+        assert sorted(built) == sorted((tag.i, tag.j, label) for label, tag in branch_nodes)
+
+    def test_a_false_shared_product_fails_every_order(self):
+        """A corrupted product witness at a branch that several --early-stop
+        cuts share fails the check, whichever order the targets come in,
+        and with --emit-cert yields no certificate."""
+        digraph = grow_digraph(ProblemInstance.generic(3, 3))
+        cuts = {i0: early_stop_cut(digraph, i0) for i0 in (1, 2, 3)}
+        sharing = Counter(label for cut in cuts.values() for label, node in cut.nodes.items() if node.children)
+        shared = [label for label, count in sharing.items() if count > 1]
+        assert shared
+        bump = lambda witness: replace(witness, unit_coeff=witness.unit_coeff + MultiPoly.one())  # noqa: E731
+        for at in shared:
+            source = with_local(at, bump)
+            for order in ((1, 2, 3), (3, 2, 1), (2, 3, 1)):
+                proofs = {i0: cuts[i0] for i0 in order}
+                assert check_proofs(digraph, proofs)
+                assert not check_proofs(digraph, proofs, source), (at, order)
+
+    def test_cuts_certify_as_their_early_stop_digraphs(self):
+        """With cuts, one walk gives each target the root certificate of its
+        own early-stop digraph."""
+        instance = ProblemInstance.generic(3, 2)
+        digraph = grow_digraph(instance)
+        cuts = {i0: early_stop_cut(digraph, i0) for i0 in (1, 2, 3)}
+        together = certify_proofs(digraph, cuts)
+        alone = [extract_certificate(grow_digraph(instance, early_stop_target=i0), i0) for i0 in (1, 2, 3)]
+        assert [(c.target_index, c.exponent) for c in together] == [(1, 10), (2, 6), (3, 3)]
+        assert [c.root_witness for c in together] == [c.root_witness for c in alone]
+        assert all(verify_symbolic(c).ok for c in together)
+
+    def test_rejects_a_cut_the_walk_does_not_meet(self):
+        """Every node of every cut must be met in the digraph's order, each
+        target lies in 1..n, and a cut must be generic."""
+        digraph = grow_digraph(ProblemInstance.generic(2, 2))
+        cuts = {i0: early_stop_cut(digraph, i0) for i0 in (1, 2)}
+        assert check_proofs(digraph, cuts)
+        # A cut's label outside the digraph is never met, so never checked.
+        stray = IdealLabel((1, 1), (1, 1))
+        assert stray not in digraph.nodes
+        padded = fresh(cuts[2])
+        padded.nodes = {stray: digraph.nodes[next(iter(digraph.nodes))], **padded.nodes}
+        assert not check_proofs(digraph, {**cuts, 2: padded})
+        # The order comes from the digraph: reversed, no child is met first.
+        backwards = replace(digraph, nodes=dict(reversed(digraph.nodes.items())))
+        assert not check_proofs(backwards, cuts)
+        with pytest.raises(ValueError):
+            check_proofs(digraph, {3: cuts[1]})
+        concrete = grow_digraph(ProblemInstance.concrete(8, [1, 2, 4], [1, 6]))
+        with pytest.raises(ValueError):
+            check_proofs(digraph, {1: concrete})
 
     def test_a_product_witness_edited_in_place_is_checked_again(self):
         """The check keeps no verdict: after a passing check, a product

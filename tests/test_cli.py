@@ -23,6 +23,7 @@ from nilcert import (
     structural_metrics,
     verify_symbolic,
 )
+from nilcert import cli
 from nilcert.cli import main
 
 
@@ -270,8 +271,9 @@ class TestNodeLocalVerdict:
             "nilcert.certificates.node_witness",
             "nilcert.certificates.extract_certificate",
             "nilcert.certificates.certify",
+            "nilcert.certificates.certify_proofs",
             "nilcert.certificates.verify_symbolic",
-            "nilcert.cli.certify",
+            "nilcert.cli.certify_proofs",
             "nilcert.cli.verify_symbolic",
         ):
             monkeypatch.setattr(name, forbidden)
@@ -304,11 +306,65 @@ class TestNodeLocalVerdict:
         assert json.loads(out)["certificate"] == "failed"
         assert err == "ERROR:verification:symbolic certificate check failed\n"
 
+    @pytest.mark.parametrize("emit", [False, True], ids=["node-local", "with --emit-cert"])
+    def test_false_shared_product_fails_early_stop_run(self, capsys, monkeypatch, tmp_path, emit):
+        """A false product witness at a branch that several targets'
+        --early-stop digraphs share fails the run, and no dump is written."""
+        instance = ProblemInstance.generic(3, 3)
+        sharing = Counter(
+            label
+            for i0 in (1, 2, 3)
+            for label, node in grow_digraph(instance, early_stop_target=i0).nodes.items()
+            if node.children
+        )
+        at = next(label for label, count in sharing.items() if count > 1 and any(label.a_bits + label.b_bits))
+        build = certificates.gauss_product_witness
+
+        def perturbed(i, j, label):
+            witness = build(i, j, label)
+            if label == at:
+                witness.unit_coeff = witness.unit_coeff + MultiPoly.one()
+            return witness
+
+        monkeypatch.setattr(certificates, "gauss_product_witness", perturbed)
+        argv = ["generic", "--n", "3", "--m", "3", "--early-stop"]
+        if emit:
+            argv += ["--emit-cert", str(tmp_path / "cert.json")]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert json.loads(out)["certificate"] == "failed"
+        assert err == "ERROR:verification:symbolic certificate check failed\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cut_budget_splits_the_walk_without_changing_output(self, capsys, monkeypatch, tmp_path):
+        """Past CUT_NODES_PER_WALK cut nodes, consecutive targets are
+        checked in separate walks; the report and the files are the same."""
+        argv = ["generic", "--n", "3", "--m", "2", "--early-stop"]
+        outputs = []
+        certify_proofs = cli.certify_proofs
+        for budget, walks in ((cli.CUT_NODES_PER_WALK, 1), (1, 3), (13, 2)):
+            calls = []
+            monkeypatch.setattr(cli, "CUT_NODES_PER_WALK", budget)
+            monkeypatch.setattr(
+                cli, "certify_proofs", lambda digraph, proofs: calls.append(list(proofs)) or certify_proofs(digraph, proofs)
+            )
+            workdir = tmp_path / str(budget)
+            workdir.mkdir()
+            paths = ("--emit-cert", str(workdir / "c.json"), "--emit-dot", str(workdir / "d.dot"))
+            code, out, err = run(capsys, *argv, *paths)
+            assert (code, err) == (0, "")
+            assert len(calls) == walks and [i0 for call in calls for i0 in call] == [1, 2, 3]
+            files = {path.name: path.read_text() for path in sorted(workdir.iterdir())}
+            outputs.append((out.replace(str(workdir), "{tmp}"), files))
+        assert outputs[0] == outputs[1] == outputs[2]
+
     @pytest.mark.parametrize("extra", [[], ["--early-stop"]], ids=["shared", "early-stop"])
     def test_each_node_witness_built_once_with_emit_cert(self, capsys, monkeypatch, tmp_path, extra):
-        """With --emit-cert, the walk that checks a digraph also combines
-        its root certificates: one witness builder per node and one
-        product witness per branch, for all targets."""
+        """With --emit-cert, the one walk that checks the run's digraphs
+        also combines their root certificates: one witness builder per
+        distinct (label, tag) node of the digraphs and one product witness
+        per distinct branch, for all targets, however many of the
+        --early-stop digraphs share it."""
         build, builders, products = certificates.gauss_product_witness, [], []
 
         class Counting(WitnessBuilder):
@@ -323,8 +379,8 @@ class TestNodeLocalVerdict:
         instance = ProblemInstance.generic(3, 2)
         stops = (1, 2, 3) if extra else (None,)
         digraphs = [grow_digraph(instance, early_stop_target=stop) for stop in stops]
-        nodes = [(label, node) for digraph in digraphs for label, node in digraph.nodes.items()]
-        assert Counter(products) == Counter((node.tag.i, node.tag.j, label) for label, node in nodes if node.children)
+        nodes = {(label, node.tag) for digraph in digraphs for label, node in digraph.nodes.items()}
+        assert Counter(products) == Counter((tag.i, tag.j, label) for label, tag in nodes if not tag.is_leaf)
         assert Counter(builders) == Counter(label for label, _ in nodes)
 
     @pytest.mark.parametrize("n, m", [(4, 4), (10, 10), (15, 15)])
@@ -528,7 +584,7 @@ class TestInternalErrors:
         def explode(*args):
             raise OverflowError("a product exponent could reach 2**32")
 
-        monkeypatch.setattr("nilcert.cli.check_node_local", explode)
+        monkeypatch.setattr("nilcert.cli.check_proofs", explode)
         code, out, err = run(capsys, "generic", "--n", "2", "--m", "1")
         assert code == 4
         assert out == ""

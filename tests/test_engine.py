@@ -3,6 +3,7 @@ growth, exponents and structural metrics."""
 
 from __future__ import annotations
 
+import random
 from itertools import product
 from math import comb
 
@@ -27,6 +28,7 @@ from nilcert import (
     structural_metrics,
 )
 from nilcert.certificates import relation_poly
+from nilcert.engine import early_stop_cut
 
 
 label = helpers.label
@@ -94,26 +96,26 @@ class TestCaseTagChildren:
 
 class TestCaseSplit:
     def test_generic_root(self):
-        assert case_split(IdealLabel.root(2, 1), ProblemInstance.generic(2, 1)) == CaseTag.branch(2, 1)
+        assert case_split(IdealLabel.root(2, 1), ProblemInstance.generic(2, 1)) == (CaseTag.branch(2, 1), b"\0\0")
 
     def test_generic_interior(self):
-        assert case_split(label(2, 1, "a2"), ProblemInstance.generic(2, 1)) == CaseTag.branch(1, 1)
+        assert case_split(label(2, 1, "a2"), ProblemInstance.generic(2, 1)) == (CaseTag.branch(1, 1), b"\0\1")
 
     def test_generic_leaf(self):
-        assert case_split(label(2, 1, "b1"), ProblemInstance.generic(2, 1)).is_leaf
+        assert case_split(label(2, 1, "b1"), ProblemInstance.generic(2, 1)) == (CaseTag.leaf(), b"\1\1")
 
     def test_early_stop_leaf(self):
         # at (a2) the studied coefficient a2 is a generator, so early
         # stopping declares a leaf where the uniform run still branches
         lab = label(2, 1, "a2")
         instance = ProblemInstance.generic(2, 1)
-        assert case_split(lab, instance, early_stop_target=2).is_leaf
-        assert not case_split(lab, instance).is_leaf
+        assert case_split(lab, instance, early_stop_target=2)[0].is_leaf
+        assert not case_split(lab, instance)[0].is_leaf
 
     def test_concrete_matches_mod_membership(self):
         """Every label of every inverse pair over Z/N (N <= 12, degrees <=
-        3), with and without early stopping, classified as by per-coefficient
-        mod_membership decisions."""
+        3), with and without early stopping, classified, and its closed
+        a-bits given, as by per-coefficient mod_membership decisions."""
 
         def reference(lab, instance, early_stop_target):
             def value(ind):
@@ -124,13 +126,14 @@ class TestCaseSplit:
             def member(ind):
                 return mod_membership(instance.modulus, gens, value(ind)).member
 
+            closed_a = bytes(member(Indeterminate.a(i)) for i in range(1, instance.n + 1))
             if early_stop_target is not None and member(Indeterminate.a(early_stop_target)):
-                return CaseTag.leaf()
+                return CaseTag.leaf(), closed_a
             missing_a = [i for i in range(1, instance.n + 1) if not member(Indeterminate.a(i))]
             if not missing_a:
-                return CaseTag.leaf()
+                return CaseTag.leaf(), closed_a
             missing_b = [j for j in range(1, instance.m + 1) if not member(Indeterminate.b(j))]
-            return CaseTag.branch(max(missing_a), max(missing_b))
+            return CaseTag.branch(max(missing_a), max(missing_b)), closed_a
 
         for modulus in range(2, 13):
             for f, g in helpers.unit_pairs(modulus, max_deg_f=3, max_deg_g=3):
@@ -145,18 +148,19 @@ class TestCaseSplit:
 
     def test_generic_matches_closure(self):
         """Every bit pattern with n + m <= 8, reached by a digraph or not,
-        with and without early stopping, classified as by membership in
-        the element-wise reference closure."""
+        with and without early stopping, classified, and its closed a-bits
+        given, as by membership in the element-wise reference closure."""
 
         def reference(lab, early_stop_target):
             closure = helpers.reference_closure(lab)
+            closed_a = bytes(Indeterminate.a(i) in closure for i in range(1, lab.n + 1))
             if early_stop_target is not None and Indeterminate.a(early_stop_target) in closure:
-                return CaseTag.leaf()
+                return CaseTag.leaf(), closed_a
             missing_a = [i for i in range(1, lab.n + 1) if Indeterminate.a(i) not in closure]
             if not missing_a:
-                return CaseTag.leaf()
+                return CaseTag.leaf(), closed_a
             missing_b = [j for j in range(1, lab.m + 1) if Indeterminate.b(j) not in closure]
-            return CaseTag.branch(max(missing_a), max(missing_b))
+            return CaseTag.branch(max(missing_a), max(missing_b)), closed_a
 
         for n in range(1, 9):
             for m in range(0, 9 - n):
@@ -165,8 +169,7 @@ class TestCaseSplit:
                     for b_bits in product((0, 1), repeat=m):
                         lab = IdealLabel(a_bits, b_bits)
                         for stop in (None, *range(1, n + 1)):
-                            tag = case_split(lab, instance, stop)
-                            assert tag == reference(lab, stop), (lab, stop)
+                            assert case_split(lab, instance, stop) == reference(lab, stop), (lab, stop)
 
     @pytest.mark.parametrize("stop", [0, -1, 3])
     def test_early_stop_target_out_of_range(self, stop):
@@ -333,6 +336,64 @@ class TestExponents:
     def test_binomial_closed_form_observed(self):
         for n, m in [(2, 1), (3, 2), (2, 4)]:
             assert self.root_exponent(n, m) == comb(n + m, n)
+
+    def test_early_stop_closed_form(self):
+        """The early-stop digraph of a_i0 has root exponent
+        binomial(n+m+1-i0, m): an oracle independent of the grid DP."""
+        for n in range(1, 9):
+            for m in range(0, 9):
+                for i0 in range(1, n + 1):
+                    d = grow_digraph(ProblemInstance.generic(n, m), early_stop_target=i0)
+                    assert d.nodes[d.root].exponent == comb(n + m + 1 - i0, m), (n, m, i0)
+
+
+class TestEarlyStopCut:
+    """A target's cut of the plain digraph is its early-stop digraph, node
+    for node and in the same post-order."""
+
+    @staticmethod
+    def assert_cuts_match(instance):
+        plain = grow_digraph(instance)
+        for i0 in range(1, instance.n + 1):
+            grown = grow_digraph(instance, early_stop_target=i0)
+            cut = early_stop_cut(plain, i0)
+            assert list(cut.nodes.items()) == list(grown.nodes.items()), (instance, i0)
+            assert cut.root == grown.root and (cut.n, cut.m, cut.generic) == (grown.n, grown.m, grown.generic)
+            TestPostOrder.assert_post_order(cut)
+            # Cutting the early-stop digraph for its own target changes nothing.
+            assert list(early_stop_cut(grown, i0).nodes.items()) == list(grown.nodes.items())
+
+    def test_every_generic_run_up_to_8(self):
+        for total in range(1, 9):
+            for n in range(1, total + 1):
+                self.assert_cuts_match(ProblemInstance.generic(n, total - n))
+
+    def test_concrete_worked_example(self):
+        self.assert_cuts_match(Z8_INSTANCE)
+
+    def test_random_concrete_pairs(self):
+        rng = random.Random(20261019)
+        for _ in range(200):
+            modulus, f, g = helpers.random_inverse_pair(rng, rng.randint(1, 8))
+            self.assert_cuts_match(ProblemInstance.concrete(modulus, f, g))
+
+    def test_plain_leaves_stay_leaves(self):
+        """Every plain leaf holds every a, so it ends every cut there."""
+        plain = grow_digraph(ProblemInstance.generic(3, 3))
+        for i0 in (1, 2, 3):
+            cut = early_stop_cut(plain, i0)
+            for lab, node in cut.nodes.items():
+                if plain.nodes[lab].tag.is_leaf:
+                    assert node == plain.nodes[lab]
+
+    def test_refuses_another_targets_digraph_and_bad_targets(self):
+        instance = ProblemInstance.generic(2, 2)
+        # a2's early-stop digraph ends at leaves that a1 is not in.
+        with pytest.raises(ValueError, match="a1 is not in the ideal"):
+            early_stop_cut(grow_digraph(instance, early_stop_target=2), 1)
+        for target in (0, 3):
+            with pytest.raises(ValueError):
+                early_stop_cut(grow_digraph(instance), target)
 
 
 class TestStructuralMetrics:

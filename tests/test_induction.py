@@ -32,6 +32,7 @@ from nilcert import (
     run_induction,
     spt_modn,
 )
+from nilcert import induction
 from nilcert.certificates import _expansion_minus
 from nilcert.induction import _ideal_elements, _radical_of_ideal
 
@@ -206,6 +207,17 @@ class TestLnDecompose:
     def test_bad_input(self):
         with pytest.raises(BadInput):
             ln_decompose(8, 3)
+
+    def test_walks_only_the_divisors_of_the_radical(self, monkeypatch):
+        """The answer is the evidence at rad, so the walk splits only the
+        squarefree divisors of rad, not every radical ideal of Z/N."""
+        split = []
+        spt = induction.spt_modn
+        monkeypatch.setattr(induction, "spt_modn", lambda modulus, r: split.append(r) or spt(modulus, r))
+        for d, walked in ((2, [1, 2]), (6, [1, 2, 3, 6]), (510510, radical_ideal_poset(510510).elements)):
+            split.clear()
+            assert ln_decompose(510510, d) == [p for p in (2, 3, 5, 7, 11, 13, 17) if d % p == 0]
+            assert sorted(split) == sorted(walked), d
 
     def test_sweep_against_radical(self):
         for n in range(2, 41):
