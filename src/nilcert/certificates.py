@@ -48,20 +48,21 @@ it, never read from the witness.
 
 A digraph's proof is checked node by node.  ``local_witnesses`` is the one
 source of a node's own witnesses: the product witness of a_i*b_j at a
-branch(i, j), which every target shares, and at a leaf the witness of each
-target u, all from one ``WitnessBuilder``; a target outside a leaf's
-closure has none, and the check fails.  ``check_node_local`` walks the
-digraph once, children first, for all the targets it is given: it builds
-each node's witnesses, expands each of these small identities exactly,
-checks the digraph's structure around it and drops them, keeping only
-which labels it has met.  Given each target's own digraph (its
-``--early-stop`` cut), the same single walk checks them all: each
-distinct branch identity once for every target whose digraph reaches it,
-each leaf identity per target whose digraph ends there.  By the key lemma
-(u^k in I + (D, a_i), u^l in I + (D, b_j) and a_i*b_j in I + (D) give
-u^(k+l) in I + (D)) that proves u^e = 0 without expanding u^e.  Its cost
-is polynomial in the digraph, and its memory that of the digraphs and one
-node's witnesses, while the root identity grows exponentially in n + m.
+branch(i, j), which every target shares, and where a target's proof ends
+the witness of each target u, all from one ``WitnessBuilder``; a target
+outside that label's closure has none, and the check fails.
+``checked_exponents`` walks the digraph once for all the targets it is
+given: it builds each node's witnesses, expands each of these small
+identities exactly, checks the digraph's structure around it and drops
+them, keeping per label only each target's exponent.  With early stop, a
+target's proof ends at the first label whose stored closed a-bits hold
+it, so the same single walk checks each target's early-stop proof: each
+distinct branch identity once for every target that goes on past it.  By
+the key lemma (u^k in I + (D, a_i), u^l in I + (D, b_j) and a_i*b_j in
+I + (D) give u^(k+l) in I + (D)) that proves u^e = 0 without expanding
+u^e.  Its cost is polynomial in the digraph, and its memory that of the
+digraph and one node's witnesses, while the root identity grows
+exponentially in n + m.
 
 That root identity is built only for a dump, by ``certify`` alone (for
 one target, ``extract_certificate``): the same walk then also takes each
@@ -78,9 +79,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
-from .engine import CaseTag, Digraph, DigraphNode, ProblemInstance
+from .engine import CaseTag, Digraph, ProblemInstance
 from .oracles import IdealLabel, closure_bits
 from .poly import EXPONENT_LIMIT, MAX_INDEX, Indeterminate, MultiPoly, avar, bvar, sum_of_products
 
@@ -285,151 +286,178 @@ def node_witness(
     return k + l, combine(left, right, local, tag, u**l)
 
 
+def _positions(mask: int) -> list[int]:
+    """The set bits of mask, lowest first."""
+    return [p for p, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def _checked(source: Callable, label: IdealLabel, tag: CaseTag, targets: list[int], subjects: list[MultiPoly]):
+    """The witnesses source gives at label for tag and targets, each of
+    whose identities holds for its subject; None when one fails."""
+    try:
+        local = source(label, tag, targets)
+    except NotInClosure:
+        return None
+    if len(local) != len(subjects):
+        return None
+    return local if all(_identity_holds(w, label, s) for w, s in zip(local, subjects)) else None
+
+
 def _walk(
     digraph: Digraph,
-    proofs: Mapping[int, Digraph],
+    target_indices: Sequence[int],
+    early_stop: bool,
     source: Callable,
     combined: bool,
-) -> list[tuple[int, MembershipWitness]] | None:
-    """The walk of ``check_proofs``; None when the check fails, as it does
-    when source raises NotInClosure.  With ``combined``, each node also
-    takes one ``node_witness`` step per target over the witnesses just
-    checked, and the result is the root's (exponent, witness of
-    u^exponent) per target; else it is empty."""
+) -> dict[int, tuple[int, MembershipWitness | None]] | None:
+    """The walk of ``checked_exponents`` and ``certify``: each target's
+    root (exponent, witness of u^exponent), the witness None unless
+    ``combined``; None when the check fails, as it does when source raises
+    NotInClosure."""
     if not digraph.generic:
         raise ValueError("certificates are extracted from indeterminate-coefficient runs")
-    n, m = digraph.n, digraph.m
-    target_indices = list(proofs)
-    if not target_indices or not all(1 <= i0 <= n for i0 in target_indices):
+    n, nodes, root = digraph.n, digraph.nodes, digraph.root
+    targets = list(dict.fromkeys(target_indices))
+    if not targets or not all(1 <= i0 <= n for i0 in targets):
         raise ValueError(f"target indices must be given, each in 1..{n}, got {tuple(target_indices)}")
-    if not all(proof.generic for proof in proofs.values()):
-        raise ValueError("certificates are extracted from indeterminate-coefficient runs")
-    # Targets of one proof share its structure check.
-    groups: dict[int, tuple[Digraph, list[int]]] = {}
-    for position, proof in enumerate(proofs.values()):
-        groups.setdefault(id(proof), (proof, []))[1].append(position)
-    shared = list(groups.values())
-    # Every node of each proof that has a label is checked when the walk
-    # meets it, or the walk fails: a met label is a checked one.
-    met: set[IdealLabel] = set()
-    targets = [avar(i0) for i0 in target_indices]
-    steps: list[dict[IdealLabel, tuple[int, MembershipWitness]]] = [{} for _ in targets]
-    for label in digraph.nodes:
-        # The proofs that reach this label, by the tag each gives it.
-        by_tag: dict[CaseTag, list[tuple[dict[IdealLabel, DigraphNode], list[int], DigraphNode]]] = {}
-        for proof, positions in shared:
-            node = proof.nodes.get(label)
-            if node is not None:
-                by_tag.setdefault(node.tag, []).append((proof.nodes, positions, node))
-        for tag, members in by_tag.items():
-            try:
-                children = tag.children(label)
-            except ValueError:
+    if root != IdealLabel.root(n, digraph.m):
+        return None
+    # Targets share a lane where the walk cannot tell them apart: without
+    # early_stop every target stops at the leaves, and unless combined
+    # their steps differ only in the leaf identities.
+    lanes = [[i0] for i0 in targets] if early_stop or combined else [targets]
+    # Parents first, each label's plan: the lanes whose proofs reach it and
+    # those that go on to its children, as bit masks over the lanes.  A
+    # lane stops at a leaf, and with early_stop also where the stored
+    # closed a-bits hold its target.
+    reaching = {root: (1 << len(lanes)) - 1}
+    plans: dict[IdealLabel, tuple[int, int, list[IdealLabel]]] = {}
+    for label, node in reversed(nodes.items()):
+        reach = reaching.pop(label, 0)
+        if not reach:
+            continue
+        go = 0 if node.tag.is_leaf else reach
+        if early_stop:
+            closed = node.closed_a
+            if len(closed) != n:
                 return None
-            if not met.issuperset(children):
-                return None
-            positions = []
-            for nodes, proof_positions, node in members:
-                if node.children is not children:
-                    if node.children != children:
-                        return None
-                    # Cuts share their children tuples: compare each once.
-                    children = node.children
-                exponent = 1
-                if children:
-                    left, right = map(nodes.get, children)
-                    if left is None or right is None:
-                        return None
-                    exponent = left.exponent + right.exponent
-                if node.exponent != exponent:
-                    return None
-                positions += proof_positions
-            # Each target's subject at a leaf, the product's once at a branch.
-            subjects = [targets[p] for p in positions] if tag.is_leaf else [avar(tag.i) * bvar(tag.j)]
-            try:
-                local = source(label, tag, [target_indices[p] for p in positions])
-            except NotInClosure:
-                return None
-            if len(local) != len(subjects):
-                return None
-            for witness, subject in zip(local, subjects):
-                if not _identity_holds(witness, label, subject):
-                    return None
-            if combined:
-                local = local if tag.is_leaf else local * len(positions)
-                for p, witness in zip(positions, local):
-                    steps[p][label] = node_witness(witness, [steps[p][child] for child in children], targets[p], tag)
-        met.add(label)
-    # Each proof's root is empty, and every node of it was met.
-    root = IdealLabel.root(n, m)
-    for proof, _ in shared:
-        if proof.root != root or root not in proof.nodes or not met.issuperset(proof.nodes):
+            go &= ~sum(1 << p for p, (i0,) in enumerate(lanes) if closed[i0 - 1])
+        # A child met here first has here its last parent, children first.
+        last = [child for child in node.children if child not in reaching] if go else []
+        plans[label] = reach, go, last
+        for child in node.children if go else ():
+            reaching[child] = reaching.get(child, 0) | go
+    # Children first, each planned label's witnesses are checked and
+    # dropped; its row keeps each reaching lane's (exponent, witness) until
+    # the last parent that goes on to it is done.
+    subjects = [[avar(i0) for i0 in lane] for lane in lanes]
+    rows: dict[IdealLabel, list] = {}
+    for label, node in nodes.items():
+        plan = plans.get(label)
+        if plan is None:
+            continue
+        reach, go, last = plan
+        tag = node.tag
+        try:
+            children = tag.children(label)
+        except ValueError:
             return None
-    return [steps[p][root] for p in range(len(targets))] if combined else []
+        if node.children != children:
+            return None
+        row: list = [None] * len(lanes)
+        stop = _positions(reach & ~go) if reach != go else []
+        if stop:
+            stopping = [i0 for p in stop for i0 in lanes[p]]
+            local = _checked(source, label, CaseTag.leaf(), stopping, [u for p in stop for u in subjects[p]])
+            if local is None:
+                return None
+            # Combined, each lane is one target, with one witness.
+            for p, witness in zip(stop, local):
+                row[p] = (1, witness if combined else None)
+            # Dropped before the next label's witnesses are built.
+            del local
+        if go:
+            going = _positions(go)
+            product = _checked(
+                source, label, tag, [i0 for p in going for i0 in lanes[p]], [avar(tag.i) * bvar(tag.j)]
+            )
+            left, right = rows.get(children[0]), rows.get(children[1])
+            if product is None or left is None or right is None:
+                return None
+            for p in going:
+                steps = left[p], right[p]
+                if None in steps:
+                    return None
+                if combined:
+                    row[p] = node_witness(product[0], steps, subjects[p][0], tag)
+                else:
+                    row[p] = (steps[0][0] + steps[1][0], None)
+            for child in last:
+                del rows[child]
+        # Without early_stop every lane has the stored exponent.
+        if not early_stop and row[0][0] != node.exponent:
+            return None
+        rows[label] = row
+    if root not in rows:
+        return None
+    return {i0: step for lane, step in zip(lanes, rows[root]) for i0 in lane}
 
 
-def check_node_local(digraph: Digraph, *target_indices: int, source: Callable = local_witnesses) -> bool:
+def check_node_local(
+    digraph: Digraph, *target_indices: int, early_stop: bool = False, source: Callable = local_witnesses
+) -> bool:
     """Exact node-local check of the digraph's claim u^e = 0, for each
-    u = a_i0 with i0 in target_indices and e the root exponent, by the key
-    lemma one node at a time: ``check_proofs`` with the digraph as each
-    target's proof, so one walk checks the structure, the exponents and
-    each product identity once for all the targets."""
-    return check_proofs(digraph, dict.fromkeys(target_indices, digraph), source)
+    u = a_i0 with i0 in target_indices, by the key lemma one node at a
+    time: ``checked_exponents(...) is not None``."""
+    return checked_exponents(digraph, *target_indices, early_stop=early_stop, source=source) is not None
 
 
-def check_proofs(digraph: Digraph, proofs: Mapping[int, Digraph], source: Callable = local_witnesses) -> bool:
-    """Exact node-local check of each proof's claim u^e = 0, for every
-    u = a_i0 and its proof ``proofs[i0]`` with e the proof's root exponent,
-    by the key lemma one node at a time.  A proof is ``digraph`` itself
-    or, such as ``engine.early_stop_cut(digraph, i0)``, a digraph whose
-    labels ``digraph`` has, in its order.
+def checked_exponents(
+    digraph: Digraph, *target_indices: int, early_stop: bool = False, source: Callable = local_witnesses
+) -> dict[int, int] | None:
+    """Each target's exponent e with u^e = 0 for u = a_i0, proved by the
+    key lemma one node at a time; None when the check fails.
 
-    One walk over ``digraph``'s labels, children first, takes each node's
-    own witnesses from ``source`` (a test may give a fake
-    ``local_witnesses``), checks them and drops them, keeping only which
-    labels it has met.  It requires at each label D, for every proof that
-    has D:
-
-    * the stored children to be ``tag.children(D)``, each already checked;
-    * the stored exponent to be 1 at a leaf and the sum of the children's
-      recomputed exponents at a branch;
-    * every generator key of the node's witnesses to be a generator of D,
-      and every relation index to lie in 1..n+m;
-    * each witness, expanded less its expected subject (u at a leaf where
-      u's proof ends, a_i*b_j at a branch(i, j)) in the relations of D's
-      size, to be the zero polynomial.
+    A target's proof is the digraph or, with ``early_stop``, its early-stop
+    digraph (``engine.early_stop_cut``): the same nodes down to the first
+    label whose stored closed a-bits hold a_i0, where it ends.  One walk
+    checks every target's proof.  Parents first, it finds which targets
+    reach each label and which go on past it; then, children first, it
+    takes each reached node's own witnesses from ``source`` (a test may
+    give a fake ``local_witnesses``), checks them and drops them.  It
+    requires at each label D the stored children to be
+    ``tag.children(D)``, each already checked for every target that goes
+    on past D; every witness to key only generators of D and relations
+    1..n+m, and to expand, less its subject (u where u's proof ends, a_i*b_j
+    at a branch(i, j) it goes on past), to the zero polynomial in the
+    relations of D's size; and without ``early_stop`` the stored exponent
+    to be the recomputed one.
 
     Then u^k in I + (D, a_i), u^l in I + (D, b_j) and a_i*b_j in I + (D)
     give u^(k+l) in I + (D), I the ideal of the relations; the root label
-    must be empty, which leaves u^e in I.  u^e itself is never expanded.
-    Every node of every proof must be met on the way.  The structure and
-    the exponents of one proof, and each (label, tag) product identity, do
-    not depend on the target, so the walk checks each once for all the
-    targets that share it; exponents stay per proof.  A target outside a
-    leaf's closure fails the check.  Raises ValueError for a concrete
-    digraph or proof, or when no target is given or one lies outside 1..n.
+    must be empty, which leaves u^e in I, with u^e never expanded.  Each
+    product identity is checked once for all the targets that go on past
+    its branch.  A target outside the closure where its proof ends fails
+    the check, and so do closed a-bits that are not n bytes long.  Raises
+    ValueError for a concrete digraph, or when no target is given or one
+    lies outside 1..n.
     """
-    return _walk(digraph, proofs, source, False) is not None
+    walked = _walk(digraph, target_indices, early_stop, source, False)
+    return None if walked is None else {i0: exponent for i0, (exponent, _) in walked.items()}
 
 
-def certify(digraph: Digraph, *target_indices: int) -> list[NilpotencyCertificate] | None:
-    """``certify_proofs`` with the digraph as each target's proof, in the
-    order of target_indices; a repeated target is certified once."""
-    return certify_proofs(digraph, dict.fromkeys(target_indices, digraph))
-
-
-def certify_proofs(digraph: Digraph, proofs: Mapping[int, Digraph]) -> list[NilpotencyCertificate] | None:
-    """The walk of ``check_proofs``, which also combines the root
-    certificate of each target from the witnesses it checks, up that
-    target's own proof, in the order of ``proofs``; None whenever
-    ``check_proofs`` would be False.  A product witness that several
-    targets share is built once and combined into each of their steps at
-    its label before the walk moves on.  Raises ValueError as
-    ``check_proofs`` does."""
-    roots = _walk(digraph, proofs, local_witnesses, True)
-    if roots is None:
+def certify(digraph: Digraph, *target_indices: int, early_stop: bool = False) -> list[NilpotencyCertificate] | None:
+    """The walk of ``checked_exponents``, which also takes each node's
+    ``node_witness`` step over the witnesses it checks, up each target's
+    proof, and returns the root certificates in the order of
+    target_indices (a repeated target is certified once); None whenever
+    the check fails.  A product witness that several targets share is
+    built once and combined into each of their steps at its label.
+    Raises ValueError as ``checked_exponents`` does."""
+    walked = _walk(digraph, target_indices, early_stop, local_witnesses, True)
+    if walked is None:
         return None
-    return [NilpotencyCertificate(digraph.n, digraph.m, i0, *root) for i0, root in zip(proofs, roots)]
+    return [NilpotencyCertificate(digraph.n, digraph.m, i0, *step) for i0, step in walked.items()]
 
 
 def _identity_holds(witness: MembershipWitness, label: IdealLabel, subject: MultiPoly) -> bool:

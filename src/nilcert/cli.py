@@ -12,27 +12,26 @@ Subcommands:
 generic and concrete run one pipeline that grows one digraph per run: the
 plain one, which serves every target, or with --early-stop and --target
 the one early-stopped for that target.  With --early-stop over every
-target, each target's early-stop digraph is cut from the plain one, since
-stopping once every target is in is the plain leaf rule.  Each target's
-DOT file is written and every target checked in one call (in a few, each
-over consecutive targets, when the cuts would hold more than
-CUT_NODES_PER_WALK nodes at once); then the report is printed.  Only the
-check differs.  Generic mode checks the proofs node by node for all
-targets in one walk over the grown digraph, each node's own witnesses
-built, expanded exactly and dropped, each branch identity once however
-many targets' digraphs share it; with --emit-cert the same walk also
-combines each target's root certificate up its own digraph from the
-witnesses it checked, and each is verified by full expansion and dumped
-only if it holds.  Concrete mode evaluates u^e in Z/modulus.  The
-argument parser is built once per process.
+target it is the plain one too, since stopping once every target is in
+is the plain leaf rule; each target's early-stop digraph is cut from it,
+one at a time, only for its DOT file, metrics and e.  Then every target
+is checked in one call and the report is printed.  Only the check
+differs.  Generic mode checks the proofs node by node for all targets in
+one walk over the grown digraph, each node's own witnesses built,
+expanded exactly and dropped, each branch identity once however many
+targets go on past it, and each reported e must be the exponent the walk
+proves; with --emit-cert the same walk also combines each target's root
+certificate from the witnesses it checked, and each is verified by full
+expansion and dumped only if it holds.  Concrete mode evaluates u^e in
+Z/modulus.  The argument parser is built once per process.
 
 Refused before any digraph is grown: --n or --m above 4095 (generic and
 pascal) and f or g of degree above 4095 (concrete), with ERROR:usage:;
 an --emit-dot or --emit-cert path that names no file (such as "/", ".",
 "", ".." or any existing directory, or a per-target name such as
-"c.a2.json" that is one), and an --emit-dot path whose DOT
-file a certificate dump would overwrite (such as "out.txt" and
-"./out.txt" with one target), with ERROR:bad-input:.
+"c.a2.json" that is one) or that lies in a missing directory, and an
+--emit-dot path whose DOT file a certificate dump would overwrite (such
+as "out.txt" and "./out.txt" with one target), with ERROR:bad-input:.
 
 Results go to stdout as a JSON report (the pascal grid as plain text);
 notices and errors go to stderr.  Error lines start with a machine-parsable
@@ -48,12 +47,11 @@ import json
 import sys
 from math import prod
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
-from .certificates import certify_proofs, check_proofs, dump_certificate, power_check, verify_symbolic
+from .certificates import certify, checked_exponents, dump_certificate, power_check, verify_symbolic
 from .dot import emit_dot
 from .engine import (
-    Digraph,
     NotAUnit,
     ProblemInstance,
     check_unit,
@@ -93,36 +91,6 @@ def _parse_coeffs(text: str, what: str) -> list[int]:
         raise BadInput(f"{what} must be a comma-separated integer list, got {text!r}") from None
 
 
-# The most cut nodes an --early-stop run over every target holds at once.
-# A cut node takes about 110 bytes, so 2^17 of them take about 14 MB, less
-# than the interpreter with this package loaded (16 MB), and such a run
-# stays within twice the plain run's peak RSS.  Targets past the budget
-# are checked in further walks, each over the cuts of consecutive targets,
-# which expand the branch identities they share once more: the 80 cuts of
-# (80,80) hold 268 840 nodes and take 3 walks, those of (1000,1) hold
-# 1 002 000 and take 8.
-CUT_NODES_PER_WALK = 1 << 17
-
-
-def _proof_batches(digraph: Digraph, targets: list[int], cut: bool) -> Iterator[dict[int, Digraph]]:
-    """Each target with its digraph, the grown one or with ``cut`` its
-    early-stop cut, in runs of consecutive targets; the cuts of a run hold
-    at most CUT_NODES_PER_WALK nodes together, unless it has one target."""
-    batch: dict[int, Digraph] = {}
-    held = 0
-    for i0 in targets:
-        proof = early_stop_cut(digraph, i0) if cut else digraph
-        size = len(proof.nodes) if cut else 0
-        if batch and held + size > CUT_NODES_PER_WALK:
-            yield batch
-            # The caller is done with these cuts: free them before the next.
-            batch.clear()
-            held = 0
-        batch[i0] = proof
-        held += size
-    yield batch
-
-
 def _run_digraph(
     args: argparse.Namespace,
     instance: ProblemInstance,
@@ -133,25 +101,26 @@ def _run_digraph(
     """The pipeline shared by generic and concrete mode.
 
     Refuses an output path that names a directory, not a file, or whose
-    per-target name does, and a DOT file that a certificate dump would
-    overwrite.  Then grows one digraph: the plain one, or with --early-stop
-    and --target the one early-stopped for that target.  Each target is
-    proved by that digraph, except with --early-stop over every target:
-    stopping once every target is in is the plain leaf rule, so the plain
-    digraph is grown and each target's early-stop digraph is cut from it.
-    Each target's digraph has its DOT file written, and
-    ``check(digraph, proofs, emit)``, with ``proofs`` mapping targets to
-    their digraphs, returns the report entries of those targets and
-    whether their checks passed: one call for all targets, or one per run
-    of consecutive targets when their cuts would hold more than
-    CUT_NODES_PER_WALK nodes at once.  Then the report is printed.
-    ``emit(kind, path, i0, text)`` writes a file, named per target when
-    there are several targets and i0 is given.
+    per-target name does, or that lies in a missing directory, and a DOT
+    file that a certificate dump would overwrite.  Then grows one digraph,
+    and cuts each target's early-stop digraph from it, one at a time, when
+    --early-stop runs over every target: each target's digraph gives its
+    DOT file, metrics and e.  ``check(digraph, exponents, early_stop,
+    emit)``, with ``exponents`` mapping each target to its e and
+    ``early_stop`` true when the targets' digraphs are cuts, returns the
+    report entries and whether every target's check passed; then the
+    report is printed.  ``emit(kind, path, i0, text)`` writes a file,
+    named per target when there are several targets and i0 is given.
     """
     dot, cert = args.emit_dot, getattr(args, "emit_cert", None)
     for flag, path in (("--emit-dot", dot), ("--emit-cert", cert)):
-        if path is not None and (Path(path).name in ("", "..") or Path(path).is_dir()):
+        if path is None:
+            continue
+        if Path(path).name in ("", "..") or Path(path).is_dir():
             raise BadInput(f"{flag} path {path!r} names no file")
+        parent = Path(path).parent
+        if not parent.is_dir():
+            raise BadInput(f"{flag} path {path!r}: {str(parent)!r} is not a directory")
     targets = list(range(1, instance.n + 1)) if args.target is None else [args.target]
     # The target each DOT file is named for: every one with --early-stop.
     stops = targets if args.early_stop else [None]
@@ -185,19 +154,20 @@ def _run_digraph(
         files.setdefault(kind, []).append(str(target_path))
 
     digraph = grow_digraph(instance, early_stop_target=args.target if args.early_stop else None)
+    cut = args.early_stop and args.target is None
     if dot and not args.early_stop:
         emit("dot", dot, None, emit_dot(digraph))
-    target_reports = []
-    all_verified = True
-    for proofs in _proof_batches(digraph, targets, args.early_stop and args.target is None):
-        for i0, proof in proofs.items() if dot and args.early_stop else ():
+    exponents, metrics = {}, []
+    for i0 in targets:
+        proof = early_stop_cut(digraph, i0) if cut else digraph
+        if dot and args.early_stop:
             emit("dot", dot, i0, emit_dot(proof))
-        entries, ok = check(digraph, proofs, emit)
-        all_verified = all_verified and ok
+        exponents[i0] = proof.nodes[proof.root].exponent
         if args.early_stop:
-            for entry, proof in zip(entries, proofs.values()):
-                entry["metrics"] = structural_metrics(proof)
-        target_reports += entries
+            metrics.append(structural_metrics(proof))
+    target_reports, all_verified = check(digraph, exponents, cut, emit)
+    for entry, target_metrics in zip(target_reports, metrics):
+        entry["metrics"] = target_metrics
 
     report = {**head, "targets": target_reports}
     if not args.early_stop:
@@ -220,14 +190,15 @@ def _run_generic(args: argparse.Namespace) -> int:
     if args.target is not None and not 1 <= args.target <= args.n:
         return _usage_error(f"--target must lie in 1..{args.n}")
 
-    def check(digraph, proofs, emit):
-        entries = [{"i0": i0, "e": proof.nodes[proof.root].exponent} for i0, proof in proofs.items()]
+    def check(digraph, exponents, early_stop, emit):
+        """Each reported e must be the one the walk proves."""
+        entries = [{"i0": i0, "e": e} for i0, e in exponents.items()]
         if not args.emit_cert:
-            return entries, check_proofs(digraph, proofs)
-        certificates = certify_proofs(digraph, proofs)
+            return entries, checked_exponents(digraph, *exponents, early_stop=early_stop) == exponents
+        certificates = certify(digraph, *exponents, early_stop=early_stop)
         if certificates is None:
             return entries, False
-        verified = [certificate for certificate in certificates if verify_symbolic(certificate).ok]
+        verified = [c for c in certificates if c.exponent == exponents[c.target_index] and verify_symbolic(c).ok]
         for certificate in verified:
             emit("certificates", args.emit_cert, certificate.target_index, dump_certificate(certificate))
         return entries, len(verified) == len(certificates)
@@ -257,10 +228,9 @@ def _run_concrete(args: argparse.Namespace) -> int:
         return _usage_error(f"--target must lie in 1..{instance.n}")
     check_unit(convolution(instance.a, instance.b, instance.modulus))
 
-    def check(digraph, proofs, emit):
+    def check(digraph, exponents, early_stop, emit):
         entries, ok = [], True
-        for i0, proof in proofs.items():
-            exponent = proof.nodes[proof.root].exponent
+        for i0, exponent in exponents.items():
             result = power_check(instance, i0, exponent)
             minimal = {"minimal": result.minimal_exponent} if args.minimal else {}
             entries.append({"i0": i0, "e": exponent, **minimal})

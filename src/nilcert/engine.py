@@ -311,16 +311,15 @@ def early_stop_cut(digraph: Digraph, target: int) -> Digraph:
     children first.  Labels the cut no longer reaches are dropped, and
     nodes that come out unchanged are shared.  The result equals
     ``grow_digraph(instance, early_stop_target=target)`` node for node,
-    with no closure or gcd recomputed.  Raises ValueError when target lies
+    with no closure or gcd recomputed.  It describes the target's proof
+    (its DOT file, metrics and exponent); the check needs no cut, since
+    ``certificates.checked_exponents`` applies the same stopping rule in
+    its one walk over ``digraph``.  Raises ValueError when target lies
     outside 1..n, or at a leaf that a_target is not in (a digraph
     early-stopped for another target).
     """
     _check_target(digraph.n, target)
     nodes = digraph.nodes
-    # A cut's exponents repeat the digraph's own, so the cut shares those
-    # ints: the cuts of every target of a large run would else hold one
-    # large int per node.
-    exponents = {node.exponent: node.exponent for node in nodes.values()}
 
     def expand(label: IdealLabel) -> tuple[DigraphNode, tuple[IdealLabel, ...]]:
         node = nodes[label]
@@ -332,7 +331,6 @@ def early_stop_cut(digraph: Digraph, target: int) -> Digraph:
 
     def finish(label, node, children, child_nodes) -> DigraphNode:
         exponent = sum(c.exponent for c in child_nodes) if children else 1
-        exponent = exponents.get(exponent, exponent)
         if node.children == children and node.exponent == exponent:
             return node
         return DigraphNode(node.tag if children else CaseTag.leaf(), children, exponent, node.closed_a)

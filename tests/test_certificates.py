@@ -47,8 +47,7 @@ from nilcert.certificates import (
     _expansion_minus,
     _identity_holds,
     certify,
-    certify_proofs,
-    check_proofs,
+    checked_exponents,
     local_witnesses,
     relation_poly,
 )
@@ -432,13 +431,13 @@ class TestNodeLocalCheck:
         assert subjects.total() == branches + 3 * leaves
         assert len(built) == branches
 
-        # All three --early-stop cuts in one check: each distinct branch
-        # identity once, however many cuts share it, and each target's
-        # leaf identity once per leaf of its own cut.
+        # All three --early-stop proofs in one walk: each distinct branch
+        # identity once, however many targets go on past it, and each
+        # target's leaf identity once per leaf of its own cut.
         cuts = {i0: early_stop_cut(digraph, i0) for i0 in (1, 2, 3)}
         subjects.clear()
         built.clear()
-        assert check_proofs(digraph, cuts)
+        assert check_node_local(digraph, 1, 2, 3, early_stop=True)
         branch_nodes = {
             (label, node.tag) for cut in cuts.values() for label, node in cut.nodes.items() if node.children
         }
@@ -450,9 +449,9 @@ class TestNodeLocalCheck:
         assert sorted(built) == sorted((tag.i, tag.j, label) for label, tag in branch_nodes)
 
     def test_a_false_shared_product_fails_every_order(self):
-        """A corrupted product witness at a branch that several --early-stop
-        cuts share fails the check, whichever order the targets come in,
-        and with --emit-cert yields no certificate."""
+        """A corrupted product witness at a branch that several targets'
+        --early-stop proofs share fails the check, whichever order the
+        targets come in, and yields no certificate."""
         digraph = grow_digraph(ProblemInstance.generic(3, 3))
         cuts = {i0: early_stop_cut(digraph, i0) for i0 in (1, 2, 3)}
         sharing = Counter(label for cut in cuts.values() for label, node in cut.nodes.items() if node.children)
@@ -462,42 +461,77 @@ class TestNodeLocalCheck:
         for at in shared:
             source = with_local(at, bump)
             for order in ((1, 2, 3), (3, 2, 1), (2, 3, 1)):
-                proofs = {i0: cuts[i0] for i0 in order}
-                assert check_proofs(digraph, proofs)
-                assert not check_proofs(digraph, proofs, source), (at, order)
+                assert check_node_local(digraph, *order, early_stop=True)
+                assert not check_node_local(digraph, *order, early_stop=True, source=source), (at, order)
 
     def test_cuts_certify_as_their_early_stop_digraphs(self):
-        """With cuts, one walk gives each target the root certificate of its
-        own early-stop digraph."""
+        """With early_stop, one walk over the plain digraph gives each
+        target the exponent and root certificate of its own early-stop
+        digraph."""
         instance = ProblemInstance.generic(3, 2)
         digraph = grow_digraph(instance)
-        cuts = {i0: early_stop_cut(digraph, i0) for i0 in (1, 2, 3)}
-        together = certify_proofs(digraph, cuts)
+        together = certify(digraph, 1, 2, 3, early_stop=True)
         alone = [extract_certificate(grow_digraph(instance, early_stop_target=i0), i0) for i0 in (1, 2, 3)]
         assert [(c.target_index, c.exponent) for c in together] == [(1, 10), (2, 6), (3, 3)]
         assert [c.root_witness for c in together] == [c.root_witness for c in alone]
         assert all(verify_symbolic(c).ok for c in together)
+        assert checked_exponents(digraph, 3, 1, early_stop=True) == {3: 3, 1: 10}
 
     def test_rejects_a_cut_the_walk_does_not_meet(self):
-        """Every node of every cut must be met in the digraph's order, each
-        target lies in 1..n, and a cut must be generic."""
+        """The walk meets each label after its children, in the digraph's
+        order; each target lies in 1..n, and the digraph must be generic."""
         digraph = grow_digraph(ProblemInstance.generic(2, 2))
-        cuts = {i0: early_stop_cut(digraph, i0) for i0 in (1, 2)}
-        assert check_proofs(digraph, cuts)
-        # A cut's label outside the digraph is never met, so never checked.
-        stray = IdealLabel((1, 1), (1, 1))
-        assert stray not in digraph.nodes
-        padded = fresh(cuts[2])
-        padded.nodes = {stray: digraph.nodes[next(iter(digraph.nodes))], **padded.nodes}
-        assert not check_proofs(digraph, {**cuts, 2: padded})
+        assert check_node_local(digraph, 1, 2, early_stop=True)
         # The order comes from the digraph: reversed, no child is met first.
         backwards = replace(digraph, nodes=dict(reversed(digraph.nodes.items())))
-        assert not check_proofs(backwards, cuts)
+        assert not check_node_local(backwards, 1, 2, early_stop=True)
         with pytest.raises(ValueError):
-            check_proofs(digraph, {3: cuts[1]})
+            check_node_local(digraph, 3, early_stop=True)
         concrete = grow_digraph(ProblemInstance.concrete(8, [1, 2, 4], [1, 6]))
         with pytest.raises(ValueError):
-            check_proofs(digraph, {1: concrete})
+            check_node_local(concrete, 1, early_stop=True)
+
+    @pytest.mark.parametrize("tamper", ["claims a target", "truncated"])
+    def test_rejects_tampered_closed_a_bits(self, tamper):
+        """With early_stop the walk reads the stored closed a-bits to find
+        where each target stops.  A bit that claims a_i0 where the label's
+        closure lacks it, or closed bits shorter than n, fail the check and
+        give no certificate; neither raises."""
+        digraph = grow_digraph(ProblemInstance.generic(3, 2))
+        seen = 0
+        for at, node in digraph.nodes.items():
+            missing = [i0 for i0 in (1, 2, 3) if not node.closed_a[i0 - 1]]
+            if not missing:
+                continue
+            if tamper == "truncated":
+                closed_a = node.closed_a[:-1]
+            else:
+                closed_a = bytes(1 if i0 == missing[0] else bit for i0, bit in enumerate(node.closed_a, 1))
+            tampered = fresh(digraph)
+            tampered.nodes[at] = replace(node, closed_a=closed_a)
+            assert check_node_local(tampered, 1, 2, 3, early_stop=True) is False, at
+            assert certify(tampered, 1, 2, 3, early_stop=True) is None, at
+            # The plain check does not read the closed bits.
+            assert check_node_local(tampered, 1, 2, 3)
+            seen += 1
+        assert seen > 5
+
+    def test_early_stop_rejects_a_perturbed_coefficient(self):
+        """Every witness of every target's --early-stop proof, perturbed
+        once, fails the one walk over the plain digraph (n+m <= 5)."""
+        one = MultiPoly.one()
+        bump = lambda witness: replace(witness, unit_coeff=witness.unit_coeff + one)  # noqa: E731
+        seen = 0
+        for total in range(1, 6):
+            for n in range(1, total + 1):
+                digraph = grow_digraph(ProblemInstance.generic(n, total - n))
+                targets = range(1, n + 1)
+                reached = {label for i0 in targets for label in early_stop_cut(digraph, i0).nodes}
+                for at in digraph.nodes:
+                    verdict = check_node_local(digraph, *targets, early_stop=True, source=with_local(at, bump))
+                    assert verdict is (at not in reached), (n, total - n, at)
+                    seen += at in reached
+        assert seen >= 80
 
     def test_a_product_witness_edited_in_place_is_checked_again(self):
         """The check keeps no verdict: after a passing check, a product

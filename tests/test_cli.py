@@ -3,6 +3,7 @@ determinism and exit codes."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -271,9 +272,8 @@ class TestNodeLocalVerdict:
             "nilcert.certificates.node_witness",
             "nilcert.certificates.extract_certificate",
             "nilcert.certificates.certify",
-            "nilcert.certificates.certify_proofs",
             "nilcert.certificates.verify_symbolic",
-            "nilcert.cli.certify_proofs",
+            "nilcert.cli.certify",
             "nilcert.cli.verify_symbolic",
         ):
             monkeypatch.setattr(name, forbidden)
@@ -336,27 +336,53 @@ class TestNodeLocalVerdict:
         assert err == "ERROR:verification:symbolic certificate check failed\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_cut_budget_splits_the_walk_without_changing_output(self, capsys, monkeypatch, tmp_path):
-        """Past CUT_NODES_PER_WALK cut nodes, consecutive targets are
-        checked in separate walks; the report and the files are the same."""
+    @pytest.mark.parametrize("emit", [False, True], ids=["node-local", "with --emit-cert"])
+    def test_one_walk_checks_every_early_stop_target(self, capsys, monkeypatch, tmp_path, emit):
+        """An --early-stop run over every target makes one walk, which
+        builds one product witness per distinct branch identity of the
+        targets' early-stop digraphs."""
+        walk, build, walks, products = certificates._walk, certificates.gauss_product_witness, [], []
+        monkeypatch.setattr(certificates, "_walk", lambda *args: walks.append(args[1]) or walk(*args))
+        monkeypatch.setattr(certificates, "gauss_product_witness", lambda *args: products.append(args) or build(*args))
+        argv = ["generic", "--n", "3", "--m", "3", "--early-stop"]
+        if emit:
+            argv += ["--emit-cert", str(tmp_path / "c.json")]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert walks == [(1, 2, 3)]
+        instance = ProblemInstance.generic(3, 3)
+        branches = {
+            (node.tag.i, node.tag.j, label)
+            for i0 in (1, 2, 3)
+            for label, node in grow_digraph(instance, early_stop_target=i0).nodes.items()
+            if node.children
+        }
+        assert sorted(products) == sorted(branches)
+
+    @pytest.mark.parametrize("emit", [False, True], ids=["node-local", "with --emit-cert"])
+    def test_an_unchecked_exponent_fails_the_run(self, capsys, monkeypatch, tmp_path, emit):
+        """A cut whose root exponent is off by one reports an e that the
+        walk does not prove: the run fails, and no dump is written."""
+        cut = cli.early_stop_cut
+
+        def off_by_one(digraph, target):
+            proof = cut(digraph, target)
+            root = proof.nodes[proof.root]
+            proof.nodes[proof.root] = dataclasses.replace(root, exponent=root.exponent + (target == 2))
+            return proof
+
+        monkeypatch.setattr(cli, "early_stop_cut", off_by_one)
         argv = ["generic", "--n", "3", "--m", "2", "--early-stop"]
-        outputs = []
-        certify_proofs = cli.certify_proofs
-        for budget, walks in ((cli.CUT_NODES_PER_WALK, 1), (1, 3), (13, 2)):
-            calls = []
-            monkeypatch.setattr(cli, "CUT_NODES_PER_WALK", budget)
-            monkeypatch.setattr(
-                cli, "certify_proofs", lambda digraph, proofs: calls.append(list(proofs)) or certify_proofs(digraph, proofs)
-            )
-            workdir = tmp_path / str(budget)
-            workdir.mkdir()
-            paths = ("--emit-cert", str(workdir / "c.json"), "--emit-dot", str(workdir / "d.dot"))
-            code, out, err = run(capsys, *argv, *paths)
-            assert (code, err) == (0, "")
-            assert len(calls) == walks and [i0 for call in calls for i0 in call] == [1, 2, 3]
-            files = {path.name: path.read_text() for path in sorted(workdir.iterdir())}
-            outputs.append((out.replace(str(workdir), "{tmp}"), files))
-        assert outputs[0] == outputs[1] == outputs[2]
+        if emit:
+            argv += ["--emit-cert", str(tmp_path / "c.json")]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        report = json.loads(out)
+        assert [entry["e"] for entry in report["targets"]] == [10, 7, 3]
+        assert report["certificate"] == "failed"
+        assert err == "ERROR:verification:symbolic certificate check failed\n"
+        if emit:
+            assert sorted(path.name for path in tmp_path.iterdir()) == ["c.a1.json", "c.a3.json"]
 
     @pytest.mark.parametrize("extra", [[], ["--early-stop"]], ids=["shared", "early-stop"])
     def test_each_node_witness_built_once_with_emit_cert(self, capsys, monkeypatch, tmp_path, extra):
@@ -501,6 +527,23 @@ class TestUnwritableOutput:
         assert list(tmp_path.iterdir()) == [work]
         assert list(work.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--emit-dot", "--emit-cert"])
+    def test_missing_directory_refused_before_growth(self, capsys, tmp_path, monkeypatch, flag):
+        """A path in a missing directory is refused before any digraph is
+        grown, so the other flag's file is not written either."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("digraph grown for a run that cannot write its files")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "grow_digraph", forbidden)
+        paths = {"--emit-dot": "ok.dot", "--emit-cert": "ok.json", flag: "nodir/out.txt"}
+        code, out, err = run(capsys, "generic", "--n", "3", "--m", "2", *(x for pair in paths.items() for x in pair))
+        assert code == 1
+        assert out == ""
+        assert err == f"ERROR:bad-input:{flag} path 'nodir/out.txt': 'nodir' is not a directory\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "argv, directory",
         [
@@ -581,10 +624,10 @@ class TestUnknownCommand:
 
 class TestInternalErrors:
     def test_unexpected_exception_maps_to_internal(self, capsys, monkeypatch):
-        def explode(*args):
+        def explode(*args, **kwargs):
             raise OverflowError("a product exponent could reach 2**32")
 
-        monkeypatch.setattr("nilcert.cli.check_proofs", explode)
+        monkeypatch.setattr("nilcert.cli.checked_exponents", explode)
         code, out, err = run(capsys, "generic", "--n", "2", "--m", "1")
         assert code == 4
         assert out == ""

@@ -27,7 +27,7 @@ from nilcert import (
     grow_digraph,
     structural_metrics,
 )
-from nilcert.certificates import relation_poly
+from nilcert.certificates import checked_exponents, relation_poly
 from nilcert.engine import early_stop_cut
 
 
@@ -338,13 +338,22 @@ class TestExponents:
             assert self.root_exponent(n, m) == comb(n + m, n)
 
     def test_early_stop_closed_form(self):
-        """The early-stop digraph of a_i0 has root exponent
-        binomial(n+m+1-i0, m): an oracle independent of the grid DP."""
+        """The early-stop proof of a_i0 has exponent binomial(n+m+1-i0, m),
+        and the plain digraph binomial(n+m, n): an oracle independent of the
+        grid DP, met by the grown early-stop digraph, the cut and the one
+        checking walk over the plain digraph alike."""
         for n in range(1, 9):
             for m in range(0, 9):
-                for i0 in range(1, n + 1):
-                    d = grow_digraph(ProblemInstance.generic(n, m), early_stop_target=i0)
-                    assert d.nodes[d.root].exponent == comb(n + m + 1 - i0, m), (n, m, i0)
+                instance = ProblemInstance.generic(n, m)
+                plain = grow_digraph(instance)
+                assert plain.nodes[plain.root].exponent == comb(n + m, n), (n, m)
+                expected = {i0: comb(n + m + 1 - i0, m) for i0 in range(1, n + 1)}
+                assert checked_exponents(plain, *expected, early_stop=True) == expected, (n, m)
+                for i0, exponent in expected.items():
+                    grown = grow_digraph(instance, early_stop_target=i0)
+                    cut = early_stop_cut(plain, i0)
+                    assert grown.nodes[grown.root].exponent == exponent, (n, m, i0)
+                    assert cut.nodes[cut.root].exponent == exponent, (n, m, i0)
 
 
 class TestEarlyStopCut:
