@@ -45,10 +45,7 @@ from .induction import (
     PrimeIdeal,
     Reduce,
     UnitIdeal,
-    check_key_lemma,
-    label_poset,
     ln_decompose,
-    nc_run_induction,
     radical_ideal_poset,
     radical_modn,
     run_induction,
@@ -90,7 +87,6 @@ __all__ = [
     "avar",
     "bvar",
     "case_split",
-    "check_key_lemma",
     "check_node_local",
     "check_unit",
     "combine",
@@ -100,11 +96,9 @@ __all__ = [
     "extract_certificate",
     "gauss_product_witness",
     "grow_digraph",
-    "label_poset",
     "ln_decompose",
     "load_certificate",
     "mod_membership",
-    "nc_run_induction",
     "power_check",
     "radical_ideal_poset",
     "radical_modn",

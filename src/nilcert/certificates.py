@@ -39,7 +39,7 @@ right being replaced by its own element witness:
   u^l = w + t*b_j into u^(k+l) = v*u^l + s*a_i*w + s*t*(a_i*b_j) at the
   parent, substituting the product witness for a_i*b_j.  ``node_witness``,
   the one induction step per label, calls it at every branch, for the
-  digraph walk and the label-poset runner of ``induction`` alike.
+  digraph walk and the tests' label-poset runner alike.
 
 Each witness is one linear combination of existing ones, summed term by
 term into fresh coefficient maps (``_combination``).  A witness is its

@@ -1,4 +1,4 @@
-"""Induction over finite posets, and its two working instantiations.
+"""Induction over finite posets, and its working instantiation over Z/n.
 
 ``run_induction`` realizes the generic pattern: a predicate that either
 holds outright at an element or reduces it to the meet of two strictly
@@ -6,7 +6,7 @@ larger elements holds everywhere, by a post-order walk on the strict
 order, on an explicit stack.  The walk follows the natural inclusion order
 of ideals (children are larger), so no order reversal is needed.
 
-Instantiation one: radical decomposition over Z/n.  The radical ideals of
+The instantiation: radical decomposition over Z/n.  The radical ideals of
 Z/n are exactly the ideals (r) for squarefree divisors r of n, so the
 lattice is those divisors as plain ints, each ideal given by its
 generator: (r) lies in (s) iff s divides r, and their meet is lcm(r, s).
@@ -19,25 +19,18 @@ list of primes whose ideals intersect to the radical) merges by union.
 Only the modulus and divisor given from outside are checked; every
 element built from them divides the modulus by construction.
 
-Instantiation two: the label poset of an inverse pair, where goodness is
-the digraph's case split and its tag's children, and the evidence (an
-exponent plus its membership witness) comes from certificate extraction's
-own per-label step.  Running the pattern reproduces the digraph
-construction, which cross-validates the two modules.
+The tests run the same pattern over the label poset of an inverse pair,
+with the digraph's case split and certificate extraction's per-label
+step, to cross-validate the digraph construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
 from math import gcd, lcm
 from typing import Any, Callable, Union
 
-from .certificates import MembershipWitness, local_witnesses, node_witness
-from .engine import CaseTag, ProblemInstance, _post_order, case_split
-from .oracles import IdealLabel
-from .poly import avar
+from .engine import _post_order
 
 
 class BadInput(ValueError):
@@ -256,104 +249,3 @@ def ln_decompose(modulus: int, d: int) -> list[int]:
     if lcm(*primes) != rad:
         raise RuntimeError("decomposition does not intersect to the radical")
     return primes
-
-
-# Brute-force enumeration bound for the key-lemma checker.
-MAX_BRUTE_FORCE_MODULUS = 512
-
-
-# Both caches keep 1024 entries, so sweeping all (d, a) at modulus 512 stays near 53 MB RSS.
-@lru_cache(maxsize=1024)
-def _ideal_elements(modulus: int, gens: tuple[int, ...]) -> frozenset[int]:
-    """Additive closure of the generators in Z/modulus."""
-    members = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = (x + g) % modulus
-            if y not in members:
-                members.add(y)
-                frontier.append(y)
-    return frozenset(members)
-
-
-@lru_cache(maxsize=1024)
-def _radical_of_ideal(modulus: int, ideal: frozenset[int]) -> frozenset[int]:
-    """All x with some power x^e, e <= modulus, inside the ideal."""
-    out = set()
-    for x in range(modulus):
-        for e in range(1, modulus + 1):
-            if pow(x, e, modulus) in ideal:
-                out.add(x)
-                break
-    return frozenset(out)
-
-
-def _radical_set(modulus: int, *gens: int) -> frozenset[int]:
-    normalized = tuple(sorted({g % modulus for g in gens}))
-    return _radical_of_ideal(modulus, _ideal_elements(modulus, normalized))
-
-
-def check_key_lemma(modulus: int, d: int, a: int, b: int) -> bool:
-    """Exhaustively compare √(I + Ra) ∩ √(I + Rb) with √(I + Rab), I = (d).
-
-    Both sides are enumerated element by element in Z/modulus (powering up
-    to the modulus); the check passes iff the two sets coincide.
-    """
-    _check_modulus_divisor(modulus, d)
-    if modulus > MAX_BRUTE_FORCE_MODULUS:
-        raise BadInput(f"brute force is capped at modulus {MAX_BRUTE_FORCE_MODULUS}")
-    left = _radical_set(modulus, d, a) & _radical_set(modulus, d, b)
-    right = _radical_set(modulus, d, (a * b) % modulus)
-    return left == right
-
-
-# ----------------------------------------------------------------------
-# Label-poset instantiation (cross-validation of the digraph)
-# ----------------------------------------------------------------------
-
-
-def label_poset(n: int, m: int) -> FinitePoset:
-    """All 2^(n+m) generator-set labels under bitwise inclusion."""
-    labels = tuple(
-        IdealLabel(a_bits, b_bits)
-        for a_bits in product((0, 1), repeat=n)
-        for b_bits in product((0, 1), repeat=m)
-    )
-    return FinitePoset(elements=labels, leq=IdealLabel.issubset, meet=IdealLabel.meet)
-
-
-def nc_run_induction(
-    instance: ProblemInstance,
-    target_index: int,
-) -> tuple[dict[IdealLabel, tuple[int, MembershipWitness]], dict[IdealLabel, CaseTag]]:
-    """Re-derive exponents and witnesses for u = a_target on every label.
-
-    The case split and its tag's children supply goodness; leaf evidence
-    and the merge are one ``node_witness`` step each.  Returns the evidence
-    map together with the case tag recorded at each label; on the labels
-    the digraph reaches, the tags coincide with the digraph's.
-    """
-    if not instance.is_generic:
-        raise ValueError("the label-poset run needs an indeterminate-coefficient instance")
-    if not 1 <= target_index <= instance.n:
-        raise ValueError(f"target index must lie in 1..{instance.n}")
-    tags: dict[IdealLabel, CaseTag] = {}
-
-    def step(label: IdealLabel, children: tuple) -> tuple[int, MembershipWitness]:
-        (local,) = local_witnesses(label, tags[label], [target_index])
-        return node_witness(local, children, avar(target_index), tags[label])
-
-    def goodness(label: IdealLabel) -> GoodnessOutcome:
-        tag, _ = case_split(label, instance)
-        tags[label] = tag
-        if tag.is_leaf:
-            return Holds(step(label, ()))
-        return Reduce(*tag.children(label))
-
-    def merge(parent, left_label, right_label, ev_left, ev_right):
-        return step(parent, (ev_left, ev_right))
-
-    evidence = run_induction(label_poset(instance.n, instance.m), goodness, merge)
-    return evidence, tags

@@ -14,6 +14,11 @@ pack, decode and evaluate polynomials keyed by tuple monomials (sorted
 layout: the exponent of a_i in the field at bit FIELD_BITS*(2*i), that of
 b_j at FIELD_BITS*(2*j + 1).  MultiPoly has no tuple-keyed API, so they
 borrow its packed term map: ``_terms`` to read it, ``_new`` to build one.
+
+The one exception is the label-poset runner, ``label_poset`` and
+``nc_run_induction``: it reruns the induction over every label with the
+package's own case split and per-label witness step, so that agreement
+with the digraph cross-validates the two constructions.
 """
 
 from __future__ import annotations
@@ -24,7 +29,22 @@ from functools import lru_cache
 from itertools import product
 from math import gcd
 
-from nilcert import IdealLabel, Indeterminate, MultiPoly, PolyParseError
+from nilcert import (
+    CaseTag,
+    FinitePoset,
+    Holds,
+    IdealLabel,
+    Indeterminate,
+    MultiPoly,
+    PolyParseError,
+    ProblemInstance,
+    Reduce,
+    avar,
+    case_split,
+    run_induction,
+)
+from nilcert.certificates import MembershipWitness, local_witnesses, node_witness
+from nilcert.induction import GoodnessOutcome
 from nilcert.poly import EXPONENT_LIMIT, FIELD_BITS, MAX_INDEX, _new
 
 
@@ -126,6 +146,61 @@ def radical_elements(modulus: int, generators: tuple[int, ...]) -> frozenset[int
                 out.add(x)
                 break
     return frozenset(out)
+
+
+def key_lemma_holds(modulus: int, d: int, a: int, b: int) -> bool:
+    """Whether √(I + Ra) ∩ √(I + Rb) equals √(I + Rab) for I = (d) in
+    Z/modulus, both sides enumerated element by element."""
+
+    def radical(*gens: int) -> frozenset[int]:
+        return radical_elements(modulus, tuple(sorted({g % modulus for g in gens})))
+
+    return radical(d, a) & radical(d, b) == radical(d, a * b)
+
+
+def label_poset(n: int, m: int) -> FinitePoset:
+    """All 2^(n+m) generator-set labels under bitwise inclusion."""
+    labels = tuple(
+        IdealLabel(a_bits, b_bits)
+        for a_bits in product((0, 1), repeat=n)
+        for b_bits in product((0, 1), repeat=m)
+    )
+    return FinitePoset(elements=labels, leq=IdealLabel.issubset, meet=IdealLabel.meet)
+
+
+def nc_run_induction(
+    instance: ProblemInstance,
+    target_index: int,
+) -> tuple[dict[IdealLabel, tuple[int, MembershipWitness]], dict[IdealLabel, CaseTag]]:
+    """Re-derive exponents and witnesses for u = a_target on every label.
+
+    The case split and its tag's children supply goodness; leaf evidence
+    and the merge are one ``node_witness`` step each.  Returns the evidence
+    map together with the case tag recorded at each label; on the labels
+    the digraph reaches, the tags coincide with the digraph's.
+    """
+    if not instance.is_generic:
+        raise ValueError("the label-poset run needs an indeterminate-coefficient instance")
+    if not 1 <= target_index <= instance.n:
+        raise ValueError(f"target index must lie in 1..{instance.n}")
+    tags: dict[IdealLabel, CaseTag] = {}
+
+    def step(label: IdealLabel, children: tuple) -> tuple[int, MembershipWitness]:
+        (local,) = local_witnesses(label, tags[label], [target_index])
+        return node_witness(local, children, avar(target_index), tags[label])
+
+    def goodness(label: IdealLabel) -> GoodnessOutcome:
+        tag, _ = case_split(label, instance)
+        tags[label] = tag
+        if tag.is_leaf:
+            return Holds(step(label, ()))
+        return Reduce(*tag.children(label))
+
+    def merge(parent, left_label, right_label, ev_left, ev_right):
+        return step(parent, (ev_left, ev_right))
+
+    evidence = run_induction(label_poset(instance.n, instance.m), goodness, merge)
+    return evidence, tags
 
 
 def grid_exponent(n: int, m: int) -> int:

@@ -37,7 +37,6 @@ from nilcert import (
     gauss_product_witness,
     grow_digraph,
     load_certificate,
-    nc_run_induction,
     power_check,
     verify_concrete,
     verify_symbolic,
@@ -325,7 +324,7 @@ class TestExtractCertificate:
                 instance = ProblemInstance.generic(n, m)
                 d = grow_digraph(instance)
                 for i0 in range(1, n + 1):
-                    evidence, _ = nc_run_induction(instance, i0)
+                    evidence, _ = helpers.nc_run_induction(instance, i0)
                     for lab in d.nodes:
                         exponent, witness = evidence[lab]
                         assert exponent == d.nodes[lab].exponent, (n, m, i0, lab)
@@ -490,6 +489,24 @@ class TestNodeLocalCheck:
         concrete = grow_digraph(ProblemInstance.concrete(8, [1, 2, 4], [1, 6]))
         with pytest.raises(ValueError):
             check_node_local(concrete, 1, early_stop=True)
+
+    @pytest.mark.parametrize("malform", ["root tag out of range", "root node missing", "parents first"])
+    @pytest.mark.parametrize("early_stop", [False, True])
+    def test_refuses_a_malformed_digraph(self, malform, early_stop):
+        """A root tag whose children do not exist, a root with no node, or
+        nodes stored parents first fail the check and give no exponents
+        and no certificate; none of them raises."""
+        digraph = fresh(grow_digraph(ProblemInstance.generic(2, 1)))
+        root = digraph.root
+        if malform == "root tag out of range":
+            digraph.nodes[root] = replace(digraph.nodes[root], tag=CaseTag.branch(5, 5))
+        elif malform == "root node missing":
+            del digraph.nodes[root]
+        else:
+            digraph = replace(digraph, nodes=dict(reversed(digraph.nodes.items())))
+        assert check_node_local(digraph, 1, 2, early_stop=early_stop) is False
+        assert checked_exponents(digraph, 1, 2, early_stop=early_stop) is None
+        assert certify(digraph, 1, 2, early_stop=early_stop) is None
 
     @pytest.mark.parametrize("tamper", ["claims a target", "truncated"])
     def test_rejects_tampered_closed_a_bits(self, tamper):
@@ -874,6 +891,13 @@ class TestConcreteChecks:
                     got = power_check(instance, 1, exponent).minimal_exponent
                     assert got == full, (modulus, u, exponent)
 
+    def test_refuses_a_generic_instance(self):
+        instance = ProblemInstance.generic(2, 1)
+        with pytest.raises(ValueError):
+            power_check(instance, 1, 3)
+        with pytest.raises(ValueError):
+            verify_concrete(extract_certificate(grow_digraph(instance), 1), instance)
+
     def test_dimension_mismatch(self):
         instance = ProblemInstance.concrete(8, [1, 2, 4], [1, 6])
         d = grow_digraph(ProblemInstance.generic(1, 1))
@@ -1033,3 +1057,9 @@ def test_verify_expands_only_the_relations_a_dump_names():
     after = relation_poly.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
     assert after.maxsize is not None
+
+
+@pytest.mark.parametrize("k", [4, -1])
+def test_relation_poly_refuses_an_index_outside_0_to_n_plus_m(k):
+    with pytest.raises(ValueError):
+        relation_poly(2, 1, k)

@@ -615,6 +615,27 @@ class TestPascalCommand:
                 assert out == expected, (n, m)
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (("generic", "--n", "2", "--m", "1", "--target", "0"), "--target must lie in 1..2"),
+            (("generic", "--n", "2", "--m", "1", "--target", "3"), "--target must lie in 1..2"),
+            (("concrete", "--modulus", "1", "--f", "1,2", "--g", "1"), "--modulus must be >= 2"),
+            (("concrete", "--modulus", "8", "--f", "5", "--g", "1"), "--f needs at least two coefficients (degree >= 1)"),
+            (
+                ("concrete", "--modulus", "8", "--f", "1" + ",0" * 4096, "--g", "1"),
+                "concrete mode needs --f and --g of degree <= 4095",
+            ),
+            (("pascal", "--n", "0", "--m", "1"), "pascal needs --n >= 1 and --m >= 0"),
+            (("pascal", "--n", "1", "--m", "-1"), "pascal needs --n >= 1 and --m >= 0"),
+        ],
+        ids=["target 0", "target past n", "modulus 1", "degree 0", "degree past MAX_INDEX", "pascal n 0", "pascal m -1"],
+    )
+    def test_exit_code_and_message(self, capsys, argv, err):
+        assert run(capsys, *argv) == (1, "", f"ERROR:usage:{err}\n")
+
+
 class TestUnknownCommand:
     def test_rejected(self, capsys):
         code, _, err = run(capsys, "frobnicate")

@@ -1,6 +1,7 @@
 """The poset runner, the strong primality test, radicals, the prime
-decomposition over Z/n, the key-lemma checker and the label-poset
-cross-validation."""
+decomposition over Z/n, and, through the helpers' brute force and
+label-poset runner, the key lemma and the cross-validation of the
+digraph."""
 
 from __future__ import annotations
 
@@ -21,12 +22,9 @@ from nilcert import (
     Reduce,
     UnitIdeal,
     avar,
-    check_key_lemma,
     extract_certificate,
     grow_digraph,
-    label_poset,
     ln_decompose,
-    nc_run_induction,
     radical_ideal_poset,
     radical_modn,
     run_induction,
@@ -34,7 +32,6 @@ from nilcert import (
 )
 from nilcert import induction
 from nilcert.certificates import _expansion_minus
-from nilcert.induction import _ideal_elements, _radical_of_ideal
 
 
 class TestRunInduction:
@@ -231,31 +228,23 @@ class TestLnDecompose:
 
 class TestKeyLemma:
     def test_zero_ideal_mod8(self):
-        assert check_key_lemma(8, 8, 2, 4)
+        assert helpers.key_lemma_holds(8, 8, 2, 4)
         # both sides are (2)
         assert helpers.radical_elements(8, (0, 2)) == helpers.ideal_elements(8, (2,))
 
     def test_mod12_interior(self):
-        assert check_key_lemma(12, 6, 2, 3)
+        assert helpers.key_lemma_holds(12, 6, 2, 3)
 
     def test_unit_factor(self):
         for n in (6, 8, 12):
             for b in range(n):
-                assert check_key_lemma(n, n, 1, b)
-
-    def test_bound_enforced(self):
-        with pytest.raises(BadInput):
-            check_key_lemma(1024, 1024, 2, 4)
-
-    def test_caches_are_bounded(self):
-        for cache in (_ideal_elements, _radical_of_ideal):
-            assert cache.cache_info().maxsize is not None
+                assert helpers.key_lemma_holds(n, n, 1, b)
 
 
 class TestLabelPosetCrossValidation:
     def test_worked_example(self):
         instance = ProblemInstance.generic(2, 1)
-        evidence, tags = nc_run_induction(instance, 1)
+        evidence, tags = helpers.nc_run_induction(instance, 1)
         digraph = grow_digraph(instance)
         for lab, node in digraph.nodes.items():
             assert tags[lab] == node.tag
@@ -267,7 +256,7 @@ class TestLabelPosetCrossValidation:
     def test_reachable_labels_match(self):
         for n, m in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]:
             instance = ProblemInstance.generic(n, m)
-            evidence, tags = nc_run_induction(instance, 1)
+            evidence, tags = helpers.nc_run_induction(instance, 1)
             digraph = grow_digraph(instance)
             reachable = set()
             frontier = [digraph.root]
@@ -290,7 +279,7 @@ class TestLabelPosetCrossValidation:
                 instance = ProblemInstance.generic(n, m)
                 digraph = grow_digraph(instance)
                 for i0 in range(1, n + 1):
-                    evidence, _ = nc_run_induction(instance, i0)
+                    evidence, _ = helpers.nc_run_induction(instance, i0)
                     k, got = evidence[digraph.root]
                     certificate = extract_certificate(digraph, i0)
                     want = certificate.root_witness
@@ -300,10 +289,10 @@ class TestLabelPosetCrossValidation:
                     assert got.unit_coeff == want.unit_coeff, (n, m, i0)
 
     def test_poset_size(self):
-        assert len(label_poset(2, 2).elements) == 16
+        assert len(helpers.label_poset(2, 2).elements) == 16
 
     def test_matches_certificate_exponent(self):
         instance = ProblemInstance.generic(2, 2)
-        evidence, _ = nc_run_induction(instance, 2)
+        evidence, _ = helpers.nc_run_induction(instance, 2)
         digraph = grow_digraph(instance)
         assert evidence[digraph.root][0] == digraph.nodes[digraph.root].exponent

@@ -84,6 +84,11 @@ class TestArithmetic:
     def test_int_operands(self):
         assert 2 * avar(1) == avar(1) + avar(1)
         assert avar(1) - 1 == avar(1) + MultiPoly.const(-1)
+        assert 1 - avar(1) == MultiPoly.parse("-1*a1 + 1")
+
+    def test_negative_power_refused(self):
+        with pytest.raises(ValueError):
+            avar(1) ** -1
 
     @given(p=polys(), q=polys(), r=polys())
     @settings(max_examples=60)

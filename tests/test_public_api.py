@@ -43,7 +43,6 @@ EXPORTS = [
     "avar",
     "bvar",
     "case_split",
-    "check_key_lemma",
     "check_node_local",
     "check_unit",
     "combine",
@@ -53,11 +52,9 @@ EXPORTS = [
     "extract_certificate",
     "gauss_product_witness",
     "grow_digraph",
-    "label_poset",
     "ln_decompose",
     "load_certificate",
     "mod_membership",
-    "nc_run_induction",
     "power_check",
     "radical_ideal_poset",
     "radical_modn",
@@ -70,7 +67,7 @@ EXPORTS = [
 
 
 def test_exports_are_pinned():
-    assert len(EXPORTS) == 47 and EXPORTS == sorted(EXPORTS)
+    assert len(EXPORTS) == 44 and EXPORTS == sorted(EXPORTS)
     assert nilcert.__all__ == EXPORTS
     for name in EXPORTS:
         assert getattr(nilcert, name, None) is not None, name
