@@ -32,7 +32,7 @@ right being replaced by its own element witness:
 
   (mirrored through a_0*b_k for b_k), one combination of the isolation
   parts, each scaled by a0.  A generator is its own witness, so the
-  builder reads only bits: the closed bits of ``oracles.closure_bits``
+  builder reads only bits: the closed masks of ``oracles.closure_bits``
   for membership, the label's own for generator status;
 
 * ``combine`` multiplies two child witnesses u^k = v + s*a_i and
@@ -164,21 +164,19 @@ class WitnessBuilder:
 
     def __init__(self, label: IdealLabel):
         self.label = label
-        a_bits, b_bits = closure_bits(label.a_bits, label.b_bits)
-        # Per family: the closed bits (membership), the label's own (generators).
-        self._bits = {"a": (a_bits, label.a_bits), "b": (b_bits, label.b_bits)}
+        # The closure as a label of its own: membership is its generators.
+        self._closed = IdealLabel(label.n, label.m, *closure_bits(label))
         self._memo: dict[Indeterminate, MembershipWitness] = {}
 
     def witness(self, element: Indeterminate) -> MembershipWitness:
-        k = element.index
-        closed, given = self._bits[element.kind]
-        if not (1 <= k <= len(closed) and closed[k - 1]):
-            raise NotInClosure(f"{element} is not forced into {self.label.render()}")
         cached = self._memo.get(element)
         if cached is not None:
             return cached
-        if given[k - 1]:
+        k = element.index
+        if self.label.has(element.kind, k):  # a generator is in the closure
             built = MembershipWitness({element: MultiPoly.one()})
+        elif not self._closed.has(element.kind, k):
+            raise NotInClosure(f"{element} is not forced into {self.label.render()}")
         else:
             # x_k = x0 * (x_k*y0) - x_k*r0, because x0*y0 = 1 + r0: the parts
             # isolating x_k*y0, each scaled by x0, in one combination.
@@ -339,9 +337,9 @@ def _walk(
         go = 0 if node.tag.is_leaf else reach
         if early_stop:
             closed = node.closed_a
-            if len(closed) != n:
+            if not 0 <= closed < 1 << n:
                 return None
-            go &= ~sum(1 << p for p, (i0,) in enumerate(lanes) if closed[i0 - 1])
+            go &= ~sum(1 << p for p, (i0,) in enumerate(lanes) if closed & root.bit("a", i0))
         # A child met here first has here its last parent, children first.
         last = [child for child in node.children if child not in reaching] if go else []
         plans[label] = reach, go, last
@@ -386,8 +384,6 @@ def _walk(
                 return None
             for p in going:
                 steps = left[p], right[p]
-                if None in steps:
-                    return None
                 if combined:
                     row[p] = node_witness(product[0], steps, subjects[p][0], tag)
                 else:
@@ -438,7 +434,7 @@ def checked_exponents(
     must be empty, which leaves u^e in I, with u^e never expanded.  Each
     product identity is checked once for all the targets that go on past
     its branch.  A target outside the closure where its proof ends fails
-    the check, and so do closed a-bits that are not n bytes long.  Raises
+    the check, and so do closed a-bits that are no mask of n bits.  Raises
     ValueError for a concrete digraph, or when no target is given or one
     lies outside 1..n.
     """
@@ -465,10 +461,8 @@ def _identity_holds(witness: MembershipWitness, label: IdealLabel, subject: Mult
     its expansion less subject is the zero polynomial, with (n, m) the
     label's size."""
     n, m = label.n, label.m
-    for d in witness.gen_coeffs:
-        family = label.a_bits if d.kind == "a" else label.b_bits
-        if not (1 <= d.index <= len(family) and family[d.index - 1]):
-            return False
+    if not all(label.has(d.kind, d.index) for d in witness.gen_coeffs):
+        return False
     rels = witness.rel_coeffs
     if rels and not (min(rels) >= 1 and max(rels) <= n + m):
         return False

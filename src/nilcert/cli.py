@@ -272,10 +272,7 @@ def _run_pascal(args: argparse.Namespace) -> int:
     for added_a in range(args.n + 1):
         row = []
         for added_b in range(args.m + 1):
-            label = IdealLabel(
-                (0,) * (args.n - added_a) + (1,) * added_a,
-                (0,) * (args.m - added_b) + (1,) * added_b,
-            )
+            label = IdealLabel.tail(args.n, args.m, added_a, added_b)
             row.append(str(nodes[label].exponent) if label in nodes else ".")
         rows.append(row)
     width = max(len(cell) for row in rows for cell in row)

@@ -22,11 +22,9 @@ is a cut of the plain one, with no label classified twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from math import gcd
 from typing import Sequence
 
-from .oracles import IdealLabel, closure_bits
+from .oracles import IdealLabel, closure_bits, last_clear, mod_closure_bits
 
 
 class NotAUnit(Exception):
@@ -74,14 +72,14 @@ class CaseTag:
         return self.i is None
 
     def children(self, label: IdealLabel) -> tuple[IdealLabel, ...]:
-        """label + a_i and label + b_j for branch(i, j), built from the
-        bits; none for a leaf."""
+        """label + a_i and label + b_j for branch(i, j), one OR each;
+        none for a leaf."""
         if self.is_leaf:
             return ()
-        a, b, i, j = label.a_bits, label.b_bits, self.i, self.j
-        if i > len(a) or j > len(b):
+        n, m, a, b = label.n, label.m, label.a, label.b
+        if self.i > n or self.j > m:
             raise ValueError(f"{self} out of range for label {label.render()}")
-        return IdealLabel(a[: i - 1] + (1,) + a[i:], b), IdealLabel(a, b[: j - 1] + (1,) + b[j:])
+        return IdealLabel(n, m, a | label.bit("a", self.i), b), IdealLabel(n, m, a, b | label.bit("b", self.j))
 
     def __str__(self) -> str:
         return "leaf" if self.is_leaf else f"branch({self.i},{self.j})"
@@ -180,33 +178,27 @@ def case_split(
     label: IdealLabel,
     instance: ProblemInstance,
     early_stop_target: int | None = None,
-) -> tuple[CaseTag, bytes]:
+) -> tuple[CaseTag, int]:
     """Classify a label as leaf or branch(i, j) with maximal i, j; also
-    return its closed a-bits, byte i-1 set when a_i lies in the ideal.
+    return its closed a-bits, the mask of the a_i in the ideal.
 
-    The split works on two such byte strings, one per family.  Generic
-    mode takes them from the rule closure's bits; over Z/N the ideal of
-    the generators is (g) with g = gcd(N, generator values), so one gcd per
-    label decides every coefficient by divisibility.  With
+    The split works on two such masks, one per family: the rule closure's
+    in generic mode, those of one gcd per label over Z/N.  With
     ``early_stop_target`` set (it must lie in 1..n), the node is already a
     leaf once the studied coefficient itself lies in the ideal.
     """
     _check_target(instance.n, early_stop_target)
     if instance.is_generic:
-        a_in, b_in = map(bytes, closure_bits(label.a_bits, label.b_bits))
+        a_in, b_in = closure_bits(label)
     else:
-        a_values, b_values = instance.a[1:], instance.b[1:]
-        g = gcd(instance.modulus, *compress(a_values, label.a_bits), *compress(b_values, label.b_bits))
-        a_in = bytes(v % g == 0 for v in a_values)
-        b_in = bytes(v % g == 0 for v in b_values)
+        a_in, b_in = mod_closure_bits(label, instance.modulus, instance.a, instance.b)
 
-    if early_stop_target is not None and a_in[early_stop_target - 1]:
+    if early_stop_target is not None and a_in & label.bit("a", early_stop_target):
         return CaseTag.leaf(), a_in
-    # The largest index outside the ideal, per family; 0 when there is none.
-    i = a_in.rfind(0) + 1
+    i = last_clear(a_in, label.n)
     if not i:
         return CaseTag.leaf(), a_in
-    j = b_in.rfind(0) + 1
+    j = last_clear(b_in, label.m)
     if not j:
         raise InternalInconsistency(
             f"a{i} lies outside the ideal of {label.render()} "
@@ -242,12 +234,12 @@ def _post_order(root, expand, finish, memo: dict):
 @dataclass(frozen=True, slots=True)
 class DigraphNode:
     """A label's case tag, children and exponent, and its closed a-bits:
-    ``closed_a[i-1]`` is 1 when a_i lies in the ideal of the label."""
+    the mask, in the label's layout, of the a_i in the ideal of the label."""
 
     tag: CaseTag
     children: tuple[IdealLabel, ...]
     exponent: int
-    closed_a: bytes
+    closed_a: int
 
 
 @dataclass
@@ -285,7 +277,7 @@ def grow_digraph(instance: ProblemInstance, early_stop_target: int | None = None
     coefficient is in its ideal, and the digraph serves that target alone.
     """
 
-    def expand(label: IdealLabel) -> tuple[tuple[CaseTag, bytes], tuple[IdealLabel, ...]]:
+    def expand(label: IdealLabel) -> tuple[tuple[CaseTag, int], tuple[IdealLabel, ...]]:
         tag, closed_a = case_split(label, instance, early_stop_target)
         return (tag, closed_a), tag.children(label)
 
@@ -323,7 +315,7 @@ def early_stop_cut(digraph: Digraph, target: int) -> Digraph:
 
     def expand(label: IdealLabel) -> tuple[DigraphNode, tuple[IdealLabel, ...]]:
         node = nodes[label]
-        if node.closed_a[target - 1]:
+        if node.closed_a & label.bit("a", target):
             return node, ()
         if not node.children:
             raise ValueError(f"a{target} is not in the ideal of the leaf {label.render()}")

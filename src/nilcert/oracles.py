@@ -8,8 +8,8 @@ Two oracles answer which coefficients lie in the ideal of a generator set:
   so membership is a divisibility test and a witness (an explicit linear
   combination of the generators) falls out of extended gcd
   back-substitution.  The empty generator list denotes the zero ideal.
-  The case split needs no witness and tests divisibility by that gcd
-  directly, once per label.
+  The case split needs no witness: ``mod_closure_bits`` tests
+  divisibility by that gcd directly, once per label.
 
 * ``closure_bits`` handles the indeterminate-coefficient situation,
   where no concrete values exist.  Given a generator set D drawn from the
@@ -23,16 +23,17 @@ Two oracles answer which coefficients lie in the ideal of a generator set:
   The premises are a prefix of y, so the rule has a closed form: x_k is in
   the closure iff it is a generator, or k <= run(y), or y is all ones,
   where run(y) is the length of y's leading run of set bits.  The closure
-  is two bit lists, one per family; the case split and the certificate
-  layer's witness builder both read them.  Memberships reported by the
-  closure are eventually discharged as verified identities by the
-  certificate layer; non-memberships only shape the search and are never
-  load-bearing.
+  is two int masks in the layout ``IdealLabel`` states; the case split
+  and the certificate layer's witness builder read them.  Memberships
+  reported by the closure are eventually discharged as verified
+  identities by the certificate layer; non-memberships only shape the
+  search and are never load-bearing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
 
 from .rings import xgcd
@@ -86,22 +87,25 @@ def mod_membership(modulus: int, generators: Sequence[int], r: int) -> Membershi
 
 @dataclass(frozen=True, order=True)
 class IdealLabel:
-    """A generator set D among {a_1..a_n, b_1..b_m}, as a pair of bitmasks.
+    """A generator set D among {a_1..a_n, b_1..b_m}, as two int masks.
 
-    a_bits has length n and a_bits[i-1] == 1 iff a_i is a generator;
-    likewise b_bits for the b side.  Labels of one problem instance form a
-    finite lattice under bitwise inclusion.  A label is hashed once, when
-    it is made: labels key every dict of the digraph and its walks.
+    This module alone fixes the layout, which closed masks share: a_i is
+    bit n-i of ``a`` and b_j bit m-j of ``b``, so that within one size int
+    order is the order of the bit strings ``render`` writes.  A label is
+    hashed once, when it is made: labels key every dict of the digraph and
+    its walks.
     """
 
-    a_bits: tuple[int, ...]
-    b_bits: tuple[int, ...]
+    n: int
+    m: int
+    a: int
+    b: int
 
     def __post_init__(self) -> None:
-        for bits in (self.a_bits, self.b_bits):
-            if bits.count(0) + bits.count(1) != len(bits):
-                raise ValueError(f"label bits must be 0 or 1, got {bits}")
-        object.__setattr__(self, "_hash", hash((self.a_bits, self.b_bits)))
+        # A negative mask shifts to -1, so one test refuses it too.
+        if self.a >> self.n or self.b >> self.m:
+            raise ValueError(f"label masks must fit {self.n} and {self.m} bits, got {self.a} and {self.b}")
+        object.__setattr__(self, "_hash", hash((self.n, self.m, self.a, self.b)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -109,61 +113,73 @@ class IdealLabel:
     @classmethod
     def root(cls, n: int, m: int) -> IdealLabel:
         """The empty generator set (the zero ideal's label)."""
-        return cls((0,) * n, (0,) * m)
+        return cls(n, m, 0, 0)
 
-    @property
-    def n(self) -> int:
-        return len(self.a_bits)
+    @classmethod
+    def tail(cls, n: int, m: int, a_count: int, b_count: int) -> IdealLabel:
+        """The last a_count a's and the last b_count b's as generators."""
+        return cls(n, m, (1 << a_count) - 1, (1 << b_count) - 1)
 
-    @property
-    def m(self) -> int:
-        return len(self.b_bits)
+    def bit(self, kind: str, k: int) -> int:
+        """The mask of x_k alone, x = a or b, for k in 1..n or 1..m; it
+        sets x_k in a label and tests it in a closed mask."""
+        return 1 << ((self.n if kind == "a" else self.m) - k)
 
-    def issubset(self, other: IdealLabel) -> bool:
-        return (
-            all(x <= y for x, y in zip(self.a_bits, other.a_bits, strict=True))
-            and all(x <= y for x, y in zip(self.b_bits, other.b_bits, strict=True))
-        )
-
-    def meet(self, other: IdealLabel) -> IdealLabel:
-        """Bitwise intersection: the greatest lower bound in the lattice."""
-        return IdealLabel(
-            tuple(x & y for x, y in zip(self.a_bits, other.a_bits, strict=True)),
-            tuple(x & y for x, y in zip(self.b_bits, other.b_bits, strict=True)),
-        )
+    def has(self, kind: str, k: int) -> bool:
+        """Whether x_k is a generator, x = a or b; False outside 1..n or 1..m."""
+        if kind == "a":
+            return 0 < k <= self.n and self.a >> (self.n - k) & 1 == 1
+        return 0 < k <= self.m and self.b >> (self.m - k) & 1 == 1
 
     def render(self) -> str:
-        a_text = "".join(str(bit) for bit in self.a_bits)
-        b_text = "".join(str(bit) for bit in self.b_bits)
+        a_text = _digits(self.a, self.n)
         if self.m == 0:
             return f"({a_text})"
-        return f"({a_text},{b_text})"
+        return f"({a_text},{_digits(self.b, self.m)})"
 
     def __str__(self) -> str:
         return self.render()
 
 
-def _leading_run(bits: Sequence[int]) -> int:
-    """The number of leading set bits."""
-    return bits.index(0) if 0 in bits else len(bits)
+def _digits(mask: int, size: int) -> str:
+    """The size binary digits of mask, the first index's first."""
+    return bin(mask | 1 << size)[3:]
 
 
-def closure_bits(a_bits: Sequence[int], b_bits: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Close a generator set under the rule, on bits alone.
+def last_clear(mask: int, size: int) -> int:
+    """The largest k in 1..size with x_k clear in mask, from its lowest
+    clear bit; 0 when every bit is set."""
+    return size + 1 - (~mask & (mask + 1)).bit_length()
+
+
+def mod_closure_bits(label: IdealLabel, modulus: int, a: Sequence[int], b: Sequence[int]) -> tuple[int, int]:
+    """The closed a- and b-masks over Z/modulus, with x_k = x[k]: the ideal
+    of the generators is (g), g = gcd(modulus, their values), so x_k lies in
+    it iff g divides x[k].  One gcd per label decides every coefficient."""
+    m, values = label.m, a[1:] + b[1:]
+    digits = _digits(label.a << m | label.b, label.n + m)
+    g = gcd(modulus, *[value for value, digit in zip(values, digits) if digit == "1"])
+    closed = int("".join(["01"[value % g == 0] for value in values]), 2)
+    return closed >> m, closed & ((1 << m) - 1)
+
+
+def closure_bits(label: IdealLabel) -> tuple[int, int]:
+    """Close a generator set under the rule, on masks alone.
 
     The premises y_1..y_min(k, |y|) of x_k are a prefix of y, so x_k is in
     the closure iff it is a generator, or k <= run(y), or y is all ones,
     where run(y) is the length of y's leading run of set bits (an empty y
-    is all ones).  Each round fills both prefixes by slice; the runs only
-    grow, and once neither fill reaches past its family's run the bits are
-    closed.  Returns the closed a- and b-bits.
+    is all ones).  Each round ORs both prefix fills in; the runs only grow,
+    and once neither fill reaches past its family's run the masks are
+    closed.  Returns the closed a- and b-masks.
     """
-    a, b = list(a_bits), list(b_bits)
+    n, m, a, b = label.n, label.m, label.a, label.b
+    full_a, full_b = (1 << n) - 1, (1 << m) - 1
     while True:
-        run_a, run_b = _leading_run(a), _leading_run(b)
-        fill_a = len(a) if run_b == len(b) else min(run_b, len(a))
-        fill_b = len(b) if run_a == len(a) else min(run_a, len(b))
+        run_a, run_b = n - (a ^ full_a).bit_length(), m - (b ^ full_b).bit_length()
+        fill_a = n if run_b == m else min(run_b, n)
+        fill_b = m if run_a == n else min(run_a, m)
         if fill_a <= run_a and fill_b <= run_b:
             return a, b
-        a[:fill_a] = [1] * fill_a
-        b[:fill_b] = [1] * fill_b
+        a |= full_a ^ full_a >> fill_a
+        b |= full_b ^ full_b >> fill_b

@@ -4,8 +4,9 @@ Everything here is intentionally independent of the package internals:
 ideals are enumerated element by element, radicals by powering, the grid
 exponent by direct dynamic programming, inverse pairs by power-series
 division, and the rule closure as a plain fixed point over elements.
-Labels are built bit by bit; only the package's value types (labels,
-indeterminates) are borrowed.  These are the reference values the
+Labels are built bit by bit, from the documented mask layout (x_k at bit
+size-k, x_1 the most significant); only the package's value types
+(labels, indeterminates) are borrowed.  These are the reference values the
 implementation is checked against.  ``reference_parse`` is the canonical
 text parser as it was before it summed factor tables: one packing step per
 factor.  ``reference_poly``, ``reference_terms`` and ``reference_evaluate``
@@ -48,28 +49,59 @@ from nilcert.induction import GoodnessOutcome
 from nilcert.poly import EXPONENT_LIMIT, FIELD_BITS, MAX_INDEX, _new
 
 
+def pack(bits) -> int:
+    """The mask of one family's bits, x_1's first: x_k at bit size-k."""
+    mask = 0
+    for bit in bits:
+        assert bit in (0, 1), bits
+        mask = 2 * mask + bit
+    return mask
+
+
+def bits(mask: int, size: int) -> list[int]:
+    """The bits of one family's mask, x_1's first."""
+    return [mask >> (size - k) & 1 for k in range(1, size + 1)]
+
+
+def from_bits(a_bits, b_bits) -> IdealLabel:
+    """The label of two bit sequences, one per family, x_1's first."""
+    return IdealLabel(len(a_bits), len(b_bits), pack(a_bits), pack(b_bits))
+
+
 def label(n: int, m: int, *names: str) -> IdealLabel:
     """The label with the named generators set, e.g. label(2, 1, "a2", "b1")."""
-    bits = {"a": [0] * n, "b": [0] * m}
+    family_bits = {"a": [0] * n, "b": [0] * m}
     for name in names:
-        family, k = bits[name[0]], int(name[1:])
+        family, k = family_bits[name[0]], int(name[1:])
         if not 1 <= k <= len(family):
             raise ValueError(f"{name} out of range for n={n}, m={m}")
         family[k - 1] = 1
-    return IdealLabel(tuple(bits["a"]), tuple(bits["b"]))
+    return from_bits(family_bits["a"], family_bits["b"])
 
 
 def add(lab: IdealLabel, element: Indeterminate) -> IdealLabel:
     """The label with one more generator, its bit set in a fresh copy."""
-    bits = {"a": list(lab.a_bits), "b": list(lab.b_bits)}
-    bits[element.kind][element.index - 1] = 1
-    return IdealLabel(tuple(bits["a"]), tuple(bits["b"]))
+    family_bits = {"a": bits(lab.a, lab.n), "b": bits(lab.b, lab.m)}
+    family_bits[element.kind][element.index - 1] = 1
+    return from_bits(family_bits["a"], family_bits["b"])
 
 
 def generators(lab: IdealLabel) -> list[Indeterminate]:
     """The generators of a label, a-family first, by index."""
-    out = [Indeterminate.a(i) for i, bit in enumerate(lab.a_bits, 1) if bit]
-    return out + [Indeterminate.b(j) for j, bit in enumerate(lab.b_bits, 1) if bit]
+    out = [Indeterminate.a(i) for i, bit in enumerate(bits(lab.a, lab.n), 1) if bit]
+    return out + [Indeterminate.b(j) for j, bit in enumerate(bits(lab.b, lab.m), 1) if bit]
+
+
+def leq(small: IdealLabel, big: IdealLabel) -> bool:
+    """Inclusion of generator sets of one size, bit by bit."""
+    assert (small.n, small.m) == (big.n, big.m), (small, big)
+    return small.a & ~big.a == 0 and small.b & ~big.b == 0
+
+
+def meet(x: IdealLabel, y: IdealLabel) -> IdealLabel:
+    """Intersection of generator sets of one size: the greatest lower bound."""
+    assert (x.n, x.m) == (y.n, y.m), (x, y)
+    return IdealLabel(x.n, x.m, x.a & y.a, x.b & y.b)
 
 
 @dataclass(frozen=True)
@@ -158,14 +190,16 @@ def key_lemma_holds(modulus: int, d: int, a: int, b: int) -> bool:
     return radical(d, a) & radical(d, b) == radical(d, a * b)
 
 
+def all_labels(n: int, m: int) -> list[IdealLabel]:
+    """All 2^(n+m) generator-set labels of size (n, m), built bit by bit."""
+    return [
+        from_bits(a_bits, b_bits) for a_bits in product((0, 1), repeat=n) for b_bits in product((0, 1), repeat=m)
+    ]
+
+
 def label_poset(n: int, m: int) -> FinitePoset:
     """All 2^(n+m) generator-set labels under bitwise inclusion."""
-    labels = tuple(
-        IdealLabel(a_bits, b_bits)
-        for a_bits in product((0, 1), repeat=n)
-        for b_bits in product((0, 1), repeat=m)
-    )
-    return FinitePoset(elements=labels, leq=IdealLabel.issubset, meet=IdealLabel.meet)
+    return FinitePoset(elements=tuple(all_labels(n, m)), leq=leq, meet=meet)
 
 
 def nc_run_induction(

@@ -107,7 +107,7 @@ class TestMembershipWitness:
         for n, m in [(1, 1), (2, 1), (2, 2), (3, 1)]:
             for a_bits in product((0, 1), repeat=n):
                 for b_bits in product((0, 1), repeat=m):
-                    lab = IdealLabel(a_bits, b_bits)
+                    lab = helpers.from_bits(a_bits, b_bits)
                     builder = WitnessBuilder(lab)
                     for element in helpers.reference_closure(lab):
                         subject = MultiPoly.variable(element)
@@ -120,7 +120,7 @@ class TestMembershipWitness:
             for n in range(1, total + 1):
                 for a_bits in product((0, 1), repeat=n):
                     for b_bits in product((0, 1), repeat=total - n):
-                        builder = WitnessBuilder(IdealLabel(a_bits, b_bits))
+                        builder = WitnessBuilder(helpers.from_bits(a_bits, b_bits))
                         for element in (A(0), B(0), A(n + 1), B(total - n + 1)):
                             with pytest.raises(NotInClosure):
                                 builder.witness(element)
@@ -233,7 +233,7 @@ class TestIsolationMatchesReference:
     and (i, j) outside 1..n x 1..m must raise the reference's exception."""
 
     LABELS = [
-        IdealLabel(a_bits, b_bits)
+        helpers.from_bits(a_bits, b_bits)
         for total in range(1, 7)
         for n in range(1, total + 1)
         for a_bits in product((0, 1), repeat=n)
@@ -508,22 +508,25 @@ class TestNodeLocalCheck:
         assert checked_exponents(digraph, 1, 2, early_stop=early_stop) is None
         assert certify(digraph, 1, 2, early_stop=early_stop) is None
 
-    @pytest.mark.parametrize("tamper", ["claims a target", "truncated"])
+    @pytest.mark.parametrize("tamper", ["claims a target", "wider than n", "negative"])
     def test_rejects_tampered_closed_a_bits(self, tamper):
         """With early_stop the walk reads the stored closed a-bits to find
         where each target stops.  A bit that claims a_i0 where the label's
-        closure lacks it, or closed bits shorter than n, fail the check and
-        give no certificate; neither raises."""
+        closure lacks it, or closed bits that are no mask of n bits, fail
+        the check and give no certificate; none raises."""
         digraph = grow_digraph(ProblemInstance.generic(3, 2))
         seen = 0
         for at, node in digraph.nodes.items():
-            missing = [i0 for i0 in (1, 2, 3) if not node.closed_a[i0 - 1]]
+            closed_bits = helpers.bits(node.closed_a, 3)
+            missing = [i0 for i0 in (1, 2, 3) if not closed_bits[i0 - 1]]
             if not missing:
                 continue
-            if tamper == "truncated":
-                closed_a = node.closed_a[:-1]
+            if tamper == "wider than n":
+                closed_a = node.closed_a | 1 << 3
+            elif tamper == "negative":
+                closed_a = node.closed_a - (1 << 3)
             else:
-                closed_a = bytes(1 if i0 == missing[0] else bit for i0, bit in enumerate(node.closed_a, 1))
+                closed_a = helpers.pack([1 if i0 == missing[0] else bit for i0, bit in enumerate(closed_bits, 1)])
             tampered = fresh(digraph)
             tampered.nodes[at] = replace(node, closed_a=closed_a)
             assert check_node_local(tampered, 1, 2, 3, early_stop=True) is False, at
@@ -646,7 +649,7 @@ class TestNodeLocalCheck:
                     key, coeff = Indeterminate.a(i0), MultiPoly.one()
                 else:
                     key, coeff = Indeterminate.a(tag.i), bvar(tag.j)
-                if helpers.label(digraph.n, digraph.m, str(key)).issubset(at):
+                if helpers.leq(helpers.label(digraph.n, digraph.m, str(key)), at):
                     continue
                 trivial = MembershipWitness({key: coeff})
                 tampered = with_local(at, lambda _: trivial)

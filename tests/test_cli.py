@@ -293,7 +293,7 @@ class TestNodeLocalVerdict:
         def perturbed(i, j, label):
             """One coefficient of the root's product witness is off by one."""
             witness = build(i, j, label)
-            if not any(label.a_bits + label.b_bits):
+            if not (label.a or label.b):
                 witness.unit_coeff = witness.unit_coeff + MultiPoly.one()
             return witness
 
@@ -317,7 +317,7 @@ class TestNodeLocalVerdict:
             for label, node in grow_digraph(instance, early_stop_target=i0).nodes.items()
             if node.children
         )
-        at = next(label for label, count in sharing.items() if count > 1 and any(label.a_bits + label.b_bits))
+        at = next(label for label, count in sharing.items() if count > 1 and (label.a or label.b))
         build = certificates.gauss_product_witness
 
         def perturbed(i, j, label):
@@ -433,12 +433,19 @@ class TestNodeLocalVerdict:
         assert done.stdout == json.dumps(report, indent=2) + "\n"
 
 
-    def test_peak_memory_of_a_deep_run(self):
-        """(200,1) keeps only each checked node's exponent: under 40 MB
-        peak RSS, where keeping every node's witness took 130 MB.  An
-        intermediate process runs it, so RUSAGE_CHILDREN (KiB on Linux)
-        covers that one run and not every earlier child of this test
-        process."""
+    @pytest.mark.parametrize(
+        "argv",
+        [["generic", "--n", "200", "--m", "1"], ["pascal", "--n", "1", "--m", "4095"]],
+        ids=["generic 200 1", "pascal 1 4095"],
+    )
+    def test_peak_memory_of_a_deep_run(self, argv):
+        """Each run stays under 40 MB peak RSS.  generic (200,1) keeps only
+        each checked node's exponent, where keeping every node's witness
+        took 130 MB.  pascal (1,4095) holds 8 191 labels of 4 096 bits,
+        which took 150 MB as tuples of 0/1 ints and takes about 21 MB as
+        int masks.  An intermediate process runs each, so RUSAGE_CHILDREN
+        (KiB on Linux) covers that one run and not every earlier child of
+        this test process."""
         src = Path(__file__).resolve().parent.parent / "src"
         probe = (
             "import resource, subprocess, sys; "
@@ -446,7 +453,7 @@ class TestNodeLocalVerdict:
             "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
         )
         done = subprocess.run(
-            [sys.executable, "-c", probe, sys.executable, "-m", "nilcert", "generic", "--n", "200", "--m", "1"],
+            [sys.executable, "-c", probe, sys.executable, "-m", "nilcert", *argv],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": str(src)},

@@ -17,7 +17,9 @@ label = helpers.label
 
 
 def closure(lab: IdealLabel) -> tuple[list[int], list[int]]:
-    return closure_bits(lab.a_bits, lab.b_bits)
+    """closure_bits as one bit list per family, x_1's first."""
+    a_in, b_in = closure_bits(lab)
+    return helpers.bits(a_in, lab.n), helpers.bits(b_in, lab.m)
 
 
 class TestModMembership:
@@ -73,24 +75,20 @@ class TestGenericClosure:
         assert closure(IdealLabel.root(3, 0)) == ([1, 1, 1], [])
 
     def test_closure_of_everything_is_everything(self):
-        assert closure(IdealLabel((1, 1), (1, 1, 1))) == ([1, 1], [1, 1, 1])
+        assert closure(helpers.from_bits((1, 1), (1, 1, 1))) == ([1, 1], [1, 1, 1])
 
     def test_monotone_and_idempotent(self):
         for n, m in [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]:
-            labels = [
-                IdealLabel(a_bits, b_bits)
-                for a_bits in product((0, 1), repeat=n)
-                for b_bits in product((0, 1), repeat=m)
-            ]
+            labels = helpers.all_labels(n, m)
             for lab in labels:
                 closed = closure(lab)
-                assert closure_bits(*closed) == closed, lab
+                assert closure(helpers.from_bits(*closed)) == closed, lab
             for small in labels:
                 for big in labels:
-                    if small.issubset(big):
+                    if helpers.leq(small, big):
                         (a_small, b_small), (a_big, b_big) = closure(small), closure(big)
-                        assert IdealLabel(tuple(a_small), tuple(b_small)).issubset(
-                            IdealLabel(tuple(a_big), tuple(b_big))
+                        assert helpers.leq(
+                            helpers.from_bits(a_small, b_small), helpers.from_bits(a_big, b_big)
                         ), (small, big)
 
     def test_root_closure_full_iff_m_zero(self):
@@ -107,7 +105,7 @@ class TestGenericClosure:
                     continue
                 for a_bits in product((0, 1), repeat=n):
                     for b_bits in product((0, 1), repeat=m):
-                        a_in, b_in = closure_bits(a_bits, b_bits)
+                        a_in, b_in = closure(helpers.from_bits(a_bits, b_bits))
                         assert all(a_in) == all(b_in), (a_bits, b_bits)
 
     def test_matches_reference_fixed_point(self):
@@ -117,7 +115,7 @@ class TestGenericClosure:
             for m in range(0, 9 - n):
                 for a_bits in product((0, 1), repeat=n):
                     for b_bits in product((0, 1), repeat=m):
-                        lab = IdealLabel(a_bits, b_bits)
+                        lab = helpers.from_bits(a_bits, b_bits)
                         assert closure(lab) == helpers.reference_closure_bits(lab), lab
 
     @given(st.data())
@@ -129,7 +127,7 @@ class TestGenericClosure:
         for size in (data.draw(st.integers(1, 200)), data.draw(st.integers(0, 200))):
             density = data.draw(st.floats(0, 1))
             bits.append(tuple(int(rng.random() < density) for _ in range(size)))
-        lab = IdealLabel(*bits)
+        lab = helpers.from_bits(*bits)
         assert closure(lab) == helpers.reference_closure_bits(lab), lab
 
     def test_matches_reference_on_alternating_labels(self):
@@ -137,13 +135,13 @@ class TestGenericClosure:
         runs take about n rounds to stop growing."""
         for size in range(1, 61):
             for n, m in ((size, size), (size, size - 1), (size + 1, size)):
-                lab = IdealLabel(tuple(k % 2 for k in range(n)), tuple(1 - k % 2 for k in range(m)))
+                lab = helpers.from_bits([k % 2 for k in range(n)], [1 - k % 2 for k in range(m)])
                 assert closure(lab) == helpers.reference_closure_bits(lab), lab
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=200))
     @settings(deadline=None)
     def test_matches_reference_at_m_zero(self, a_bits):
-        lab = IdealLabel(tuple(a_bits), ())
+        lab = helpers.from_bits(a_bits, ())
         assert closure(lab) == helpers.reference_closure_bits(lab) == ([1] * len(a_bits), [])
 
 
@@ -152,17 +150,33 @@ class TestIdealLabel:
         assert label(2, 1, "a2", "b1").render() == "(01,1)"
         assert IdealLabel.root(1, 0).render() == "(0)"
 
+    def test_order_is_render_order(self):
+        """Within one size, int order of the masks is the order of the
+        rendered bit strings, which the DOT output is sorted by."""
+        for total in range(1, 7):
+            for n in range(1, total + 1):
+                labels = helpers.all_labels(n, total - n)
+                assert sorted(labels) == sorted(labels, key=IdealLabel.render), (n, total - n)
+
     def test_meet_and_subset(self):
         k = label(2, 1, "a1", "a2")
         l = label(2, 1, "a2", "b1")
         parent = label(2, 1, "a2")
-        assert k.meet(l) == parent
-        assert parent.issubset(k) and parent.issubset(l)
-        assert not k.issubset(l)
+        assert helpers.meet(k, l) == parent
+        assert helpers.leq(parent, k) and helpers.leq(parent, l)
+        assert not helpers.leq(k, l)
 
     def test_bad_bits(self):
-        with pytest.raises(ValueError):
-            IdealLabel((0, 2), ())
-        for bad in (2, -1, 0.5):
-            with pytest.raises(ValueError):
-                IdealLabel((0, 1), (1, bad))
+        """A negative mask, or one of 1 << n (1 << m) or more, is refused,
+        for every size with n + m <= 6; a mask that is no int raises too."""
+        for total in range(1, 7):
+            for n in range(1, total + 1):
+                m = total - n
+                for bad in (-1, -(1 << n), 1 << n, (1 << n + 1) - 1):
+                    with pytest.raises(ValueError):
+                        IdealLabel(n, m, bad, 0)
+                for bad in (-1, -(1 << m) - 1, 1 << m, (1 << m + 1) - 1):
+                    with pytest.raises(ValueError):
+                        IdealLabel(n, m, (1 << n) - 1, bad)
+        with pytest.raises(TypeError):
+            IdealLabel(2, 1, 1, 0.5)
