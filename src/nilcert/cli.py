@@ -45,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from math import prod
 from pathlib import Path
 from typing import Callable
@@ -89,6 +90,27 @@ def _parse_coeffs(text: str, what: str) -> list[int]:
         return [int(piece) for piece in text.split(",")]
     except ValueError:
         raise BadInput(f"{what} must be a comma-separated integer list, got {text!r}") from None
+
+
+def _render(value: object, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, without the
+    pure-Python encoder that ``indent`` selects: strings, ints, and
+    nonempty dicts with str keys and lists of such values are written
+    here, every other value by ``json.dumps``.  ``newline`` is a line
+    break followed by the indent of the value's own line."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = newline + "  "
+    if kind is dict and value and all(type(key) is str for key in value):
+        items = [encode_basestring_ascii(key) + ": " + _render(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list and value:
+        return "[" + inner + ("," + inner).join([_render(item, inner) for item in value]) + newline + "]"
+    # json writes no raw line break inside a string: each one is indent.
+    return json.dumps(value, indent=2).replace("\n", newline)
 
 
 def _run_digraph(
@@ -175,7 +197,7 @@ def _run_digraph(
     report["certificate"] = "verified" if all_verified else "failed"
     if files:
         report["files"] = files
-    print(json.dumps(report, indent=2))
+    print(_render(report))
     if not all_verified:
         print(f"ERROR:verification:{failure}", file=sys.stderr)
         return EXIT_VERIFICATION
@@ -258,7 +280,7 @@ def _run_ln(args: argparse.Namespace) -> int:
         "primes": primes,
         "certificate": "verified",
     }
-    print(json.dumps(report, indent=2))
+    print(_render(report))
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ is a cut of the plain one, with no label classified twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .oracles import IdealLabel, closure_bits, last_clear, mod_closure_bits
 
@@ -45,19 +45,24 @@ class InternalInconsistency(Exception):
     """
 
 
-@dataclass(frozen=True, slots=True)
-class CaseTag:
+class CaseTag(NamedTuple("CaseTag", [("i", int | None), ("j", int | None)])):
     """Classification of a label: leaf, or branch(i, j) with the maximal
-    indices of an a- and a b-coefficient outside the ideal."""
+    indices of an a- and a b-coefficient outside the ideal.  A tag is the
+    tuple ``(i, j)``, ``(None, None)`` for a leaf."""
 
-    i: int | None = None
-    j: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.i is None) != (self.j is None):
+    def __new__(cls, i: int | None = None, j: int | None = None) -> CaseTag:
+        if (i is None) != (j is None):
             raise ValueError("branch tags need both indices")
-        if self.i is not None and (self.i < 1 or self.j < 1):
+        if i is not None and (i < 1 or j < 1):
             raise ValueError("branch indices start at 1")
+        return tuple.__new__(cls, (i, j))
+
+    @classmethod
+    def _make(cls, iterable) -> CaseTag:
+        # Through __new__, so that _replace refuses what it does.
+        return cls(*iterable)
 
     @classmethod
     def leaf(cls) -> CaseTag:
@@ -74,12 +79,17 @@ class CaseTag:
     def children(self, label: IdealLabel) -> tuple[IdealLabel, ...]:
         """label + a_i and label + b_j for branch(i, j), one OR each;
         none for a leaf."""
-        if self.is_leaf:
+        i, j = self
+        if i is None:
             return ()
-        n, m, a, b = label.n, label.m, label.a, label.b
-        if self.i > n or self.j > m:
+        n, m, a, b = label
+        if i > n or j > m:
             raise ValueError(f"{self} out of range for label {label.render()}")
-        return IdealLabel(n, m, a | label.bit("a", self.i), b), IdealLabel(n, m, a, b | label.bit("b", self.j))
+        # In range, each child fits its masks: no second check.
+        return (
+            tuple.__new__(IdealLabel, (n, m, a | label.bit("a", i), b)),
+            tuple.__new__(IdealLabel, (n, m, a, b | label.bit("b", j))),
+        )
 
     def __str__(self) -> str:
         return "leaf" if self.is_leaf else f"branch({self.i},{self.j})"

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .rings import xgcd
 
@@ -85,30 +85,29 @@ def mod_membership(modulus: int, generators: Sequence[int], r: int) -> Membershi
     return MembershipDecision(member=True, witness=witness)
 
 
-@dataclass(frozen=True, order=True)
-class IdealLabel:
+class IdealLabel(NamedTuple("IdealLabel", [("n", int), ("m", int), ("a", int), ("b", int)])):
     """A generator set D among {a_1..a_n, b_1..b_m}, as two int masks.
 
     This module alone fixes the layout, which closed masks share: a_i is
     bit n-i of ``a`` and b_j bit m-j of ``b``, so that within one size int
-    order is the order of the bit strings ``render`` writes.  A label is
-    hashed once, when it is made: labels key every dict of the digraph and
-    its walks.
+    order is the order of the bit strings ``render`` writes.  A label is a
+    tuple ``(n, m, a, b)``, so the dicts of the digraph and its walks,
+    which labels key, hash and compare it in C; it equals the plain tuple
+    of its fields.
     """
 
-    n: int
-    m: int
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, n: int, m: int, a: int, b: int) -> IdealLabel:
         # A negative mask shifts to -1, so one test refuses it too.
-        if self.a >> self.n or self.b >> self.m:
-            raise ValueError(f"label masks must fit {self.n} and {self.m} bits, got {self.a} and {self.b}")
-        object.__setattr__(self, "_hash", hash((self.n, self.m, self.a, self.b)))
+        if a >> n or b >> m:
+            raise ValueError(f"label masks must fit {n} and {m} bits, got {a} and {b}")
+        return tuple.__new__(cls, (n, m, a, b))
 
-    def __hash__(self) -> int:
-        return self._hash
+    @classmethod
+    def _make(cls, iterable) -> IdealLabel:
+        # Through __new__, so that _replace refuses what it does.
+        return cls(*iterable)
 
     @classmethod
     def root(cls, n: int, m: int) -> IdealLabel:
@@ -156,11 +155,20 @@ def mod_closure_bits(label: IdealLabel, modulus: int, a: Sequence[int], b: Seque
     """The closed a- and b-masks over Z/modulus, with x_k = x[k]: the ideal
     of the generators is (g), g = gcd(modulus, their values), so x_k lies in
     it iff g divides x[k].  One gcd per label decides every coefficient."""
-    m, values = label.m, a[1:] + b[1:]
-    digits = _digits(label.a << m | label.b, label.n + m)
-    g = gcd(modulus, *[value for value, digit in zip(values, digits) if digit == "1"])
-    closed = int("".join(["01"[value % g == 0] for value in values]), 2)
-    return closed >> m, closed & ((1 << m) - 1)
+    chosen = [modulus]
+    for mask, values in ((label.a, a), (label.b, b)):
+        # x_k is bit len(x)-1-k, and each lowest set bit names one generator.
+        while mask:
+            low = mask & -mask
+            chosen.append(values[len(values) - low.bit_length()])
+            mask ^= low
+    g = gcd(*chosen)
+    closed_a = closed_b = 0
+    for value in a[1:]:
+        closed_a = closed_a << 1 | (value % g == 0)
+    for value in b[1:]:
+        closed_b = closed_b << 1 | (value % g == 0)
+    return closed_a, closed_b
 
 
 def closure_bits(label: IdealLabel) -> tuple[int, int]:

@@ -13,6 +13,8 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcert import (
     MultiPoly,
@@ -462,6 +464,55 @@ class TestNodeLocalVerdict:
         code, peak_kib = map(int, done.stdout.split())
         assert (code, done.stderr) == (0, "")
         assert peak_kib < 40 * 1024
+
+
+# Strings with the characters json escapes, or may: quote, backslash,
+# control characters, DEL, non-ASCII and a lone surrogate.
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\\n\t\x00\x1f\x7f\xe9\u2028\ud800\U0001f600')), max_size=8)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=10**60),
+    st.integers(min_value=-(10**60), max_value=-(2**64)),
+    _TEXT,
+)
+_REPORTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=5), st.dictionaries(_TEXT, inner, max_size=5)),
+    max_leaves=30,
+)
+
+
+class TestRender:
+    """The report writer is json.dumps(value, indent=2), byte for byte."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_REPORTS)
+    def test_matches_json_dumps(self, value):
+        assert cli._render(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            {"x": {}, "y": [[], {}], "z": [{"": None}]},
+            {1: "int key", None: [True, False], 2.5: {"nested": (1, "tuple")}},
+            [1.0, -0.0, float("inf"), float("nan"), 10**30, -(10**30)],
+            {"s": "\"\\\n\u00e9\U0001f600", "t": (), "b": True},
+        ],
+    )
+    def test_values_it_hands_to_json(self, value):
+        """Empty containers, non-str keys, tuples and floats go through
+        json.dumps and keep the indent of their place."""
+        assert cli._render(value) == json.dumps(value, indent=2)
+
+    def test_real_reports(self, capsys):
+        for argv in (CONCRETE_Z8 + ["--minimal"], ["ln", "--modulus", "510510", "--ideal", "510510"]):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestParserReuse:

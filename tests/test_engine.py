@@ -94,6 +94,54 @@ class TestCaseTagChildren:
             CaseTag.branch(i, j).children(IdealLabel.root(2, 1))
 
 
+def _small_labels():
+    """Every label with n, m <= 4."""
+    return [lab for n in range(1, 5) for m in range(5) for lab in helpers.all_labels(n, m)]
+
+
+class TestTupleSemantics:
+    """Labels and case tags are tuples of their fields, built through the
+    same checks as before."""
+
+    def test_labels_built_apart_are_equal_and_hash_alike(self):
+        for lab in _small_labels():
+            again = IdealLabel(lab.n, lab.m, lab.a, lab.b)
+            fields = (lab.n, lab.m, lab.a, lab.b)
+            assert again == lab == fields and again is not lab
+            assert hash(again) == hash(lab) == hash(fields)
+            assert {again: 1}[lab] == 1
+        assert CaseTag.branch(2, 1) == CaseTag(2, 1) == (2, 1)
+        assert hash(CaseTag.leaf()) == hash(CaseTag()) == hash((None, None))
+
+    def test_refusals(self):
+        """Tags refuse a missing or nonpositive index, and _replace goes
+        through the same checks (the label's own refusals are
+        test_oracles' test_bad_bits, and its order test_order_is_render_order)."""
+        with pytest.raises(ValueError):
+            IdealLabel.root(2, 1)._replace(a=4)
+        for i, j in ((1, None), (None, 1), (0, 1), (1, 0), (-1, 2)):
+            with pytest.raises(ValueError):
+                CaseTag(i, j)
+        with pytest.raises(ValueError):
+            CaseTag.branch(1, 1)._replace(j=None)
+        assert IdealLabel.root(2, 1)._replace(a=3) == IdealLabel(2, 1, 3, 0)
+
+    def test_children_equal_checked_construction(self):
+        for lab in _small_labels():
+            n, m, a, b = lab
+            for i in range(1, n + 1):
+                for j in range(1, m + 1):
+                    children = CaseTag.branch(i, j).children(lab)
+                    assert children == (
+                        IdealLabel(n, m, a | lab.bit("a", i), b),
+                        IdealLabel(n, m, a, b | lab.bit("b", j)),
+                    ), (lab, i, j)
+                    assert all(type(child) is IdealLabel for child in children)
+            for i, j in ((n + 1, 1), (1, m + 1)):
+                with pytest.raises(ValueError):
+                    CaseTag.branch(i, j).children(lab)
+
+
 class TestCaseSplit:
     def test_generic_root(self):
         assert case_split(IdealLabel.root(2, 1), ProblemInstance.generic(2, 1)) == (CaseTag.branch(2, 1), 0b00)
