@@ -23,7 +23,13 @@ targets go on past it, and each reported e must be the exponent the walk
 proves; with --emit-cert the same walk also combines each target's root
 certificate from the witnesses it checked, and each is verified by full
 expansion and dumped only if it holds.  Concrete mode evaluates u^e in
-Z/modulus.  The argument parser is built once per process.
+Z/modulus.
+
+The argument parser is built once per process.  A canonical argument
+vector (the subcommand, then exact option strings, each value one that
+does not start with "-" and that the option's type converts) is read
+from a table built from that parser's own actions; every other form,
+--help and every usage error go to argparse itself.
 
 Refused before any digraph is grown: --n or --m above 4095 (generic and
 pascal) and f or g of degree above 4095 (concrete), with ERROR:usage:;
@@ -358,16 +364,85 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _fast_table(parser: argparse.ArgumentParser) -> dict[str, tuple[dict, dict, frozenset]]:
+    """Per subcommand, from the parser's own actions: its option strings
+    mapped to their actions, the namespace argparse starts from (every
+    default and ``set_defaults`` value) and its required dests.  A
+    subcommand with any action other than help, a plain store and
+    store_true, or with a mutually exclusive group, is left out."""
+    top = [action for action in parser._actions if type(action) is not argparse._HelpAction]
+    if len(top) != 1 or not isinstance(top[0], argparse._SubParsersAction):
+        return {}
+    commands, table = top[0], {}
+    for name, sub in commands.choices.items():
+        options, defaults, required = {}, {**parser._defaults, commands.dest: name, **sub._defaults}, set()
+        for action in sub._actions:
+            kind = type(action)
+            if kind is argparse._HelpAction:
+                continue
+            plain = kind is argparse._StoreAction and action.nargs is None and action.choices is None
+            # A str default (SUPPRESS is one) argparse would convert or omit.
+            if not (plain or kind is argparse._StoreTrueAction) or isinstance(action.default, str):
+                break
+            options.update(dict.fromkeys(action.option_strings, action))
+            defaults[action.dest] = action.default
+            if action.required:
+                required.add(action.dest)
+        else:
+            if not sub._mutually_exclusive_groups:
+                table[name] = (options, defaults, frozenset(required))
+    return table
+
+
+def _fast_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``_PARSER.parse_args(argv)`` returns, for the
+    canonical form only: a subcommand, then exact option strings, each
+    store option followed by a value that does not start with "-" and that
+    its type converts, and every required option present.  Anything else
+    returns None and is left to argparse."""
+    entry = _FAST_TABLE.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    options, defaults, required = entry
+    values = {}
+    index, count = 1, len(argv)
+    while index < count:
+        action = options.get(argv[index])
+        if action is None:
+            return None
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            index += 1
+            continue
+        if index + 1 == count or argv[index + 1].startswith("-"):
+            return None
+        try:
+            values[action.dest] = action.type(argv[index + 1]) if action.type else argv[index + 1]
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        index += 2
+    if not required <= values.keys():
+        return None
+    return argparse.Namespace(**{**defaults, **values})
+
+
 # Built once per process: parsing leaves the parser unchanged, and building
-# it costs about as much as the rest of a small generic run.
+# it costs about as much as the rest of a small generic run.  Canonical
+# argument vectors are read from its action table by _fast_args; every
+# other form, with --help and every usage error, goes to argparse.
 _PARSER = build_parser()
+_FAST_TABLE = _fast_table(_PARSER)
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_OK
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_args(argv)
+    if args is None:
+        try:
+            args = _PARSER.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
     except NotAUnit as exc:

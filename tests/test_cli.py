@@ -3,7 +3,10 @@ determinism and exit codes."""
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -530,6 +533,106 @@ GENERIC_2_1 = ["generic", "--n", "2", "--m", "1"]
 CONCRETE_Z8 = ["concrete", "--modulus", "8", "--f", "1,2,4", "--g", "1,6"]
 
 
+def _grammar() -> dict[str, list[argparse.Action]]:
+    """Each subcommand of cli.build_parser() with its actions, help included."""
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: sub._actions for name, sub in commands.choices.items()}
+
+
+_GRAMMAR = _grammar()
+# Half are sizes, a tenth of them negative; the rest are the unusual ones.
+_VALUES = st.one_of(
+    st.integers(-5, 40).map(str),
+    st.sampled_from(["0", "-7", "", "--", "x", "1,2,4", "-7,2,4", "1,6", " 3", "1_0", "+3", "-h", "generic", "a b"]),
+)
+_FORMS = st.sampled_from(["canonical"] * 6 + ["equals", "abbrev", "bare", "stray"])
+# Per subcommand: its required options, each with a value, and lists of
+# (option string, takes a value, form, value, abbreviation length).
+_REQUIRED = {
+    name: st.tuples(*[st.tuples(st.just(a.option_strings[0]), _VALUES) for a in actions if a.required])
+    for name, actions in _GRAMMAR.items()
+}
+_OPTIONS = {
+    name: st.lists(
+        st.tuples(
+            st.sampled_from([(option, a.nargs != 0) for a in actions for option in a.option_strings]),
+            _FORMS,
+            _VALUES,
+            st.integers(2, 12),
+        ),
+        max_size=2,
+    )
+    for name, actions in _GRAMMAR.items()
+}
+
+
+def _tokens(items) -> list[str]:
+    tokens = []
+    for (option, takes), form, value, length in items:
+        if form == "equals":
+            tokens.append(f"{option}={value}")
+        elif form == "stray":
+            tokens.append(value)
+        else:
+            tokens.append(option[:length] if form == "abbrev" else option)
+            tokens += [value] if takes and form != "bare" else []
+    return tokens
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    """A subcommand (or an unknown one, or -h), options, then optionally
+    its required options, each with a value, then more options.  Each
+    option is in one of five forms: canonical, --flag=value, an
+    abbreviation, without its value, or a stray value."""
+    name = draw(st.sampled_from([*_GRAMMAR] * 3 + ["frobnicate", "-h"]))
+    grammar = name if name in _GRAMMAR else "generic"
+    required = draw(_REQUIRED[grammar]) if draw(st.integers(0, 3)) else ()
+    before, after = draw(_OPTIONS[grammar]), draw(_OPTIONS[grammar])
+    return [name, *_tokens(before), *[token for pair in required for token in pair], *_tokens(after)]
+
+
+class TestFastArgs:
+    """cli._fast_args reads the canonical form from the parser's own action
+    table and leaves every other form to argparse."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_argvs())
+    def test_agrees_with_argparse(self, argv):
+        fast = cli._fast_args(argv)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                expected = cli._PARSER.parse_args(argv)
+        except SystemExit:
+            assert fast is None
+            return
+        if fast is not None:
+            assert vars(fast) == vars(expected)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generic", "--n", "2", "--m", "1", "--target", "1", "--emit-dot", "d.dot", "--emit-cert", "c.json", "--early-stop"],
+            [*CONCRETE_Z8, "--target", "2", "--minimal", "--emit-dot", "d.dot", "--early-stop"],
+            [*CONCRETE_Z8, "--minimal", "--early-stop"],
+            ["ln", "--modulus", "12", "--ideal", "6"],
+            ["pascal", "--n", "2", "--m", "1"],
+        ],
+        ids=["generic", "concrete", "concrete lattice", "ln", "pascal"],
+    )
+    def test_canonical_argv_is_accepted(self, argv):
+        fast = cli._fast_args(argv)
+        assert fast is not None
+        assert vars(fast) == vars(cli._PARSER.parse_args(argv))
+
+    def test_every_subcommand_and_option_is_in_the_table(self):
+        options = {
+            name: {o for action in actions if not isinstance(action, argparse._HelpAction) for o in action.option_strings}
+            for name, actions in _GRAMMAR.items()
+        }
+        assert {name: set(entry[0]) for name, entry in cli._FAST_TABLE.items()} == options
+
+
 class TestUnwritableOutput:
     @pytest.mark.parametrize(
         "argv, flag, path",
@@ -687,11 +790,118 @@ class TestUsageErrors:
             ),
             (("pascal", "--n", "0", "--m", "1"), "pascal needs --n >= 1 and --m >= 0"),
             (("pascal", "--n", "1", "--m", "-1"), "pascal needs --n >= 1 and --m >= 0"),
+            (("generic", "--n", "2", "--m"), "argument --m: expected one argument"),
+            (("concrete", "--modulus", "8", "--f", "-7,2,4", "--g", "1,6"), "argument --f: expected one argument"),
+            (("generic", "--n", "x", "--m", "1"), "argument --n: invalid int value: 'x'"),
+            (("generic", "--n", "2", "--m", "1", "extra"), "unrecognized arguments: extra"),
+            (("generic", "--n", "2"), "the following arguments are required: --m"),
         ],
-        ids=["target 0", "target past n", "modulus 1", "degree 0", "degree past MAX_INDEX", "pascal n 0", "pascal m -1"],
+        ids=[
+            "target 0",
+            "target past n",
+            "modulus 1",
+            "degree 0",
+            "degree past MAX_INDEX",
+            "pascal n 0",
+            "pascal m -1",
+            "missing value",
+            "list with a leading minus",
+            "invalid int",
+            "unrecognized argument",
+            "missing required",
+        ],
     )
     def test_exit_code_and_message(self, capsys, argv, err):
         assert run(capsys, *argv) == (1, "", f"ERROR:usage:{err}\n")
+
+    @pytest.mark.parametrize(
+        "argv, canonical",
+        [
+            (["generic", "--n=2", "--m", "1"], GENERIC_2_1),
+            ([*GENERIC_2_1, "--targ", "1"], [*GENERIC_2_1, "--target", "1"]),
+            (["generic", "--n", "5", *GENERIC_2_1[1:]], GENERIC_2_1),
+        ],
+        ids=["--n=2", "abbreviation", "repeated --n"],
+    )
+    def test_argparse_forms_print_the_canonical_report(self, capsys, argv, canonical):
+        assert run(capsys, *argv) == run(capsys, *canonical)
+
+    def test_list_with_a_leading_minus_after_equals(self, capsys):
+        code, out, err = run(capsys, "concrete", "--modulus", "8", "--f=-7,2,4", "--g", "1,6")
+        assert (code, out, err) == (0, run(capsys, *CONCRETE_Z8)[1], "notice: coefficients reduced mod 8\n")
+
+
+# `nilcert [COMMAND] --help` at COLUMNS=80; the same bytes on Python 3.10 to 3.13.
+HELP = {
+    "": """\
+usage: nilcert [-h] {generic,concrete,ln,pascal} ...
+
+Compute a nilpotency exponent e with u^e = 0 for the nonconstant coefficients
+u of an invertible polynomial, together with a checkable polynomial-identity
+certificate.
+
+positional arguments:
+  {generic,concrete,ln,pascal}
+    generic             indeterminate coefficients, with certificate
+    concrete            coefficients in Z/modulus
+    ln                  radical decomposition into primes over Z/modulus
+    pascal              print the exponent grid for n, m
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "generic": """\
+usage: nilcert generic [-h] --n N --m M [--target TARGET] [--emit-dot PATH]
+                       [--emit-cert PATH] [--early-stop]
+
+options:
+  -h, --help        show this help message and exit
+  --n N             degree of f
+  --m M             degree of g
+  --target TARGET   index i0 of u = a_i0 (default: all)
+  --emit-dot PATH   write the digraph as DOT
+  --emit-cert PATH  write certificate dump(s)
+  --early-stop      stop a branch as soon as u itself enters the ideal
+""",
+    "concrete": """\
+usage: nilcert concrete [-h] --modulus MODULUS --f F --g G [--target TARGET]
+                        [--minimal] [--emit-dot PATH] [--early-stop]
+
+options:
+  -h, --help         show this help message and exit
+  --modulus MODULUS
+  --f F              coefficients of f, lowest degree first
+  --g G              coefficients of g, lowest degree first
+  --target TARGET    index i0 of u = a_i0 (default: all)
+  --minimal          also report the least exponent that already kills each
+                     target
+  --emit-dot PATH    write the digraph as DOT
+  --early-stop       stop a branch as soon as u itself enters the ideal
+""",
+    "ln": """\
+usage: nilcert ln [-h] --modulus MODULUS --ideal IDEAL
+
+options:
+  -h, --help         show this help message and exit
+  --modulus MODULUS
+  --ideal IDEAL      generator d of the ideal (d | modulus)
+""",
+    "pascal": """\
+usage: nilcert pascal [-h] --n N --m M
+
+options:
+  -h, --help  show this help message and exit
+  --n N
+  --m M
+""",
+}
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", list(HELP))
+    def test_bytes(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, *command.split(), "--help") == (0, HELP[command], "")
 
 
 class TestUnknownCommand:
