@@ -17,8 +17,8 @@ c_{p+q},
     a_p*b_q = c_{p+q} - sum_{q'>q} a_{p+q-q'}*b_q' - sum_{p'>p} a_p'*b_{p+q-p'},
 
 builds every element and product witness from the same parts
-(``WitnessBuilder._isolation_parts``), each higher a_p' and b_q' on the
-right being replaced by its own element witness:
+(``WitnessBuilder._isolation``), each higher a_p' and b_q' on the right
+being replaced by its own element witness:
 
 * product witnesses: at a branch(i, j) label, maximality of i and j puts
   every a_p (p > i) and b_q (q > j) into the ideal, so isolating a_i*b_j
@@ -41,10 +41,22 @@ right being replaced by its own element witness:
   the one induction step per label, calls it at every branch, for the
   digraph walk and the tests' label-poset runner alike.
 
-Each witness is one linear combination of existing ones, summed term by
-term into fresh coefficient maps (``_combination``).  A witness is its
+Every factor of an isolation identity is +-1 times one monomial (a_x,
+b_y, or the x0 that scales an element's parts), so ``WitnessBuilder``
+accumulates a witness straight into one keyed term map
+(``poly.split_keyed``): each part is shifted in term by term, a
+generator as its one term, an element as its memoized map.  The
+MultiPoly coefficients and the ``MembershipWitness`` are made once per
+witness returned, where zero coefficients are dropped.  Only ``combine``
+sums whole witnesses as polynomials (``_combination``).  A witness is its
 coefficients alone: its subject and label are stated by whoever checks
 it, never read from the witness.
+
+One routine expands every identity, node-local or root
+(``_expansion_minus``): sum genCoeffs[d]*d + sum relCoeffs[k]*c_k +
+unitCoeff*r0 - subject, added into a single term map
+(``poly.sum_of_products``), with each c_k's terms derived from (n, m)
+alone; the identity holds when nothing is left.
 
 A digraph's proof is checked node by node.  ``local_witnesses`` is the one
 source of a node's own witnesses: the product witness of a_i*b_j at a
@@ -70,7 +82,7 @@ node's ``node_witness`` step over the witnesses it has just checked, up to
 the root, where the generator sum is empty; a failed check yields none.
 That leaves the nilpotency certificate u^e = sum relCoeffs[k]*c_k +
 unitCoeff*r0, which ``verify_symbolic`` checks independently by expanding
-it, less u^e, as one sum of products that must be 0.  It, the dump and
+it, less u^e, with the same routine.  It, the dump and
 the load refuse the same out-of-range certificates (``_check_ranges``).
 """
 
@@ -83,7 +95,18 @@ from typing import Callable, Sequence
 
 from .engine import CaseTag, Digraph, ProblemInstance
 from .oracles import IdealLabel, closure_bits
-from .poly import EXPONENT_LIMIT, MAX_INDEX, Indeterminate, MultiPoly, avar, bvar, sum_of_products
+from .poly import (
+    EXPONENT_LIMIT,
+    MAX_INDEX,
+    Indeterminate,
+    MultiPoly,
+    avar,
+    bvar,
+    packed,
+    split_keyed,
+    subtract_shifted,
+    sum_of_products,
+)
 
 
 class NotInClosure(Exception):
@@ -153,53 +176,116 @@ def _expansion_minus(witness: MembershipWitness, subject: MultiPoly, n: int, m: 
     """sum genCoeffs[d]*d + sum relCoeffs[k]*c_k + unitCoeff*r0 - subject,
     as one sum of products, with c_k the relations of size (n, m)."""
     pairs = [(subject, _MINUS_ONE), (witness.unit_coeff, UNIT_RELATION)]
-    pairs += [(coeff, MultiPoly.variable(d)) for d, coeff in witness.gen_coeffs.items()]
     pairs += [(coeff, relation_poly(n, m, k)) for k, coeff in witness.rel_coeffs.items()]
-    return sum_of_products(pairs)
+    return sum_of_products(pairs, witness.gen_coeffs.items())
+
+
+# MultiPoly is immutable, so one zero serves every witness without a unit
+# coefficient.
+_ZERO = MultiPoly.zero()
+
+
+# The keys of a witness's keyed term map (``poly.split_keyed``): an index
+# shifted past two tag bits, 0 for generator a_i and 1 for generator b_j
+# (``kind == "b"``), _REL for relation c_k and _UNIT for the unit
+# coefficient.
+_REL, _UNIT = 2, 3
 
 
 class WitnessBuilder:
-    """Memoized element witnesses for one label's closure, built through
-    the isolation identity ``isolate``."""
+    """Element and product witnesses for one label's closure, built through
+    the isolation identity ``isolate``, each element's terms memoized.
+
+    Every factor of an isolation identity is +-1 times one monomial, so a
+    witness is built as one keyed term map (``poly.split_keyed``): each
+    part is added in, shifted by its factor, term by term.  A generator
+    adds its one term; an element the closure rule admits adds its own
+    memoized map.  Maps become MultiPoly coefficients only in the witness
+    that ``witness`` or ``isolate`` returns.  The closure is computed when
+    an element that is no generator is first asked for.
+    """
 
     def __init__(self, label: IdealLabel):
         self.label = label
-        # The closure as a label of its own: membership is its generators.
-        self._closed = IdealLabel(label.n, label.m, *closure_bits(label))
-        self._memo: dict[Indeterminate, MembershipWitness] = {}
+        # Enough key bits for every index up to n+m and a tag.
+        self._bits = ((label.n + label.m) << 2 | 3).bit_length()
+        self._closed: IdealLabel | None = None
+        self._memo: dict[int, tuple[dict[int, int], int]] = {}
 
     def witness(self, element: Indeterminate) -> MembershipWitness:
-        cached = self._memo.get(element)
-        if cached is not None:
-            return cached
-        k = element.index
-        if self.label.has(element.kind, k):  # a generator is in the closure
-            built = MembershipWitness({element: MultiPoly.one()})
-        elif not self._closed.has(element.kind, k):
-            raise NotInClosure(f"{element} is not forced into {self.label.render()}")
-        else:
-            # x_k = x0 * (x_k*y0) - x_k*r0, because x0*y0 = 1 + r0: the parts
-            # isolating x_k*y0, each scaled by x0, in one combination.
-            x, (p, q) = (avar, (k, 0)) if element.kind == "a" else (bvar, (0, k))
-            parts = [(factor * x(0), part) for factor, part in self._isolation_parts(p, q)]
-            r0 = MembershipWitness(unit_coeff=MultiPoly.one())
-            built = _combination([*parts, (-x(k), r0)])
-        self._memo[element] = built
-        return built
-
-    def _isolation_parts(self, p: int, q: int) -> list[tuple[MultiPoly, MembershipWitness]]:
-        """The parts of ``isolate(p, q)``: c_{p+q} once, and each of its
-        other terms, removed through the element witness of its higher
-        b_q' (q' > q) or higher a_p' (p' > p)."""
-        n, m, k = self.label.n, self.label.m, p + q
-        parts = [(MultiPoly.one(), MembershipWitness(rel_coeffs={k: MultiPoly.one()}))]
-        parts += [(-avar(k - q2), self.witness(Indeterminate.b(q2))) for q2 in range(q + 1, min(k, m) + 1)]
-        parts += [(-bvar(k - p2), self.witness(Indeterminate.a(p2))) for p2 in range(p + 1, min(k, n) + 1)]
-        return parts
+        if self.label.has(element.kind, element.index):  # a generator is in the closure
+            return MembershipWitness({element: MultiPoly.one()}, {}, _ZERO)
+        return self._membership(*self._element(element.kind, element.index))
 
     def isolate(self, p: int, q: int) -> MembershipWitness:
-        """Witness for a_p*b_q: c_{p+q} minus its other terms."""
-        return _combination(self._isolation_parts(p, q))
+        """Witness for a_p*b_q, 0 <= p <= n and 0 <= q <= m: c_{p+q} minus
+        its other terms."""
+        terms, bound = self._isolation(p, q, 0)
+        # No other part has a term of degree 0, so c_{p+q}'s own term 1 is new.
+        terms[(p + q) << 2 | _REL] = 1
+        return self._membership(terms, bound)
+
+    def _membership(self, terms: dict[int, int], bound: int) -> MembershipWitness:
+        """The witness of a keyed term map, every coefficient bounded by bound."""
+        gens, rels, unit = {}, {}, _ZERO
+        for key, coeff in split_keyed(terms, self._bits, bound).items():
+            tag = key & 3
+            if tag == _REL:
+                rels[key >> 2] = coeff
+            elif tag == _UNIT:
+                unit = coeff
+            else:
+                gens[Indeterminate("ab"[tag], key >> 2)] = coeff
+        return MembershipWitness(gens, rels, unit)
+
+    def _element(self, kind: str, k: int) -> tuple[dict[int, int], int]:
+        """The keyed terms of x_k, no generator, and their exponent bound:
+        x_k = x0 * (x_k*y0) - x_k*r0, because x0*y0 = 1 + r0, so the parts
+        isolating x_k*y0, each scaled by x0, and -x_k*r0."""
+        built = self._memo.get(k << 2 | (kind == "b"))
+        if built is not None:
+            return built
+        label = self.label
+        if self._closed is None:
+            # The closure as a label of its own: membership is its generators.
+            self._closed = IdealLabel(label.n, label.m, *closure_bits(label))
+        if not self._closed.has(kind, k):
+            raise NotInClosure(f"{Indeterminate(kind, k)} is not forced into {label.render()}")
+        bits = self._bits
+        x0 = packed(kind, 0, bits)
+        terms, bound = self._isolation(k, 0, x0) if kind == "a" else self._isolation(0, k, x0)
+        # The other parts' terms have degree 2 or more: these two are new.
+        terms[x0 + (k << 2 | _REL)] = 1
+        terms[packed(kind, k, bits) + _UNIT] = -1
+        built = self._memo[k << 2 | (kind == "b")] = terms, bound + 1
+        return built
+
+    def _isolation(self, p: int, q: int, scale: int) -> tuple[dict[int, int], int]:
+        """The keyed terms of c_{p+q} - a_p*b_q less c_{p+q}'s own term,
+        scaled by the keyed monomial scale, and their exponent bound
+        before scaling: each other term of c_{p+q} removed through the
+        element witness of its higher b_q' (q' > q) or higher a_p'
+        (p' > p)."""
+        n, m, a_gens, b_gens = self.label
+        bits, k = self._bits, p + q
+        terms: dict[int, int] = {}
+        get = terms.get
+        bound = 0
+        for kind, mask, size, low in (("b", b_gens, m, q), ("a", a_gens, n, p)):
+            other = "a" if kind == "b" else "b"
+            for x in range(low + 1, min(k, size) + 1):
+                shift = scale + packed(other, k - x, bits)
+                if mask >> (size - x) & 1:
+                    composite = shift + (x << 2 | (kind == "b"))
+                    terms[composite] = get(composite, 0) - 1
+                    if not bound:
+                        bound = 1
+                    continue
+                part, part_bound = self._element(kind, x)
+                subtract_shifted(terms, part, shift)
+                if bound <= part_bound:
+                    bound = part_bound + 1
+        return terms, bound
 
 
 def gauss_product_witness(i: int, j: int, label: IdealLabel) -> MembershipWitness:
@@ -268,7 +354,7 @@ def local_witnesses(label: IdealLabel, tag: CaseTag, target_indices: Sequence[in
     if not tag.is_leaf:
         return [gauss_product_witness(tag.i, tag.j, label)]
     builder = WitnessBuilder(label)
-    return [builder.witness(Indeterminate.a(i0)) for i0 in target_indices]
+    return [builder.witness(Indeterminate("a", i0)) for i0 in target_indices]
 
 
 def node_witness(
@@ -286,7 +372,12 @@ def node_witness(
 
 def _positions(mask: int) -> list[int]:
     """The set bits of mask, lowest first."""
-    return [p for p, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return positions
 
 
 def _checked(source: Callable, label: IdealLabel, tag: CaseTag, targets: list[int], subjects: list[MultiPoly]):
@@ -299,6 +390,9 @@ def _checked(source: Callable, label: IdealLabel, tag: CaseTag, targets: list[in
     if len(local) != len(subjects):
         return None
     return local if all(_identity_holds(w, label, s) for w, s in zip(local, subjects)) else None
+
+
+_LEAF = CaseTag.leaf()
 
 
 def _walk(
@@ -330,6 +424,7 @@ def _walk(
     # closed a-bits hold its target.
     reaching = {root: (1 << len(lanes)) - 1}
     plans: dict[IdealLabel, tuple[int, int, list[IdealLabel]]] = {}
+    held: dict[int, int] = {}  # closed a-bits -> the lanes whose target they hold
     for label, node in reversed(nodes.items()):
         reach = reaching.pop(label, 0)
         if not reach:
@@ -337,18 +432,40 @@ def _walk(
         go = 0 if node.tag.is_leaf else reach
         if early_stop:
             closed = node.closed_a
-            if not 0 <= closed < 1 << n:
-                return None
-            go &= ~sum(1 << p for p, (i0,) in enumerate(lanes) if closed & root.bit("a", i0))
+            lanes_held = held.get(closed)
+            if lanes_held is None:
+                if not 0 <= closed < 1 << n:
+                    return None
+                lanes_held = held[closed] = sum(
+                    1 << p for p, (i0,) in enumerate(lanes) if closed & root.bit("a", i0)
+                )
+            go &= ~lanes_held
         # A child met here first has here its last parent, children first.
-        last = [child for child in node.children if child not in reaching] if go else []
+        last = []
+        if go:
+            for child in node.children:
+                if child not in reaching:
+                    last.append(child)
+                    reaching[child] = go
+                else:
+                    reaching[child] |= go
         plans[label] = reach, go, last
-        for child in node.children if go else ():
-            reaching[child] = reaching.get(child, 0) | go
     # Children first, each planned label's witnesses are checked and
     # dropped; its row keeps each reaching lane's (exponent, witness) until
-    # the last parent that goes on to it is done.
+    # the last parent that goes on to it is done.  The lanes, targets and
+    # subjects of each lane mask are listed once per walk.
     subjects = [[avar(i0) for i0 in lane] for lane in lanes]
+    selections: dict[int, tuple[list[int], list[int], list[MultiPoly]]] = {}
+
+    def select(mask: int) -> tuple[list[int], list[int], list[MultiPoly]]:
+        positions = _positions(mask)
+        chosen = selections[mask] = (
+            positions,
+            [i0 for p in positions for i0 in lanes[p]],
+            [u for p in positions for u in subjects[p]],
+        )
+        return chosen
+
     rows: dict[IdealLabel, list] = {}
     for label, node in nodes.items():
         plan = plans.get(label)
@@ -363,10 +480,9 @@ def _walk(
         if node.children != children:
             return None
         row: list = [None] * len(lanes)
-        stop = _positions(reach & ~go) if reach != go else []
-        if stop:
-            stopping = [i0 for p in stop for i0 in lanes[p]]
-            local = _checked(source, label, CaseTag.leaf(), stopping, [u for p in stop for u in subjects[p]])
+        if reach != go:
+            stop, stopping, stopped = selections.get(reach & ~go) or select(reach & ~go)
+            local = _checked(source, label, _LEAF, stopping, stopped)
             if local is None:
                 return None
             # Combined, each lane is one target, with one witness.
@@ -375,10 +491,8 @@ def _walk(
             # Dropped before the next label's witnesses are built.
             del local
         if go:
-            going = _positions(go)
-            product = _checked(
-                source, label, tag, [i0 for p in going for i0 in lanes[p]], [avar(tag.i) * bvar(tag.j)]
-            )
+            going, goers, _ = selections.get(go) or select(go)
+            product = _checked(source, label, tag, goers, [avar(tag.i) * bvar(tag.j)])
             left, right = rows.get(children[0]), rows.get(children[1])
             if product is None or left is None or right is None:
                 return None

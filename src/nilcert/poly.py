@@ -24,9 +24,21 @@ before that can happen.  Parse and the variable constructors raise it as
 well for an index above MAX_INDEX, which caps a packed monomial at 32 KiB.
 
 Boundary.  Packed ints are the only representation: a MultiPoly is built
-by zero, const, one, variable (of an Indeterminate), avar, bvar or parse,
-and grown by the arithmetic operators; render is the one view of its
-terms.  MultiPoly(...) itself raises TypeError.
+by zero, const, one, variable (of an Indeterminate), avar, bvar,
+parse or split_keyed, and grown by the arithmetic operators or
+sum_of_products; render is the one view of its terms.  MultiPoly(...)
+itself raises TypeError.  Outside this module a packed monomial is an
+opaque non-negative int from ``packed``: adding two multiplies them.
+
+Keyed term maps.  Several term maps under construction can share one
+dict: the term c*x^mono of the map under key k, 0 <= k < 2**key_bits, is
+the entry mono << key_bits | k -> c.  Multiplying every map by one
+monomial adds that monomial, shifted by key_bits (``packed`` gives an
+indeterminate's so), to each composite, so a linear combination whose
+factors are +-1 times a monomial is shift-and-add on a single dict
+(``subtract_shifted``), one integer add per term.  ``split_keyed`` turns
+the finished dict into one MultiPoly per key, dropping zero coefficients
+once.  The certificate layer builds its node witnesses this way.
 
 The canonical text form orders terms by graded lexicographic order (total
 degree first, then the dense exponent vector with a-indeterminates before
@@ -153,7 +165,7 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, ind: Indeterminate) -> MultiPoly:
-        return _variable(ind.kind, ind.index)
+        return _new({packed(ind.kind, ind.index): 1}, 1)
 
     # -- structure ---------------------------------------------------------
 
@@ -418,32 +430,54 @@ class _FactorTable(dict):
         return sum(map(self.__getitem__, pieces))
 
 
-def _variable(kind: str, index: int) -> MultiPoly:
-    """The polynomial of one indeterminate, packed directly.  Not cached: a
-    packed a4095 is 32 KiB."""
-    if index < 0:
-        raise ValueError(f"indeterminate index must be >= 0, got {index}")
-    return _new({1 << (FIELD_BITS * _slot(kind, index)): 1}, 1)
+def packed(kind: str, index: int, key_bits: int = 0) -> int:
+    """The packed monomial of one indeterminate, x_index with x = a or b,
+    shifted up by key_bits as in a keyed term map.  Raises ValueError for a
+    negative index and OverflowError past MAX_INDEX."""
+    if not 0 <= index <= MAX_INDEX:
+        if index < 0:
+            raise ValueError(f"indeterminate index must be >= 0, got {index}")
+        _slot(kind, index)  # raises the OverflowError
+    return 1 << (FIELD_BITS * (2 * index + (kind == "b")) + key_bits)
+
+
+# The polynomials of one indeterminate are packed directly.  Not cached: a
+# packed a4095 is 32 KiB.
 
 
 def avar(i: int) -> MultiPoly:
     """The polynomial a_i."""
-    return _variable("a", i)
+    return _new({packed("a", i): 1}, 1)
 
 
 def bvar(j: int) -> MultiPoly:
     """The polynomial b_j."""
-    return _variable("b", j)
+    return _new({packed("b", j): 1}, 1)
 
 
-def sum_of_products(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
-    """The sum of left*right over the pairs.  Every product of two terms is
-    added into one packed-term map, so no product or partial sum is built
-    as a polynomial of its own (Monagan and Pearce).  Raises OverflowError
-    where ``*`` would for one of the pairs."""
+def sum_of_products(
+    pairs: Iterable[tuple[MultiPoly, MultiPoly]],
+    scaled: Iterable[tuple[Indeterminate, MultiPoly]] = (),
+) -> MultiPoly:
+    """The sum of left*right over the pairs, plus coefficient*x over the
+    scaled (x, coefficient) pairs.  Every product of two terms is added
+    into one packed-term map, so no product, factor or partial sum is built
+    as a polynomial of its own (Monagan and Pearce); a scaled coefficient's
+    terms are shifted in by x's packed monomial.  Raises OverflowError
+    where ``*`` would for one of the products, and as ``MultiPoly.variable``
+    does for a scaled indeterminate."""
     out: dict[int, int] = {}
     get = out.get
     bound = 0
+    for ind, coeff_poly in scaled:
+        shift = packed(ind.kind, ind.index)
+        if coeff_poly._terms:
+            if coeff_poly._bound + 1 >= EXPONENT_LIMIT:
+                raise OverflowError(f"a product exponent could reach 2**{FIELD_BITS}")
+            bound = max(bound, coeff_poly._bound + 1)
+            for mono_l, coeff_l in coeff_poly._terms.items():
+                mono = mono_l + shift
+                out[mono] = get(mono, 0) + coeff_l
     for left, right in pairs:
         left_terms, right_terms = left._terms, right._terms
         if not left_terms or not right_terms:
@@ -458,3 +492,31 @@ def sum_of_products(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
                 mono = mono_l + mono_r
                 out[mono] = get(mono, 0) + coeff_l * coeff_r
     return _new({mono: coeff for mono, coeff in out.items() if coeff}, bound)
+
+
+def subtract_shifted(out: dict[int, int], terms: dict[int, int], shift: int) -> None:
+    """out -= x^shift * terms, term by term, for term maps keyed or plain:
+    each monomial moves by one integer add.  Zero coefficients may stay in
+    out until ``split_keyed``."""
+    get = out.get
+    for composite, coeff in zip(map(shift.__add__, terms), terms.values()):
+        out[composite] = get(composite, 0) - coeff
+
+
+def split_keyed(terms: dict[int, int], key_bits: int, bound: int) -> dict[int, MultiPoly]:
+    """The term maps of a keyed term map, one MultiPoly per key that keeps
+    a nonzero term, each with the exponent bound ``bound``; zero
+    coefficients are dropped here, once."""
+    mask = (1 << key_bits) - 1
+    maps: dict = {}
+    for composite, coeff in terms.items():
+        if coeff:
+            key = composite & mask
+            one_map = maps.get(key)
+            if one_map is None:
+                maps[key] = {composite >> key_bits: coeff}
+            else:
+                one_map[composite >> key_bits] = coeff
+    for key, one_map in maps.items():
+        maps[key] = _new(one_map, bound)
+    return maps

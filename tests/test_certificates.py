@@ -51,7 +51,7 @@ from nilcert.certificates import (
     relation_poly,
 )
 from nilcert.engine import early_stop_cut
-from nilcert.poly import FIELD_BITS, MAX_INDEX
+from nilcert.poly import FIELD_BITS, MAX_INDEX, _fields
 
 A = Indeterminate.a
 B = Indeterminate.b
@@ -226,10 +226,30 @@ def _outcome(build):
         return type(exc)
 
 
+def largest_exponent(p: MultiPoly) -> int:
+    """The largest exponent in p, read field by field from its packed terms."""
+    return max((max(_fields(mono), default=0) for mono in p._terms), default=0)
+
+
+def bounds_hold(witness: MembershipWitness) -> bool:
+    """Every coefficient's exponent bound is at least its largest exponent."""
+    coefficients = [*witness.gen_coeffs.values(), *witness.rel_coeffs.values(), witness.unit_coeff]
+    return all(c.exponent_bound >= largest_exponent(c) for c in coefficients)
+
+
+def alternating(k: int) -> IdealLabel:
+    """a = 0101..., b = 1010... at n = m = k: the closure admits a_1, b_2,
+    a_3, ... in turn, each through the one before, so derivations run up
+    to k deep."""
+    return helpers.from_bits([i % 2 for i in range(k)], [(i + 1) % 2 for i in range(k)])
+
+
 class TestIsolationMatchesReference:
     """Element and product witnesses equal the reference formulas in every
-    field, and hold for x_k and a_i*b_j at their label, for every label with
-    n+m <= 6 (golden digests pin only roots).  Elements outside the closure
+    field, bound their exponents, and hold for x_k and a_i*b_j at their
+    label: for every label with n+m <= 6 (golden digests pin only roots),
+    every label the digraphs of (4,4), (7,1), (1,7) and (10,10) reach, and
+    the alternating labels up to n = m = 12.  Elements outside the closure
     and (i, j) outside 1..n x 1..m must raise the reference's exception."""
 
     LABELS = [
@@ -239,15 +259,23 @@ class TestIsolationMatchesReference:
         for a_bits in product((0, 1), repeat=n)
         for b_bits in product((0, 1), repeat=total - n)
     ]
+    LABELS += [
+        label
+        for n, m in [(4, 4), (7, 1), (1, 7), (10, 10)]
+        for label in grow_digraph(ProblemInstance.generic(n, m)).nodes
+    ]
+    LABELS += [alternating(k) for k in range(1, 13)]
 
     def test_element_witnesses(self):
         for lab in self.LABELS:
             builder, reference = WitnessBuilder(lab), ReferenceWitnesses(lab)
-            elements = [A(i) for i in range(1, lab.n + 1)] + [B(j) for j in range(1, lab.m + 1)]
+            elements = [A(i) for i in range(0, lab.n + 2)] + [B(j) for j in range(0, lab.m + 2)]
             for element in elements:
                 expected = _outcome(lambda: reference.element(element))
-                assert _outcome(lambda: builder.witness(element)) == expected, (lab, element)
+                built = _outcome(lambda: builder.witness(element))
+                assert built == expected, (lab, element)
                 if isinstance(expected, MembershipWitness):
+                    assert bounds_hold(built), (lab, element)
                     assert _identity_holds(expected, lab, MultiPoly.variable(element)), (lab, element)
 
     def test_product_witnesses(self):
@@ -256,8 +284,10 @@ class TestIsolationMatchesReference:
             for i in range(0, lab.n + 2):
                 for j in range(0, lab.m + 2):
                     expected = _outcome(lambda: reference.product(i, j))
-                    assert _outcome(lambda: gauss_product_witness(i, j, lab)) == expected, (lab, i, j)
+                    built = _outcome(lambda: gauss_product_witness(i, j, lab))
+                    assert built == expected, (lab, i, j)
                     if isinstance(expected, MembershipWitness):
+                        assert bounds_hold(built), (lab, i, j)
                         assert _identity_holds(expected, lab, avar(i) * bvar(j)), (lab, i, j)
 
 
@@ -361,6 +391,17 @@ def with_local(at: IdealLabel, change):
     def source(label, tag, targets):
         witnesses = local_witnesses(label, tag, targets)
         return [change(witness) for witness in witnesses] if label == at else witnesses
+
+    return source
+
+
+def with_list(at: IdealLabel, change):
+    """The witness source with the list of witnesses at label ``at``
+    passed through change."""
+
+    def source(label, tag, targets):
+        witnesses = local_witnesses(label, tag, targets)
+        return change(witnesses) if label == at else witnesses
 
     return source
 
@@ -735,6 +776,65 @@ class TestNodeLocalCheck:
             extract_certificate(tampered, 1)
 
 
+SCALE_RUNS = {(n, m): grow_digraph(ProblemInstance.generic(n, m)) for n, m in [(4, 3), (10, 10)]}
+
+
+def bumped(kind: str):
+    """The witness with one coefficient of the given kind raised by 1:
+    its first generator or relation coefficient, or the unit coefficient."""
+    one = MultiPoly.one()
+
+    def change(witness: MembershipWitness) -> MembershipWitness:
+        if kind == "unit":
+            return replace(witness, unit_coeff=witness.unit_coeff + one)
+        field = "gen_coeffs" if kind == "gen" else "rel_coeffs"
+        coeffs = dict(getattr(witness, field))
+        key = next(iter(coeffs))
+        coeffs[key] = coeffs[key] + one
+        return replace(witness, **{field: coeffs})
+
+    return change
+
+
+def proof_node(digraph, target: int, early_stop: bool, location: str, kind: str) -> IdealLabel:
+    """The first label of the target's proof, children first, where the
+    proof ends ("leaf") or goes on ("branch"), whose own witness there has
+    a coefficient of the kind to perturb; every witness has a unit
+    coefficient, if only 0."""
+    proof = early_stop_cut(digraph, target) if early_stop else digraph
+    for at, node in proof.nodes.items():
+        if node.tag.is_leaf == (location == "leaf"):
+            (witness,) = local_witnesses(at, node.tag, [target])
+            if kind not in ("gen", "rel") or (witness.gen_coeffs if kind == "gen" else witness.rel_coeffs):
+                return at
+    raise AssertionError(f"no {location} whose witness has a {kind} coefficient")
+
+
+class TestSoundnessAtScale:
+    """A false node-local identity fails the check at n+m >= 7 as well:
+    one perturbed generator, relation or unit coefficient at a leaf or a
+    branch of the (4,3) and (10,10) proofs, plain and --early-stop, and a
+    source that gives one witness too few or one too many there.  Each
+    makes ``check_node_local`` false and ``certify`` give None."""
+
+    @pytest.mark.parametrize("location", ["leaf", "branch"])
+    @pytest.mark.parametrize("early_stop", [False, True], ids=["plain", "early-stop"])
+    @pytest.mark.parametrize("size", list(SCALE_RUNS), ids=lambda size: f"{size[0]}x{size[1]}")
+    def test_a_false_node_fails(self, monkeypatch, size, early_stop, location):
+        digraph, target = SCALE_RUNS[size], 2
+        assert check_node_local(digraph, target, early_stop=early_stop)
+        sources = {kind: lambda at, kind=kind: with_local(at, bumped(kind)) for kind in ("gen", "rel", "unit")}
+        sources["one too few"] = lambda at: with_list(at, lambda witnesses: witnesses[:-1])
+        sources["one too many"] = lambda at: with_list(at, lambda witnesses: witnesses + witnesses[:1])
+        for kind, make in sources.items():
+            at = proof_node(digraph, target, early_stop, location, kind)
+            source = make(at)
+            assert not check_node_local(digraph, target, early_stop=early_stop, source=source), (kind, at)
+            monkeypatch.setattr(certificates, "local_witnesses", source)
+            assert certify(digraph, target, early_stop=early_stop) is None, (kind, at)
+            monkeypatch.undo()
+
+
 class TestVerifySymbolic:
     def test_detects_single_perturbation(self):
         d = grow_digraph(ProblemInstance.generic(2, 1))
@@ -833,6 +933,16 @@ class TestFusedExpansion:
                 expansion(witness, 2, 1)
             with pytest.raises(OverflowError):
                 verify_symbolic(NilpotencyCertificate(2, 1, 1, 1, witness))
+
+    def test_overflow_guard_on_generator_coefficients(self):
+        """A generator's factor has exponent bound 1: a coefficient whose
+        bound is 2**FIELD_BITS - 2 expands as the operators do, filling a
+        field to its top, and one more overflows instead of carrying."""
+        fits = MembershipWitness({A(1): avar(1) ** (2**FIELD_BITS - 2)})
+        assert expansion(fits, 2, 1) == operator_expansion(fits, 2, 1) == avar(1) ** (2**FIELD_BITS - 1)
+        over = MembershipWitness({A(1): avar(1) ** (2**FIELD_BITS - 1)})
+        with pytest.raises(OverflowError):
+            expansion(over, 2, 1)
 
     def test_mutated_dump_difference(self):
         cert = extract_certificate(grow_digraph(ProblemInstance.generic(3, 3)), 2)
