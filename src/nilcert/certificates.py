@@ -45,18 +45,27 @@ Every factor of an isolation identity is +-1 times one monomial (a_x,
 b_y, or the x0 that scales an element's parts), so ``WitnessBuilder``
 accumulates a witness straight into one keyed term map
 (``poly.split_keyed``): each part is shifted in term by term, a
-generator as its one term, an element as its memoized map.  The
-MultiPoly coefficients and the ``MembershipWitness`` are made once per
-witness returned, where zero coefficients are dropped.  Only ``combine``
-sums whole witnesses as polynomials (``_combination``).  A witness is its
+generator as its one term, an element as its memoized map.  A node
+witness stays in that form (``KeyedWitness``, zero coefficients left
+in) from the builder through ``local_witnesses`` to the node check.
+Only a witness that leaves as a ``MembershipWitness`` is converted
+(``membership_witness``), once, which drops the zeros: what the public
+``witness``, ``isolate`` and ``gauss_product_witness`` return, and each
+checked node witness that ``certify`` combines.  Only ``combine`` sums
+whole witnesses as polynomials (``_combination``).  A witness is its
 coefficients alone: its subject and label are stated by whoever checks
 it, never read from the witness.
 
-One routine expands every identity, node-local or root
-(``_expansion_minus``): sum genCoeffs[d]*d + sum relCoeffs[k]*c_k +
-unitCoeff*r0 - subject, added into a single term map
-(``poly.sum_of_products``), with each c_k's terms derived from (n, m)
-alone; the identity holds when nothing is left.
+Two routines expand an identity, one per form its witness arrives in.
+``_identity_holds`` checks a keyed node witness in one loop over its
+terms, skipping zeros, testing each key against the label and 1..n+m as
+it meets it, and adding the expansion into one term map, from which the
+subject is then taken off.  ``_expansion_minus`` expands a root witness, which arrives as
+coefficient maps from ``load_certificate`` and ``combine``: sum
+genCoeffs[d]*d + sum relCoeffs[k]*c_k + unitCoeff*r0 - subject, added
+into one term map by ``poly.sum_of_products``.  One shared routine
+would have to branch on which caller it serves.  Both derive each c_k's
+terms from (n, m) alone, and an identity holds when nothing is left.
 
 A digraph's proof is checked node by node.  ``local_witnesses`` is the one
 source of a node's own witnesses: the product witness of a_i*b_j at a
@@ -78,12 +87,13 @@ exponentially in n + m.
 
 That root identity is built only for a dump, by ``certify`` alone (for
 one target, ``extract_certificate``): the same walk then also takes each
-node's ``node_witness`` step over the witnesses it has just checked, up to
-the root, where the generator sum is empty; a failed check yields none.
-That leaves the nilpotency certificate u^e = sum relCoeffs[k]*c_k +
-unitCoeff*r0, which ``verify_symbolic`` checks independently by expanding
-it, less u^e, with the same routine.  It, the dump and
-the load refuse the same out-of-range certificates (``_check_ranges``).
+node's ``node_witness`` step over the witnesses it has just checked,
+each converted once, up to the root, where the generator sum is empty; a
+failed check yields none.  That leaves the nilpotency certificate u^e =
+sum relCoeffs[k]*c_k + unitCoeff*r0, which ``verify_symbolic`` checks
+independently by expanding it, less u^e, with ``_expansion_minus``.  It,
+the dump and the load refuse the same out-of-range certificates
+(``_check_ranges``).
 """
 
 from __future__ import annotations
@@ -97,6 +107,7 @@ from .engine import CaseTag, Digraph, ProblemInstance
 from .oracles import IdealLabel, closure_bits
 from .poly import (
     EXPONENT_LIMIT,
+    FIELD_BITS,
     MAX_INDEX,
     Indeterminate,
     MultiPoly,
@@ -174,7 +185,8 @@ _MINUS_ONE = MultiPoly.const(-1)
 
 def _expansion_minus(witness: MembershipWitness, subject: MultiPoly, n: int, m: int) -> MultiPoly:
     """sum genCoeffs[d]*d + sum relCoeffs[k]*c_k + unitCoeff*r0 - subject,
-    as one sum of products, with c_k the relations of size (n, m)."""
+    as one sum of products, with c_k the relations of size (n, m): the
+    expansion of a witness in field form, such as a root certificate's."""
     pairs = [(subject, _MINUS_ONE), (witness.unit_coeff, UNIT_RELATION)]
     pairs += [(coeff, relation_poly(n, m, k)) for k, coeff in witness.rel_coeffs.items()]
     return sum_of_products(pairs, witness.gen_coeffs.items())
@@ -192,51 +204,92 @@ _ZERO = MultiPoly.zero()
 _REL, _UNIT = 2, 3
 
 
+def _key_bits(n: int, m: int) -> int:
+    """The key bits of a keyed witness at size (n, m): enough for every
+    index up to n+m and a tag."""
+    return ((n + m) << 2 | 3).bit_length()
+
+
+@dataclass(slots=True)
+class KeyedWitness:
+    """A node witness as ``WitnessBuilder`` builds it: the coefficients of
+    the identity of ``MembershipWitness`` as one keyed term map, the term
+    c*x^mono of the coefficient under key k stored as the entry
+    mono << _key_bits(n, m) | k -> c, with (n, m) the size of its label.
+
+    Zero coefficients may stay in, and ``bound`` bounds every exponent of
+    every coefficient.  Like ``MembershipWitness`` it stores no subject
+    and no label: the node check reads it at the label and for the subject
+    it expects.  The check trusts its form as ``poly`` trusts a
+    MultiPoly's terms (packed monomials are non-negative, none has an
+    exponent above ``bound``); a source that reads witnesses from outside
+    must check that first.
+    """
+
+    terms: dict[int, int]
+    bound: int
+
+
+def membership_witness(witness: KeyedWitness, n: int, m: int) -> MembershipWitness:
+    """The ``MembershipWitness`` of a keyed witness at size (n, m): one
+    MultiPoly per key with a nonzero term, each bounded by the witness's
+    bound, zero coefficients dropped."""
+    gens, rels, unit = {}, {}, _ZERO
+    for key, coeff in split_keyed(witness.terms, _key_bits(n, m), witness.bound).items():
+        tag = key & 3
+        if tag == _REL:
+            rels[key >> 2] = coeff
+        elif tag == _UNIT:
+            unit = coeff
+        else:
+            gens[Indeterminate("ab"[tag], key >> 2)] = coeff
+    return MembershipWitness(gens, rels, unit)
+
+
 class WitnessBuilder:
     """Element and product witnesses for one label's closure, built through
     the isolation identity ``isolate``, each element's terms memoized.
 
     Every factor of an isolation identity is +-1 times one monomial, so a
-    witness is built as one keyed term map (``poly.split_keyed``): each
-    part is added in, shifted by its factor, term by term.  A generator
-    adds its one term; an element the closure rule admits adds its own
-    memoized map.  Maps become MultiPoly coefficients only in the witness
-    that ``witness`` or ``isolate`` returns.  The closure is computed when
-    an element that is no generator is first asked for.
+    witness is built as one keyed term map (``KeyedWitness``): each part
+    is added in, shifted by its factor, term by term.  A generator adds
+    its one term; an element the closure rule admits adds its own memoized
+    map.  ``keyed_witness`` and ``keyed_isolate`` return that map as it
+    is, for the node check; ``witness`` and ``isolate`` convert it into a
+    ``MembershipWitness`` (``membership_witness``).  The closure is
+    computed when an element that is no generator is first asked for.
     """
 
     def __init__(self, label: IdealLabel):
         self.label = label
-        # Enough key bits for every index up to n+m and a tag.
-        self._bits = ((label.n + label.m) << 2 | 3).bit_length()
+        self._bits = _key_bits(label.n, label.m)
         self._closed: IdealLabel | None = None
         self._memo: dict[int, tuple[dict[int, int], int]] = {}
 
     def witness(self, element: Indeterminate) -> MembershipWitness:
-        if self.label.has(element.kind, element.index):  # a generator is in the closure
-            return MembershipWitness({element: MultiPoly.one()}, {}, _ZERO)
-        return self._membership(*self._element(element.kind, element.index))
+        label = self.label
+        return membership_witness(self.keyed_witness(element.kind, element.index), label.n, label.m)
 
     def isolate(self, p: int, q: int) -> MembershipWitness:
         """Witness for a_p*b_q, 0 <= p <= n and 0 <= q <= m: c_{p+q} minus
         its other terms."""
+        label = self.label
+        return membership_witness(self.keyed_isolate(p, q), label.n, label.m)
+
+    def keyed_witness(self, kind: str, k: int) -> KeyedWitness:
+        """``witness`` of x_k, x = a or b, as a keyed witness, whose term
+        map an element shares with the builder's memo: read it, never
+        change it.  Raises NotInClosure as ``witness`` does."""
+        if self.label.has(kind, k):  # a generator is in the closure
+            return KeyedWitness({k << 2 | (kind == "b"): 1}, 0)
+        return KeyedWitness(*self._element(kind, k))
+
+    def keyed_isolate(self, p: int, q: int) -> KeyedWitness:
+        """``isolate`` as a keyed witness."""
         terms, bound = self._isolation(p, q, 0)
         # No other part has a term of degree 0, so c_{p+q}'s own term 1 is new.
         terms[(p + q) << 2 | _REL] = 1
-        return self._membership(terms, bound)
-
-    def _membership(self, terms: dict[int, int], bound: int) -> MembershipWitness:
-        """The witness of a keyed term map, every coefficient bounded by bound."""
-        gens, rels, unit = {}, {}, _ZERO
-        for key, coeff in split_keyed(terms, self._bits, bound).items():
-            tag = key & 3
-            if tag == _REL:
-                rels[key >> 2] = coeff
-            elif tag == _UNIT:
-                unit = coeff
-            else:
-                gens[Indeterminate("ab"[tag], key >> 2)] = coeff
-        return MembershipWitness(gens, rels, unit)
+        return KeyedWitness(terms, bound)
 
     def _element(self, kind: str, k: int) -> tuple[dict[int, int], int]:
         """The keyed terms of x_k, no generator, and their exponent bound:
@@ -288,12 +341,18 @@ class WitnessBuilder:
         return terms, bound
 
 
+def keyed_product_witness(i: int, j: int, label: IdealLabel) -> KeyedWitness:
+    """``gauss_product_witness`` as a keyed witness, the one a branch's
+    node check reads."""
+    if not (1 <= i <= label.n and 1 <= j <= label.m):
+        raise ValueError(f"branch indices ({i},{j}) out of range for n={label.n}, m={label.m}")
+    return WitnessBuilder(label).keyed_isolate(i, j)
+
+
 def gauss_product_witness(i: int, j: int, label: IdealLabel) -> MembershipWitness:
     """Witness for a_i*b_j at a label whose case analysis gave branch(i, j);
     maximality of i and j puts every higher coefficient into the ideal."""
-    if not (1 <= i <= label.n and 1 <= j <= label.m):
-        raise ValueError(f"branch indices ({i},{j}) out of range for n={label.n}, m={label.m}")
-    return WitnessBuilder(label).isolate(i, j)
+    return membership_witness(keyed_product_witness(i, j, label), label.n, label.m)
 
 
 def combine(
@@ -346,15 +405,16 @@ def _check_ranges(cert: NilpotencyCertificate) -> None:
         raise ValueError(f"relation indices {sorted(rels)} out of range 1..{n + m}")
 
 
-def local_witnesses(label: IdealLabel, tag: CaseTag, target_indices: Sequence[int]) -> list[MembershipWitness]:
-    """A node's own witnesses, built afresh: at a branch(i, j) the product
-    witness of a_i*b_j, which every target shares; at a leaf the witness of
-    each target a_i0, all from one ``WitnessBuilder``.  Raises NotInClosure
+def local_witnesses(label: IdealLabel, tag: CaseTag, target_indices: Sequence[int]) -> list[KeyedWitness]:
+    """A node's own witnesses, built afresh and kept as the builder makes
+    them (``KeyedWitness``): at a branch(i, j) the product witness of
+    a_i*b_j, which every target shares; at a leaf the witness of each
+    target a_i0, all from one ``WitnessBuilder``.  Raises NotInClosure
     when a target is not in the leaf's closure."""
     if not tag.is_leaf:
-        return [gauss_product_witness(tag.i, tag.j, label)]
+        return [keyed_product_witness(tag.i, tag.j, label)]
     builder = WitnessBuilder(label)
-    return [builder.witness(Indeterminate("a", i0)) for i0 in target_indices]
+    return [builder.keyed_witness("a", i0) for i0 in target_indices]
 
 
 def node_witness(
@@ -381,8 +441,9 @@ def _positions(mask: int) -> list[int]:
 
 
 def _checked(source: Callable, label: IdealLabel, tag: CaseTag, targets: list[int], subjects: list[MultiPoly]):
-    """The witnesses source gives at label for tag and targets, each of
-    whose identities holds for its subject; None when one fails."""
+    """The keyed witnesses source gives at label for tag and targets, one
+    per subject, each of whose identities holds for its subject; None when
+    one fails."""
     try:
         local = source(label, tag, targets)
     except NotInClosure:
@@ -408,11 +469,11 @@ def _walk(
     NotInClosure."""
     if not digraph.generic:
         raise ValueError("certificates are extracted from indeterminate-coefficient runs")
-    n, nodes, root = digraph.n, digraph.nodes, digraph.root
+    n, m, nodes, root = digraph.n, digraph.m, digraph.nodes, digraph.root
     targets = list(dict.fromkeys(target_indices))
     if not targets or not all(1 <= i0 <= n for i0 in targets):
         raise ValueError(f"target indices must be given, each in 1..{n}, got {tuple(target_indices)}")
-    if root != IdealLabel.root(n, digraph.m):
+    if root != IdealLabel.root(n, m):
         return None
     # Targets share a lane where the walk cannot tell them apart: without
     # early_stop every target stops at the leaves, and unless combined
@@ -485,9 +546,10 @@ def _walk(
             local = _checked(source, label, _LEAF, stopping, stopped)
             if local is None:
                 return None
-            # Combined, each lane is one target, with one witness.
+            # Combined, each lane is one target, with one witness, converted
+            # once for ``node_witness``.
             for p, witness in zip(stop, local):
-                row[p] = (1, witness if combined else None)
+                row[p] = (1, membership_witness(witness, n, m) if combined else None)
             # Dropped before the next label's witnesses are built.
             del local
         if go:
@@ -496,10 +558,11 @@ def _walk(
             left, right = rows.get(children[0]), rows.get(children[1])
             if product is None or left is None or right is None:
                 return None
+            shared = membership_witness(product[0], n, m) if combined else None
             for p in going:
                 steps = left[p], right[p]
                 if combined:
-                    row[p] = node_witness(product[0], steps, subjects[p][0], tag)
+                    row[p] = node_witness(shared, steps, subjects[p][0], tag)
                 else:
                     row[p] = (steps[0][0] + steps[1][0], None)
             for child in last:
@@ -518,7 +581,9 @@ def check_node_local(
 ) -> bool:
     """Exact node-local check of the digraph's claim u^e = 0, for each
     u = a_i0 with i0 in target_indices, by the key lemma one node at a
-    time: ``checked_exponents(...) is not None``."""
+    time: ``checked_exponents(...) is not None``.  A ``source`` is called
+    as ``local_witnesses`` is and returns what it returns: a list of
+    ``KeyedWitness``."""
     return checked_exponents(digraph, *target_indices, early_stop=early_stop, source=source) is not None
 
 
@@ -533,8 +598,11 @@ def checked_exponents(
     label whose stored closed a-bits hold a_i0, where it ends.  One walk
     checks every target's proof.  Parents first, it finds which targets
     reach each label and which go on past it; then, children first, it
-    takes each reached node's own witnesses from ``source`` (a test may
-    give a fake ``local_witnesses``), checks them and drops them.  It
+    takes each reached node's own witnesses from ``source``, checks them
+    and drops them.  ``source(label, tag, targets)`` returns a list of
+    ``KeyedWitness``, one per target where the targets' proofs end at a
+    leaf or early stop, one product witness at a branch they go on past;
+    ``local_witnesses`` builds them, and a test may give a fake.  It
     requires at each label D the stored children to be
     ``tag.children(D)``, each already checked for every target that goes
     on past D; every witness to key only generators of D and relations
@@ -570,17 +638,56 @@ def certify(digraph: Digraph, *target_indices: int, early_stop: bool = False) ->
     return [NilpotencyCertificate(digraph.n, digraph.m, i0, *step) for i0, step in walked.items()]
 
 
-def _identity_holds(witness: MembershipWitness, label: IdealLabel, subject: MultiPoly) -> bool:
-    """The witness keys only generators of label and relations 1..n+m, and
-    its expansion less subject is the zero polynomial, with (n, m) the
-    label's size."""
+def _identity_holds(witness: KeyedWitness, label: IdealLabel, subject: MultiPoly) -> bool:
+    """The keyed witness keys only generators of label and relations
+    1..n+m, and its expansion less subject is the zero polynomial, with
+    (n, m) the label's size.
+
+    One loop over its terms adds the expansion into one term map: a zero
+    coefficient is skipped; each key is tested when first met, a generator
+    against the label and a relation index against 1..n+m; a generator
+    term is shifted by its indeterminate, a relation or unit term times
+    each term of c_k or r0.  Then the subject's terms are taken off, each
+    of which must be there with its coefficient, and nothing else may be
+    left.  Raises OverflowError where ``poly.sum_of_products`` would for
+    the same products."""
     n, m = label.n, label.m
-    if not all(label.has(d.kind, d.index) for d in witness.gen_coeffs):
-        return False
-    rels = witness.rel_coeffs
-    if rels and not (min(rels) >= 1 and max(rels) <= n + m):
-        return False
-    return _expansion_minus(witness, subject, n, m).is_zero
+    bits = _key_bits(n, m)
+    mask = (1 << bits) - 1
+    headroom = EXPONENT_LIMIT - witness.bound  # a factor's bound must stay below it
+    factors: dict[int, dict[int, int]] = {}  # key -> the terms of x_k, c_k or r0
+    out: dict[int, int] = {}
+    get = out.get
+    for composite, coeff in witness.terms.items():
+        if not coeff:
+            continue
+        key = composite & mask
+        factor = factors.get(key)
+        if factor is None:
+            tag, index = key & 3, key >> 2
+            if tag == _REL:
+                if not 1 <= index <= n + m:
+                    return False
+                factor = relation_poly(n, m, index)._terms
+            elif tag == _UNIT:
+                factor = UNIT_RELATION._terms
+            elif label.has("ab"[tag], index):
+                factor = {packed("ab"[tag], index): 1}
+            else:
+                return False
+            # c_k and r0 have exponent bound 2, an indeterminate 1.
+            if (2 if tag >= _REL else 1) >= headroom:
+                raise OverflowError(f"a product exponent could reach 2**{FIELD_BITS}")
+            factors[key] = factor
+        mono = composite >> bits
+        for factor_mono, factor_coeff in factor.items():
+            product = mono + factor_mono
+            out[product] = get(product, 0) + coeff * factor_coeff
+    # Less the subject: each of its terms must be there, with its coefficient.
+    for mono, coeff in subject._terms.items():
+        if out.pop(mono, 0) != coeff:
+            return False
+    return not any(out.values())
 
 
 def extract_certificate(digraph: Digraph, target_index: int) -> NilpotencyCertificate:

@@ -20,6 +20,11 @@ The one exception is the label-poset runner, ``label_poset`` and
 ``nc_run_induction``: it reruns the induction over every label with the
 package's own case split and per-label witness step, so that agreement
 with the digraph cross-validates the two constructions.
+
+``keyed`` is plumbing, not an oracle: the node check reads witnesses as
+``certificates.KeyedWitness`` term maps, and tests that write or alter a
+witness in its field form (``MembershipWitness``) hand it to the check
+through ``keyed``; ``certificates.membership_witness`` reads one back.
 """
 
 from __future__ import annotations
@@ -44,7 +49,13 @@ from nilcert import (
     case_split,
     run_induction,
 )
-from nilcert.certificates import MembershipWitness, local_witnesses, node_witness
+from nilcert.certificates import (
+    KeyedWitness,
+    MembershipWitness,
+    local_witnesses,
+    membership_witness,
+    node_witness,
+)
 from nilcert.induction import GoodnessOutcome
 from nilcert.poly import EXPONENT_LIMIT, FIELD_BITS, MAX_INDEX, _new
 
@@ -221,6 +232,7 @@ def nc_run_induction(
 
     def step(label: IdealLabel, children: tuple) -> tuple[int, MembershipWitness]:
         (local,) = local_witnesses(label, tags[label], [target_index])
+        local = membership_witness(local, label.n, label.m)
         return node_witness(local, children, avar(target_index), tags[label])
 
     def goodness(label: IdealLabel) -> GoodnessOutcome:
@@ -235,6 +247,27 @@ def nc_run_induction(
 
     evidence = run_induction(label_poset(instance.n, instance.m), goodness, merge)
     return evidence, tags
+
+
+def keyed(witness: MembershipWitness, lab: IdealLabel) -> KeyedWitness:
+    """The keyed witness with the coefficients of witness, for the node
+    check at a label of lab's size, packed by the layout ``KeyedWitness``
+    states: c*x^mono under key k is the entry mono << key_bits | k, with
+    key_bits the bit length of (n+m) << 2 | 3 and k an index shifted past
+    two tag bits, 0 for a_i, 1 for b_j, 2 for c_k and 3 for the unit
+    coefficient.  Its bound is the largest exponent bound of the
+    coefficients.  Raises ValueError for a relation index whose key does
+    not fit the key bits."""
+    key_bits = ((lab.n + lab.m) << 2 | 3).bit_length()
+    coefficients = [(d.index << 2 | (d.kind == "b"), c) for d, c in witness.gen_coeffs.items()]
+    coefficients += [(k << 2 | 2, c) for k, c in witness.rel_coeffs.items()]
+    coefficients.append((3, witness.unit_coeff))
+    terms = {}
+    for key, coeff in coefficients:
+        if not 0 <= key < 1 << key_bits:
+            raise ValueError(f"key {key} has no keyed form at size ({lab.n}, {lab.m})")
+        terms.update({mono << key_bits | key: c for mono, c in coeff._terms.items()})
+    return KeyedWitness(terms, max(c.exponent_bound for _, c in coefficients))
 
 
 def grid_exponent(n: int, m: int) -> int:

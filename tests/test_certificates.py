@@ -42,12 +42,14 @@ from nilcert import (
     verify_symbolic,
 )
 from nilcert.certificates import (
+    KeyedWitness,
     MembershipWitness,
     _expansion_minus,
     _identity_holds,
     certify,
     checked_exponents,
     local_witnesses,
+    membership_witness,
     relation_poly,
 )
 from nilcert.engine import early_stop_cut
@@ -250,7 +252,10 @@ class TestIsolationMatchesReference:
     label: for every label with n+m <= 6 (golden digests pin only roots),
     every label the digraphs of (4,4), (7,1), (1,7) and (10,10) reach, and
     the alternating labels up to n = m = 12.  Elements outside the closure
-    and (i, j) outside 1..n x 1..m must raise the reference's exception."""
+    and (i, j) outside 1..n x 1..m must raise the reference's exception.
+    The keyed node witnesses that ``local_witnesses`` gives there, at a
+    leaf for every a_i0 in the closure and at every branch(i, j), hold
+    as they are and convert to exactly what the public builder returns."""
 
     LABELS = [
         helpers.from_bits(a_bits, b_bits)
@@ -269,6 +274,7 @@ class TestIsolationMatchesReference:
     def test_element_witnesses(self):
         for lab in self.LABELS:
             builder, reference = WitnessBuilder(lab), ReferenceWitnesses(lab)
+            closed = {element.index for element in reference.admissions if element.kind == "a"}
             elements = [A(i) for i in range(0, lab.n + 2)] + [B(j) for j in range(0, lab.m + 2)]
             for element in elements:
                 expected = _outcome(lambda: reference.element(element))
@@ -276,7 +282,12 @@ class TestIsolationMatchesReference:
                 assert built == expected, (lab, element)
                 if isinstance(expected, MembershipWitness):
                     assert bounds_hold(built), (lab, element)
-                    assert _identity_holds(expected, lab, MultiPoly.variable(element)), (lab, element)
+                    subject = MultiPoly.variable(element)
+                    assert _identity_holds(helpers.keyed(expected, lab), lab, subject), (lab, element)
+            targets = [i0 for i0 in range(1, lab.n + 1) if i0 in closed]
+            local = local_witnesses(lab, CaseTag.leaf(), targets)
+            assert [field_form(witness, lab) for witness in local] == [builder.witness(A(i0)) for i0 in targets], lab
+            assert all(_identity_holds(w, lab, avar(i0)) for w, i0 in zip(local, targets)), lab
 
     def test_product_witnesses(self):
         for lab in self.LABELS:
@@ -288,7 +299,10 @@ class TestIsolationMatchesReference:
                     assert built == expected, (lab, i, j)
                     if isinstance(expected, MembershipWitness):
                         assert bounds_hold(built), (lab, i, j)
-                        assert _identity_holds(expected, lab, avar(i) * bvar(j)), (lab, i, j)
+                        assert _identity_holds(helpers.keyed(expected, lab), lab, avar(i) * bvar(j)), (lab, i, j)
+                        (local,) = local_witnesses(lab, CaseTag.branch(i, j), [])
+                        assert field_form(local, lab) == built, (lab, i, j)
+                        assert _identity_holds(local, lab, avar(i) * bvar(j)), (lab, i, j)
 
 
 class TestCombine:
@@ -299,7 +313,7 @@ class TestCombine:
         wl = WitnessBuilder(label(2, 1, "a2", "b1")).witness(A(1))
         gp = gauss_product_witness(1, 1, label(2, 1, "a2"))
         parent = combine(wk, wl, gp, CaseTag.branch(1, 1), avar(1))
-        assert _identity_holds(parent, label(2, 1, "a2"), avar(1) ** 2)
+        assert _identity_holds(helpers.keyed(parent, label(2, 1, "a2")), label(2, 1, "a2"), avar(1) ** 2)
 
     def test_leaf_pair_sums_exponents(self):
         d = grow_digraph(ProblemInstance.generic(1, 1))
@@ -358,7 +372,7 @@ class TestExtractCertificate:
                     for lab in d.nodes:
                         exponent, witness = evidence[lab]
                         assert exponent == d.nodes[lab].exponent, (n, m, i0, lab)
-                        assert _identity_holds(witness, lab, avar(i0) ** exponent), (n, m, i0, lab)
+                        assert _identity_holds(helpers.keyed(witness, lab), lab, avar(i0) ** exponent), (n, m, i0, lab)
 
     def test_rejects_concrete_digraphs(self):
         d = grow_digraph(ProblemInstance.concrete(8, [1, 2, 4], [1, 6]))
@@ -384,13 +398,20 @@ def small_generic_runs(max_total: int = 5):
                 yield grow_digraph(instance, early_stop_target=i0), i0
 
 
+def field_form(witness: KeyedWitness, lab: IdealLabel) -> MembershipWitness:
+    """The field form of a keyed witness at a label of lab's size."""
+    return membership_witness(witness, lab.n, lab.m)
+
+
 def with_local(at: IdealLabel, change):
     """The witness source with each witness at label ``at`` passed
-    through change."""
+    through change, which reads and returns field witnesses."""
 
     def source(label, tag, targets):
         witnesses = local_witnesses(label, tag, targets)
-        return [change(witness) for witness in witnesses] if label == at else witnesses
+        if label != at:
+            return witnesses
+        return [helpers.keyed(change(field_form(witness, label)), label) for witness in witnesses]
 
     return source
 
@@ -441,6 +462,26 @@ class TestNodeLocalCheck:
         for digraph, i0 in small_generic_runs():
             assert check_node_local(digraph, i0), (digraph.n, digraph.m, i0)
 
+    def test_exponents_of_every_proof(self):
+        """Every digraph with n+m <= 7, (4,4) and (10,10): all targets in
+        one walk, plain and --early-stop, and each target alone on its own
+        early-stop digraph, prove the exponents the digraphs store: the
+        grid exponent C(n+m, n), and each target's early-stop cut's."""
+        sizes = [(n, total - n) for total in range(1, 8) for n in range(1, total + 1)] + [(4, 4), (10, 10)]
+        for n, m in sizes:
+            instance = ProblemInstance.generic(n, m)
+            digraph = grow_digraph(instance)
+            targets = range(1, n + 1)
+            assert digraph.nodes[digraph.root].exponent == helpers.grid_exponent(n, m)
+            plain = {i0: helpers.grid_exponent(n, m) for i0 in targets}
+            cuts = {i0: early_stop_cut(digraph, i0) for i0 in targets}
+            stopped = {i0: cut.nodes[cut.root].exponent for i0, cut in cuts.items()}
+            assert checked_exponents(digraph, *targets) == plain, (n, m)
+            assert checked_exponents(digraph, *targets, early_stop=True) == stopped, (n, m)
+            for i0 in targets:
+                own = grow_digraph(instance, early_stop_target=i0)
+                assert checked_exponents(own, i0) == {i0: stopped[i0]}, (n, m, i0)
+
     def test_shared_proof_serves_every_target(self):
         digraph = grow_digraph(ProblemInstance.generic(3, 2))
         assert all(check_node_local(digraph, i0) for i0 in (1, 2, 3))
@@ -453,17 +494,17 @@ class TestNodeLocalCheck:
             check_node_local(digraph, *targets)
 
     def test_products_checked_once_per_proof(self, monkeypatch):
-        """One call for three targets builds and expands each branch's
+        """One call for three targets builds and checks each branch's
         product identity once and each leaf identity once per target."""
         digraph = grow_digraph(ProblemInstance.generic(3, 2))
         branches = sum(not node.tag.is_leaf for node in digraph.nodes.values())
         leaves = len(digraph.nodes) - branches
-        expand, build = certificates._expansion_minus, certificates.gauss_product_witness
+        check, build = certificates._identity_holds, certificates.keyed_product_witness
         subjects, built = Counter(), []
         monkeypatch.setattr(
-            certificates, "_expansion_minus", lambda *args: subjects.update([args[1].render()]) or expand(*args)
+            certificates, "_identity_holds", lambda *args: subjects.update([args[2].render()]) or check(*args)
         )
-        monkeypatch.setattr(certificates, "gauss_product_witness", lambda *args: built.append(args) or build(*args))
+        monkeypatch.setattr(certificates, "keyed_product_witness", lambda *args: built.append(args) or build(*args))
         assert check_node_local(digraph, 1, 2, 3)
         expected = Counter(f"1*a{node.tag.i}*b{node.tag.j}" for node in digraph.nodes.values() if node.children)
         expected.update({f"1*a{i0}": leaves for i0 in (1, 2, 3)})
@@ -604,10 +645,10 @@ class TestNodeLocalCheck:
         assert check_node_local(digraph, 1, source=source)
         assert len(kept) == sum(not node.tag.is_leaf for node in digraph.nodes.values())
         for at, (witness,) in kept.items():
-            unit_coeff = witness.unit_coeff
-            witness.unit_coeff = unit_coeff + MultiPoly.one()
+            terms, field = witness.terms, field_form(witness, at)
+            witness.terms = helpers.keyed(replace(field, unit_coeff=field.unit_coeff + MultiPoly.one()), at).terms
             assert not check_node_local(digraph, 2, source=source), at
-            witness.unit_coeff = unit_coeff
+            witness.terms = terms
             assert check_node_local(digraph, 3, source=source), at
 
     def test_a_replaced_product_witness_is_checked_again(self):
@@ -618,15 +659,19 @@ class TestNodeLocalCheck:
         source = keeping_products(kept)
         assert check_node_local(digraph, 1, source=source)
         for at, (witness,) in list(kept.items()):
-            kept[at] = [replace(witness, unit_coeff=witness.unit_coeff + MultiPoly.one())]
+            field = field_form(witness, at)
+            kept[at] = [helpers.keyed(replace(field, unit_coeff=field.unit_coeff + MultiPoly.one()), at)]
             assert not check_node_local(digraph, 2, source=source), at
             kept[at] = [witness]
             assert check_node_local(digraph, 3, source=source), at
 
     def test_a_witness_is_its_coefficients(self):
         """A witness stores no subject and no label, so the check can only
-        expand it against the ones it expects itself."""
+        expand it against the ones it expects itself; nor does the keyed
+        record the check reads, whose key bits come from the size of the
+        label it is checked at."""
         assert [f.name for f in dataclasses.fields(MembershipWitness)] == ["gen_coeffs", "rel_coeffs", "unit_coeff"]
+        assert [f.name for f in dataclasses.fields(KeyedWitness)] == ["terms", "bound"]
 
     def test_rejects_a_perturbed_coefficient(self):
         def perturbations(witness):
@@ -640,7 +685,7 @@ class TestNodeLocalCheck:
         for digraph, i0 in small_generic_runs():
             for at, node in digraph.nodes.items():
                 (witness,) = local_witnesses(at, node.tag, [i0])
-                for mutated in perturbations(witness):
+                for mutated in perturbations(field_form(witness, at)):
                     tampered = with_local(at, lambda _: mutated)
                     assert not check_node_local(digraph, i0, source=tampered), (digraph.n, digraph.m, i0, at)
 
@@ -804,7 +849,7 @@ def proof_node(digraph, target: int, early_stop: bool, location: str, kind: str)
     proof = early_stop_cut(digraph, target) if early_stop else digraph
     for at, node in proof.nodes.items():
         if node.tag.is_leaf == (location == "leaf"):
-            (witness,) = local_witnesses(at, node.tag, [target])
+            witness = field_form(local_witnesses(at, node.tag, [target])[0], at)
             if kind not in ("gen", "rel") or (witness.gen_coeffs if kind == "gen" else witness.rel_coeffs):
                 return at
     raise AssertionError(f"no {location} whose witness has a {kind} coefficient")
@@ -954,6 +999,42 @@ class TestFusedExpansion:
         assert not check.ok
         assert check.diff == operator_expansion(loaded.root_witness, 3, 3) - avar(2) ** loaded.exponent
         assert check.diff == bump * relation_poly(3, 3, 3)
+
+
+class TestKeyedCheck:
+    """The node check reads a keyed witness as it is: zero coefficients
+    are no terms, and its bound feeds the overflow guard as a
+    coefficient's bound feeds ``sum_of_products``'s."""
+
+    def test_zero_coefficients_are_no_terms(self):
+        """A zero coefficient under any key, a generator outside the label
+        or a relation out of range, changes nothing."""
+        lab = label(3, 1, "b1")
+        (witness,) = local_witnesses(lab, CaseTag.leaf(), [1])
+        assert _identity_holds(witness, lab, avar(1))
+        bits = ((lab.n + lab.m) << 2 | 3).bit_length()
+        for key in (1 << 2 | 0, 0 << 2 | 2, 5 << 2 | 2):  # a1, c0 and c5
+            assert key < 1 << bits
+            assert not _identity_holds(KeyedWitness({**witness.terms, key: 1}, witness.bound), lab, avar(1))
+            zeros = KeyedWitness({**witness.terms, key: 0, 5 << bits | key: 0}, witness.bound)
+            assert _identity_holds(zeros, lab, avar(1)), key
+
+    def test_overflow_guard(self):
+        """A generator's factor has bound 1, c_k's and r0's 2: a witness
+        bound of 2**FIELD_BITS - 2 fills a field exactly through a
+        generator, and overflows through a relation or the unit; one more
+        overflows through a generator as well."""
+        top = 2**FIELD_BITS - 2
+        lab = label(2, 1, "a1")
+        fits = helpers.keyed(MembershipWitness({A(1): avar(1) ** top}), lab)
+        assert fits.bound == top
+        assert _identity_holds(fits, lab, avar(1) ** (top + 1))
+        assert not _identity_holds(fits, lab, avar(1))
+        for fields in ({"rel_coeffs": {1: avar(1) ** top}}, {"unit_coeff": avar(1) ** top}):
+            with pytest.raises(OverflowError):
+                _identity_holds(helpers.keyed(MembershipWitness(**fields), lab), lab, avar(1))
+        with pytest.raises(OverflowError):
+            _identity_holds(KeyedWitness(fits.terms, top + 1), lab, avar(1) ** (top + 1))
 
 
 class TestConcreteChecks:

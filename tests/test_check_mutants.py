@@ -1,0 +1,164 @@
+"""The node check's own adversary: mutants of its soundness checks.
+
+Each mutant is one textual edit of a check in ``certificates``, named
+after the check it weakens.  The edited source is loaded as a fresh
+module and runs a fixed battery of node proofs, true and false, through
+its own ``checked_exponents`` with fake witness sources.  Every mutant
+must judge some proof otherwise than the real module: accept a false
+one, reject a true one, or give a verdict where the real module raises.
+A later change that removes one of these checks has to delete its
+mutant here, in plain view.
+"""
+
+from __future__ import annotations
+
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import helpers
+from nilcert import Indeterminate, ProblemInstance, avar, bvar, certificates, grow_digraph
+from nilcert.certificates import KeyedWitness, MembershipWitness, local_witnesses
+from nilcert.poly import EXPONENT_LIMIT
+
+SOURCE = Path(certificates.__file__).read_text(encoding="utf-8")
+
+# name -> (text of the check, its mutated text).  Each text occurs once.
+MUTANTS = {
+    "generator key tested against the label": (
+        '            elif label.has("ab"[tag], index):\n',
+        "            elif True:\n",
+    ),
+    "relation index tested against 1..n+m": (
+        "                if not 1 <= index <= n + m:\n",
+        "                if False:\n",
+    ),
+    "identity checked at n+m >= 7": (
+        "    n, m = label.n, label.m\n    bits = _key_bits(n, m)\n",
+        "    n, m = label.n, label.m\n    if n + m >= 7:\n        return True\n    bits = _key_bits(n, m)\n",
+    ),
+    "one witness per subject (_checked's length guard)": (
+        "    if len(local) != len(subjects):\n        return None\n",
+        "",
+    ),
+    "subject subtracted": (
+        "        if out.pop(mono, 0) != coeff:\n            return False\n",
+        "        pass\n",
+    ),
+    "overflow guard": (
+        '                raise OverflowError(f"a product exponent could reach 2**{FIELD_BITS}")\n',
+        "                pass\n",
+    ),
+}
+
+
+def load(source: str, name: str) -> types.ModuleType:
+    """source run as a fresh module of the nilcert package."""
+    module = types.ModuleType("nilcert._mutant")
+    module.__package__ = "nilcert"
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(source, f"<mutant: {name}>", "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+def replacing(at, change):
+    """The witness source whose list of keyed witnesses at label ``at``
+    is change(label, tag, witnesses)."""
+
+    def source(label, tag, targets):
+        witnesses = local_witnesses(label, tag, targets)
+        return change(label, tag, witnesses) if label == at else witnesses
+
+    return source
+
+
+def battery():
+    """(case name, digraph, targets, early_stop, source): true proofs
+    first, then false ones, each false in one node."""
+    small = grow_digraph(ProblemInstance.generic(3, 2))
+    wide = grow_digraph(ProblemInstance.generic(4, 3))
+    tiny = grow_digraph(ProblemInstance.generic(2, 1))
+    leaf = next(label for label, node in small.nodes.items() if node.tag.is_leaf)
+    wide_leaf = next(label for label, node in wide.nodes.items() if node.tag.is_leaf)
+    tiny_leaf = next(label for label, node in tiny.nodes.items() if node.tag.is_leaf)
+    u = avar(1)
+
+    def bumped_unit(label, tag, witnesses):
+        field = certificates.membership_witness(witnesses[0], label.n, label.m)
+        return [helpers.keyed(MembershipWitness(field.gen_coeffs, field.rel_coeffs, field.unit_coeff + 1), label)]
+
+    def by_generator(label, tag, witnesses):
+        """a_i*b_j = b_j * a_i: an identity, no proof where a_i is no generator."""
+        return [helpers.keyed(MembershipWitness({Indeterminate.a(tag.i): bvar(tag.j)}), label)]
+
+    def by_c0(label, tag, witnesses):
+        """u = u*c_0 - u*r0: an identity, but c_0 = a0*b0 is 1 modulo the relations."""
+        return [helpers.keyed(MembershipWitness(rel_coeffs={0: u}, unit_coeff=-u), label)]
+
+    cases = [
+        ("true (3,2), all targets", small, (1, 2, 3), False, local_witnesses),
+        ("true (3,2), all targets, early stop", small, (1, 2, 3), True, local_witnesses),
+        ("true (4,3)", wide, (2,), False, local_witnesses),
+        ("false (4,3): unit coefficient off by one at a leaf", wide, (1,), False, replacing(wide_leaf, bumped_unit)),
+        ("false (3,2): a_i*b_j as b_j times a_i at the root", small, (1,), False, replacing(small.root, by_generator)),
+        ("false (2,1): u = u*c_0 - u*r0 at a leaf", tiny, (1,), False, replacing(tiny_leaf, by_c0)),
+        ("false (3,2): no product witness at the root", small, (1,), False, replacing(small.root, lambda *_: [])),
+        (
+            "false (3,2): a leaf witness whose bound reaches the overflow guard",
+            small,
+            (1,),
+            False,
+            replacing(leaf, lambda label, tag, ws: [KeyedWitness(ws[0].terms, EXPONENT_LIMIT - 1)]),
+        ),
+    ]
+    return cases
+
+
+BATTERY = battery()
+
+
+def verdicts(module: types.ModuleType) -> list:
+    """The module's exponents for each case of the battery, None for a
+    failed check, or the class of the exception it raises."""
+    out = []
+    for _, digraph, targets, early_stop, source in BATTERY:
+        try:
+            out.append(module.checked_exponents(digraph, *targets, early_stop=early_stop, source=source))
+        except (OverflowError, ValueError) as exc:
+            out.append(type(exc))
+    return out
+
+
+REAL = verdicts(certificates)
+
+
+def test_the_real_module_judges_every_proof():
+    cases = [case[0] for case in BATTERY]
+    assert dict(zip(cases, REAL)) == {
+        "true (3,2), all targets": {1: 10, 2: 10, 3: 10},
+        "true (3,2), all targets, early stop": {1: 10, 2: 6, 3: 3},
+        "true (4,3)": {2: 35},
+        "false (4,3): unit coefficient off by one at a leaf": None,
+        "false (3,2): a_i*b_j as b_j times a_i at the root": None,
+        "false (2,1): u = u*c_0 - u*r0 at a leaf": None,
+        "false (3,2): no product witness at the root": None,
+        "false (3,2): a leaf witness whose bound reaches the overflow guard": OverflowError,
+    }
+
+
+def test_the_real_source_loads_as_a_fresh_module():
+    assert verdicts(load(SOURCE, "unchanged")) == REAL
+
+
+@pytest.mark.parametrize("name", list(MUTANTS))
+def test_every_mutant_is_killed(name):
+    check, mutated = MUTANTS[name]
+    assert SOURCE.count(check) == 1, f"the check that {name!r} mutates is no longer in certificates"
+    got = verdicts(load(SOURCE.replace(check, mutated), name))
+    killed = [case[0] for case, real, mutant in zip(BATTERY, REAL, got) if real != mutant]
+    assert killed, f"no proof in the battery tells the mutant {name!r} from the real check"

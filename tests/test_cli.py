@@ -29,6 +29,7 @@ from nilcert import (
     structural_metrics,
     verify_symbolic,
 )
+import helpers
 from nilcert import cli
 from nilcert.cli import main
 
@@ -264,6 +265,12 @@ class TestGenericCommand:
         assert json.loads(out)["targets"] == [{"i0": 4095, "e": 1}]
 
 
+def bumped_unit(witness, label):
+    """The keyed witness with its unit coefficient raised by 1."""
+    field = certificates.membership_witness(witness, label.n, label.m)
+    return helpers.keyed(dataclasses.replace(field, unit_coeff=field.unit_coeff + MultiPoly.one()), label)
+
+
 class TestNodeLocalVerdict:
     """Without --emit-cert a generic run checks each target node by node
     and never builds the root identity."""
@@ -293,16 +300,16 @@ class TestNodeLocalVerdict:
 
     @pytest.mark.parametrize("emit", [False, True], ids=["node-local", "with --emit-cert"])
     def test_rejected_proof_fails_verification(self, capsys, monkeypatch, tmp_path, emit):
-        build = certificates.gauss_product_witness
+        build = certificates.keyed_product_witness
 
         def perturbed(i, j, label):
             """One coefficient of the root's product witness is off by one."""
             witness = build(i, j, label)
             if not (label.a or label.b):
-                witness.unit_coeff = witness.unit_coeff + MultiPoly.one()
+                witness = bumped_unit(witness, label)
             return witness
 
-        monkeypatch.setattr(certificates, "gauss_product_witness", perturbed)
+        monkeypatch.setattr(certificates, "keyed_product_witness", perturbed)
         argv = ["generic", "--n", "2", "--m", "1"]
         if emit:
             argv += ["--emit-cert", str(tmp_path / "cert.json")]
@@ -323,15 +330,15 @@ class TestNodeLocalVerdict:
             if node.children
         )
         at = next(label for label, count in sharing.items() if count > 1 and (label.a or label.b))
-        build = certificates.gauss_product_witness
+        build = certificates.keyed_product_witness
 
         def perturbed(i, j, label):
             witness = build(i, j, label)
             if label == at:
-                witness.unit_coeff = witness.unit_coeff + MultiPoly.one()
+                witness = bumped_unit(witness, label)
             return witness
 
-        monkeypatch.setattr(certificates, "gauss_product_witness", perturbed)
+        monkeypatch.setattr(certificates, "keyed_product_witness", perturbed)
         argv = ["generic", "--n", "3", "--m", "3", "--early-stop"]
         if emit:
             argv += ["--emit-cert", str(tmp_path / "cert.json")]
@@ -346,9 +353,9 @@ class TestNodeLocalVerdict:
         """An --early-stop run over every target makes one walk, which
         builds one product witness per distinct branch identity of the
         targets' early-stop digraphs."""
-        walk, build, walks, products = certificates._walk, certificates.gauss_product_witness, [], []
+        walk, build, walks, products = certificates._walk, certificates.keyed_product_witness, [], []
         monkeypatch.setattr(certificates, "_walk", lambda *args: walks.append(args[1]) or walk(*args))
-        monkeypatch.setattr(certificates, "gauss_product_witness", lambda *args: products.append(args) or build(*args))
+        monkeypatch.setattr(certificates, "keyed_product_witness", lambda *args: products.append(args) or build(*args))
         argv = ["generic", "--n", "3", "--m", "3", "--early-stop"]
         if emit:
             argv += ["--emit-cert", str(tmp_path / "c.json")]
@@ -396,7 +403,7 @@ class TestNodeLocalVerdict:
         distinct (label, tag) node of the digraphs and one product witness
         per distinct branch, for all targets, however many of the
         --early-stop digraphs share it."""
-        build, builders, products = certificates.gauss_product_witness, [], []
+        build, builders, products = certificates.keyed_product_witness, [], []
 
         class Counting(WitnessBuilder):
             def __init__(self, label):
@@ -404,7 +411,7 @@ class TestNodeLocalVerdict:
                 super().__init__(label)
 
         monkeypatch.setattr(certificates, "WitnessBuilder", Counting)
-        monkeypatch.setattr(certificates, "gauss_product_witness", lambda *args: products.append(args) or build(*args))
+        monkeypatch.setattr(certificates, "keyed_product_witness", lambda *args: products.append(args) or build(*args))
         code, out, _ = run(capsys, "generic", "--n", "3", "--m", "2", *extra, "--emit-cert", str(tmp_path / "c.json"))
         assert code == 0 and json.loads(out)["certificate"] == "verified"
         instance = ProblemInstance.generic(3, 2)
