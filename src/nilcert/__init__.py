@@ -52,13 +52,7 @@ from .induction import (
     spt_modn,
 )
 from .oracles import IdealLabel, mod_membership
-from .poly import (
-    Indeterminate,
-    MultiPoly,
-    PolyParseError,
-    avar,
-    bvar,
-)
+from .poly import MultiPoly, PolyParseError, avar, bvar
 
 __version__ = "0.1.0"
 
@@ -70,7 +64,6 @@ __all__ = [
     "FinitePoset",
     "Holds",
     "IdealLabel",
-    "Indeterminate",
     "InternalInconsistency",
     "MultiPoly",
     "NilpotencyCertificate",

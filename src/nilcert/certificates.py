@@ -41,31 +41,41 @@ being replaced by its own element witness:
   the one induction step per label, calls it at every branch, for the
   digraph walk and the tests' label-poset runner alike.
 
-Every factor of an isolation identity is +-1 times one monomial (a_x,
-b_y, or the x0 that scales an element's parts), so ``WitnessBuilder``
-accumulates a witness straight into one keyed term map
-(``poly.split_keyed``): each part is shifted in term by term, a
-generator as its one term, an element as its memoized map.  A node
-witness stays in that form (``KeyedWitness``, zero coefficients left
-in) from the builder through ``local_witnesses`` to the node check.
-Only a witness that leaves as a ``MembershipWitness`` is converted
-(``membership_witness``), once, which drops the zeros: what the public
-``witness``, ``isolate`` and ``gauss_product_witness`` return, and each
-checked node witness that ``certify`` combines.  Only ``combine`` sums
-whole witnesses as polynomials (``_combination``).  A witness is its
-coefficients alone: its subject and label are stated by whoever checks
-it, never read from the witness.
+One key layout names a witness's coefficients from the builder to the
+root: a_i has the key i << 2, b_j the key j << 2 | 1, c_k the key
+k << 2 | 2 (``_REL``) and r0 the one key 3 (``_UNIT``).  A witness takes
+three forms over it:
 
-Two routines expand an identity, one per form its witness arrives in.
+* a keyed term map (``KeyedWitness``), in which ``WitnessBuilder`` builds
+  every witness and ``_identity_holds`` checks it: the term c*x^mono of
+  the coefficient under key k is the entry mono << _key_bits(n, m) | k.
+  Every factor of an isolation identity is +-1 times one monomial (a_x,
+  b_y, or the x0 that scales an element's parts), so each part is shifted
+  in term by term (``poly.subtract_shifted``), a generator as its one
+  term, an element as its memoized map; zero coefficients stay in;
+
+* a coefficient map, key -> MultiPoly, zeros dropped, as
+  ``poly.split_keyed`` returns it from a keyed term map: what
+  ``node_witness`` and ``combine`` read and return, for ``certify`` only;
+
+* a ``MembershipWitness``, the relation and unit coefficients of a root
+  identity, as a dump holds them: ``certify`` makes one from each root's
+  coefficient map (``membership_witness``), where no generator key is
+  left, and ``load_certificate`` one from a dump.
+
+A witness is its coefficients alone: its subject and label are stated by
+whoever checks it, never read from the witness.
+
+Two routines expand an identity, one per form it is checked in.
 ``_identity_holds`` checks a keyed node witness in one loop over its
-terms, skipping zeros, testing each key against the label and 1..n+m as
-it meets it, and adding the expansion into one term map, from which the
-subject is then taken off.  ``_expansion_minus`` expands a root witness, which arrives as
-coefficient maps from ``load_certificate`` and ``combine``: sum
-genCoeffs[d]*d + sum relCoeffs[k]*c_k + unitCoeff*r0 - subject, added
-into one term map by ``poly.sum_of_products``.  One shared routine
-would have to branch on which caller it serves.  Both derive each c_k's
-terms from (n, m) alone, and an identity holds when nothing is left.
+terms, skipping zeros, testing each key as it meets it (a generator
+against the label, a relation index against 1..n+m, the unit key against
+3), and adding the expansion into one term map, from which the subject is
+then taken off.  ``_expansion_minus`` expands a root witness, from
+``load_certificate`` or ``certify``: sum relCoeffs[k]*c_k + unitCoeff*r0 -
+subject, added into one term map by ``poly.sum_of_products``.  Both derive
+each c_k's terms from (n, m) alone, and an identity holds when nothing is
+left.
 
 A digraph's proof is checked node by node.  ``local_witnesses`` is the one
 source of a node's own witnesses: the product witness of a_i*b_j at a
@@ -88,12 +98,12 @@ exponentially in n + m.
 That root identity is built only for a dump, by ``certify`` alone (for
 one target, ``extract_certificate``): the same walk then also takes each
 node's ``node_witness`` step over the witnesses it has just checked,
-each converted once, up to the root, where the generator sum is empty; a
-failed check yields none.  That leaves the nilpotency certificate u^e =
-sum relCoeffs[k]*c_k + unitCoeff*r0, which ``verify_symbolic`` checks
-independently by expanding it, less u^e, with ``_expansion_minus``.  It,
-the dump and the load refuse the same out-of-range certificates
-(``_check_ranges``).
+each split once into its coefficient map, up to the root, where the
+generator sum is empty; a failed check yields none.  That leaves the
+nilpotency certificate u^e = sum relCoeffs[k]*c_k + unitCoeff*r0, which
+``verify_symbolic`` checks independently by expanding it, less u^e, with
+``_expansion_minus``.  It, the dump and the load refuse the same
+out-of-range certificates (``_check_ranges``).
 """
 
 from __future__ import annotations
@@ -109,7 +119,6 @@ from .poly import (
     EXPONENT_LIMIT,
     FIELD_BITS,
     MAX_INDEX,
-    Indeterminate,
     MultiPoly,
     avar,
     bvar,
@@ -146,50 +155,28 @@ def relation_poly(n: int, m: int, k: int) -> MultiPoly:
 
 @dataclass
 class MembershipWitness:
-    """The coefficients of one identity
-    s = sum gen_coeffs[d]*d + sum rel_coeffs[k]*c_k + unit_coeff*r0.
+    """The coefficients of a root identity
+    u^e = sum rel_coeffs[k]*c_k + unit_coeff*r0, as a dump holds them.
 
-    Neither the subject s nor the label D is stored: a checker expands the
-    right-hand side against the s and D it expects, so it never trusts the
-    builder's claim.  Zero coefficients are dropped.
+    Neither the subject u^e nor the size is stored: a checker expands the
+    right-hand side against the subject and size it expects, so it never
+    trusts the builder's claim.  Zero coefficients are dropped.
     """
 
-    gen_coeffs: dict[Indeterminate, MultiPoly] = field(default_factory=dict)
     rel_coeffs: dict[int, MultiPoly] = field(default_factory=dict)
     unit_coeff: MultiPoly = field(default_factory=MultiPoly.zero)
-
-
-def _combination(
-    parts: Sequence[tuple[MultiPoly, MembershipWitness]],
-    without: tuple[Indeterminate, ...] = (),
-) -> MembershipWitness:
-    """The witness sum factor*witness over parts, each coefficient one sum
-    of products; the generators in without are left out.  It witnesses the
-    same sum of the parts' subjects, at the label they share."""
-    gens: dict[Indeterminate, list] = {}
-    rels: dict[int, list] = {}
-    for factor, witness in parts:
-        for d, coeff in witness.gen_coeffs.items():
-            if d not in without:
-                gens.setdefault(d, []).append((coeff, factor))
-        for k, coeff in witness.rel_coeffs.items():
-            rels.setdefault(k, []).append((coeff, factor))
-    gen_coeffs = {d: c for d, c in zip(gens, map(sum_of_products, gens.values())) if not c.is_zero}
-    rel_coeffs = {k: c for k, c in zip(rels, map(sum_of_products, rels.values())) if not c.is_zero}
-    unit_coeff = sum_of_products((witness.unit_coeff, factor) for factor, witness in parts)
-    return MembershipWitness(gen_coeffs, rel_coeffs, unit_coeff)
 
 
 _MINUS_ONE = MultiPoly.const(-1)
 
 
 def _expansion_minus(witness: MembershipWitness, subject: MultiPoly, n: int, m: int) -> MultiPoly:
-    """sum genCoeffs[d]*d + sum relCoeffs[k]*c_k + unitCoeff*r0 - subject,
-    as one sum of products, with c_k the relations of size (n, m): the
-    expansion of a witness in field form, such as a root certificate's."""
+    """sum relCoeffs[k]*c_k + unitCoeff*r0 - subject, as one sum of
+    products, with c_k the relations of size (n, m): the expansion of a
+    root certificate."""
     pairs = [(subject, _MINUS_ONE), (witness.unit_coeff, UNIT_RELATION)]
     pairs += [(coeff, relation_poly(n, m, k)) for k, coeff in witness.rel_coeffs.items()]
-    return sum_of_products(pairs, witness.gen_coeffs.items())
+    return sum_of_products(pairs)
 
 
 # MultiPoly is immutable, so one zero serves every witness without a unit
@@ -197,10 +184,9 @@ def _expansion_minus(witness: MembershipWitness, subject: MultiPoly, n: int, m: 
 _ZERO = MultiPoly.zero()
 
 
-# The keys of a witness's keyed term map (``poly.split_keyed``): an index
-# shifted past two tag bits, 0 for generator a_i and 1 for generator b_j
-# (``kind == "b"``), _REL for relation c_k and _UNIT for the unit
-# coefficient.
+# The keys of a witness's coefficients: an index shifted past two tag bits,
+# 0 for generator a_i and 1 for generator b_j (``kind == "b"``), _REL for
+# relation c_k, and _UNIT itself for the unit coefficient.
 _REL, _UNIT = 2, 3
 
 
@@ -212,38 +198,32 @@ def _key_bits(n: int, m: int) -> int:
 
 @dataclass(slots=True)
 class KeyedWitness:
-    """A node witness as ``WitnessBuilder`` builds it: the coefficients of
-    the identity of ``MembershipWitness`` as one keyed term map, the term
-    c*x^mono of the coefficient under key k stored as the entry
-    mono << _key_bits(n, m) | k -> c, with (n, m) the size of its label.
+    """A witness as ``WitnessBuilder`` builds it: the coefficients of the
+    identity s = sum genCoeffs[d]*d + sum relCoeffs[k]*c_k + unitCoeff*r0
+    as one keyed term map, the term c*x^mono of the coefficient under key
+    k stored as the entry mono << _key_bits(n, m) | k -> c, with (n, m)
+    the size of its label.
 
     Zero coefficients may stay in, and ``bound`` bounds every exponent of
-    every coefficient.  Like ``MembershipWitness`` it stores no subject
-    and no label: the node check reads it at the label and for the subject
-    it expects.  The check trusts its form as ``poly`` trusts a
-    MultiPoly's terms (packed monomials are non-negative, none has an
-    exponent above ``bound``); a source that reads witnesses from outside
-    must check that first.
+    every coefficient.  It stores no subject and no label: the node check
+    reads it at the label and for the subject it expects.  The check
+    trusts its form as ``poly`` trusts a MultiPoly's terms (packed
+    monomials are non-negative, none has an exponent above ``bound``); a
+    source that reads witnesses from outside must check that first.
     """
 
     terms: dict[int, int]
     bound: int
 
 
-def membership_witness(witness: KeyedWitness, n: int, m: int) -> MembershipWitness:
-    """The ``MembershipWitness`` of a keyed witness at size (n, m): one
-    MultiPoly per key with a nonzero term, each bounded by the witness's
-    bound, zero coefficients dropped."""
-    gens, rels, unit = {}, {}, _ZERO
-    for key, coeff in split_keyed(witness.terms, _key_bits(n, m), witness.bound).items():
-        tag = key & 3
-        if tag == _REL:
-            rels[key >> 2] = coeff
-        elif tag == _UNIT:
-            unit = coeff
-        else:
-            gens[Indeterminate("ab"[tag], key >> 2)] = coeff
-    return MembershipWitness(gens, rels, unit)
+def membership_witness(coefficients: dict[int, MultiPoly]) -> MembershipWitness:
+    """The ``MembershipWitness`` of a root's coefficient map: its relation
+    coefficients and its unit coefficient.  No generator key is left at
+    the root, whose label is empty: the node check refuses a generator
+    key outside each node's label, and ``combine`` drops the generator
+    each child splits off."""
+    rels = {key >> 2: coeff for key, coeff in coefficients.items() if key & 3 == _REL}
+    return MembershipWitness(rels, coefficients.get(_UNIT, _ZERO))
 
 
 class WitnessBuilder:
@@ -254,10 +234,8 @@ class WitnessBuilder:
     witness is built as one keyed term map (``KeyedWitness``): each part
     is added in, shifted by its factor, term by term.  A generator adds
     its one term; an element the closure rule admits adds its own memoized
-    map.  ``keyed_witness`` and ``keyed_isolate`` return that map as it
-    is, for the node check; ``witness`` and ``isolate`` convert it into a
-    ``MembershipWitness`` (``membership_witness``).  The closure is
-    computed when an element that is no generator is first asked for.
+    map.  The closure is computed when an element that is no generator is
+    first asked for.
     """
 
     def __init__(self, label: IdealLabel):
@@ -266,26 +244,17 @@ class WitnessBuilder:
         self._closed: IdealLabel | None = None
         self._memo: dict[int, tuple[dict[int, int], int]] = {}
 
-    def witness(self, element: Indeterminate) -> MembershipWitness:
-        label = self.label
-        return membership_witness(self.keyed_witness(element.kind, element.index), label.n, label.m)
-
-    def isolate(self, p: int, q: int) -> MembershipWitness:
-        """Witness for a_p*b_q, 0 <= p <= n and 0 <= q <= m: c_{p+q} minus
-        its other terms."""
-        label = self.label
-        return membership_witness(self.keyed_isolate(p, q), label.n, label.m)
-
-    def keyed_witness(self, kind: str, k: int) -> KeyedWitness:
-        """``witness`` of x_k, x = a or b, as a keyed witness, whose term
-        map an element shares with the builder's memo: read it, never
-        change it.  Raises NotInClosure as ``witness`` does."""
+    def witness(self, kind: str, k: int) -> KeyedWitness:
+        """The witness of x_k, x = a or b, whose term map an element shares
+        with the builder's memo: read it, never change it.  Raises
+        NotInClosure unless the closure rule admits x_k at the label."""
         if self.label.has(kind, k):  # a generator is in the closure
             return KeyedWitness({k << 2 | (kind == "b"): 1}, 0)
         return KeyedWitness(*self._element(kind, k))
 
-    def keyed_isolate(self, p: int, q: int) -> KeyedWitness:
-        """``isolate`` as a keyed witness."""
+    def isolate(self, p: int, q: int) -> KeyedWitness:
+        """Witness for a_p*b_q, 0 <= p <= n and 0 <= q <= m: c_{p+q} minus
+        its other terms."""
         terms, bound = self._isolation(p, q, 0)
         # No other part has a term of degree 0, so c_{p+q}'s own term 1 is new.
         terms[(p + q) << 2 | _REL] = 1
@@ -303,7 +272,7 @@ class WitnessBuilder:
             # The closure as a label of its own: membership is its generators.
             self._closed = IdealLabel(label.n, label.m, *closure_bits(label))
         if not self._closed.has(kind, k):
-            raise NotInClosure(f"{Indeterminate(kind, k)} is not forced into {label.render()}")
+            raise NotInClosure(f"{kind}{k} is not forced into {label.render()}")
         bits = self._bits
         x0 = packed(kind, 0, bits)
         terms, bound = self._isolation(k, 0, x0) if kind == "a" else self._isolation(0, k, x0)
@@ -341,44 +310,43 @@ class WitnessBuilder:
         return terms, bound
 
 
-def keyed_product_witness(i: int, j: int, label: IdealLabel) -> KeyedWitness:
-    """``gauss_product_witness`` as a keyed witness, the one a branch's
-    node check reads."""
-    if not (1 <= i <= label.n and 1 <= j <= label.m):
-        raise ValueError(f"branch indices ({i},{j}) out of range for n={label.n}, m={label.m}")
-    return WitnessBuilder(label).keyed_isolate(i, j)
-
-
-def gauss_product_witness(i: int, j: int, label: IdealLabel) -> MembershipWitness:
+def gauss_product_witness(i: int, j: int, label: IdealLabel) -> KeyedWitness:
     """Witness for a_i*b_j at a label whose case analysis gave branch(i, j);
     maximality of i and j puts every higher coefficient into the ideal."""
-    return membership_witness(keyed_product_witness(i, j, label), label.n, label.m)
+    if not (1 <= i <= label.n and 1 <= j <= label.m):
+        raise ValueError(f"branch indices ({i},{j}) out of range for n={label.n}, m={label.m}")
+    return WitnessBuilder(label).isolate(i, j)
 
 
 def combine(
-    left: MembershipWitness,
-    right: MembershipWitness,
-    product: MembershipWitness,
+    left: dict[int, MultiPoly],
+    right: dict[int, MultiPoly],
+    product: dict[int, MultiPoly],
     tag: CaseTag,
     u_l: MultiPoly,
-) -> MembershipWitness:
-    """Merge child witnesses of u^k (at D + a_i) and u^l (at D + b_j) into
-    a witness of u^(k+l) at the parent D, whose case tag is branch(i, j)
-    and whose product witness of a_i*b_j is product.
+) -> dict[int, MultiPoly]:
+    """Merge the coefficient maps of child witnesses of u^k (at D + a_i) and
+    u^l (at D + b_j) into that of a witness of u^(k+l) at the parent D,
+    whose case tag is branch(i, j) and whose product witness of a_i*b_j
+    has the coefficient map product.
 
     Splitting off the child generators as u^k = v + s*a_i and
     u^l = w + t*b_j gives u^(k+l) = v*u^l + s*a_i*w + s*t*(a_i*b_j); the
     last term is replaced by the product witness.  The three terms are one
-    combination, each child without its split-off generator.  The caller
-    vouches for the labels; the node-local check re-derives them.
+    combination, each child without its split-off generator, and each
+    coefficient of it one sum of products.  The caller vouches for the
+    labels; the node-local check re-derives them.
     """
-    a_gen, b_gen = Indeterminate.a(tag.i), Indeterminate.b(tag.j)
-    s = left.gen_coeffs.get(a_gen, MultiPoly.zero())
-    t = right.gen_coeffs.get(b_gen, MultiPoly.zero())
-    return _combination(
-        [(u_l, left), (s * MultiPoly.variable(a_gen), right), (s * t, product)],
-        without=(a_gen, b_gen),
-    )
+    a_key, b_key = tag.i << 2, tag.j << 2 | 1
+    s = left.get(a_key, _ZERO)
+    t = right.get(b_key, _ZERO)
+    pairs: dict[int, list] = {}
+    for factor, coefficients in ((u_l, left), (s * avar(tag.i), right), (s * t, product)):
+        for key, coeff in coefficients.items():
+            if key != a_key and key != b_key:
+                pairs.setdefault(key, []).append((coeff, factor))
+    combined = zip(pairs, map(sum_of_products, pairs.values()))
+    return {key: coeff for key, coeff in combined if not coeff.is_zero}
 
 
 @dataclass
@@ -394,13 +362,11 @@ class NilpotencyCertificate:
 
 def _check_ranges(cert: NilpotencyCertificate) -> None:
     """ValueError unless 1 <= n <= MAX_INDEX, 0 <= m <= MAX_INDEX, 1 <= i0 <= n,
-    1 <= e < EXPONENT_LIMIT, the root witness keys no generator and every
-    relation index lies in 1..n+m (c_0 = a0*b0 is 1, not 0, modulo them)."""
+    1 <= e < EXPONENT_LIMIT and every relation index lies in 1..n+m
+    (c_0 = a0*b0 is 1, not 0, modulo them)."""
     n, m, i0, e, rels = cert.n, cert.m, cert.target_index, cert.exponent, cert.root_witness.rel_coeffs
     if not (1 <= n <= MAX_INDEX and 0 <= m <= MAX_INDEX and 1 <= i0 <= n and 1 <= e < EXPONENT_LIMIT):
         raise ValueError(f"sizes out of range: n={n}, m={m}, i0={i0}, e={e}")
-    if cert.root_witness.gen_coeffs:
-        raise ValueError("root witness must not use ideal generators")
     if not all(1 <= k <= n + m for k in rels):
         raise ValueError(f"relation indices {sorted(rels)} out of range 1..{n + m}")
 
@@ -412,18 +378,19 @@ def local_witnesses(label: IdealLabel, tag: CaseTag, target_indices: Sequence[in
     target a_i0, all from one ``WitnessBuilder``.  Raises NotInClosure
     when a target is not in the leaf's closure."""
     if not tag.is_leaf:
-        return [keyed_product_witness(tag.i, tag.j, label)]
+        return [gauss_product_witness(tag.i, tag.j, label)]
     builder = WitnessBuilder(label)
-    return [builder.keyed_witness("a", i0) for i0 in target_indices]
+    return [builder.witness("a", i0) for i0 in target_indices]
 
 
 def node_witness(
-    local: MembershipWitness, children: Sequence[tuple[int, MembershipWitness]], u: MultiPoly, tag: CaseTag
-) -> tuple[int, MembershipWitness]:
-    """The induction step at one label, whose case tag is tag: (1, local)
-    at a leaf, where local is the witness of u; at a branch(i, j), the
-    children's (k, u^k) at label + a_i and (l, u^l) at label + b_j combined
-    through the product witness local into (k + l, u^(k+l))."""
+    local: dict[int, MultiPoly], children: Sequence[tuple[int, dict[int, MultiPoly]]], u: MultiPoly, tag: CaseTag
+) -> tuple[int, dict[int, MultiPoly]]:
+    """The induction step at one label, whose case tag is tag, on
+    coefficient maps: (1, local) at a leaf, where local is the witness of
+    u; at a branch(i, j), the children's (k, u^k) at label + a_i and
+    (l, u^l) at label + b_j combined through the product witness local
+    into (k + l, u^(k+l))."""
     if not children:
         return 1, local
     (k, left), (l, right) = children
@@ -462,14 +429,15 @@ def _walk(
     early_stop: bool,
     source: Callable,
     combined: bool,
-) -> dict[int, tuple[int, MembershipWitness | None]] | None:
+) -> dict[int, tuple[int, dict[int, MultiPoly] | None]] | None:
     """The walk of ``checked_exponents`` and ``certify``: each target's
-    root (exponent, witness of u^exponent), the witness None unless
-    ``combined``; None when the check fails, as it does when source raises
-    NotInClosure."""
+    root (exponent, coefficient map of a witness of u^exponent), the map
+    None unless ``combined``; None when the check fails, as it does when
+    source raises NotInClosure."""
     if not digraph.generic:
         raise ValueError("certificates are extracted from indeterminate-coefficient runs")
     n, m, nodes, root = digraph.n, digraph.m, digraph.nodes, digraph.root
+    bits = _key_bits(n, m)
     targets = list(dict.fromkeys(target_indices))
     if not targets or not all(1 <= i0 <= n for i0 in targets):
         raise ValueError(f"target indices must be given, each in 1..{n}, got {tuple(target_indices)}")
@@ -546,10 +514,10 @@ def _walk(
             local = _checked(source, label, _LEAF, stopping, stopped)
             if local is None:
                 return None
-            # Combined, each lane is one target, with one witness, converted
-            # once for ``node_witness``.
+            # Combined, each lane is one target, with one witness, split
+            # once into its coefficient map for ``node_witness``.
             for p, witness in zip(stop, local):
-                row[p] = (1, membership_witness(witness, n, m) if combined else None)
+                row[p] = (1, split_keyed(witness.terms, bits, witness.bound) if combined else None)
             # Dropped before the next label's witnesses are built.
             del local
         if go:
@@ -558,7 +526,7 @@ def _walk(
             left, right = rows.get(children[0]), rows.get(children[1])
             if product is None or left is None or right is None:
                 return None
-            shared = membership_witness(product[0], n, m) if combined else None
+            shared = split_keyed(product[0].terms, bits, product[0].bound) if combined else None
             for p in going:
                 steps = left[p], right[p]
                 if combined:
@@ -605,11 +573,11 @@ def checked_exponents(
     ``local_witnesses`` builds them, and a test may give a fake.  It
     requires at each label D the stored children to be
     ``tag.children(D)``, each already checked for every target that goes
-    on past D; every witness to key only generators of D and relations
-    1..n+m, and to expand, less its subject (u where u's proof ends, a_i*b_j
-    at a branch(i, j) it goes on past), to the zero polynomial in the
-    relations of D's size; and without ``early_stop`` the stored exponent
-    to be the recomputed one.
+    on past D; every witness to key only generators of D, relations 1..n+m
+    and the unit coefficient, and to expand, less its subject (u where u's
+    proof ends, a_i*b_j at a branch(i, j) it goes on past), to the zero
+    polynomial in the relations of D's size; and without ``early_stop``
+    the stored exponent to be the recomputed one.
 
     Then u^k in I + (D, a_i), u^l in I + (D, b_j) and a_i*b_j in I + (D)
     give u^(k+l) in I + (D), I the ideal of the relations; the root label
@@ -635,19 +603,21 @@ def certify(digraph: Digraph, *target_indices: int, early_stop: bool = False) ->
     walked = _walk(digraph, target_indices, early_stop, local_witnesses, True)
     if walked is None:
         return None
-    return [NilpotencyCertificate(digraph.n, digraph.m, i0, *step) for i0, step in walked.items()]
+    n, m = digraph.n, digraph.m
+    return [NilpotencyCertificate(n, m, i0, e, membership_witness(root)) for i0, (e, root) in walked.items()]
 
 
 def _identity_holds(witness: KeyedWitness, label: IdealLabel, subject: MultiPoly) -> bool:
-    """The keyed witness keys only generators of label and relations
-    1..n+m, and its expansion less subject is the zero polynomial, with
-    (n, m) the label's size.
+    """The keyed witness keys only generators of label, relations 1..n+m
+    and the unit coefficient, and its expansion less subject is the zero
+    polynomial, with (n, m) the label's size.
 
     One loop over its terms adds the expansion into one term map: a zero
     coefficient is skipped; each key is tested when first met, a generator
-    against the label and a relation index against 1..n+m; a generator
-    term is shifted by its indeterminate, a relation or unit term times
-    each term of c_k or r0.  Then the subject's terms are taken off, each
+    against the label, a relation index against 1..n+m and a unit key
+    against _UNIT itself (r0 has no index); a generator term is shifted by
+    its indeterminate, a relation or unit term times each term of c_k or
+    r0.  Then the subject's terms are taken off, each
     of which must be there with its coefficient, and nothing else may be
     left.  Raises OverflowError where ``poly.sum_of_products`` would for
     the same products."""
@@ -670,6 +640,8 @@ def _identity_holds(witness: KeyedWitness, label: IdealLabel, subject: MultiPoly
                     return False
                 factor = relation_poly(n, m, index)._terms
             elif tag == _UNIT:
+                if index:
+                    return False
                 factor = UNIT_RELATION._terms
             elif label.has("ab"[tag], index):
                 factor = {packed("ab"[tag], index): 1}
@@ -842,7 +814,6 @@ def load_certificate(text: str) -> NilpotencyCertificate:
     # carried exponent bound is 2 (they are sums of products a_i*b_j).
     if any(c.exponent_bound + 2 >= EXPONENT_LIMIT for c in (*rel_coeffs.values(), unit_coeff)):
         raise ValueError(f"coefficient exponents must stay below {EXPONENT_LIMIT - 2}")
-    witness = MembershipWitness(rel_coeffs=rel_coeffs, unit_coeff=unit_coeff)
-    certificate = NilpotencyCertificate(*sizes, witness)
+    certificate = NilpotencyCertificate(*sizes, MembershipWitness(rel_coeffs, unit_coeff))
     _check_ranges(certificate)
     return certificate

@@ -20,15 +20,16 @@ MultiPoly carries an upper bound on each of its exponents; a product's
 bound is the sum of its factors' bounds, so one comparison per
 multiplication or power shows whether a field could reach EXPONENT_LIMIT =
 2**FIELD_BITS.  Multiplication, powers and parse raise OverflowError
-before that can happen.  Parse and the variable constructors raise it as
+before that can happen.  Parse, avar, bvar and ``packed`` raise it as
 well for an index above MAX_INDEX, which caps a packed monomial at 32 KiB.
 
 Boundary.  Packed ints are the only representation: a MultiPoly is built
-by zero, const, one, variable (of an Indeterminate), avar, bvar,
-parse or split_keyed, and grown by the arithmetic operators or
-sum_of_products; render is the one view of its terms.  MultiPoly(...)
-itself raises TypeError.  Outside this module a packed monomial is an
-opaque non-negative int from ``packed``: adding two multiplies them.
+by zero, const, one, avar, bvar, parse or split_keyed, and grown by the
+arithmetic operators or sum_of_products; render is the one view of its
+terms.  MultiPoly(...) itself raises TypeError.  No object names an
+indeterminate: outside this module one is a kind "a" or "b" and an index,
+and a packed monomial is an opaque non-negative int from ``packed``:
+adding two multiplies them.
 
 Keyed term maps.  Several term maps under construction can share one
 dict: the term c*x^mono of the map under key k, 0 <= k < 2**key_bits, is
@@ -38,7 +39,8 @@ indeterminate's so), to each composite, so a linear combination whose
 factors are +-1 times a monomial is shift-and-add on a single dict
 (``subtract_shifted``), one integer add per term.  ``split_keyed`` turns
 the finished dict into one MultiPoly per key, dropping zero coefficients
-once.  The certificate layer builds its node witnesses this way.
+once.  The certificate layer builds its node witnesses this way, and
+combines its root witnesses on the maps that ``split_keyed`` returns.
 
 The canonical text form orders terms by graded lexicographic order (total
 degree first, then the dense exponent vector with a-indeterminates before
@@ -64,7 +66,6 @@ from __future__ import annotations
 import re
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
 from operator import itemgetter, or_
@@ -72,39 +73,6 @@ from operator import itemgetter, or_
 
 class PolyParseError(ValueError):
     """A polynomial string is not in the canonical text form."""
-
-
-@dataclass(frozen=True, order=True, slots=True)
-class Indeterminate:
-    """One generator of the coefficient ring: a<index> or b<index>.
-
-    The dataclass ordering (kind first, then index) is exactly the fixed
-    variable order used for canonical serialization.
-    """
-
-    kind: str
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("a", "b"):
-            raise ValueError(f"indeterminate kind must be 'a' or 'b', got {self.kind!r}")
-        if self.index < 0:
-            raise ValueError(f"indeterminate index must be >= 0, got {self.index}")
-
-    @classmethod
-    def a(cls, index: int) -> Indeterminate:
-        return cls("a", index)
-
-    @classmethod
-    def b(cls, index: int) -> Indeterminate:
-        return cls("b", index)
-
-    @property
-    def name(self) -> str:
-        return f"{self.kind}{self.index}"
-
-    def __str__(self) -> str:
-        return self.name
 
 
 FIELD_BITS = 32
@@ -147,7 +115,7 @@ class MultiPoly:
     __slots__ = ("_terms", "_bound")
 
     def __init__(self, *args: object, **kwargs: object):
-        raise TypeError("build a MultiPoly with zero, const, one, variable, parse, avar or bvar")
+        raise TypeError("build a MultiPoly with zero, const, one, parse, avar or bvar")
 
     # -- constructors ------------------------------------------------------
 
@@ -162,10 +130,6 @@ class MultiPoly:
     @classmethod
     def one(cls) -> MultiPoly:
         return _new({0: 1}, 0)
-
-    @classmethod
-    def variable(cls, ind: Indeterminate) -> MultiPoly:
-        return _new({packed(ind.kind, ind.index): 1}, 1)
 
     # -- structure ---------------------------------------------------------
 
@@ -455,29 +419,14 @@ def bvar(j: int) -> MultiPoly:
     return _new({packed("b", j): 1}, 1)
 
 
-def sum_of_products(
-    pairs: Iterable[tuple[MultiPoly, MultiPoly]],
-    scaled: Iterable[tuple[Indeterminate, MultiPoly]] = (),
-) -> MultiPoly:
-    """The sum of left*right over the pairs, plus coefficient*x over the
-    scaled (x, coefficient) pairs.  Every product of two terms is added
-    into one packed-term map, so no product, factor or partial sum is built
-    as a polynomial of its own (Monagan and Pearce); a scaled coefficient's
-    terms are shifted in by x's packed monomial.  Raises OverflowError
-    where ``*`` would for one of the products, and as ``MultiPoly.variable``
-    does for a scaled indeterminate."""
+def sum_of_products(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
+    """The sum of left*right over the pairs.  Every product of two terms is
+    added into one packed-term map, so no product, factor or partial sum is
+    built as a polynomial of its own (Monagan and Pearce).  Raises
+    OverflowError where ``*`` would for one of the products."""
     out: dict[int, int] = {}
     get = out.get
     bound = 0
-    for ind, coeff_poly in scaled:
-        shift = packed(ind.kind, ind.index)
-        if coeff_poly._terms:
-            if coeff_poly._bound + 1 >= EXPONENT_LIMIT:
-                raise OverflowError(f"a product exponent could reach 2**{FIELD_BITS}")
-            bound = max(bound, coeff_poly._bound + 1)
-            for mono_l, coeff_l in coeff_poly._terms.items():
-                mono = mono_l + shift
-                out[mono] = get(mono, 0) + coeff_l
     for left, right in pairs:
         left_terms, right_terms = left._terms, right._terms
         if not left_terms or not right_terms:

@@ -6,7 +6,9 @@ exponent by direct dynamic programming, inverse pairs by power-series
 division, and the rule closure as a plain fixed point over elements.
 Labels are built bit by bit, from the documented mask layout (x_k at bit
 size-k, x_1 the most significant); only the package's value types
-(labels, indeterminates) are borrowed.  These are the reference values the
+(labels, case tags, polynomials) are borrowed.  An indeterminate is the
+tests' own ``Indeterminate``: the package names one by a kind and an
+index, and has no object for it.  These are the reference values the
 implementation is checked against.  ``reference_parse`` is the canonical
 text parser as it was before it summed factor tables: one packing step per
 factor.  ``reference_poly``, ``reference_terms`` and ``reference_evaluate``
@@ -21,16 +23,19 @@ The one exception is the label-poset runner, ``label_poset`` and
 package's own case split and per-label witness step, so that agreement
 with the digraph cross-validates the two constructions.
 
-``keyed`` is plumbing, not an oracle: the node check reads witnesses as
-``certificates.KeyedWitness`` term maps, and tests that write or alter a
-witness in its field form (``MembershipWitness``) hand it to the check
-through ``keyed``; ``certificates.membership_witness`` reads one back.
+The field view of a witness is the tests' own, the independent reference
+for the one key layout the package states: ``FieldWitness`` holds
+generator, relation and unit coefficients by name.  ``keyed`` packs one
+into the ``certificates.KeyedWitness`` term map that the builder makes and
+the node check reads, and ``field_form`` decodes one back, field by field;
+``coefficient_map`` and ``field_witness`` convert to and from the
+coefficient maps that ``certificates.combine`` reads and returns.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from math import gcd
@@ -40,24 +45,53 @@ from nilcert import (
     FinitePoset,
     Holds,
     IdealLabel,
-    Indeterminate,
     MultiPoly,
     PolyParseError,
     ProblemInstance,
     Reduce,
     avar,
+    bvar,
     case_split,
     run_induction,
 )
-from nilcert.certificates import (
-    KeyedWitness,
-    MembershipWitness,
-    local_witnesses,
-    membership_witness,
-    node_witness,
-)
+from nilcert.certificates import KeyedWitness, local_witnesses, node_witness
 from nilcert.induction import GoodnessOutcome
 from nilcert.poly import EXPONENT_LIMIT, FIELD_BITS, MAX_INDEX, _new
+
+
+@dataclass(frozen=True, order=True)
+class Indeterminate:
+    """One generator of the coefficient ring, a<index> or b<index>; the
+    ordering (kind first, then index) is the canonical variable order."""
+
+    kind: str
+    index: int
+
+    @classmethod
+    def a(cls, index: int) -> Indeterminate:
+        return cls("a", index)
+
+    @classmethod
+    def b(cls, index: int) -> Indeterminate:
+        return cls("b", index)
+
+    def __str__(self) -> str:
+        return f"{self.kind}{self.index}"
+
+
+def variable(ind: Indeterminate) -> MultiPoly:
+    """The polynomial of one indeterminate."""
+    return (avar if ind.kind == "a" else bvar)(ind.index)
+
+
+@dataclass
+class FieldWitness:
+    """A witness in field form, the coefficients of the identity
+    s = sum gen_coeffs[d]*d + sum rel_coeffs[k]*c_k + unit_coeff*r0."""
+
+    gen_coeffs: dict[Indeterminate, MultiPoly] = field(default_factory=dict)
+    rel_coeffs: dict[int, MultiPoly] = field(default_factory=dict)
+    unit_coeff: MultiPoly = field(default_factory=MultiPoly.zero)
 
 
 def pack(bits) -> int:
@@ -216,13 +250,15 @@ def label_poset(n: int, m: int) -> FinitePoset:
 def nc_run_induction(
     instance: ProblemInstance,
     target_index: int,
-) -> tuple[dict[IdealLabel, tuple[int, MembershipWitness]], dict[IdealLabel, CaseTag]]:
+) -> tuple[dict[IdealLabel, tuple[int, FieldWitness]], dict[IdealLabel, CaseTag]]:
     """Re-derive exponents and witnesses for u = a_target on every label.
 
     The case split and its tag's children supply goodness; leaf evidence
-    and the merge are one ``node_witness`` step each.  Returns the evidence
-    map together with the case tag recorded at each label; on the labels
-    the digraph reaches, the tags coincide with the digraph's.
+    and the merge are one ``node_witness`` step each, on the coefficient
+    maps of the label's own witnesses.  Returns the evidence map, each
+    witness in field form, together with the case tag recorded at each
+    label; on the labels the digraph reaches, the tags coincide with the
+    digraph's.
     """
     if not instance.is_generic:
         raise ValueError("the label-poset run needs an indeterminate-coefficient instance")
@@ -230,10 +266,9 @@ def nc_run_induction(
         raise ValueError(f"target index must lie in 1..{instance.n}")
     tags: dict[IdealLabel, CaseTag] = {}
 
-    def step(label: IdealLabel, children: tuple) -> tuple[int, MembershipWitness]:
+    def step(label: IdealLabel, children: tuple) -> tuple[int, dict]:
         (local,) = local_witnesses(label, tags[label], [target_index])
-        local = membership_witness(local, label.n, label.m)
-        return node_witness(local, children, avar(target_index), tags[label])
+        return node_witness(coefficient_map(field_form(local, label)), children, avar(target_index), tags[label])
 
     def goodness(label: IdealLabel) -> GoodnessOutcome:
         tag, _ = case_split(label, instance)
@@ -246,28 +281,72 @@ def nc_run_induction(
         return step(parent, (ev_left, ev_right))
 
     evidence = run_induction(label_poset(instance.n, instance.m), goodness, merge)
-    return evidence, tags
+    return {label: (k, field_witness(maps)) for label, (k, maps) in evidence.items()}, tags
 
 
-def keyed(witness: MembershipWitness, lab: IdealLabel) -> KeyedWitness:
+# The key layout of a witness's coefficients, as ``certificates`` states
+# it: an index shifted past two tag bits, 0 for a_i, 1 for b_j and 2 for
+# c_k, and the unit coefficient under the key 3.
+REL, UNIT = 2, 3
+
+
+def key_bits(lab: IdealLabel) -> int:
+    """The bits below the monomial of a keyed term map at lab's size: the
+    bit length of (n+m) << 2 | 3."""
+    return ((lab.n + lab.m) << 2 | 3).bit_length()
+
+
+def coefficient_map(witness: FieldWitness) -> dict[int, MultiPoly]:
+    """The witness's coefficients by key, zero ones dropped."""
+    keyed_coeffs = {d.index << 2 | (d.kind == "b"): c for d, c in witness.gen_coeffs.items()}
+    keyed_coeffs.update({k << 2 | REL: c for k, c in witness.rel_coeffs.items()})
+    keyed_coeffs[UNIT] = witness.unit_coeff
+    return {key: c for key, c in keyed_coeffs.items() if not c.is_zero}
+
+
+def field_witness(coefficients: dict[int, MultiPoly]) -> FieldWitness:
+    """The field form of a coefficient map; ValueError for a unit key with
+    an index, which names no coefficient."""
+    witness = FieldWitness()
+    for key, c in coefficients.items():
+        tag, index = key & 3, key >> 2
+        if tag == UNIT:
+            if index:
+                raise ValueError(f"key {key} names no coefficient")
+            witness.unit_coeff = c
+        elif tag == REL:
+            witness.rel_coeffs[index] = c
+        else:
+            witness.gen_coeffs[Indeterminate("ab"[tag], index)] = c
+    return witness
+
+
+def keyed(witness: FieldWitness, lab: IdealLabel) -> KeyedWitness:
     """The keyed witness with the coefficients of witness, for the node
-    check at a label of lab's size, packed by the layout ``KeyedWitness``
-    states: c*x^mono under key k is the entry mono << key_bits | k, with
-    key_bits the bit length of (n+m) << 2 | 3 and k an index shifted past
-    two tag bits, 0 for a_i, 1 for b_j, 2 for c_k and 3 for the unit
-    coefficient.  Its bound is the largest exponent bound of the
+    check at a label of lab's size: c*x^mono under key k is the entry
+    mono << key_bits | k.  Its bound is the largest exponent bound of the
     coefficients.  Raises ValueError for a relation index whose key does
     not fit the key bits."""
-    key_bits = ((lab.n + lab.m) << 2 | 3).bit_length()
-    coefficients = [(d.index << 2 | (d.kind == "b"), c) for d, c in witness.gen_coeffs.items()]
-    coefficients += [(k << 2 | 2, c) for k, c in witness.rel_coeffs.items()]
-    coefficients.append((3, witness.unit_coeff))
+    bits = key_bits(lab)
     terms = {}
-    for key, coeff in coefficients:
-        if not 0 <= key < 1 << key_bits:
+    for key, coeff in coefficient_map(witness).items():
+        if not 0 <= key < 1 << bits:
             raise ValueError(f"key {key} has no keyed form at size ({lab.n}, {lab.m})")
-        terms.update({mono << key_bits | key: c for mono, c in coeff._terms.items()})
-    return KeyedWitness(terms, max(c.exponent_bound for _, c in coefficients))
+        terms.update({mono << bits | key: c for mono, c in coeff._terms.items()})
+    coefficients = [*witness.gen_coeffs.values(), *witness.rel_coeffs.values(), witness.unit_coeff]
+    return KeyedWitness(terms, max(c.exponent_bound for c in coefficients))
+
+
+def field_form(witness: KeyedWitness, lab: IdealLabel) -> FieldWitness:
+    """The field form of a keyed witness at a label of lab's size, decoded
+    entry by entry, zero coefficients dropped, each coefficient bounded by
+    the witness's bound."""
+    bits = key_bits(lab)
+    maps: dict[int, dict[int, int]] = {}
+    for composite, c in witness.terms.items():
+        if c:
+            maps.setdefault(composite & ((1 << bits) - 1), {})[composite >> bits] = c
+    return field_witness({key: _new(terms, witness.bound) for key, terms in maps.items()})
 
 
 def grid_exponent(n: int, m: int) -> int:

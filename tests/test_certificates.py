@@ -21,7 +21,6 @@ from nilcert import (
     UNIT_RELATION,
     CaseTag,
     IdealLabel,
-    Indeterminate,
     MultiPoly,
     NilpotencyCertificate,
     NotInClosure,
@@ -49,34 +48,46 @@ from nilcert.certificates import (
     certify,
     checked_exponents,
     local_witnesses,
-    membership_witness,
     relation_poly,
 )
 from nilcert.engine import early_stop_cut
 from nilcert.poly import FIELD_BITS, MAX_INDEX, _fields
 
-A = Indeterminate.a
-B = Indeterminate.b
+A = helpers.Indeterminate.a
+B = helpers.Indeterminate.b
+FieldWitness = helpers.FieldWitness
+field_form = helpers.field_form
 
 
 label = helpers.label
 
 
 def expansion(witness: MembershipWitness, n: int, m: int) -> MultiPoly:
-    """The combination side of the witness identity, expanded in Z[a, b]
-    with the relations of size (n, m)."""
+    """The right-hand side of a root identity, expanded by the package in
+    Z[a, b] with the relations of size (n, m)."""
     return _expansion_minus(witness, MultiPoly.zero(), n, m)
 
 
-def gap(witness: MembershipWitness, subject: MultiPoly, n: int, m: int) -> MultiPoly:
-    """Expansion minus the expected subject; the zero polynomial iff the
-    witness holds for it at size (n, m)."""
-    return _expansion_minus(witness, subject, n, m)
+def gap(witness: FieldWitness, subject: MultiPoly, n: int, m: int) -> MultiPoly:
+    """The reference expansion of a field witness minus the expected
+    subject; the zero polynomial iff the witness holds for it at size
+    (n, m)."""
+    return operator_expansion(witness, n, m) - subject
+
+
+def element_witness(lab: IdealLabel, element) -> FieldWitness:
+    """The field form of the builder's witness of element at lab."""
+    return field_form(WitnessBuilder(lab).witness(element.kind, element.index), lab)
+
+
+def product_witness(i: int, j: int, lab: IdealLabel) -> FieldWitness:
+    """The field form of the product witness of a_i*b_j at lab."""
+    return field_form(gauss_product_witness(i, j, lab), lab)
 
 
 class TestMembershipWitness:
     def test_generator_case(self):
-        w = WitnessBuilder(label(2, 1, "a2")).witness(A(2))
+        w = element_witness(label(2, 1, "a2"), A(2))
         assert w.gen_coeffs == {A(2): MultiPoly.one()}
         assert w.rel_coeffs == {}
         assert w.unit_coeff.is_zero
@@ -84,12 +95,12 @@ class TestMembershipWitness:
 
     def test_rule_case_expands_to_zero(self):
         # a1 enters the closure of (b1) through the degree-1 convolution
-        w = WitnessBuilder(label(2, 1, "b1")).witness(A(1))
+        w = element_witness(label(2, 1, "b1"), A(1))
         assert gap(w, avar(1), 2, 1).is_zero
         assert set(w.gen_coeffs) == {B(1)}
 
     def test_empty_premise_sum_when_m_zero(self):
-        w = WitnessBuilder(IdealLabel.root(1, 0)).witness(A(1))
+        w = element_witness(IdealLabel.root(1, 0), A(1))
         assert w.gen_coeffs == {}
         assert w.rel_coeffs == {1: avar(0)}
         assert w.unit_coeff == -avar(1)
@@ -97,10 +108,10 @@ class TestMembershipWitness:
 
     def test_not_in_closure(self):
         with pytest.raises(NotInClosure):
-            WitnessBuilder(label(2, 1, "a2")).witness(A(1))
+            WitnessBuilder(label(2, 1, "a2")).witness("a", 1)
 
     def test_b_side_rule(self):
-        w = WitnessBuilder(label(1, 2, "a1")).witness(B(2))
+        w = element_witness(label(1, 2, "a1"), B(2))
         assert gap(w, bvar(2), 1, 2).is_zero
 
     def test_every_closure_element_everywhere(self):
@@ -112,8 +123,8 @@ class TestMembershipWitness:
                     lab = helpers.from_bits(a_bits, b_bits)
                     builder = WitnessBuilder(lab)
                     for element in helpers.reference_closure(lab):
-                        subject = MultiPoly.variable(element)
-                        assert gap(builder.witness(element), subject, n, m).is_zero, (lab, element)
+                        witness = field_form(builder.witness(element.kind, element.index), lab)
+                        assert gap(witness, helpers.variable(element), n, m).is_zero, (lab, element)
 
     def test_out_of_range_elements_not_in_closure(self):
         """a0, b0, a_{n+1} and b_{m+1} are never closure elements; index 0
@@ -125,13 +136,13 @@ class TestMembershipWitness:
                         builder = WitnessBuilder(helpers.from_bits(a_bits, b_bits))
                         for element in (A(0), B(0), A(n + 1), B(total - n + 1)):
                             with pytest.raises(NotInClosure):
-                                builder.witness(element)
+                                builder.witness(element.kind, element.index)
 
 
 class TestGaussProductWitness:
     def test_root_top_product_is_one_relation(self):
         # at the root both correction sums are empty by maximality
-        w = gauss_product_witness(2, 1, IdealLabel.root(2, 1))
+        w = product_witness(2, 1, IdealLabel.root(2, 1))
         assert w.gen_coeffs == {}
         assert w.rel_coeffs == {3: MultiPoly.one()}
         assert w.unit_coeff.is_zero
@@ -139,19 +150,19 @@ class TestGaussProductWitness:
 
     def test_interior_product(self):
         # at (a2): a1*b1 = c2 - b0*a2 with a2 a generator
-        w = gauss_product_witness(1, 1, label(2, 1, "a2"))
+        w = product_witness(1, 1, label(2, 1, "a2"))
         assert w.rel_coeffs == {2: MultiPoly.one()}
         assert w.gen_coeffs == {A(2): -bvar(0)}
         assert gap(w, avar(1) * bvar(1), 2, 1).is_zero
 
     def test_degenerate_top_indices(self):
-        w = gauss_product_witness(3, 2, label(3, 2, "a3"))
+        w = product_witness(3, 2, label(3, 2, "a3"))
         assert w.rel_coeffs == {5: MultiPoly.one()}
         assert w.gen_coeffs == {} and w.unit_coeff.is_zero
 
     def test_correction_sums_expand_to_zero(self):
         # branch(1, 1) at a label where both correction sums are inhabited
-        w = gauss_product_witness(1, 1, label(3, 3, "a2", "a3", "b2", "b3"))
+        w = product_witness(1, 1, label(3, 3, "a2", "a3", "b2", "b3"))
         assert w.rel_coeffs == {2: MultiPoly.one()}
         assert w.gen_coeffs == {A(2): -bvar(0), B(2): -avar(0)}
         assert gap(w, avar(1) * bvar(1), 3, 3).is_zero
@@ -161,7 +172,7 @@ class TestGaussProductWitness:
             gauss_product_witness(3, 1, IdealLabel.root(2, 1))
 
 
-def weighted_sum(parts) -> MembershipWitness:
+def weighted_sum(parts) -> FieldWitness:
     """The witness of sum factor*subject over (factor, witness) parts, each
     coefficient added up with the MultiPoly operators; zero generator and
     relation coefficients are dropped."""
@@ -172,7 +183,7 @@ def weighted_sum(parts) -> MembershipWitness:
         for k, coeff in witness.rel_coeffs.items():
             rels[k] = rels.get(k, MultiPoly.zero()) + factor * coeff
         unit = unit + factor * witness.unit_coeff
-    return MembershipWitness(
+    return FieldWitness(
         {d: c for d, c in gens.items() if not c.is_zero}, {k: c for k, c in rels.items() if not c.is_zero}, unit
     )
 
@@ -198,12 +209,12 @@ class ReferenceWitnesses:
             raise NotInClosure(str(element))
         if element not in self.memo:
             if admission.rule == "generator":
-                built = MembershipWitness({element: MultiPoly.one()})
+                built = FieldWitness({element: MultiPoly.one()})
             else:
                 var = avar if element.kind == "a" else bvar
                 k = element.index
-                parts = [(var(0), MembershipWitness(rel_coeffs={k: MultiPoly.one()}))]
-                parts.append((-var(k), MembershipWitness(unit_coeff=MultiPoly.one())))
+                parts = [(var(0), FieldWitness(rel_coeffs={k: MultiPoly.one()}))]
+                parts.append((-var(k), FieldWitness(unit_coeff=MultiPoly.one())))
                 for premise in admission.premises:
                     parts.append((-(var(0) * var(k - premise.index)), self.element(premise)))
                 built = weighted_sum(parts)
@@ -214,7 +225,7 @@ class ReferenceWitnesses:
         n, m = self.label.n, self.label.m
         if not (1 <= i <= n and 1 <= j <= m):
             raise ValueError(f"branch indices ({i},{j}) out of range")
-        parts = [(MultiPoly.one(), MembershipWitness(rel_coeffs={i + j: MultiPoly.one()}))]
+        parts = [(MultiPoly.one(), FieldWitness(rel_coeffs={i + j: MultiPoly.one()}))]
         parts += [(-avar(i + j - q), self.element(B(q))) for q in range(j + 1, min(i + j, m) + 1)]
         parts += [(-bvar(i + j - p), self.element(A(p))) for p in range(i + 1, min(i + j, n) + 1)]
         return weighted_sum(parts)
@@ -233,7 +244,7 @@ def largest_exponent(p: MultiPoly) -> int:
     return max((max(_fields(mono), default=0) for mono in p._terms), default=0)
 
 
-def bounds_hold(witness: MembershipWitness) -> bool:
+def bounds_hold(witness: FieldWitness) -> bool:
     """Every coefficient's exponent bound is at least its largest exponent."""
     coefficients = [*witness.gen_coeffs.values(), *witness.rel_coeffs.values(), witness.unit_coeff]
     return all(c.exponent_bound >= largest_exponent(c) for c in coefficients)
@@ -255,7 +266,7 @@ class TestIsolationMatchesReference:
     and (i, j) outside 1..n x 1..m must raise the reference's exception.
     The keyed node witnesses that ``local_witnesses`` gives there, at a
     leaf for every a_i0 in the closure and at every branch(i, j), hold
-    as they are and convert to exactly what the public builder returns."""
+    as they are and are exactly what the builder returns."""
 
     LABELS = [
         helpers.from_bits(a_bits, b_bits)
@@ -278,15 +289,15 @@ class TestIsolationMatchesReference:
             elements = [A(i) for i in range(0, lab.n + 2)] + [B(j) for j in range(0, lab.m + 2)]
             for element in elements:
                 expected = _outcome(lambda: reference.element(element))
-                built = _outcome(lambda: builder.witness(element))
+                built = _outcome(lambda: field_form(builder.witness(element.kind, element.index), lab))
                 assert built == expected, (lab, element)
-                if isinstance(expected, MembershipWitness):
+                if isinstance(expected, FieldWitness):
                     assert bounds_hold(built), (lab, element)
-                    subject = MultiPoly.variable(element)
+                    subject = helpers.variable(element)
                     assert _identity_holds(helpers.keyed(expected, lab), lab, subject), (lab, element)
             targets = [i0 for i0 in range(1, lab.n + 1) if i0 in closed]
             local = local_witnesses(lab, CaseTag.leaf(), targets)
-            assert [field_form(witness, lab) for witness in local] == [builder.witness(A(i0)) for i0 in targets], lab
+            assert local == [builder.witness("a", i0) for i0 in targets], lab
             assert all(_identity_holds(w, lab, avar(i0)) for w, i0 in zip(local, targets)), lab
 
     def test_product_witnesses(self):
@@ -295,9 +306,9 @@ class TestIsolationMatchesReference:
             for i in range(0, lab.n + 2):
                 for j in range(0, lab.m + 2):
                     expected = _outcome(lambda: reference.product(i, j))
-                    built = _outcome(lambda: gauss_product_witness(i, j, lab))
+                    built = _outcome(lambda: product_witness(i, j, lab))
                     assert built == expected, (lab, i, j)
-                    if isinstance(expected, MembershipWitness):
+                    if isinstance(expected, FieldWitness):
                         assert bounds_hold(built), (lab, i, j)
                         assert _identity_holds(helpers.keyed(expected, lab), lab, avar(i) * bvar(j)), (lab, i, j)
                         (local,) = local_witnesses(lab, CaseTag.branch(i, j), [])
@@ -305,14 +316,23 @@ class TestIsolationMatchesReference:
                         assert _identity_holds(local, lab, avar(i) * bvar(j)), (lab, i, j)
 
 
+def worked_children() -> tuple[dict, dict, dict]:
+    """The coefficient maps of the witnesses of u = a1 at (a1,a2) and at
+    (a2,b1), and of a1*b1 at (a2), the branch(1, 1) that has them as
+    children."""
+    left, right = label(2, 1, "a1", "a2"), label(2, 1, "a2", "b1")
+    return (
+        helpers.coefficient_map(element_witness(left, A(1))),
+        helpers.coefficient_map(element_witness(right, A(1))),
+        helpers.coefficient_map(product_witness(1, 1, label(2, 1, "a2"))),
+    )
+
+
 class TestCombine:
     def test_worked_interior_node(self):
         # children of (a2): witnesses of u at (a1,a2) and (a2,b1) merge
         # into a witness of u^2 at (a2), u = a1
-        wk = WitnessBuilder(label(2, 1, "a1", "a2")).witness(A(1))
-        wl = WitnessBuilder(label(2, 1, "a2", "b1")).witness(A(1))
-        gp = gauss_product_witness(1, 1, label(2, 1, "a2"))
-        parent = combine(wk, wl, gp, CaseTag.branch(1, 1), avar(1))
+        parent = helpers.field_witness(combine(*worked_children(), CaseTag.branch(1, 1), avar(1)))
         assert _identity_holds(helpers.keyed(parent, label(2, 1, "a2")), label(2, 1, "a2"), avar(1) ** 2)
 
     def test_leaf_pair_sums_exponents(self):
@@ -321,9 +341,7 @@ class TestCombine:
         assert cert.exponent == 2
 
     def test_worked_interior_node_fields(self):
-        wk = WitnessBuilder(label(2, 1, "a1", "a2")).witness(A(1))
-        wl = WitnessBuilder(label(2, 1, "a2", "b1")).witness(A(1))
-        parent = combine(wk, wl, gauss_product_witness(1, 1, label(2, 1, "a2")), CaseTag.branch(1, 1), avar(1))
+        parent = helpers.field_witness(combine(*worked_children(), CaseTag.branch(1, 1), avar(1)))
         assert gap(parent, avar(1) ** 2, 2, 1).is_zero
         assert parent.gen_coeffs == {A(2): MultiPoly.parse("1*a0^2*b0")}
         assert parent.rel_coeffs == {1: MultiPoly.parse("1*a0*a1"), 2: MultiPoly.parse("-1*a0^2")}
@@ -335,7 +353,6 @@ class TestExtractCertificate:
         d = grow_digraph(ProblemInstance.generic(2, 1))
         cert = extract_certificate(d, 1)
         assert cert.exponent == 3
-        assert cert.root_witness.gen_coeffs == {}
         assert verify_symbolic(cert).ok
 
     def test_worked_example_target_two(self):
@@ -396,11 +413,6 @@ def small_generic_runs(max_total: int = 5):
                 instance = ProblemInstance.generic(n, total - n)
                 yield grow_digraph(instance), i0
                 yield grow_digraph(instance, early_stop_target=i0), i0
-
-
-def field_form(witness: KeyedWitness, lab: IdealLabel) -> MembershipWitness:
-    """The field form of a keyed witness at a label of lab's size."""
-    return membership_witness(witness, lab.n, lab.m)
 
 
 def with_local(at: IdealLabel, change):
@@ -499,12 +511,12 @@ class TestNodeLocalCheck:
         digraph = grow_digraph(ProblemInstance.generic(3, 2))
         branches = sum(not node.tag.is_leaf for node in digraph.nodes.values())
         leaves = len(digraph.nodes) - branches
-        check, build = certificates._identity_holds, certificates.keyed_product_witness
+        check, build = certificates._identity_holds, certificates.gauss_product_witness
         subjects, built = Counter(), []
         monkeypatch.setattr(
             certificates, "_identity_holds", lambda *args: subjects.update([args[2].render()]) or check(*args)
         )
-        monkeypatch.setattr(certificates, "keyed_product_witness", lambda *args: built.append(args) or build(*args))
+        monkeypatch.setattr(certificates, "gauss_product_witness", lambda *args: built.append(args) or build(*args))
         assert check_node_local(digraph, 1, 2, 3)
         expected = Counter(f"1*a{node.tag.i}*b{node.tag.j}" for node in digraph.nodes.values() if node.children)
         expected.update({f"1*a{i0}": leaves for i0 in (1, 2, 3)})
@@ -669,8 +681,8 @@ class TestNodeLocalCheck:
         """A witness stores no subject and no label, so the check can only
         expand it against the ones it expects itself; nor does the keyed
         record the check reads, whose key bits come from the size of the
-        label it is checked at."""
-        assert [f.name for f in dataclasses.fields(MembershipWitness)] == ["gen_coeffs", "rel_coeffs", "unit_coeff"]
+        label it is checked at.  A root witness holds what a dump holds."""
+        assert [f.name for f in dataclasses.fields(MembershipWitness)] == ["rel_coeffs", "unit_coeff"]
         assert [f.name for f in dataclasses.fields(KeyedWitness)] == ["terms", "bound"]
 
     def test_rejects_a_perturbed_coefficient(self):
@@ -699,7 +711,7 @@ class TestNodeLocalCheck:
                     continue
                 i, j = node.tag.i, node.tag.j
                 neighbour = WitnessBuilder(node.children[1]).isolate(i, j - 1)
-                tampered = with_local(at, lambda _: neighbour)
+                tampered = with_list(at, lambda _: [neighbour])
                 assert not check_node_local(digraph, i0, source=tampered), (digraph.n, digraph.m, i0, at)
                 seen += 1
         assert seen > 100
@@ -711,15 +723,15 @@ class TestNodeLocalCheck:
         for digraph, i0 in small_generic_runs():
             if digraph.n == 1:
                 continue
-            other = Indeterminate.a(i0 % digraph.n + 1)
+            other = i0 % digraph.n + 1
             for at, node in digraph.nodes.items():
                 if not node.tag.is_leaf:
                     continue
                 try:
-                    substitute = WitnessBuilder(at).witness(other)
+                    substitute = WitnessBuilder(at).witness("a", other)
                 except NotInClosure:
                     continue
-                tampered = with_local(at, lambda _: substitute)
+                tampered = with_list(at, lambda _: [substitute])
                 assert not check_node_local(digraph, i0, source=tampered), (digraph.n, digraph.m, i0, at)
                 seen += 1
         assert seen > 50
@@ -732,12 +744,12 @@ class TestNodeLocalCheck:
             for at, node in digraph.nodes.items():
                 tag = node.tag
                 if tag.is_leaf:
-                    key, coeff = Indeterminate.a(i0), MultiPoly.one()
+                    key, coeff = A(i0), MultiPoly.one()
                 else:
-                    key, coeff = Indeterminate.a(tag.i), bvar(tag.j)
+                    key, coeff = A(tag.i), bvar(tag.j)
                 if helpers.leq(helpers.label(digraph.n, digraph.m, str(key)), at):
                     continue
-                trivial = MembershipWitness({key: coeff})
+                trivial = FieldWitness({key: coeff})
                 tampered = with_local(at, lambda _: trivial)
                 assert not check_node_local(digraph, i0, source=tampered), (digraph.n, digraph.m, i0, at)
                 seen += 1
@@ -749,9 +761,26 @@ class TestNodeLocalCheck:
         digraph = grow_digraph(ProblemInstance.generic(2, 1))
         u = avar(1)
         leaf = next(label for label, node in digraph.nodes.items() if node.tag.is_leaf)
-        c0_witness = MembershipWitness(rel_coeffs={0: u}, unit_coeff=-u)
-        assert expansion(c0_witness, 2, 1) == u
+        c0_witness = FieldWitness(rel_coeffs={0: u}, unit_coeff=-u)
+        assert operator_expansion(c0_witness, 2, 1) == u
         assert not check_node_local(digraph, 1, source=with_local(leaf, lambda _: c0_witness))
+
+    def test_rejects_a_unit_key_with_an_index(self):
+        """A witness whose unit coefficient sits under the unit key of
+        index 1, which names no coefficient, proves nothing, though its
+        terms expand as the unit coefficient's would."""
+        seen = 0
+        for digraph, i0 in small_generic_runs():
+            for at, node in digraph.nodes.items():
+                (witness,) = local_witnesses(at, node.tag, [i0])
+                if field_form(witness, at).unit_coeff.is_zero:
+                    continue
+                mask, moved = (1 << helpers.key_bits(at)) - 1, 1 << 2 | helpers.UNIT
+                terms = {c - helpers.UNIT + moved if c & mask == helpers.UNIT else c: v for c, v in witness.terms.items()}
+                tampered = with_list(at, lambda _: [KeyedWitness(terms, witness.bound)])
+                assert not check_node_local(digraph, i0, source=tampered), (digraph.n, digraph.m, i0, at)
+                seen += 1
+        assert seen > 50
 
     def test_rejects_an_altered_child_or_tag(self):
         for digraph, i0 in small_generic_runs():
@@ -829,7 +858,7 @@ def bumped(kind: str):
     its first generator or relation coefficient, or the unit coefficient."""
     one = MultiPoly.one()
 
-    def change(witness: MembershipWitness) -> MembershipWitness:
+    def change(witness: FieldWitness) -> FieldWitness:
         if kind == "unit":
             return replace(witness, unit_coeff=witness.unit_coeff + one)
         field = "gen_coeffs" if kind == "gen" else "rel_coeffs"
@@ -906,14 +935,6 @@ class TestVerifySymbolic:
                 witness.rel_coeffs[slot] = poly + bump
             assert not verify_symbolic(cert).ok
 
-    def test_rejects_generator_coefficients(self):
-        w = WitnessBuilder(label(2, 1, "b1")).witness(A(1))
-        from nilcert import NilpotencyCertificate
-
-        bogus = NilpotencyCertificate(2, 1, 1, 1, w)
-        with pytest.raises(ValueError):
-            verify_symbolic(bogus)
-
     def test_rejects_witness_of_another_size(self):
         """The relations are those of the certificate's (n, m), so a root
         witness built at another size fails the expansion."""
@@ -924,12 +945,12 @@ class TestVerifySymbolic:
         assert verify_symbolic(bogus).ok is False
 
 
-def operator_expansion(witness: MembershipWitness, n: int, m: int) -> MultiPoly:
+def operator_expansion(witness: FieldWitness, n: int, m: int) -> MultiPoly:
     """sum c*x_d + sum c*c_k + u*r0, built with the MultiPoly operators,
     with c_k the relations of size (n, m)."""
     total = witness.unit_coeff * UNIT_RELATION
     for d, coeff in witness.gen_coeffs.items():
-        total = total + coeff * MultiPoly.variable(d)
+        total = total + coeff * helpers.variable(d)
     for k, coeff in witness.rel_coeffs.items():
         total = total + coeff * relation_poly(n, m, k)
     return total
@@ -944,12 +965,21 @@ def random_poly(rng: random.Random, n: int, m: int) -> MultiPoly:
     return helpers.reference_poly(terms)
 
 
+def root_field(witness: MembershipWitness) -> FieldWitness:
+    """A root witness in field form: no generator coefficients."""
+    return FieldWitness(rel_coeffs=witness.rel_coeffs, unit_coeff=witness.unit_coeff)
+
+
 class TestFusedExpansion:
     """The expansion of ``verify_symbolic`` and the node-local check adds
     every product into one sum; the reference adds polynomials built by the
     operators."""
 
     def test_random_witnesses(self):
+        """The root expansion equals the reference on relation and unit
+        coefficients; the node check, which alone expands generator
+        coefficients too, holds for the reference's expansion and for no
+        other subject."""
         rng = random.Random(20261018)
         for _ in range(300):
             n, m = rng.randrange(1, 5), rng.randrange(0, 4)
@@ -957,13 +987,19 @@ class TestFusedExpansion:
             gens = rng.sample(generators, rng.randrange(0, min(3, len(generators)) + 1))
             rels = rng.sample(range(1, n + m + 1), rng.randrange(0, n + m + 1))
             subject = random_poly(rng, n, m)
-            witness = MembershipWitness(
+            witness = FieldWitness(
                 gen_coeffs={d: random_poly(rng, n, m) for d in gens},
                 rel_coeffs={k: random_poly(rng, n, m) for k in rels},
                 unit_coeff=random_poly(rng, n, m),
             )
-            assert expansion(witness, n, m) == operator_expansion(witness, n, m)
-            assert gap(witness, subject, n, m) == operator_expansion(witness, n, m) - subject
+            root = MembershipWitness(witness.rel_coeffs, witness.unit_coeff)
+            reference = operator_expansion(root_field(root), n, m)
+            assert expansion(root, n, m) == reference
+            assert _expansion_minus(root, subject, n, m) == reference - subject
+            lab = label(n, m, *map(str, gens))
+            full = operator_expansion(witness, n, m)
+            assert _identity_holds(helpers.keyed(witness, lab), lab, full)
+            assert _identity_holds(helpers.keyed(witness, lab), lab, subject) == (full == subject)
 
     def test_cancelling_terms_leave_no_zero_coefficients(self):
         witness = MembershipWitness(rel_coeffs={1: bvar(0)}, unit_coeff=-bvar(1))
@@ -980,14 +1016,18 @@ class TestFusedExpansion:
                 verify_symbolic(NilpotencyCertificate(2, 1, 1, 1, witness))
 
     def test_overflow_guard_on_generator_coefficients(self):
-        """A generator's factor has exponent bound 1: a coefficient whose
+        """A generator's factor has exponent bound 1: in the node check,
+        the one expansion of generator coefficients, a coefficient whose
         bound is 2**FIELD_BITS - 2 expands as the operators do, filling a
         field to its top, and one more overflows instead of carrying."""
-        fits = MembershipWitness({A(1): avar(1) ** (2**FIELD_BITS - 2)})
-        assert expansion(fits, 2, 1) == operator_expansion(fits, 2, 1) == avar(1) ** (2**FIELD_BITS - 1)
-        over = MembershipWitness({A(1): avar(1) ** (2**FIELD_BITS - 1)})
+        lab = label(2, 1, "a1")
+        top = avar(1) ** (2**FIELD_BITS - 1)
+        fits = FieldWitness({A(1): avar(1) ** (2**FIELD_BITS - 2)})
+        assert operator_expansion(fits, 2, 1) == top
+        assert _identity_holds(helpers.keyed(fits, lab), lab, top)
+        over = FieldWitness({A(1): top})
         with pytest.raises(OverflowError):
-            expansion(over, 2, 1)
+            _identity_holds(helpers.keyed(over, lab), lab, avar(1))
 
     def test_mutated_dump_difference(self):
         cert = extract_certificate(grow_digraph(ProblemInstance.generic(3, 3)), 2)
@@ -997,7 +1037,7 @@ class TestFusedExpansion:
         loaded = load_certificate(json.dumps(doc))
         check = verify_symbolic(loaded)
         assert not check.ok
-        assert check.diff == operator_expansion(loaded.root_witness, 3, 3) - avar(2) ** loaded.exponent
+        assert check.diff == operator_expansion(root_field(loaded.root_witness), 3, 3) - avar(2) ** loaded.exponent
         assert check.diff == bump * relation_poly(3, 3, 3)
 
 
@@ -1007,13 +1047,14 @@ class TestKeyedCheck:
     coefficient's bound feeds ``sum_of_products``'s."""
 
     def test_zero_coefficients_are_no_terms(self):
-        """A zero coefficient under any key, a generator outside the label
-        or a relation out of range, changes nothing."""
+        """A zero coefficient under any key, a generator outside the label,
+        a relation out of range or a unit key with an index, changes
+        nothing; a coefficient 1 there fails the check."""
         lab = label(3, 1, "b1")
         (witness,) = local_witnesses(lab, CaseTag.leaf(), [1])
         assert _identity_holds(witness, lab, avar(1))
         bits = ((lab.n + lab.m) << 2 | 3).bit_length()
-        for key in (1 << 2 | 0, 0 << 2 | 2, 5 << 2 | 2):  # a1, c0 and c5
+        for key in (1 << 2 | 0, 0 << 2 | 2, 5 << 2 | 2, 1 << 2 | 3):  # a1, c0, c5 and a unit key of index 1
             assert key < 1 << bits
             assert not _identity_holds(KeyedWitness({**witness.terms, key: 1}, witness.bound), lab, avar(1))
             zeros = KeyedWitness({**witness.terms, key: 0, 5 << bits | key: 0}, witness.bound)
@@ -1026,13 +1067,13 @@ class TestKeyedCheck:
         overflows through a generator as well."""
         top = 2**FIELD_BITS - 2
         lab = label(2, 1, "a1")
-        fits = helpers.keyed(MembershipWitness({A(1): avar(1) ** top}), lab)
+        fits = helpers.keyed(FieldWitness({A(1): avar(1) ** top}), lab)
         assert fits.bound == top
         assert _identity_holds(fits, lab, avar(1) ** (top + 1))
         assert not _identity_holds(fits, lab, avar(1))
         for fields in ({"rel_coeffs": {1: avar(1) ** top}}, {"unit_coeff": avar(1) ** top}):
             with pytest.raises(OverflowError):
-                _identity_holds(helpers.keyed(MembershipWitness(**fields), lab), lab, avar(1))
+                _identity_holds(helpers.keyed(FieldWitness(**fields), lab), lab, avar(1))
         with pytest.raises(OverflowError):
             _identity_holds(KeyedWitness(fits.terms, top + 1), lab, avar(1) ** (top + 1))
 

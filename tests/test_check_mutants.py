@@ -1,31 +1,37 @@
 """The node check's own adversary: mutants of its soundness checks.
 
 Each mutant is one textual edit of a check in ``certificates``, named
-after the check it weakens.  The edited source is loaded as a fresh
-module and runs a fixed battery of node proofs, true and false, through
-its own ``checked_exponents`` with fake witness sources.  Every mutant
-must judge some proof otherwise than the real module: accept a false
-one, reject a true one, or give a verdict where the real module raises.
-A later change that removes one of these checks has to delete its
-mutant here, in plain view.
+after the check it weakens: the node identity's (``_identity_holds``,
+``_checked``) and the digraph structure's around it (``_walk``).  The
+edited source is loaded as a fresh module and runs a fixed battery of
+node proofs, true and false, through its own ``checked_exponents`` with
+fake witness sources and tampered digraphs.  Every mutant must judge some
+proof otherwise than the real module: accept a false one, reject a true
+one, raise where the real module gives a verdict, or give one where it
+raises.  A later change that removes one of these checks has to delete
+its mutant here, in plain view.
 """
 
 from __future__ import annotations
 
 import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import helpers
-from nilcert import Indeterminate, ProblemInstance, avar, bvar, certificates, grow_digraph
-from nilcert.certificates import KeyedWitness, MembershipWitness, local_witnesses
+from nilcert import CaseTag, ProblemInstance, avar, bvar, certificates, grow_digraph
+from nilcert.certificates import KeyedWitness, local_witnesses
 from nilcert.poly import EXPONENT_LIMIT
 
 SOURCE = Path(certificates.__file__).read_text(encoding="utf-8")
 
 # name -> (text of the check, its mutated text).  Each text occurs once.
+# A failed check returns None and never raises, so the mutants without the
+# tag's-children guard or the root-reached test, which raise ValueError and
+# KeyError on a malformed digraph, judge it otherwise than the real module.
 MUTANTS = {
     "generator key tested against the label": (
         '            elif label.has("ab"[tag], index):\n',
@@ -34,6 +40,10 @@ MUTANTS = {
     "relation index tested against 1..n+m": (
         "                if not 1 <= index <= n + m:\n",
         "                if False:\n",
+    ),
+    "unit key tested against index 0": (
+        "                if index:\n                    return False\n",
+        "",
     ),
     "identity checked at n+m >= 7": (
         "    n, m = label.n, label.m\n    bits = _key_bits(n, m)\n",
@@ -50,6 +60,31 @@ MUTANTS = {
     "overflow guard": (
         '                raise OverflowError(f"a product exponent could reach 2**{FIELD_BITS}")\n',
         "                pass\n",
+    ),
+    "root label empty": (
+        "    if root != IdealLabel.root(n, m):\n        return None\n",
+        "",
+    ),
+    "a tag whose children raise fails the check": (
+        "        try:\n            children = tag.children(label)\n"
+        "        except ValueError:\n            return None\n",
+        "        children = tag.children(label)\n",
+    ),
+    "stored children equal to the tag's": (
+        "        if node.children != children:\n            return None\n",
+        "",
+    ),
+    "stored exponent without early stop": (
+        "        if not early_stop and row[0][0] != node.exponent:\n            return None\n",
+        "",
+    ),
+    "closed a-bits a mask of n bits under early stop": (
+        "                if not 0 <= closed < 1 << n:\n                    return None\n",
+        "",
+    ),
+    "root reached": (
+        "    if root not in rows:\n        return None\n",
+        "",
     ),
 }
 
@@ -77,28 +112,56 @@ def replacing(at, change):
     return source
 
 
+def with_node(digraph, at, **fields):
+    """A copy of the digraph whose node at ``at`` has the given fields
+    replaced."""
+    nodes = dict(digraph.nodes)
+    nodes[at] = replace(nodes[at], **fields)
+    return replace(digraph, nodes=nodes)
+
+
+def unit_moved(label, tag, witnesses):
+    """The unit coefficient's terms moved from its key to the unit key of
+    index 1: the same terms, under a key that names no coefficient."""
+    mask = (1 << helpers.key_bits(label)) - 1
+    (witness,) = witnesses
+    moved = 1 << 2 | helpers.UNIT
+    terms = {c - helpers.UNIT + moved if c & mask == helpers.UNIT else c: v for c, v in witness.terms.items()}
+    return [KeyedWitness(terms, witness.bound)]
+
+
+def has_unit_terms(label, tag) -> bool:
+    (witness,) = local_witnesses(label, tag, [1])
+    return not helpers.field_form(witness, label).unit_coeff.is_zero
+
+
 def battery():
     """(case name, digraph, targets, early_stop, source): true proofs
-    first, then false ones, each false in one node."""
+    first, then false ones, each false in one node or in the digraph's
+    structure."""
     small = grow_digraph(ProblemInstance.generic(3, 2))
     wide = grow_digraph(ProblemInstance.generic(4, 3))
     tiny = grow_digraph(ProblemInstance.generic(2, 1))
     leaf = next(label for label, node in small.nodes.items() if node.tag.is_leaf)
     wide_leaf = next(label for label, node in wide.nodes.items() if node.tag.is_leaf)
     tiny_leaf = next(label for label, node in tiny.nodes.items() if node.tag.is_leaf)
+    tiny_unit_leaf = next(
+        label for label, node in tiny.nodes.items() if node.tag.is_leaf and has_unit_terms(label, node.tag)
+    )
     u = avar(1)
+    root, child = small.nodes[small.root], small.nodes[small.root].children[0]
 
     def bumped_unit(label, tag, witnesses):
-        field = certificates.membership_witness(witnesses[0], label.n, label.m)
-        return [helpers.keyed(MembershipWitness(field.gen_coeffs, field.rel_coeffs, field.unit_coeff + 1), label)]
+        field = helpers.field_form(witnesses[0], label)
+        return [helpers.keyed(replace(field, unit_coeff=field.unit_coeff + 1), label)]
 
     def by_generator(label, tag, witnesses):
         """a_i*b_j = b_j * a_i: an identity, no proof where a_i is no generator."""
-        return [helpers.keyed(MembershipWitness({Indeterminate.a(tag.i): bvar(tag.j)}), label)]
+        return [helpers.keyed(helpers.FieldWitness({helpers.Indeterminate.a(tag.i): bvar(tag.j)}), label)]
 
     def by_c0(label, tag, witnesses):
         """u = u*c_0 - u*r0: an identity, but c_0 = a0*b0 is 1 modulo the relations."""
-        return [helpers.keyed(MembershipWitness(rel_coeffs={0: u}, unit_coeff=-u), label)]
+        return [helpers.keyed(helpers.FieldWitness(rel_coeffs={0: u}, unit_coeff=-u), label)]
 
     cases = [
         ("true (3,2), all targets", small, (1, 2, 3), False, local_witnesses),
@@ -107,6 +170,13 @@ def battery():
         ("false (4,3): unit coefficient off by one at a leaf", wide, (1,), False, replacing(wide_leaf, bumped_unit)),
         ("false (3,2): a_i*b_j as b_j times a_i at the root", small, (1,), False, replacing(small.root, by_generator)),
         ("false (2,1): u = u*c_0 - u*r0 at a leaf", tiny, (1,), False, replacing(tiny_leaf, by_c0)),
+        (
+            "false (2,1): a leaf's unit coefficient under a unit key of index 1",
+            tiny,
+            (1,),
+            False,
+            replacing(tiny_unit_leaf, unit_moved),
+        ),
         ("false (3,2): no product witness at the root", small, (1,), False, replacing(small.root, lambda *_: [])),
         (
             "false (3,2): a leaf witness whose bound reaches the overflow guard",
@@ -114,6 +184,42 @@ def battery():
             (1,),
             False,
             replacing(leaf, lambda label, tag, ws: [KeyedWitness(ws[0].terms, EXPONENT_LIMIT - 1)]),
+        ),
+        ("false (3,2): a root that is no empty label", replace(small, root=child), (1,), False, local_witnesses),
+        (
+            "false (3,2): a root tag out of range",
+            with_node(small, small.root, tag=CaseTag.branch(5, 5)),
+            (1,),
+            False,
+            local_witnesses,
+        ),
+        (
+            "false (3,2): the root's children stored swapped",
+            with_node(small, small.root, children=root.children[::-1]),
+            (1,),
+            False,
+            local_witnesses,
+        ),
+        (
+            "false (3,2): the root's exponent off by one",
+            with_node(small, small.root, exponent=root.exponent + 1),
+            (1,),
+            False,
+            local_witnesses,
+        ),
+        (
+            "false (3,2), early stop: the root's closed a-bits wider than n",
+            with_node(small, small.root, closed_a=root.closed_a | 1 << small.n),
+            (1, 2, 3),
+            True,
+            local_witnesses,
+        ),
+        (
+            "false (3,2): no root node",
+            replace(small, nodes={label: node for label, node in small.nodes.items() if label != small.root}),
+            (1,),
+            False,
+            local_witnesses,
         ),
     ]
     return cases
@@ -129,7 +235,7 @@ def verdicts(module: types.ModuleType) -> list:
     for _, digraph, targets, early_stop, source in BATTERY:
         try:
             out.append(module.checked_exponents(digraph, *targets, early_stop=early_stop, source=source))
-        except (OverflowError, ValueError) as exc:
+        except (OverflowError, ValueError, KeyError) as exc:
             out.append(type(exc))
     return out
 
@@ -146,8 +252,15 @@ def test_the_real_module_judges_every_proof():
         "false (4,3): unit coefficient off by one at a leaf": None,
         "false (3,2): a_i*b_j as b_j times a_i at the root": None,
         "false (2,1): u = u*c_0 - u*r0 at a leaf": None,
+        "false (2,1): a leaf's unit coefficient under a unit key of index 1": None,
         "false (3,2): no product witness at the root": None,
         "false (3,2): a leaf witness whose bound reaches the overflow guard": OverflowError,
+        "false (3,2): a root that is no empty label": None,
+        "false (3,2): a root tag out of range": None,
+        "false (3,2): the root's children stored swapped": None,
+        "false (3,2): the root's exponent off by one": None,
+        "false (3,2), early stop: the root's closed a-bits wider than n": None,
+        "false (3,2): no root node": None,
     }
 
 

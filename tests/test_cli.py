@@ -208,9 +208,9 @@ class TestGenericCommand:
         build = certificates.combine
 
         def off_by_one(*args):
-            witness = build(*args)
-            witness.unit_coeff = witness.unit_coeff + MultiPoly.one()
-            return witness
+            coefficients = build(*args)
+            coefficients[helpers.UNIT] = coefficients.get(helpers.UNIT, MultiPoly.zero()) + MultiPoly.one()
+            return coefficients
 
         monkeypatch.setattr(certificates, "combine", off_by_one)
         code, out, err = run(capsys, "generic", "--n", "2", "--m", "1", "--emit-cert", str(tmp_path / "c.json"))
@@ -267,7 +267,7 @@ class TestGenericCommand:
 
 def bumped_unit(witness, label):
     """The keyed witness with its unit coefficient raised by 1."""
-    field = certificates.membership_witness(witness, label.n, label.m)
+    field = helpers.field_form(witness, label)
     return helpers.keyed(dataclasses.replace(field, unit_coeff=field.unit_coeff + MultiPoly.one()), label)
 
 
@@ -300,7 +300,7 @@ class TestNodeLocalVerdict:
 
     @pytest.mark.parametrize("emit", [False, True], ids=["node-local", "with --emit-cert"])
     def test_rejected_proof_fails_verification(self, capsys, monkeypatch, tmp_path, emit):
-        build = certificates.keyed_product_witness
+        build = certificates.gauss_product_witness
 
         def perturbed(i, j, label):
             """One coefficient of the root's product witness is off by one."""
@@ -309,7 +309,7 @@ class TestNodeLocalVerdict:
                 witness = bumped_unit(witness, label)
             return witness
 
-        monkeypatch.setattr(certificates, "keyed_product_witness", perturbed)
+        monkeypatch.setattr(certificates, "gauss_product_witness", perturbed)
         argv = ["generic", "--n", "2", "--m", "1"]
         if emit:
             argv += ["--emit-cert", str(tmp_path / "cert.json")]
@@ -330,7 +330,7 @@ class TestNodeLocalVerdict:
             if node.children
         )
         at = next(label for label, count in sharing.items() if count > 1 and (label.a or label.b))
-        build = certificates.keyed_product_witness
+        build = certificates.gauss_product_witness
 
         def perturbed(i, j, label):
             witness = build(i, j, label)
@@ -338,7 +338,7 @@ class TestNodeLocalVerdict:
                 witness = bumped_unit(witness, label)
             return witness
 
-        monkeypatch.setattr(certificates, "keyed_product_witness", perturbed)
+        monkeypatch.setattr(certificates, "gauss_product_witness", perturbed)
         argv = ["generic", "--n", "3", "--m", "3", "--early-stop"]
         if emit:
             argv += ["--emit-cert", str(tmp_path / "cert.json")]
@@ -353,9 +353,9 @@ class TestNodeLocalVerdict:
         """An --early-stop run over every target makes one walk, which
         builds one product witness per distinct branch identity of the
         targets' early-stop digraphs."""
-        walk, build, walks, products = certificates._walk, certificates.keyed_product_witness, [], []
+        walk, build, walks, products = certificates._walk, certificates.gauss_product_witness, [], []
         monkeypatch.setattr(certificates, "_walk", lambda *args: walks.append(args[1]) or walk(*args))
-        monkeypatch.setattr(certificates, "keyed_product_witness", lambda *args: products.append(args) or build(*args))
+        monkeypatch.setattr(certificates, "gauss_product_witness", lambda *args: products.append(args) or build(*args))
         argv = ["generic", "--n", "3", "--m", "3", "--early-stop"]
         if emit:
             argv += ["--emit-cert", str(tmp_path / "c.json")]
@@ -403,7 +403,7 @@ class TestNodeLocalVerdict:
         distinct (label, tag) node of the digraphs and one product witness
         per distinct branch, for all targets, however many of the
         --early-stop digraphs share it."""
-        build, builders, products = certificates.keyed_product_witness, [], []
+        build, builders, products = certificates.gauss_product_witness, [], []
 
         class Counting(WitnessBuilder):
             def __init__(self, label):
@@ -411,7 +411,7 @@ class TestNodeLocalVerdict:
                 super().__init__(label)
 
         monkeypatch.setattr(certificates, "WitnessBuilder", Counting)
-        monkeypatch.setattr(certificates, "keyed_product_witness", lambda *args: products.append(args) or build(*args))
+        monkeypatch.setattr(certificates, "gauss_product_witness", lambda *args: products.append(args) or build(*args))
         code, out, _ = run(capsys, "generic", "--n", "3", "--m", "2", *extra, "--emit-cert", str(tmp_path / "c.json"))
         assert code == 0 and json.loads(out)["certificate"] == "verified"
         instance = ProblemInstance.generic(3, 2)

@@ -13,7 +13,6 @@ import helpers
 from nilcert import (
     CaseTag,
     IdealLabel,
-    Indeterminate,
     InternalInconsistency,
     NotAUnit,
     ProblemInstance,
@@ -29,6 +28,8 @@ from nilcert import (
 )
 from nilcert.certificates import checked_exponents, relation_poly
 from nilcert.engine import early_stop_cut
+
+Indeterminate = helpers.Indeterminate
 
 
 label = helpers.label

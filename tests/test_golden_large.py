@@ -5,7 +5,12 @@ leading runs and deep closures, where the case split and the element
 witnesses take paths the small sizes never take.  Each digest covers the
 exit code, stdout, stderr and every emitted file of one run, with the run's
 directory written as "{tmp}"; they were recorded from the per-bit closure
-loop that the closed form on leading runs replaced.
+loop that the closed form on leading runs replaced.  The (4,3) root
+certificates, every target plain and with --early-stop, are where
+``certificates.combine`` does most of its work (a_1's plain root witness
+has 54 171 terms); their digests were recorded while each checked node
+witness was still converted into generator-keyed field witnesses before
+it was combined.
 """
 
 from __future__ import annotations
@@ -24,6 +29,14 @@ CASES = {
     "generic 1x120 dot": (
         ["generic", "--n", "1", "--m", "120", "--emit-dot", "{tmp}/d.dot"],
         "ef20ba67aebe9bcff4ea6b9c68206c91dbaacec106f6eb28c731306d8ab96473",
+    ),
+    "generic 4x3 emit-cert": (
+        ["generic", "--n", "4", "--m", "3", "--emit-cert", "{tmp}/c.json"],
+        "037a696b70fd9ce7254c9461ae6b540ec4b01f7e63d36c54e7b27c8045d91fdb",
+    ),
+    "generic 4x3 early-stop emit-cert": (
+        ["generic", "--n", "4", "--m", "3", "--early-stop", "--emit-cert", "{tmp}/c.json"],
+        "138ab6fe304ed5c7741dc5fbba07e85c2ec61a0845ac450afd074f3ad911009e",
     ),
     "generic 2x9 early-stop": (
         ["generic", "--n", "2", "--m", "9", "--target", "2", "--early-stop"],

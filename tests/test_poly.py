@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcert import (
-    Indeterminate,
     MultiPoly,
     PolyParseError,
     avar,
@@ -20,7 +19,7 @@ from nilcert import (
 )
 from nilcert.poly import EXPONENT_LIMIT, FIELD_BITS, MAX_INDEX
 
-from helpers import reference_evaluate, reference_parse, reference_poly, reference_terms
+from helpers import Indeterminate, reference_evaluate, reference_parse, reference_poly, reference_terms
 
 A0, A1, A2 = Indeterminate.a(0), Indeterminate.a(1), Indeterminate.a(2)
 B0, B1 = Indeterminate.b(0), Indeterminate.b(1)
@@ -192,18 +191,6 @@ class TestTextForm:
         assert MultiPoly.parse(p.render()) == p
 
 
-class TestIndeterminate:
-    def test_ordering_matches_variable_order(self):
-        assert Indeterminate.a(2) < Indeterminate.b(0)
-        assert Indeterminate.a(0) < Indeterminate.a(1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Indeterminate("c", 0)
-        with pytest.raises(ValueError):
-            Indeterminate("a", -1)
-
-
 # -- packed monomials ---------------------------------------------------------
 #
 # Indices up to 40 put exponents into slots up to 81, so a monomial spans
@@ -311,11 +298,11 @@ class TestOverflowGuard:
             MultiPoly.parse(f"1*b{MAX_INDEX + 1}")
 
     def test_variables_packed_directly(self):
-        """avar and bvar pack their term without an Indeterminate, with the
-        same value and the same refusal of a negative index."""
+        """avar and bvar pack their one term in the documented layout, and
+        refuse a negative index."""
         for i in (0, 1, 7, MAX_INDEX):
             for var, ind in ((avar, Indeterminate.a(i)), (bvar, Indeterminate.b(i))):
-                assert var(i) == MultiPoly.variable(ind) == reference_poly({((ind, 1),): 1})
+                assert var(i) == reference_poly({((ind, 1),): 1})
         for var in (avar, bvar):
             with pytest.raises(ValueError):
                 var(-1)

@@ -26,7 +26,6 @@ EXPORTS = [
     "FinitePoset",
     "Holds",
     "IdealLabel",
-    "Indeterminate",
     "InternalInconsistency",
     "MultiPoly",
     "NilpotencyCertificate",
@@ -67,7 +66,7 @@ EXPORTS = [
 
 
 def test_exports_are_pinned():
-    assert len(EXPORTS) == 44 and EXPORTS == sorted(EXPORTS)
+    assert len(EXPORTS) == 43 and EXPORTS == sorted(EXPORTS)
     assert nilcert.__all__ == EXPORTS
     for name in EXPORTS:
         assert getattr(nilcert, name, None) is not None, name
