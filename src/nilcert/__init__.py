@@ -12,7 +12,6 @@ from .certificates import (
     UNIT_RELATION,
     NilpotencyCertificate,
     NotInClosure,
-    WitnessBuilder,
     check_node_local,
     combine,
     dump_certificate,
@@ -76,7 +75,6 @@ __all__ = [
     "Reduce",
     "UNIT_RELATION",
     "UnitIdeal",
-    "WitnessBuilder",
     "avar",
     "bvar",
     "case_split",

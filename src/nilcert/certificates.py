@@ -16,43 +16,48 @@ c_{p+q},
 
     a_p*b_q = c_{p+q} - sum_{q'>q} a_{p+q-q'}*b_q' - sum_{p'>p} a_p'*b_{p+q-p'},
 
-builds every element and product witness from the same parts
-(``WitnessBuilder._isolation``), each higher a_p' and b_q' on the right
-being replaced by its own element witness:
+builds every node witness (``_isolation``), each higher a_p' and b_q' on
+the right a generator of the node's label.  Every label that
+``engine.grow_digraph`` reaches is a tail, the last A a's and the last B
+b's: the root is one; a tail with A < n and B < m has empty leading runs,
+so it is its own closure and splits as branch(n-A, m-B) into two tails;
+once one family is complete it is a leaf; an early-stop digraph is part
+of the plain one.  So three closed forms serve every node, each reading
+only the label's own bits, and none closes the label again:
 
-* product witnesses: at a branch(i, j) label, maximality of i and j puts
-  every a_p (p > i) and b_q (q > j) into the ideal, so isolating a_i*b_j
-  needs only witnesses that exist;
+* the product witness of a_i*b_j at a branch(i, j): maximality of i and j
+  makes every a_p (p > i) and b_q (q > j) a generator;
 
-* element witnesses: the closure rule admits a_k once b_1..b_min(k,m) are
-  in, exactly the witnesses that isolating a_k*b_0 needs, and
+* the witness of a target a_k that is a generator: a_k itself;
+
+* the witness of any other target a_k where its proof ends, at a leaf
+  or an early stop, which the closure rule admits because b_1..b_min(k,m)
+  are generators, exactly the premises that isolating a_k*b_0 needs; and
   a0*b0 = 1 + r0 turns that product back into a_k,
 
-      a_k = a0 * (a_k*b_0) - a_k*r0
+      a_k = a0 * (a_k*b_0) - a_k*r0 = a0*c_k - sum_q a0*a_(k-q)*b_q - a_k*r0.
 
-  (mirrored through a_0*b_k for b_k), one combination of the isolation
-  parts, each scaled by a0.  A generator is its own witness, so the
-  builder reads only bits: the closed masks of ``oracles.closure_bits``
-  for membership, the label's own for generator status;
+A form whose premises are not all generators of the label raises
+NotInClosure, and the node's check fails.  The tests keep the general
+builder, which replaces each premise in the closure by its own witness,
+as the reference these forms are checked against.
 
-* ``combine`` multiplies two child witnesses u^k = v + s*a_i and
-  u^l = w + t*b_j into u^(k+l) = v*u^l + s*a_i*w + s*t*(a_i*b_j) at the
-  parent, substituting the product witness for a_i*b_j.  ``node_witness``,
-  the one induction step per label, calls it at every branch, for the
-  digraph walk and the tests' label-poset runner alike.
+``combine`` multiplies two child witnesses u^k = v + s*a_i and
+u^l = w + t*b_j into u^(k+l) = v*u^l + s*a_i*w + s*t*(a_i*b_j) at the
+parent, substituting the product witness for a_i*b_j.  ``node_witness``,
+the one induction step per label, calls it at every branch, for the
+digraph walk and the tests' label-poset runner alike.
 
-One key layout names a witness's coefficients from the builder to the
-root: a_i has the key i << 2, b_j the key j << 2 | 1, c_k the key
+One key layout names a witness's coefficients from the node witnesses to
+the root: a_i has the key i << 2, b_j the key j << 2 | 1, c_k the key
 k << 2 | 2 (``_REL``) and r0 the one key 3 (``_UNIT``).  A witness takes
 three forms over it:
 
-* a keyed term map (``KeyedWitness``), in which ``WitnessBuilder`` builds
-  every witness and ``_identity_holds`` checks it: the term c*x^mono of
-  the coefficient under key k is the entry mono << _key_bits(n, m) | k.
-  Every factor of an isolation identity is +-1 times one monomial (a_x,
-  b_y, or the x0 that scales an element's parts), so each part is shifted
-  in term by term (``poly.subtract_shifted``), a generator as its one
-  term, an element as its memoized map; zero coefficients stay in;
+* a keyed term map (``KeyedWitness``), in which ``local_witnesses``
+  builds every node witness and ``_identity_holds`` checks it: the term
+  c*x^mono of the coefficient under key k is the entry
+  mono << _key_bits(n, m) | k.  Every term of a closed form is +-1 times
+  one monomial, so each is one entry;
 
 * a coefficient map, key -> MultiPoly, zeros dropped, as
   ``poly.split_keyed`` returns it from a keyed term map: what
@@ -80,8 +85,8 @@ left.
 A digraph's proof is checked node by node.  ``local_witnesses`` is the one
 source of a node's own witnesses: the product witness of a_i*b_j at a
 branch(i, j), which every target shares, and where a target's proof ends
-the witness of each target u, all from one ``WitnessBuilder``; a target
-outside that label's closure has none, and the check fails.
+the witness of each target u; a target with no closed form there has
+none, and the check fails.
 ``checked_exponents`` walks the digraph once for all the targets it is
 given: it builds each node's witnesses, expands each of these small
 identities exactly, checks the digraph's structure around it and drops
@@ -114,7 +119,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .engine import CaseTag, Digraph, ProblemInstance
-from .oracles import IdealLabel, closure_bits
+from .oracles import IdealLabel
 from .poly import (
     EXPONENT_LIMIT,
     FIELD_BITS,
@@ -124,13 +129,13 @@ from .poly import (
     bvar,
     packed,
     split_keyed,
-    subtract_shifted,
     sum_of_products,
 )
 
 
 class NotInClosure(Exception):
-    """The closure rule does not admit the element at this label."""
+    """No closed form gives the witness at this label: a premise of the
+    form is no generator of the label, or the index is out of range."""
 
 
 # The polynomial a0*b0 - 1.  MultiPoly is immutable, so one value serves
@@ -198,11 +203,11 @@ def _key_bits(n: int, m: int) -> int:
 
 @dataclass(slots=True)
 class KeyedWitness:
-    """A witness as ``WitnessBuilder`` builds it: the coefficients of the
-    identity s = sum genCoeffs[d]*d + sum relCoeffs[k]*c_k + unitCoeff*r0
-    as one keyed term map, the term c*x^mono of the coefficient under key
-    k stored as the entry mono << _key_bits(n, m) | k -> c, with (n, m)
-    the size of its label.
+    """A node witness as ``local_witnesses`` builds it: the coefficients
+    of the identity s = sum genCoeffs[d]*d + sum relCoeffs[k]*c_k +
+    unitCoeff*r0 as one keyed term map, the term c*x^mono of the
+    coefficient under key k stored as the entry mono << _key_bits(n, m) |
+    k -> c, with (n, m) the size of its label.
 
     Zero coefficients may stay in, and ``bound`` bounds every exponent of
     every coefficient.  It stores no subject and no label: the node check
@@ -226,96 +231,57 @@ def membership_witness(coefficients: dict[int, MultiPoly]) -> MembershipWitness:
     return MembershipWitness(rels, coefficients.get(_UNIT, _ZERO))
 
 
-class WitnessBuilder:
-    """Element and product witnesses for one label's closure, built through
-    the isolation identity ``isolate``, each element's terms memoized.
-
-    Every factor of an isolation identity is +-1 times one monomial, so a
-    witness is built as one keyed term map (``KeyedWitness``): each part
-    is added in, shifted by its factor, term by term.  A generator adds
-    its one term; an element the closure rule admits adds its own memoized
-    map.  The closure is computed when an element that is no generator is
-    first asked for.
-    """
-
-    def __init__(self, label: IdealLabel):
-        self.label = label
-        self._bits = _key_bits(label.n, label.m)
-        self._closed: IdealLabel | None = None
-        self._memo: dict[int, tuple[dict[int, int], int]] = {}
-
-    def witness(self, kind: str, k: int) -> KeyedWitness:
-        """The witness of x_k, x = a or b, whose term map an element shares
-        with the builder's memo: read it, never change it.  Raises
-        NotInClosure unless the closure rule admits x_k at the label."""
-        if self.label.has(kind, k):  # a generator is in the closure
-            return KeyedWitness({k << 2 | (kind == "b"): 1}, 0)
-        return KeyedWitness(*self._element(kind, k))
-
-    def isolate(self, p: int, q: int) -> KeyedWitness:
-        """Witness for a_p*b_q, 0 <= p <= n and 0 <= q <= m: c_{p+q} minus
-        its other terms."""
-        terms, bound = self._isolation(p, q, 0)
-        # No other part has a term of degree 0, so c_{p+q}'s own term 1 is new.
-        terms[(p + q) << 2 | _REL] = 1
-        return KeyedWitness(terms, bound)
-
-    def _element(self, kind: str, k: int) -> tuple[dict[int, int], int]:
-        """The keyed terms of x_k, no generator, and their exponent bound:
-        x_k = x0 * (x_k*y0) - x_k*r0, because x0*y0 = 1 + r0, so the parts
-        isolating x_k*y0, each scaled by x0, and -x_k*r0."""
-        built = self._memo.get(k << 2 | (kind == "b"))
-        if built is not None:
-            return built
-        label = self.label
-        if self._closed is None:
-            # The closure as a label of its own: membership is its generators.
-            self._closed = IdealLabel(label.n, label.m, *closure_bits(label))
-        if not self._closed.has(kind, k):
-            raise NotInClosure(f"{kind}{k} is not forced into {label.render()}")
-        bits = self._bits
-        x0 = packed(kind, 0, bits)
-        terms, bound = self._isolation(k, 0, x0) if kind == "a" else self._isolation(0, k, x0)
-        # The other parts' terms have degree 2 or more: these two are new.
-        terms[x0 + (k << 2 | _REL)] = 1
-        terms[packed(kind, k, bits) + _UNIT] = -1
-        built = self._memo[k << 2 | (kind == "b")] = terms, bound + 1
-        return built
-
-    def _isolation(self, p: int, q: int, scale: int) -> tuple[dict[int, int], int]:
-        """The keyed terms of c_{p+q} - a_p*b_q less c_{p+q}'s own term,
-        scaled by the keyed monomial scale, and their exponent bound
-        before scaling: each other term of c_{p+q} removed through the
-        element witness of its higher b_q' (q' > q) or higher a_p'
-        (p' > p)."""
-        n, m, a_gens, b_gens = self.label
-        bits, k = self._bits, p + q
-        terms: dict[int, int] = {}
-        get = terms.get
-        bound = 0
-        for kind, mask, size, low in (("b", b_gens, m, q), ("a", a_gens, n, p)):
-            other = "a" if kind == "b" else "b"
-            for x in range(low + 1, min(k, size) + 1):
-                shift = scale + packed(other, k - x, bits)
-                if mask >> (size - x) & 1:
-                    composite = shift + (x << 2 | (kind == "b"))
-                    terms[composite] = get(composite, 0) - 1
-                    if not bound:
-                        bound = 1
-                    continue
-                part, part_bound = self._element(kind, x)
-                subtract_shifted(terms, part, shift)
-                if bound <= part_bound:
-                    bound = part_bound + 1
-        return terms, bound
+def _isolation(label: IdealLabel, p: int, q: int, scale: int) -> dict[int, int]:
+    """The keyed terms of c_{p+q} - a_p*b_q less c_{p+q}'s own term, each
+    scaled by the keyed monomial scale: -a_{p+q-y}*b_y for each y in
+    q+1..min(p+q, m), then -a_x*b_{p+q-x} for each x in p+1..min(p+q, n).
+    Raises NotInClosure unless every such b_y and a_x is a generator of
+    the label."""
+    n, m, a_gens, b_gens = label
+    bits, k = _key_bits(n, m), p + q
+    terms: dict[int, int] = {}
+    for kind, mask, size, low in (("b", b_gens, m, q), ("a", a_gens, n, p)):
+        other = "a" if kind == "b" else "b"
+        for x in range(low + 1, min(k, size) + 1):
+            if not mask >> (size - x) & 1:
+                raise NotInClosure(f"{kind}{x} is no generator of {label.render()}")
+            terms[scale + packed(other, k - x, bits) + (x << 2 | (kind == "b"))] = -1
+    return terms
 
 
 def gauss_product_witness(i: int, j: int, label: IdealLabel) -> KeyedWitness:
-    """Witness for a_i*b_j at a label whose case analysis gave branch(i, j);
-    maximality of i and j puts every higher coefficient into the ideal."""
+    """Witness for a_i*b_j at a label whose case analysis gave branch(i, j):
+    a_i*b_j = c_{i+j} - sum_{q>j} a_{i+j-q}*b_q - sum_{p>i} a_p*b_{i+j-p},
+    each such b_q and a_p a generator of the label (NotInClosure
+    otherwise), as maximality of i and j makes it at every tail."""
     if not (1 <= i <= label.n and 1 <= j <= label.m):
         raise ValueError(f"branch indices ({i},{j}) out of range for n={label.n}, m={label.m}")
-    return WitnessBuilder(label).isolate(i, j)
+    terms = _isolation(label, i, j, 0)
+    bound = 1 if terms else 0
+    # No correction term has degree 0, so c_{i+j}'s own term 1 is new.
+    terms[(i + j) << 2 | _REL] = 1
+    return KeyedWitness(terms, bound)
+
+
+def _leaf_witness(label: IdealLabel, k: int) -> KeyedWitness:
+    """Witness for a target a_k where its proof ends: a_k itself when it
+    is a generator of the label; otherwise, for k in 1..n with
+    b_1..b_min(k,m) generators, a_k = a0*c_k - sum_q a0*a_(k-q)*b_q -
+    a_k*r0, the parts isolating a_k*b_0 scaled by a0, since
+    a0*b0 = 1 + r0.  Raises NotInClosure otherwise."""
+    n, m = label.n, label.m
+    if label.has("a", k):
+        return KeyedWitness({k << 2: 1}, 0)
+    if not 1 <= k <= n:
+        raise NotInClosure(f"a{k} is out of range 1..{n}")
+    bits = _key_bits(n, m)
+    a0 = packed("a", 0, bits)
+    terms = _isolation(label, k, 0, a0)
+    bound = 2 if terms else 1
+    # No correction term is keyed c_k or r0: these two are new.
+    terms[a0 + (k << 2 | _REL)] = 1
+    terms[packed("a", k, bits) + _UNIT] = -1
+    return KeyedWitness(terms, bound)
 
 
 def combine(
@@ -372,15 +338,14 @@ def _check_ranges(cert: NilpotencyCertificate) -> None:
 
 
 def local_witnesses(label: IdealLabel, tag: CaseTag, target_indices: Sequence[int]) -> list[KeyedWitness]:
-    """A node's own witnesses, built afresh and kept as the builder makes
-    them (``KeyedWitness``): at a branch(i, j) the product witness of
+    """A node's own witnesses, built afresh in closed form as keyed term
+    maps (``KeyedWitness``): at a branch(i, j) the product witness of
     a_i*b_j, which every target shares; at a leaf the witness of each
-    target a_i0, all from one ``WitnessBuilder``.  Raises NotInClosure
-    when a target is not in the leaf's closure."""
+    target a_i0.  Raises NotInClosure where a form's premises are not all
+    generators of the label."""
     if not tag.is_leaf:
         return [gauss_product_witness(tag.i, tag.j, label)]
-    builder = WitnessBuilder(label)
-    return [builder.witness("a", i0) for i0 in target_indices]
+    return [_leaf_witness(label, i0) for i0 in target_indices]
 
 
 def node_witness(
@@ -583,10 +548,10 @@ def checked_exponents(
     give u^(k+l) in I + (D), I the ideal of the relations; the root label
     must be empty, which leaves u^e in I, with u^e never expanded.  Each
     product identity is checked once for all the targets that go on past
-    its branch.  A target outside the closure where its proof ends fails
-    the check, and so do closed a-bits that are no mask of n bits.  Raises
-    ValueError for a concrete digraph, or when no target is given or one
-    lies outside 1..n.
+    its branch.  A target with no closed-form witness where its proof ends
+    fails the check, and so do closed a-bits that are no mask of n bits.
+    Raises ValueError for a concrete digraph, or when no target is given or
+    one lies outside 1..n.
     """
     walked = _walk(digraph, target_indices, early_stop, source, False)
     return None if walked is None else {i0: exponent for i0, (exponent, _) in walked.items()}

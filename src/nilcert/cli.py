@@ -34,10 +34,11 @@ from a table built from that parser's own actions; every other form,
 Refused before any digraph is grown: --n or --m above 4095 (generic and
 pascal) and f or g of degree above 4095 (concrete), with ERROR:usage:;
 an --emit-dot or --emit-cert path that names no file (such as "/", ".",
-"", ".." or any existing directory, or a per-target name such as
-"c.a2.json" that is one) or that lies in a missing directory, and an
---emit-dot path whose DOT file a certificate dump would overwrite (such
-as "out.txt" and "./out.txt" with one target), with ERROR:bad-input:.
+"", "..", one ending in "/" or "/." such as "sub/", or any existing
+directory, or a per-target name such as "c.a2.json" that is one) or
+that lies in a missing directory, and an --emit-dot path whose DOT file
+a certificate dump would overwrite (such as "out.txt" and "./out.txt"
+with one target), with ERROR:bad-input:.
 
 Results go to stdout as a JSON report (the pascal grid as plain text);
 notices and errors go to stderr.  Error lines start with a machine-parsable
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from math import prod
@@ -144,7 +146,8 @@ def _run_digraph(
     for flag, path in (("--emit-dot", dot), ("--emit-cert", cert)):
         if path is None:
             continue
-        if Path(path).name in ("", "..") or Path(path).is_dir():
+        # Read from the path as given: pathlib drops a trailing "/" or "/.".
+        if os.path.basename(path) in ("", ".", "..") or Path(path).is_dir():
             raise BadInput(f"{flag} path {path!r} names no file")
         parent = Path(path).parent
         if not parent.is_dir():

@@ -24,10 +24,10 @@ Two oracles answer which coefficients lie in the ideal of a generator set:
   the closure iff it is a generator, or k <= run(y), or y is all ones,
   where run(y) is the length of y's leading run of set bits.  The closure
   is two int masks in the layout ``IdealLabel`` states; the case split
-  and the certificate layer's witness builder read them.  Memberships
-  reported by the closure are eventually discharged as verified
-  identities by the certificate layer; non-memberships only shape the
-  search and are never load-bearing.
+  reads them, and the certificate layer reads only a label's own bits.
+  Memberships reported by the closure are eventually discharged as
+  verified identities by the certificate layer; non-memberships only
+  shape the search and are never load-bearing.
 """
 
 from __future__ import annotations

@@ -33,14 +33,13 @@ adding two multiplies them.
 
 Keyed term maps.  Several term maps under construction can share one
 dict: the term c*x^mono of the map under key k, 0 <= k < 2**key_bits, is
-the entry mono << key_bits | k -> c.  Multiplying every map by one
-monomial adds that monomial, shifted by key_bits (``packed`` gives an
-indeterminate's so), to each composite, so a linear combination whose
-factors are +-1 times a monomial is shift-and-add on a single dict
-(``subtract_shifted``), one integer add per term.  ``split_keyed`` turns
-the finished dict into one MultiPoly per key, dropping zero coefficients
-once.  The certificate layer builds its node witnesses this way, and
-combines its root witnesses on the maps that ``split_keyed`` returns.
+the entry mono << key_bits | k -> c.  Multiplying a term by a monomial
+adds that monomial, shifted by key_bits (``packed`` gives an
+indeterminate's so), to its composite, so a term c*x^mono under key k
+is written straight in as one entry.  ``split_keyed`` turns the finished
+dict into one MultiPoly per key, dropping zero coefficients once.  The
+certificate layer builds its node witnesses this way, and combines its
+root witnesses on the maps that ``split_keyed`` returns.
 
 The canonical text form orders terms by graded lexicographic order (total
 degree first, then the dense exponent vector with a-indeterminates before
@@ -441,15 +440,6 @@ def sum_of_products(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
                 mono = mono_l + mono_r
                 out[mono] = get(mono, 0) + coeff_l * coeff_r
     return _new({mono: coeff for mono, coeff in out.items() if coeff}, bound)
-
-
-def subtract_shifted(out: dict[int, int], terms: dict[int, int], shift: int) -> None:
-    """out -= x^shift * terms, term by term, for term maps keyed or plain:
-    each monomial moves by one integer add.  Zero coefficients may stay in
-    out until ``split_keyed``."""
-    get = out.get
-    for composite, coeff in zip(map(shift.__add__, terms), terms.values()):
-        out[composite] = get(composite, 0) - coeff
 
 
 def split_keyed(terms: dict[int, int], key_bits: int, bound: int) -> dict[int, MultiPoly]:

@@ -18,16 +18,22 @@ layout: the exponent of a_i in the field at bit FIELD_BITS*(2*i), that of
 b_j at FIELD_BITS*(2*j + 1).  MultiPoly has no tuple-keyed API, so they
 borrow its packed term map: ``_terms`` to read it, ``_new`` to build one.
 
+``ReferenceWitnesses`` is the reference builder of element and product
+witnesses at any label, each premise replaced by its own witness along
+the reference closure; the package's closed forms, which need every
+premise to be a generator, are checked against it.
+
 The one exception is the label-poset runner, ``label_poset`` and
 ``nc_run_induction``: it reruns the induction over every label with the
-package's own case split and per-label witness step, so that agreement
-with the digraph cross-validates the two constructions.
+package's own case split and per-label induction step (``node_witness``),
+on the reference builder's witnesses, so that agreement with the digraph
+cross-validates the two constructions.
 
 The field view of a witness is the tests' own, the independent reference
 for the one key layout the package states: ``FieldWitness`` holds
 generator, relation and unit coefficients by name.  ``keyed`` packs one
-into the ``certificates.KeyedWitness`` term map that the builder makes and
-the node check reads, and ``field_form`` decodes one back, field by field;
+into the ``certificates.KeyedWitness`` term map that ``local_witnesses``
+builds and the node check reads, and ``field_form`` decodes one back, field by field;
 ``coefficient_map`` and ``field_witness`` convert to and from the
 coefficient maps that ``certificates.combine`` reads and returns.
 """
@@ -46,6 +52,7 @@ from nilcert import (
     Holds,
     IdealLabel,
     MultiPoly,
+    NotInClosure,
     PolyParseError,
     ProblemInstance,
     Reduce,
@@ -54,7 +61,7 @@ from nilcert import (
     case_split,
     run_induction,
 )
-from nilcert.certificates import KeyedWitness, local_witnesses, node_witness
+from nilcert.certificates import KeyedWitness, node_witness
 from nilcert.induction import GoodnessOutcome
 from nilcert.poly import EXPONENT_LIMIT, FIELD_BITS, MAX_INDEX, _new
 
@@ -188,6 +195,74 @@ def reference_closure_bits(lab: IdealLabel) -> tuple[list[int], list[int]]:
     )
 
 
+def weighted_sum(parts) -> FieldWitness:
+    """The witness of sum factor*subject over (factor, witness) parts, each
+    coefficient added up with the MultiPoly operators; zero generator and
+    relation coefficients are dropped."""
+    gens, rels, unit = {}, {}, MultiPoly.zero()
+    for factor, witness in parts:
+        for d, coeff in witness.gen_coeffs.items():
+            gens[d] = gens.get(d, MultiPoly.zero()) + factor * coeff
+        for k, coeff in witness.rel_coeffs.items():
+            rels[k] = rels.get(k, MultiPoly.zero()) + factor * coeff
+        unit = unit + factor * witness.unit_coeff
+    return FieldWitness(
+        {d: c for d, c in gens.items() if not c.is_zero}, {k: c for k, c in rels.items() if not c.is_zero}, unit
+    )
+
+
+class ReferenceWitnesses:
+    """Element and product witnesses at any label, in field form, each
+    premise replaced by its own memoized witness.
+
+    Element witnesses follow the premises of the reference closure:
+    x_k = x0*c_k - x0 * sum_{y_q in premises} x_{k-q}*y_q - x_k*r0, and a
+    generator is its own witness.  ``isolate(p, q)``, 0 <= p <= n and
+    0 <= q <= m, removes the terms of c_{p+q} other than a_p*b_q by two
+    correction sums, b-side first; ``product(i, j)`` is the same for a
+    branch's (i, j) in 1..n x 1..m.  An element outside the closure raises
+    NotInClosure, and so does any witness that needs one.
+    """
+
+    def __init__(self, lab: IdealLabel):
+        self.label = lab
+        self.admissions = reference_closure(lab)
+        self.memo: dict = {}
+
+    def element(self, element: Indeterminate) -> FieldWitness:
+        admission = self.admissions.get(element)
+        if admission is None:
+            raise NotInClosure(str(element))
+        if element not in self.memo:
+            if admission.rule == "generator":
+                built = FieldWitness({element: MultiPoly.one()})
+            else:
+                var = avar if element.kind == "a" else bvar
+                k = element.index
+                parts = [(var(0), FieldWitness(rel_coeffs={k: MultiPoly.one()}))]
+                parts.append((-var(k), FieldWitness(unit_coeff=MultiPoly.one())))
+                for premise in admission.premises:
+                    parts.append((-(var(0) * var(k - premise.index)), self.element(premise)))
+                built = weighted_sum(parts)
+            self.memo[element] = built
+        return self.memo[element]
+
+    def isolate(self, p: int, q: int) -> FieldWitness:
+        n, m = self.label.n, self.label.m
+        if not (0 <= p <= n and 0 <= q <= m):
+            raise ValueError(f"isolation indices ({p},{q}) out of range")
+        k = p + q
+        parts = [(MultiPoly.one(), FieldWitness(rel_coeffs={k: MultiPoly.one()}))]
+        parts += [(-avar(k - y), self.element(Indeterminate.b(y))) for y in range(q + 1, min(k, m) + 1)]
+        parts += [(-bvar(k - x), self.element(Indeterminate.a(x))) for x in range(p + 1, min(k, n) + 1)]
+        return weighted_sum(parts)
+
+    def product(self, i: int, j: int) -> FieldWitness:
+        if not (1 <= i <= self.label.n and 1 <= j <= self.label.m):
+            raise ValueError(f"branch indices ({i},{j}) out of range")
+        return self.isolate(i, j)
+
+
 def assignment(a: tuple[int, ...], b: tuple[int, ...]) -> dict[Indeterminate, int]:
     """a_i -> a[i] and b_j -> b[j], for evaluating polynomials at concrete
     coefficients."""
@@ -255,7 +330,7 @@ def nc_run_induction(
 
     The case split and its tag's children supply goodness; leaf evidence
     and the merge are one ``node_witness`` step each, on the coefficient
-    maps of the label's own witnesses.  Returns the evidence map, each
+    maps of the label's own witnesses from ``ReferenceWitnesses``.  Returns the evidence map, each
     witness in field form, together with the case tag recorded at each
     label; on the labels the digraph reaches, the tags coincide with the
     digraph's.
@@ -267,8 +342,9 @@ def nc_run_induction(
     tags: dict[IdealLabel, CaseTag] = {}
 
     def step(label: IdealLabel, children: tuple) -> tuple[int, dict]:
-        (local,) = local_witnesses(label, tags[label], [target_index])
-        return node_witness(coefficient_map(field_form(local, label)), children, avar(target_index), tags[label])
+        tag, reference = tags[label], ReferenceWitnesses(label)
+        local = reference.element(Indeterminate.a(target_index)) if tag.is_leaf else reference.product(tag.i, tag.j)
+        return node_witness(coefficient_map(local), children, avar(target_index), tag)
 
     def goodness(label: IdealLabel) -> GoodnessOutcome:
         tag, _ = case_split(label, instance)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -25,7 +26,6 @@ from nilcert import (
     NilpotencyCertificate,
     NotInClosure,
     ProblemInstance,
-    WitnessBuilder,
     avar,
     bvar,
     certificates,
@@ -76,8 +76,10 @@ def gap(witness: FieldWitness, subject: MultiPoly, n: int, m: int) -> MultiPoly:
 
 
 def element_witness(lab: IdealLabel, element) -> FieldWitness:
-    """The field form of the builder's witness of element at lab."""
-    return field_form(WitnessBuilder(lab).witness(element.kind, element.index), lab)
+    """The field form of the leaf witness of element, an a_k, at lab."""
+    assert element.kind == "a", element
+    (witness,) = local_witnesses(lab, CaseTag.leaf(), [element.index])
+    return field_form(witness, lab)
 
 
 def product_witness(i: int, j: int, lab: IdealLabel) -> FieldWitness:
@@ -108,35 +110,36 @@ class TestMembershipWitness:
 
     def test_not_in_closure(self):
         with pytest.raises(NotInClosure):
-            WitnessBuilder(label(2, 1, "a2")).witness("a", 1)
+            element_witness(label(2, 1, "a2"), A(1))
 
     def test_b_side_rule(self):
-        w = element_witness(label(1, 2, "a1"), B(2))
+        """The reference builder's b-side rule: b2 enters (a1) at n = 1."""
+        w = helpers.ReferenceWitnesses(label(1, 2, "a1")).element(B(2))
         assert gap(w, bvar(2), 1, 2).is_zero
 
     def test_every_closure_element_everywhere(self):
-        from itertools import product
-
+        """The reference builder's witness of every closure element of
+        every label of four sizes holds."""
         for n, m in [(1, 1), (2, 1), (2, 2), (3, 1)]:
-            for a_bits in product((0, 1), repeat=n):
-                for b_bits in product((0, 1), repeat=m):
-                    lab = helpers.from_bits(a_bits, b_bits)
-                    builder = WitnessBuilder(lab)
-                    for element in helpers.reference_closure(lab):
-                        witness = field_form(builder.witness(element.kind, element.index), lab)
-                        assert gap(witness, helpers.variable(element), n, m).is_zero, (lab, element)
+            for lab in helpers.all_labels(n, m):
+                reference = helpers.ReferenceWitnesses(lab)
+                for element in reference.admissions:
+                    assert gap(reference.element(element), helpers.variable(element), n, m).is_zero, (lab, element)
 
     def test_out_of_range_elements_not_in_closure(self):
-        """a0, b0, a_{n+1} and b_{m+1} are never closure elements; index 0
+        """a0, b0, a_{n+1} and b_{m+1} are never closure elements, for the
+        reference builder, and a0 and a_{n+1} have no leaf witness; index 0
         must not wrap round to the last bit."""
         for total in range(1, 5):
             for n in range(1, total + 1):
-                for a_bits in product((0, 1), repeat=n):
-                    for b_bits in product((0, 1), repeat=total - n):
-                        builder = WitnessBuilder(helpers.from_bits(a_bits, b_bits))
-                        for element in (A(0), B(0), A(n + 1), B(total - n + 1)):
-                            with pytest.raises(NotInClosure):
-                                builder.witness(element.kind, element.index)
+                for lab in helpers.all_labels(n, total - n):
+                    reference = helpers.ReferenceWitnesses(lab)
+                    for element in (A(0), B(0), A(n + 1), B(total - n + 1)):
+                        with pytest.raises(NotInClosure):
+                            reference.element(element)
+                    for k in (0, n + 1):
+                        with pytest.raises(NotInClosure):
+                            local_witnesses(lab, CaseTag.leaf(), [k])
 
 
 class TestGaussProductWitness:
@@ -172,65 +175,6 @@ class TestGaussProductWitness:
             gauss_product_witness(3, 1, IdealLabel.root(2, 1))
 
 
-def weighted_sum(parts) -> FieldWitness:
-    """The witness of sum factor*subject over (factor, witness) parts, each
-    coefficient added up with the MultiPoly operators; zero generator and
-    relation coefficients are dropped."""
-    gens, rels, unit = {}, {}, MultiPoly.zero()
-    for factor, witness in parts:
-        for d, coeff in witness.gen_coeffs.items():
-            gens[d] = gens.get(d, MultiPoly.zero()) + factor * coeff
-        for k, coeff in witness.rel_coeffs.items():
-            rels[k] = rels.get(k, MultiPoly.zero()) + factor * coeff
-        unit = unit + factor * witness.unit_coeff
-    return FieldWitness(
-        {d: c for d, c in gens.items() if not c.is_zero}, {k: c for k, c in rels.items() if not c.is_zero}, unit
-    )
-
-
-class ReferenceWitnesses:
-    """The element rule and the product correction sums as first written,
-    before both became the one isolation identity of ``WitnessBuilder``.
-
-    Element witnesses follow the premises of the reference closure:
-    x_k = x0*c_k - x0 * sum_{y_q in premises} x_{k-q}*y_q - x_k*r0.
-    Product witnesses remove the terms of c_{i+j} other than a_i*b_j by
-    two correction sums, b-side first.
-    """
-
-    def __init__(self, lab: IdealLabel):
-        self.label = lab
-        self.admissions = helpers.reference_closure(lab)
-        self.memo: dict = {}
-
-    def element(self, element):
-        admission = self.admissions.get(element)
-        if admission is None:
-            raise NotInClosure(str(element))
-        if element not in self.memo:
-            if admission.rule == "generator":
-                built = FieldWitness({element: MultiPoly.one()})
-            else:
-                var = avar if element.kind == "a" else bvar
-                k = element.index
-                parts = [(var(0), FieldWitness(rel_coeffs={k: MultiPoly.one()}))]
-                parts.append((-var(k), FieldWitness(unit_coeff=MultiPoly.one())))
-                for premise in admission.premises:
-                    parts.append((-(var(0) * var(k - premise.index)), self.element(premise)))
-                built = weighted_sum(parts)
-            self.memo[element] = built
-        return self.memo[element]
-
-    def product(self, i, j):
-        n, m = self.label.n, self.label.m
-        if not (1 <= i <= n and 1 <= j <= m):
-            raise ValueError(f"branch indices ({i},{j}) out of range")
-        parts = [(MultiPoly.one(), FieldWitness(rel_coeffs={i + j: MultiPoly.one()}))]
-        parts += [(-avar(i + j - q), self.element(B(q))) for q in range(j + 1, min(i + j, m) + 1)]
-        parts += [(-bvar(i + j - p), self.element(A(p))) for p in range(i + 1, min(i + j, n) + 1)]
-        return weighted_sum(parts)
-
-
 def _outcome(build):
     """The witness a call builds, or the class of the exception it raises."""
     try:
@@ -257,20 +201,25 @@ def alternating(k: int) -> IdealLabel:
     return helpers.from_bits([i % 2 for i in range(k)], [(i + 1) % 2 for i in range(k)])
 
 
+def is_tail(lab: IdealLabel) -> bool:
+    """Whether lab's generators are the last A a's and the last B b's."""
+    return lab == IdealLabel.tail(lab.n, lab.m, lab.a.bit_length(), lab.b.bit_length())
+
+
 class TestIsolationMatchesReference:
-    """Element and product witnesses equal the reference formulas in every
-    field, bound their exponents, and hold for x_k and a_i*b_j at their
-    label: for every label with n+m <= 6 (golden digests pin only roots),
-    every label the digraphs of (4,4), (7,1), (1,7) and (10,10) reach, and
-    the alternating labels up to n = m = 12.  Elements outside the closure
-    and (i, j) outside 1..n x 1..m must raise the reference's exception.
-    The keyed node witnesses that ``local_witnesses`` gives there, at a
-    leaf for every a_i0 in the closure and at every branch(i, j), hold
-    as they are and are exactly what the builder returns."""
+    """The closed forms against the reference builder, on every label with
+    n+m <= 7, every label the digraphs of (4,4), (7,1), (1,7) and (10,10)
+    reach, and the alternating labels up to n = m = 12: the leaf witness
+    of each a_k and the product witness of each a_i*b_j either raise
+    NotInClosure or hold, bound their exponents and equal the reference's
+    witness in every field, and ``local_witnesses`` gives exactly them.
+    An index out of range raises the reference's exception.  At a tail
+    every element of the closure has its closed form; elsewhere the forms
+    refuse some that the reference builds."""
 
     LABELS = [
         helpers.from_bits(a_bits, b_bits)
-        for total in range(1, 7)
+        for total in range(1, 8)
         for n in range(1, total + 1)
         for a_bits in product((0, 1), repeat=n)
         for b_bits in product((0, 1), repeat=total - n)
@@ -283,37 +232,91 @@ class TestIsolationMatchesReference:
     LABELS += [alternating(k) for k in range(1, 13)]
 
     def test_element_witnesses(self):
+        refused = 0
         for lab in self.LABELS:
-            builder, reference = WitnessBuilder(lab), ReferenceWitnesses(lab)
-            closed = {element.index for element in reference.admissions if element.kind == "a"}
-            elements = [A(i) for i in range(0, lab.n + 2)] + [B(j) for j in range(0, lab.m + 2)]
-            for element in elements:
-                expected = _outcome(lambda: reference.element(element))
-                built = _outcome(lambda: field_form(builder.witness(element.kind, element.index), lab))
-                assert built == expected, (lab, element)
-                if isinstance(expected, FieldWitness):
-                    assert bounds_hold(built), (lab, element)
-                    subject = helpers.variable(element)
-                    assert _identity_holds(helpers.keyed(expected, lab), lab, subject), (lab, element)
-            targets = [i0 for i0 in range(1, lab.n + 1) if i0 in closed]
-            local = local_witnesses(lab, CaseTag.leaf(), targets)
-            assert local == [builder.witness("a", i0) for i0 in targets], lab
-            assert all(_identity_holds(w, lab, avar(i0)) for w, i0 in zip(local, targets)), lab
+            reference = helpers.ReferenceWitnesses(lab)
+            for k in range(0, lab.n + 2):
+                built = _outcome(lambda: local_witnesses(lab, CaseTag.leaf(), [k])[0])
+                if built is NotInClosure:
+                    closed = A(k) in reference.admissions
+                    assert not (closed and is_tail(lab)), (lab, k)
+                    refused += closed
+                    continue
+                assert _identity_holds(built, lab, avar(k)), (lab, k)
+                assert field_form(built, lab) == reference.element(A(k)), (lab, k)
+                assert bounds_hold(field_form(built, lab)), (lab, k)
+        assert refused
 
     def test_product_witnesses(self):
+        refused = 0
         for lab in self.LABELS:
-            reference = ReferenceWitnesses(lab)
+            reference = helpers.ReferenceWitnesses(lab)
             for i in range(0, lab.n + 2):
                 for j in range(0, lab.m + 2):
-                    expected = _outcome(lambda: reference.product(i, j))
-                    built = _outcome(lambda: product_witness(i, j, lab))
-                    assert built == expected, (lab, i, j)
-                    if isinstance(expected, FieldWitness):
-                        assert bounds_hold(built), (lab, i, j)
-                        assert _identity_holds(helpers.keyed(expected, lab), lab, avar(i) * bvar(j)), (lab, i, j)
-                        (local,) = local_witnesses(lab, CaseTag.branch(i, j), [])
-                        assert field_form(local, lab) == built, (lab, i, j)
-                        assert _identity_holds(local, lab, avar(i) * bvar(j)), (lab, i, j)
+                    built = _outcome(lambda: gauss_product_witness(i, j, lab))
+                    if not isinstance(built, KeyedWitness):
+                        # (i, j) out of range raises ValueError from both.
+                        expected = _outcome(lambda: reference.product(i, j))
+                        assert built is expected or built is NotInClosure and isinstance(expected, FieldWitness)
+                        refused += built is not expected
+                        continue
+                    subject = avar(i) * bvar(j)
+                    assert _identity_holds(built, lab, subject), (lab, i, j)
+                    assert field_form(built, lab) == reference.product(i, j), (lab, i, j)
+                    assert bounds_hold(field_form(built, lab)), (lab, i, j)
+                    assert local_witnesses(lab, CaseTag.branch(i, j), []) == [built], (lab, i, j)
+        assert refused
+
+
+class TestClosedForms:
+    """What the closed forms rest on: every label that growth reaches is a
+    tail, and there they build every node's witnesses."""
+
+    def test_every_reached_label_is_a_tail(self):
+        """All n, m <= 8, plain and the early-stop digraph of each target,
+        and plain (40,40) and (300,1)."""
+        for n in range(1, 9):
+            for m in range(0, 9):
+                instance = ProblemInstance.generic(n, m)
+                for target in (None, *range(1, n + 1)):
+                    nodes = grow_digraph(instance, early_stop_target=target).nodes
+                    assert all(map(is_tail, nodes)), (n, m, target)
+        for n, m in [(40, 40), (300, 1)]:
+            assert all(map(is_tail, grow_digraph(ProblemInstance.generic(n, m)).nodes)), (n, m)
+
+    def test_built_at_every_node(self):
+        """Every digraph with n+m <= 7, plain and each target's early-stop
+        one: at each branch the product witness, and at each label for
+        every target its stored closed a-bits hold (every target at a plain
+        leaf) the leaf witness, each holding for its subject."""
+        for total in range(1, 8):
+            for n in range(1, total + 1):
+                instance = ProblemInstance.generic(n, total - n)
+                for target in (None, *range(1, n + 1)):
+                    for at, node in grow_digraph(instance, early_stop_target=target).nodes.items():
+                        if not node.tag.is_leaf:
+                            (witness,) = local_witnesses(at, node.tag, [])
+                            assert _identity_holds(witness, at, avar(node.tag.i) * bvar(node.tag.j)), at
+                        held = [i0 for i0 in range(1, n + 1) if node.closed_a & at.bit("a", i0)]
+                        assert held or not node.tag.is_leaf, at
+                        for i0, witness in zip(held, local_witnesses(at, CaseTag.leaf(), held)):
+                            assert _identity_holds(witness, at, avar(i0)), (at, i0)
+
+    def test_alternating_label_refused_at_once(self):
+        """At n = m = 60 the closure admits a_1, b_2, a_3, ... each through
+        the one before, and the general witness of the deepest element
+        outgrows memory.  The leaf form needs b_1..b_k to be generators:
+        it builds a_1 and refuses every other odd index at once."""
+        lab = alternating(60)
+        began = time.perf_counter()
+        refused = []
+        for k in range(1, 61, 2):
+            try:
+                local_witnesses(lab, CaseTag.leaf(), [k])
+            except NotInClosure:
+                refused.append(k)
+        assert time.perf_counter() - began < 0.5
+        assert refused == list(range(3, 61, 2))
 
 
 def worked_children() -> tuple[dict, dict, dict]:
@@ -702,15 +705,16 @@ class TestNodeLocalCheck:
                     assert not check_node_local(digraph, i0, source=tampered), (digraph.n, digraph.m, i0, at)
 
     def test_rejects_the_witness_of_a_neighbouring_product(self):
-        """A witness of a_i*b_(j-1), built where it exists (at label + b_j),
-        in place of the branch's a_i*b_j."""
+        """A witness of a_i*b_(j-1), built by the reference builder where
+        it exists (at label + b_j), in place of the branch's a_i*b_j."""
         seen = 0
         for digraph, i0 in small_generic_runs():
             for at, node in digraph.nodes.items():
                 if node.tag.is_leaf:
                     continue
                 i, j = node.tag.i, node.tag.j
-                neighbour = WitnessBuilder(node.children[1]).isolate(i, j - 1)
+                child = node.children[1]
+                neighbour = helpers.keyed(helpers.ReferenceWitnesses(child).isolate(i, j - 1), child)
                 tampered = with_list(at, lambda _: [neighbour])
                 assert not check_node_local(digraph, i0, source=tampered), (digraph.n, digraph.m, i0, at)
                 seen += 1
@@ -728,7 +732,7 @@ class TestNodeLocalCheck:
                 if not node.tag.is_leaf:
                     continue
                 try:
-                    substitute = WitnessBuilder(at).witness("a", other)
+                    (substitute,) = local_witnesses(at, node.tag, [other])
                 except NotInClosure:
                     continue
                 tampered = with_list(at, lambda _: [substitute])

@@ -2,18 +2,22 @@
 
 Each mutant is one textual edit of a check in ``certificates``, named
 after the check it weakens: the node identity's (``_identity_holds``,
-``_checked``) and the digraph structure's around it (``_walk``).  The
-edited source is loaded as a fresh module and runs a fixed battery of
-node proofs, true and false, through its own ``checked_exponents`` with
-fake witness sources and tampered digraphs.  Every mutant must judge some
-proof otherwise than the real module: accept a false one, reject a true
-one, raise where the real module gives a verdict, or give one where it
-raises.  A later change that removes one of these checks has to delete
-its mutant here, in plain view.
+``_checked``), the digraph structure's around it (``_walk``), the
+certificate ranges' (``_check_ranges``) and the dump reader's
+(``load_certificate``).  The edited source is loaded as a fresh module
+and runs two fixed batteries: node proofs, true and false, through its
+own ``checked_exponents`` with fake witness sources and tampered
+digraphs, and dumps, one true and the rest malformed, through its own
+``load_certificate`` and ``verify_symbolic``.  Every mutant must judge
+some proof or dump otherwise than the real module: accept a false one,
+reject a true one, raise where the real module gives a verdict, give one
+where it raises, or raise another exception.  A later change that
+removes one of these checks has to delete its mutant here, in plain view.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 import types
 from dataclasses import replace
@@ -22,7 +26,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from nilcert import CaseTag, ProblemInstance, avar, bvar, certificates, grow_digraph
+from nilcert import CaseTag, ProblemInstance, avar, bvar, certificates, dump_certificate, grow_digraph
 from nilcert.certificates import KeyedWitness, local_witnesses
 from nilcert.poly import EXPONENT_LIMIT
 
@@ -85,6 +89,31 @@ MUTANTS = {
     "root reached": (
         "    if root not in rows:\n        return None\n",
         "",
+    ),
+    "sizes in range (_check_ranges)": (
+        "    if not (1 <= n <= MAX_INDEX and 0 <= m <= MAX_INDEX and 1 <= i0 <= n and 1 <= e < EXPONENT_LIMIT):\n"
+        '        raise ValueError(f"sizes out of range: n={n}, m={m}, i0={i0}, e={e}")\n',
+        "",
+    ),
+    "relation indices in 1..n+m (_check_ranges)": (
+        "    if not all(1 <= k <= n + m for k in rels):\n",
+        "    if False:\n",
+    ),
+    "no key repeated in one JSON object (_unique_keys)": (
+        "    if len(doc) < len(pairs):\n",
+        "    if False:\n",
+    ),
+    "relation keys written as plain integers": (
+        "        if str(int(key)) != key:\n",
+        "        if False:\n",
+    ),
+    "n, m, i0 and e of integer type": (
+        "    if any(type(value) is not int for value in sizes):\n",
+        "    if False:\n",
+    ),
+    "exponent headroom of a loaded coefficient": (
+        "    if any(c.exponent_bound + 2 >= EXPONENT_LIMIT for c in (*rel_coeffs.values(), unit_coeff)):\n",
+        "    if False:\n",
     ),
 }
 
@@ -228,24 +257,55 @@ def battery():
 BATTERY = battery()
 
 
+def dumps() -> list[tuple[str, str]]:
+    """(case name, dump text): the true (2,1) dump for a_1, e = 3, then
+    that dump with one field malformed, or a dump of a false identity."""
+    true = dump_certificate(certificates.extract_certificate(grow_digraph(ProblemInstance.generic(2, 1)), 1))
+    doc = json.loads(true)
+    assert doc["e"] == 3 and "1" in doc["rel_coeffs"]
+
+    def edited(**fields) -> str:
+        return json.dumps({**doc, **fields}, indent=2) + "\n"
+
+    padded = {("01" if key == "1" else key): value for key, value in doc["rel_coeffs"].items()}
+    return [
+        ("true (2,1), a_1, e = 3", true),
+        ("i0 = 3 outside 1..n", edited(i0=3)),
+        ("u = u*c_0 - u*r0 with u = a_1, e = 1", edited(e=1, rel_coeffs={"0": "1*a1"}, unit_coeff="-1*a1")),
+        ("e given twice, 2 then 3", true.replace('  "e": 3,\n', '  "e": 2,\n  "e": 3,\n')),
+        ("relation key 1 written as 01", edited(rel_coeffs=padded)),
+        ("i0 written as true", edited(i0=True)),
+        ("a unit coefficient with no exponent headroom", edited(unit_coeff=f"1*a1^{EXPONENT_LIMIT - 2}")),
+    ]
+
+
+DUMPS = dumps()
+
+
 def verdicts(module: types.ModuleType) -> list:
-    """The module's exponents for each case of the battery, None for a
-    failed check, or the class of the exception it raises."""
+    """The module's exponents for each case of the node battery, None for
+    a failed check, then its ``verify_symbolic`` verdict on each loaded
+    dump; the class of the exception raised in place of either."""
     out = []
     for _, digraph, targets, early_stop, source in BATTERY:
         try:
             out.append(module.checked_exponents(digraph, *targets, early_stop=early_stop, source=source))
         except (OverflowError, ValueError, KeyError) as exc:
             out.append(type(exc))
+    for _, text in DUMPS:
+        try:
+            out.append(module.verify_symbolic(module.load_certificate(text)).ok)
+        except (OverflowError, ValueError, KeyError) as exc:
+            out.append(type(exc))
     return out
 
 
 REAL = verdicts(certificates)
+CASES = [case[0] for case in BATTERY] + [name for name, _ in DUMPS]
 
 
 def test_the_real_module_judges_every_proof():
-    cases = [case[0] for case in BATTERY]
-    assert dict(zip(cases, REAL)) == {
+    assert dict(zip(CASES[: len(BATTERY)], REAL)) == {
         "true (3,2), all targets": {1: 10, 2: 10, 3: 10},
         "true (3,2), all targets, early stop": {1: 10, 2: 6, 3: 3},
         "true (4,3)": {2: 35},
@@ -264,6 +324,13 @@ def test_the_real_module_judges_every_proof():
     }
 
 
+def test_the_real_module_judges_every_dump():
+    """The true dump verifies, and every other is refused on load."""
+    assert dict(zip(CASES[len(BATTERY) :], REAL[len(BATTERY) :])) == {
+        name: True if name.startswith("true") else ValueError for name, _ in DUMPS
+    }
+
+
 def test_the_real_source_loads_as_a_fresh_module():
     assert verdicts(load(SOURCE, "unchanged")) == REAL
 
@@ -273,5 +340,5 @@ def test_every_mutant_is_killed(name):
     check, mutated = MUTANTS[name]
     assert SOURCE.count(check) == 1, f"the check that {name!r} mutates is no longer in certificates"
     got = verdicts(load(SOURCE.replace(check, mutated), name))
-    killed = [case[0] for case, real, mutant in zip(BATTERY, REAL, got) if real != mutant]
-    assert killed, f"no proof in the battery tells the mutant {name!r} from the real check"
+    killed = [case for case, real, mutant in zip(CASES, REAL, got) if real != mutant]
+    assert killed, f"no proof or dump in the batteries tells the mutant {name!r} from the real check"

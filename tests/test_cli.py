@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from nilcert import (
     MultiPoly,
     ProblemInstance,
-    WitnessBuilder,
     certificates,
     grow_digraph,
     load_certificate,
@@ -399,18 +398,13 @@ class TestNodeLocalVerdict:
     @pytest.mark.parametrize("extra", [[], ["--early-stop"]], ids=["shared", "early-stop"])
     def test_each_node_witness_built_once_with_emit_cert(self, capsys, monkeypatch, tmp_path, extra):
         """With --emit-cert, the one walk that checks the run's digraphs
-        also combines their root certificates: one witness builder per
-        distinct (label, tag) node of the digraphs and one product witness
-        per distinct branch, for all targets, however many of the
-        --early-stop digraphs share it."""
+        also combines their root certificates: one call of the witness
+        source per distinct (label, tag) node of the digraphs and one
+        product witness per distinct branch, for all targets, however many
+        of the --early-stop digraphs share it."""
         build, builders, products = certificates.gauss_product_witness, [], []
-
-        class Counting(WitnessBuilder):
-            def __init__(self, label):
-                builders.append(label)
-                super().__init__(label)
-
-        monkeypatch.setattr(certificates, "WitnessBuilder", Counting)
+        source = certificates.local_witnesses
+        monkeypatch.setattr(certificates, "local_witnesses", lambda *args: builders.append(args[0]) or source(*args))
         monkeypatch.setattr(certificates, "gauss_product_witness", lambda *args: products.append(args) or build(*args))
         code, out, _ = run(capsys, "generic", "--n", "3", "--m", "2", *extra, "--emit-cert", str(tmp_path / "c.json"))
         assert code == 0 and json.loads(out)["certificate"] == "verified"
@@ -659,12 +653,15 @@ class TestUnwritableOutput:
                     ("", "--emit-cert-empty"),
                     ("..", "--emit-cert-parent"),
                     ("../work", "--emit-cert-directory"),
+                    ("sub/", "--emit-cert-trailing-slash"),
+                    ("sub/.", "--emit-cert-trailing-dot"),
                 )
                 for extra, tag in (([], ""), (["--target", "1"], "-target1"))
             ),
             pytest.param([*GENERIC_2_1, "--early-stop"], "--emit-dot", "/", id="early-stop--emit-dot-root"),
             pytest.param([*CONCRETE_Z8, "--target", "2"], "--emit-dot", ".", id="concrete--emit-dot-dot"),
             pytest.param([*GENERIC_2_1, "--early-stop"], "--emit-dot", "..", id="early-stop--emit-dot-parent"),
+            pytest.param([*GENERIC_2_1, "--target", "1"], "--emit-dot", "new/.", id="target1--emit-dot-trailing-dot"),
             # A certificate dump that would overwrite the DOT file, also
             # refused before any digraph is grown.
             *(

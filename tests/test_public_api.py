@@ -38,7 +38,6 @@ EXPORTS = [
     "Reduce",
     "UNIT_RELATION",
     "UnitIdeal",
-    "WitnessBuilder",
     "avar",
     "bvar",
     "case_split",
@@ -66,7 +65,7 @@ EXPORTS = [
 
 
 def test_exports_are_pinned():
-    assert len(EXPORTS) == 43 and EXPORTS == sorted(EXPORTS)
+    assert len(EXPORTS) == 42 and EXPORTS == sorted(EXPORTS)
     assert nilcert.__all__ == EXPORTS
     for name in EXPORTS:
         assert getattr(nilcert, name, None) is not None, name
