@@ -82,29 +82,34 @@ subject, added into one term map by ``poly.sum_of_products``.  Both derive
 each c_k's terms from (n, m) alone, and an identity holds when nothing is
 left.
 
-A digraph's proof is checked node by node.  ``local_witnesses`` is the one
-source of a node's own witnesses: the product witness of a_i*b_j at a
-branch(i, j), which every target shares, and where a target's proof ends
-the witness of each target u; a target with no closed form there has
-none, and the check fails.
-``checked_exponents`` walks the digraph once for all the targets it is
-given: it builds each node's witnesses, expands each of these small
-identities exactly, checks the digraph's structure around it and drops
-them, keeping per label only each target's exponent.  With early stop, a
-target's proof ends at the first label whose stored closed a-bits hold
-it, so the same single walk checks each target's early-stop proof: each
-distinct branch identity once for every target that goes on past it.  By
-the key lemma (u^k in I + (D, a_i), u^l in I + (D, b_j) and a_i*b_j in
-I + (D) give u^(k+l) in I + (D)) that proves u^e = 0 without expanding
-u^e.  Its cost is polynomial in the digraph, and its memory that of the
-digraph and one node's witnesses, while the root identity grows
-exponentially in n + m.
+A digraph's proof is checked on the grid of tails T(A, B), the last A
+a's and the last B b's.  ``checked_exponents`` walks it once for all its
+targets, children first from the root T(0, 0), and reads the node stored
+at each tail it meets, never the stored order.  That node must be there,
+tagged leaf or branch(n-A, m-B), with the tag's children (a leaf at an
+interior tail ends a single early-stop digraph), and no other node may be
+stored.  a_i0 goes on past each branch, with early stop iff i0 <= n-A
+(a_i0 is no generator of the tail), and the stored closed a-bits must
+then be the grid's own: the label's a-bits while B < m, all n at B = m.
+``local_witnesses`` is the one source of the identities the proofs read:
+the product of a_i*b_j at each branch(i, j), which every target shares,
+and at most two leaf identities per target a_i0, a_i0 itself where it is
+a generator and the relation form at B = m; a target with no closed form
+where its proof ends fails the check.  Each distinct identity is built
+and expanded once per call, where first used, and kept: a later use only
+tests its generator keys against the tail (a_x needs x > n-A, b_y needs
+y > m-B).  By the key lemma (u^k in I + (D, a_i), u^l in I + (D, b_j)
+and a_i*b_j in I + (D) give u^(k+l) in I + (D)) that proves u^e = 0
+without expanding u^e, in at most n*m + 2n expansions and the memory of
+the digraph and of about a row of the grid's exponents, each dropped once
+its last parent is done, while the root identity grows exponentially in
+n + m.
 
 That root identity is built only for a dump, by ``certify`` alone (for
 one target, ``extract_certificate``): the same walk then also takes each
-node's ``node_witness`` step over the witnesses it has just checked,
-each split once into its coefficient map, up to the root, where the
-generator sum is empty; a failed check yields none.  That leaves the
+position's ``node_witness`` step over the identities it has checked, each
+split once into its coefficient map, up to the root, where the generator
+sum is empty; a failed check yields none.  That leaves the
 nilpotency certificate u^e = sum relCoeffs[k]*c_k + unitCoeff*r0, which
 ``verify_symbolic`` checks independently by expanding it, less u^e, with
 ``_expansion_minus``.  It, the dump and the load refuse the same
@@ -114,11 +119,12 @@ out-of-range certificates (``_check_ranges``).
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .engine import CaseTag, Digraph, ProblemInstance
+from .engine import CaseTag, Digraph, ProblemInstance, _post_order
 from .oracles import IdealLabel
 from .poly import (
     EXPONENT_LIMIT,
@@ -362,30 +368,25 @@ def node_witness(
     return k + l, combine(left, right, local, tag, u**l)
 
 
-def _positions(mask: int) -> list[int]:
-    """The set bits of mask, lowest first."""
-    positions = []
-    while mask:
-        low = mask & -mask
-        positions.append(low.bit_length() - 1)
-        mask ^= low
-    return positions
-
-
-def _checked(source: Callable, label: IdealLabel, tag: CaseTag, targets: list[int], subjects: list[MultiPoly]):
-    """The keyed witnesses source gives at label for tag and targets, one
-    per subject, each of whose identities holds for its subject; None when
-    one fails."""
-    try:
-        local = source(label, tag, targets)
-    except NotInClosure:
-        return None
-    if len(local) != len(subjects):
-        return None
-    return local if all(_identity_holds(w, label, s) for w, s in zip(local, subjects)) else None
-
-
 _LEAF = CaseTag.leaf()
+
+
+class _Refused(Exception):
+    """A node or an identity that the grid walk reads fails its check."""
+
+
+def _least_tail(witness: KeyedWitness, n: int, m: int) -> tuple[int, int]:
+    """The least (A, B) such that every generator key of the witness with a
+    nonzero coefficient is a generator of the tail of the last A a's and
+    the last B b's: a_x needs x > n-A, and b_y needs y > m-B."""
+    mask = (1 << _key_bits(n, m)) - 1
+    least = [0, 0]
+    for composite, coeff in witness.terms.items():
+        key = composite & mask
+        if coeff and key & 3 < _REL:
+            kind = key & 1
+            least[kind] = max(least[kind], (m if kind else n) + 1 - (key >> 2))
+    return least[0], least[1]
 
 
 def _walk(
@@ -395,118 +396,108 @@ def _walk(
     source: Callable,
     combined: bool,
 ) -> dict[int, tuple[int, dict[int, MultiPoly] | None]] | None:
-    """The walk of ``checked_exponents`` and ``certify``: each target's
-    root (exponent, coefficient map of a witness of u^exponent), the map
-    None unless ``combined``; None when the check fails, as it does when
-    source raises NotInClosure."""
+    """The walk of ``checked_exponents`` and ``certify`` over the grid of
+    tails: each target's root (exponent, coefficient map of a witness of
+    u^exponent), the map None unless ``combined``; None when the check
+    fails, as it does when source raises NotInClosure."""
     if not digraph.generic:
         raise ValueError("certificates are extracted from indeterminate-coefficient runs")
-    n, m, nodes, root = digraph.n, digraph.m, digraph.nodes, digraph.root
-    bits = _key_bits(n, m)
+    n, m, nodes = digraph.n, digraph.m, digraph.nodes
     targets = list(dict.fromkeys(target_indices))
     if not targets or not all(1 <= i0 <= n for i0 in targets):
         raise ValueError(f"target indices must be given, each in 1..{n}, got {tuple(target_indices)}")
-    if root != IdealLabel.root(n, m):
+    if digraph.root != IdealLabel.root(n, m):
         return None
-    # Targets share a lane where the walk cannot tell them apart: without
-    # early_stop every target stops at the leaves, and unless combined
-    # their steps differ only in the leaf identities.
-    lanes = [[i0] for i0 in targets] if early_stop or combined else [targets]
-    # Parents first, each label's plan: the lanes whose proofs reach it and
-    # those that go on to its children, as bit masks over the lanes.  A
-    # lane stops at a leaf, and with early_stop also where the stored
-    # closed a-bits hold its target.
-    reaching = {root: (1 << len(lanes)) - 1}
-    plans: dict[IdealLabel, tuple[int, int, list[IdealLabel]]] = {}
-    held: dict[int, int] = {}  # closed a-bits -> the lanes whose target they hold
-    for label, node in reversed(nodes.items()):
-        reach = reaching.pop(label, 0)
-        if not reach:
-            continue
-        go = 0 if node.tag.is_leaf else reach
-        if early_stop:
-            closed = node.closed_a
-            lanes_held = held.get(closed)
-            if lanes_held is None:
-                if not 0 <= closed < 1 << n:
-                    return None
-                lanes_held = held[closed] = sum(
-                    1 << p for p, (i0,) in enumerate(lanes) if closed & root.bit("a", i0)
-                )
-            go &= ~lanes_held
-        # A child met here first has here its last parent, children first.
-        last = []
-        if go:
-            for child in node.children:
-                if child not in reaching:
-                    last.append(child)
-                    reaching[child] = go
-                else:
-                    reaching[child] |= go
-        plans[label] = reach, go, last
-    # Children first, each planned label's witnesses are checked and
-    # dropped; its row keeps each reaching lane's (exponent, witness) until
-    # the last parent that goes on to it is done.  The lanes, targets and
-    # subjects of each lane mask are listed once per walk.
-    subjects = [[avar(i0) for i0 in lane] for lane in lanes]
-    selections: dict[int, tuple[list[int], list[int], list[MultiPoly]]] = {}
+    bits, full, ascending = _key_bits(n, m), (1 << n) - 1, sorted(targets)
+    # The leaf identities of a_i0, keyed i0 where a_i0 is a generator and
+    # -i0 where it is not -> the least tail (A, B) and the step (1, its
+    # coefficient map) of each, built and expanded at its first use; each
+    # later use tests only its generator keys.
+    leaves: dict[int, tuple[int, int, tuple[int, dict[int, MultiPoly] | None]]] = {}
+    memo: dict[tuple[int, int], object] = {}
+    read = 0
 
-    def select(mask: int) -> tuple[list[int], list[int], list[MultiPoly]]:
-        positions = _positions(mask)
-        chosen = selections[mask] = (
-            positions,
-            [i0 for p in positions for i0 in lanes[p]],
-            [u for p in positions for u in subjects[p]],
-        )
-        return chosen
+    def upto(i: int) -> list[int]:
+        """The targets a_i0 with i0 <= i, or every target without early_stop."""
+        return ascending[: bisect_right(ascending, i)] if early_stop else ascending
 
-    rows: dict[IdealLabel, list] = {}
-    for label, node in nodes.items():
-        plan = plans.get(label)
-        if plan is None:
-            continue
-        reach, go, last = plan
-        tag = node.tag
-        try:
-            children = tag.children(label)
-        except ValueError:
-            return None
-        if node.children != children:
-            return None
-        row: list = [None] * len(lanes)
-        if reach != go:
-            stop, stopping, stopped = selections.get(reach & ~go) or select(reach & ~go)
-            local = _checked(source, label, _LEAF, stopping, stopped)
-            if local is None:
-                return None
-            # Combined, each lane is one target, with one witness, split
-            # once into its coefficient map for ``node_witness``.
-            for p, witness in zip(stop, local):
-                row[p] = (1, split_keyed(witness.terms, bits, witness.bound) if combined else None)
-            # Dropped before the next label's witnesses are built.
-            del local
-        if go:
-            going, goers, _ = selections.get(go) or select(go)
-            product = _checked(source, label, tag, goers, [avar(tag.i) * bvar(tag.j)])
-            left, right = rows.get(children[0]), rows.get(children[1])
-            if product is None or left is None or right is None:
-                return None
-            shared = split_keyed(product[0].terms, bits, product[0].bound) if combined else None
-            for p in going:
-                steps = left[p], right[p]
+    def checked(label: IdealLabel, tag: CaseTag, chosen: list[int], subjects: list[MultiPoly]) -> list[KeyedWitness]:
+        """source's witnesses at label for tag and the targets chosen, one
+        per subject, each of whose identities holds for its subject."""
+        local = source(label, tag, chosen)
+        if len(local) != len(subjects):
+            raise _Refused
+        for witness, subject in zip(local, subjects):
+            if not _identity_holds(witness, label, subject):
+                raise _Refused
+        return local
+
+    def split(witness: KeyedWitness) -> dict[int, MultiPoly] | None:
+        return split_keyed(witness.terms, bits, witness.bound) if combined else None
+
+    def expand(position: tuple[int, int]):
+        nonlocal read
+        A, B = position
+        label = IdealLabel.tail(n, m, A, B)
+        node = nodes.get(label)
+        if (
+            node is None
+            or not node.tag.is_leaf and node.tag != (n - A, m - B)
+            or node.children != node.tag.children(label)
+            or early_stop and node.closed_a != (label.a if B < m else full)
+        ):
+            raise _Refused
+        read += 1
+        # With early_stop a_i0 goes on past branch(n-A, m-B) iff it is no
+        # generator of the tail.
+        going = [] if node.tag.is_leaf else upto(n - A)
+        return (label, node, going), ((A + 1, B), (A, B + 1)) if going else ()
+
+    def finish(position: tuple[int, int], payload, children, steps):
+        A, B = position
+        label, node, going = payload
+        # Those that may come from a parent and do not go on stop here: the
+        # parent (A-1, B) lets a_i0 on iff i0 <= n-A+1.
+        value, fresh, held = {}, [], n - A
+        for i0 in upto(held + 1)[len(going) :]:
+            kept = leaves.get(i0 if i0 > held else -i0)
+            if kept is None:
+                fresh.append(i0)
+            elif A < kept[0] or B < kept[1]:
+                raise _Refused
+            else:
+                value[i0] = kept[2]
+        if fresh:
+            for i0, witness in zip(fresh, checked(label, _LEAF, fresh, [avar(i0) for i0 in fresh])):
+                kept = leaves[i0 if i0 > held else -i0] = *_least_tail(witness, n, m), (1, split(witness))
+                value[i0] = kept[2]
+        if going:
+            tag, (down, right) = node.tag, steps
+            (product,) = checked(label, tag, going, [avar(tag.i) * bvar(tag.j)])
+            product = split(product)
+            for i0 in going:
                 if combined:
-                    row[p] = node_witness(shared, steps, subjects[p][0], tag)
+                    value[i0] = node_witness(product, (down[i0], right[i0]), avar(i0), tag)
                 else:
-                    row[p] = (steps[0][0] + steps[1][0], None)
-            for child in last:
-                del rows[child]
-        # Without early_stop every lane has the stored exponent.
-        if not early_stop and row[0][0] != node.exponent:
-            return None
-        rows[label] = row
-    if root not in rows:
+                    value[i0] = down[i0][0] + right[i0][0], None
+            # Children first and down before right, the down child's other
+            # parent, (A+1, B-1), is done before this one is met; the right
+            # child's, (A-1, B+1), is a branch only if A > 0 and B+1 < m.
+            del memo[children[0]]
+            if not A or B + 1 == m:
+                del memo[children[1]]
+        # Without early_stop every target has the stored exponent.
+        if not early_stop and value[ascending[0]][0] != node.exponent:
+            raise _Refused
+        return value
+
+    try:
+        root = _post_order((0, 0), expand, finish, memo)
+    except (_Refused, NotInClosure):
         return None
-    return {i0: step for lane, step in zip(lanes, rows[root]) for i0 in lane}
+    if read != len(nodes):
+        return None
+    return {i0: root[i0] for i0 in targets}
 
 
 def check_node_local(
@@ -515,7 +506,8 @@ def check_node_local(
     """Exact node-local check of the digraph's claim u^e = 0, for each
     u = a_i0 with i0 in target_indices, by the key lemma one node at a
     time: ``checked_exponents(...) is not None``.  A ``source`` is called
-    as ``local_witnesses`` is and returns what it returns: a list of
+    as ``local_witnesses`` is, once per distinct identity at the first grid
+    position that uses it, and returns what it returns: a list of
     ``KeyedWitness``."""
     return checked_exponents(digraph, *target_indices, early_stop=early_stop, source=source) is not None
 
@@ -527,29 +519,20 @@ def checked_exponents(
     key lemma one node at a time; None when the check fails.
 
     A target's proof is the digraph or, with ``early_stop``, its early-stop
-    digraph (``engine.early_stop_cut``): the same nodes down to the first
-    label whose stored closed a-bits hold a_i0, where it ends.  One walk
-    checks every target's proof.  Parents first, it finds which targets
-    reach each label and which go on past it; then, children first, it
-    takes each reached node's own witnesses from ``source``, checks them
-    and drops them.  ``source(label, tag, targets)`` returns a list of
-    ``KeyedWitness``, one per target where the targets' proofs end at a
-    leaf or early stop, one product witness at a branch they go on past;
-    ``local_witnesses`` builds them, and a test may give a fake.  It
-    requires at each label D the stored children to be
-    ``tag.children(D)``, each already checked for every target that goes
-    on past D; every witness to key only generators of D, relations 1..n+m
-    and the unit coefficient, and to expand, less its subject (u where u's
-    proof ends, a_i*b_j at a branch(i, j) it goes on past), to the zero
-    polynomial in the relations of D's size; and without ``early_stop``
-    the stored exponent to be the recomputed one.
-
-    Then u^k in I + (D, a_i), u^l in I + (D, b_j) and a_i*b_j in I + (D)
-    give u^(k+l) in I + (D), I the ideal of the relations; the root label
-    must be empty, which leaves u^e in I, with u^e never expanded.  Each
-    product identity is checked once for all the targets that go on past
-    its branch.  A target with no closed-form witness where its proof ends
-    fails the check, and so do closed a-bits that are no mask of n bits.
+    digraph (``engine.early_stop_cut``), which ends at the first tail
+    T(A, B) that holds a_i0.  One walk over the grid of tails checks every
+    target's proof by the rules in the module docstring.
+    ``source(label, tag, targets)`` returns a list of ``KeyedWitness``: one
+    leaf identity per target at a leaf, the product witness at a branch.
+    ``local_witnesses`` builds them, and a test may give a fake.  It is
+    called once per distinct identity, at the first position that uses it:
+    each branch's product with the targets that go on past it, and a_i0's
+    leaf identity once where a_i0 is a generator of the tail and once where
+    it is not.  Each witness must key only generators of that tail,
+    relations 1..n+m and the unit coefficient, and expand, less its
+    subject, to zero in the relations of the tail's size; each later use
+    tests only its generator keys against its own tail.  The root label
+    must be empty, which leaves u^e in I, the ideal of the relations.
     Raises ValueError for a concrete digraph, or when no target is given or
     one lies outside 1..n.
     """
@@ -558,12 +541,15 @@ def checked_exponents(
 
 
 def certify(digraph: Digraph, *target_indices: int, early_stop: bool = False) -> list[NilpotencyCertificate] | None:
-    """The walk of ``checked_exponents``, which also takes each node's
-    ``node_witness`` step over the witnesses it checks, up each target's
-    proof, and returns the root certificates in the order of
+    """The grid walk of ``checked_exponents``, which also takes each
+    position's ``node_witness`` step over the identities it checks, up each
+    target's proof, and returns the root certificates in the order of
     target_indices (a repeated target is certified once); None whenever
-    the check fails.  A product witness that several targets share is
-    built once and combined into each of their steps at its label.
+    the check fails.  Each identity is split into its coefficient map once,
+    where it is first built: a product witness that several targets share
+    is combined into each of their steps at its branch, and a leaf identity
+    is each target's step wherever its proof ends in that form.  A
+    position's steps are dropped once its last parent has combined them.
     Raises ValueError as ``checked_exponents`` does."""
     walked = _walk(digraph, target_indices, early_stop, local_witnesses, True)
     if walked is None:

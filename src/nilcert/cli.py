@@ -17,13 +17,13 @@ is the plain leaf rule; each target's early-stop digraph is cut from it,
 one at a time, only for its DOT file, metrics and e.  Then every target
 is checked in one call and the report is printed.  Only the check
 differs.  Generic mode checks the proofs node by node for all targets in
-one walk over the grown digraph, each node's own witnesses built,
-expanded exactly and dropped, each branch identity once however many
-targets go on past it, and each reported e must be the exponent the walk
-proves; with --emit-cert the same walk also combines each target's root
-certificate from the witnesses it checked, and each is verified by full
-expansion and dumped only if it holds.  Concrete mode evaluates u^e in
-Z/modulus.
+one walk over the grid of tails, reading the digraph's node at each tail
+it meets and expanding each distinct identity (a branch's product, a
+target's leaf identity in generator or relation form) exactly once, and
+each reported e must be the exponent the walk proves; with --emit-cert
+the same walk also combines each target's root certificate from the
+identities it checked, each verified by full expansion and dumped only
+if it holds.  Concrete mode evaluates u^e in Z/modulus.
 
 The argument parser is built once per process.  A canonical argument
 vector (the subcommand, then exact option strings, each value one that

@@ -315,10 +315,10 @@ def early_stop_cut(digraph: Digraph, target: int) -> Digraph:
     ``grow_digraph(instance, early_stop_target=target)`` node for node,
     with no closure or gcd recomputed.  It describes the target's proof
     (its DOT file, metrics and exponent); the check needs no cut, since
-    ``certificates.checked_exponents`` applies the same stopping rule in
-    its one walk over ``digraph``.  Raises ValueError when target lies
-    outside 1..n, or at a leaf that a_target is not in (a digraph
-    early-stopped for another target).
+    ``certificates.checked_exponents`` stops a_target at the first tail
+    that holds it in its one walk over the grid of ``digraph``'s tails.
+    Raises ValueError when target lies outside 1..n, or at a leaf that
+    a_target is not in (a digraph early-stopped for another target).
     """
     _check_target(digraph.n, target)
     nodes = digraph.nodes

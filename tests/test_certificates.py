@@ -284,6 +284,20 @@ class TestClosedForms:
         for n, m in [(40, 40), (300, 1)]:
             assert all(map(is_tail, grow_digraph(ProblemInstance.generic(n, m)).nodes)), (n, m)
 
+    def test_closed_a_bits_are_the_grids(self):
+        """All n+m <= 8, plain and the early-stop digraph of each target:
+        the closed a-bits that growth stores at the tail of the last A a's
+        and B b's are the label's own a-bits while B < m, and all n bits at
+        B = m, the closed form the walk checks them against."""
+        for total in range(1, 9):
+            for n in range(1, total + 1):
+                m = total - n
+                instance = ProblemInstance.generic(n, m)
+                for target in (None, *range(1, n + 1)):
+                    for at, node in grow_digraph(instance, early_stop_target=target).nodes.items():
+                        closed = at.a if at.b.bit_length() < m else (1 << n) - 1
+                        assert node.closed_a == closed, (n, m, target, at)
+
     def test_built_at_every_node(self):
         """Every digraph with n+m <= 7, plain and each target's early-stop
         one: at each branch the product witness, and at each label for
@@ -418,28 +432,47 @@ def small_generic_runs(max_total: int = 5):
                 yield grow_digraph(instance, early_stop_target=i0), i0
 
 
-def with_local(at: IdealLabel, change):
-    """The witness source with each witness at label ``at`` passed
-    through change, which reads and returns field witnesses."""
+def identities(label: IdealLabel, tag: CaseTag, targets) -> list[tuple]:
+    """The identities of the witnesses that the source gives at label for
+    tag and targets: the product a_i*b_j at a branch(i, j); at a leaf each
+    target a_i0's leaf identity, in generator form where a_i0 is a
+    generator of the label and in relation form where it is not.  The
+    check builds and expands each once per call, where it first uses it."""
+    if not tag.is_leaf:
+        return [("product", tag.i, tag.j)]
+    return [("leaf", i0, label.has("a", i0)) for i0 in targets]
+
+
+def identity_at(label: IdealLabel, tag: CaseTag, i0: int) -> tuple:
+    """The identity a_i0's proof reads at label, whose tag is tag: the
+    product witness's at a branch, its own leaf identity where it ends."""
+    (identity,) = identities(label, tag, [i0])
+    return identity
+
+
+def identity_subject(identity: tuple) -> str:
+    """The rendered subject of an identity: a_i*b_j or a_i0."""
+    return f"1*a{identity[1]}*b{identity[2]}" if identity[0] == "product" else f"1*a{identity[1]}"
+
+
+def with_identity(identity: tuple, change):
+    """The witness source with the witness of one identity replaced, at
+    whatever label the check builds it, by the list change(label, witness)
+    of keyed witnesses: none for one too few, two for one too many."""
 
     def source(label, tag, targets):
-        witnesses = local_witnesses(label, tag, targets)
-        if label != at:
-            return witnesses
-        return [helpers.keyed(change(field_form(witness, label)), label) for witness in witnesses]
+        out = []
+        for key, witness in zip(identities(label, tag, targets), local_witnesses(label, tag, targets)):
+            out += change(label, witness) if key == identity else [witness]
+        return out
 
     return source
 
 
-def with_list(at: IdealLabel, change):
-    """The witness source with the list of witnesses at label ``at``
-    passed through change."""
-
-    def source(label, tag, targets):
-        witnesses = local_witnesses(label, tag, targets)
-        return change(witnesses) if label == at else witnesses
-
-    return source
+def field_change(change):
+    """The change of ``with_identity`` that passes the witness through
+    change, which reads and returns field witnesses."""
+    return lambda label, witness: [helpers.keyed(change(field_form(witness, label)), label)]
 
 
 def with_node(digraph, at: IdealLabel, **fields):
@@ -478,12 +511,14 @@ class TestNodeLocalCheck:
             assert check_node_local(digraph, i0), (digraph.n, digraph.m, i0)
 
     def test_exponents_of_every_proof(self):
-        """Every digraph with n+m <= 7, (4,4) and (10,10): all targets in
-        one walk, plain and --early-stop, and each target alone on its own
-        early-stop digraph, prove the exponents the digraphs store: the
-        grid exponent C(n+m, n), and each target's early-stop cut's."""
-        sizes = [(n, total - n) for total in range(1, 8) for n in range(1, total + 1)] + [(4, 4), (10, 10)]
-        for n, m in sizes:
+        """The checker's exponents are the engine's.  Every digraph with
+        n+m <= 8, (10,10), (40,40) and (300,1): all targets in one walk,
+        plain and --early-stop, prove the exponents the digraphs store: the
+        grid exponent C(n+m, n), and each target's early-stop cut's.  Up to
+        n+m = 8 each target's own early-stop digraph, checked alone and
+        without early stop, proves the exponent it stores too."""
+        sizes = [(n, total - n) for total in range(1, 9) for n in range(1, total + 1)]
+        for n, m in sizes + [(10, 10), (40, 40), (300, 1)]:
             instance = ProblemInstance.generic(n, m)
             digraph = grow_digraph(instance)
             targets = range(1, n + 1)
@@ -493,8 +528,11 @@ class TestNodeLocalCheck:
             stopped = {i0: cut.nodes[cut.root].exponent for i0, cut in cuts.items()}
             assert checked_exponents(digraph, *targets) == plain, (n, m)
             assert checked_exponents(digraph, *targets, early_stop=True) == stopped, (n, m)
+            if n + m > 8:
+                continue
             for i0 in targets:
                 own = grow_digraph(instance, early_stop_target=i0)
+                assert own.nodes[own.root].exponent == stopped[i0], (n, m, i0)
                 assert checked_exponents(own, i0) == {i0: stopped[i0]}, (n, m, i0)
 
     def test_shared_proof_serves_every_target(self):
@@ -509,56 +547,72 @@ class TestNodeLocalCheck:
             check_node_local(digraph, *targets)
 
     def test_products_checked_once_per_proof(self, monkeypatch):
-        """One call for three targets builds and checks each branch's
-        product identity once and each leaf identity once per target."""
+        """One call for three targets builds and expands each branch's
+        product identity once, however many targets go on past it, and each
+        target's leaf identity once per form its proof ends in (generator
+        or relation), however many leaves share it: at (3,2), 6 products
+        and 2 leaf identities per target, plain and --early-stop alike,
+        where one identity per node and target made 21 and 18."""
         digraph = grow_digraph(ProblemInstance.generic(3, 2))
-        branches = sum(not node.tag.is_leaf for node in digraph.nodes.values())
-        leaves = len(digraph.nodes) - branches
         check, build = certificates._identity_holds, certificates.gauss_product_witness
         subjects, built = Counter(), []
         monkeypatch.setattr(
             certificates, "_identity_holds", lambda *args: subjects.update([args[2].render()]) or check(*args)
         )
         monkeypatch.setattr(certificates, "gauss_product_witness", lambda *args: built.append(args) or build(*args))
-        assert check_node_local(digraph, 1, 2, 3)
-        expected = Counter(f"1*a{node.tag.i}*b{node.tag.j}" for node in digraph.nodes.values() if node.children)
-        expected.update({f"1*a{i0}": leaves for i0 in (1, 2, 3)})
-        assert subjects == expected
-        assert subjects.total() == branches + 3 * leaves
-        assert len(built) == branches
+        branches = [(node.tag.i, node.tag.j, label) for label, node in digraph.nodes.items() if node.children]
+        pinned = Counter({f"1*a{i}*b{j}": 1 for i, j, _ in branches}) + Counter({"1*a1": 2, "1*a2": 2, "1*a3": 2})
+        assert len(branches) == 6 and pinned.total() == 12
 
-        # All three --early-stop proofs in one walk: each distinct branch
-        # identity once, however many targets go on past it, and each
-        # target's leaf identity once per leaf of its own cut.
-        cuts = {i0: early_stop_cut(digraph, i0) for i0 in (1, 2, 3)}
+        assert check_node_local(digraph, 1, 2, 3)
+        read = {identity_at(label, node.tag, i0) for label, node in digraph.nodes.items() for i0 in (1, 2, 3)}
+        assert subjects == Counter(identity_subject(identity) for identity in read) == pinned
+        assert sorted(built) == sorted(branches)
+
+        # All three --early-stop proofs in one walk over the plain digraph.
         subjects.clear()
         built.clear()
         assert check_node_local(digraph, 1, 2, 3, early_stop=True)
-        branch_nodes = {
-            (label, node.tag) for cut in cuts.values() for label, node in cut.nodes.items() if node.children
-        }
-        assert sum(sum(bool(node.children) for node in cut.nodes.values()) for cut in cuts.values()) > len(branch_nodes)
-        expected = Counter(f"1*a{tag.i}*b{tag.j}" for _, tag in branch_nodes)
-        for i0, cut in cuts.items():
-            expected.update({f"1*a{i0}": sum(not node.children for node in cut.nodes.values())})
-        assert subjects == expected
-        assert sorted(built) == sorted((tag.i, tag.j, label) for label, tag in branch_nodes)
+        cuts = [early_stop_cut(digraph, i0) for i0 in (1, 2, 3)]
+        read = {identity_at(at, node.tag, i0) for i0, cut in zip((1, 2, 3), cuts) for at, node in cut.nodes.items()}
+        assert sum(sum(bool(node.children) for node in cut.nodes.values()) for cut in cuts) > len(branches)
+        assert subjects == Counter(identity_subject(identity) for identity in read) == pinned
+        assert sorted(built) == sorted(branches)
+
+    @pytest.mark.parametrize("early_stop", [False, True], ids=["plain", "early-stop"])
+    def test_each_identity_expanded_once_at_scale(self, monkeypatch, early_stop):
+        """(300,1), all targets in one call: no (witness, subject) pair is
+        expanded twice, and there are at most n*m + 2n expansions, one per
+        branch and two leaf identities per target, where one per node and
+        target made 90 600 plain and 45 750 with early stop."""
+        n, m = 300, 1
+        digraph = grow_digraph(ProblemInstance.generic(n, m))
+        check, expanded = certificates._identity_holds, Counter()
+
+        def counting(witness, label, subject):
+            expanded[tuple(sorted(witness.terms.items())), subject.render()] += 1
+            return check(witness, label, subject)
+
+        monkeypatch.setattr(certificates, "_identity_holds", counting)
+        assert checked_exponents(digraph, *range(1, n + 1), early_stop=early_stop) is not None
+        assert max(expanded.values()) == 1
+        assert expanded.total() <= n * m + 2 * n
 
     def test_a_false_shared_product_fails_every_order(self):
-        """A corrupted product witness at a branch that several targets'
+        """A corrupted product identity of a branch that several targets'
         --early-stop proofs share fails the check, whichever order the
-        targets come in, and yields no certificate."""
+        targets come in."""
         digraph = grow_digraph(ProblemInstance.generic(3, 3))
         cuts = {i0: early_stop_cut(digraph, i0) for i0 in (1, 2, 3)}
-        sharing = Counter(label for cut in cuts.values() for label, node in cut.nodes.items() if node.children)
-        shared = [label for label, count in sharing.items() if count > 1]
+        sharing = Counter(node.tag for cut in cuts.values() for node in cut.nodes.values() if node.children)
+        shared = [tag for tag, count in sharing.items() if count > 1]
         assert shared
         bump = lambda witness: replace(witness, unit_coeff=witness.unit_coeff + MultiPoly.one())  # noqa: E731
-        for at in shared:
-            source = with_local(at, bump)
+        for tag in shared:
+            source = with_identity(("product", *tag), field_change(bump))
             for order in ((1, 2, 3), (3, 2, 1), (2, 3, 1)):
                 assert check_node_local(digraph, *order, early_stop=True)
-                assert not check_node_local(digraph, *order, early_stop=True, source=source), (at, order)
+                assert not check_node_local(digraph, *order, early_stop=True, source=source), (tag, order)
 
     def test_cuts_certify_as_their_early_stop_digraphs(self):
         """With early_stop, one walk over the plain digraph gives each
@@ -574,13 +628,15 @@ class TestNodeLocalCheck:
         assert checked_exponents(digraph, 3, 1, early_stop=True) == {3: 3, 1: 10}
 
     def test_rejects_a_cut_the_walk_does_not_meet(self):
-        """The walk meets each label after its children, in the digraph's
-        order; each target lies in 1..n, and the digraph must be generic."""
+        """The walk reads each node at its grid position, not in the
+        digraph's stored order, which is the engine's to keep (TestPostOrder
+        in test_engine): nodes stored parents first prove the same
+        exponents.  Each target lies in 1..n, and the digraph must be
+        generic."""
         digraph = grow_digraph(ProblemInstance.generic(2, 2))
-        assert check_node_local(digraph, 1, 2, early_stop=True)
-        # The order comes from the digraph: reversed, no child is met first.
+        assert checked_exponents(digraph, 1, 2, early_stop=True) == {1: 6, 2: 3}
         backwards = replace(digraph, nodes=dict(reversed(digraph.nodes.items())))
-        assert not check_node_local(backwards, 1, 2, early_stop=True)
+        assert checked_exponents(backwards, 1, 2, early_stop=True) == {1: 6, 2: 3}
         with pytest.raises(ValueError):
             check_node_local(digraph, 3, early_stop=True)
         concrete = grow_digraph(ProblemInstance.concrete(8, [1, 2, 4], [1, 6]))
@@ -590,17 +646,25 @@ class TestNodeLocalCheck:
     @pytest.mark.parametrize("malform", ["root tag out of range", "root node missing", "parents first"])
     @pytest.mark.parametrize("early_stop", [False, True])
     def test_refuses_a_malformed_digraph(self, malform, early_stop):
-        """A root tag whose children do not exist, a root with no node, or
-        nodes stored parents first fail the check and give no exponents
-        and no certificate; none of them raises."""
+        """A root tag whose children do not exist or a root with no node
+        fail the check and give no exponents and no certificate; neither
+        raises.  Nodes stored parents first are no malformation to the
+        walk, which reads each node at its grid position: they give the
+        exponents and certificates of the same nodes stored children
+        first."""
         digraph = fresh(grow_digraph(ProblemInstance.generic(2, 1)))
         root = digraph.root
+        if malform == "parents first":
+            backwards = replace(digraph, nodes=dict(reversed(digraph.nodes.items())))
+            exponents = checked_exponents(digraph, 1, 2, early_stop=early_stop)
+            assert exponents == ({1: 3, 2: 2} if early_stop else {1: 3, 2: 3})
+            assert checked_exponents(backwards, 1, 2, early_stop=early_stop) == exponents
+            assert certify(backwards, 1, 2, early_stop=early_stop) == certify(digraph, 1, 2, early_stop=early_stop)
+            return
         if malform == "root tag out of range":
             digraph.nodes[root] = replace(digraph.nodes[root], tag=CaseTag.branch(5, 5))
-        elif malform == "root node missing":
-            del digraph.nodes[root]
         else:
-            digraph = replace(digraph, nodes=dict(reversed(digraph.nodes.items())))
+            del digraph.nodes[root]
         assert check_node_local(digraph, 1, 2, early_stop=early_stop) is False
         assert checked_exponents(digraph, 1, 2, early_stop=early_stop) is None
         assert certify(digraph, 1, 2, early_stop=early_stop) is None
@@ -634,20 +698,25 @@ class TestNodeLocalCheck:
         assert seen > 5
 
     def test_early_stop_rejects_a_perturbed_coefficient(self):
-        """Every witness of every target's --early-stop proof, perturbed
-        once, fails the one walk over the plain digraph (n+m <= 5)."""
+        """Every identity that some target's --early-stop proof reads,
+        perturbed once wherever the check builds it, fails the one walk
+        over the plain digraph (n+m <= 5)."""
         one = MultiPoly.one()
-        bump = lambda witness: replace(witness, unit_coeff=witness.unit_coeff + one)  # noqa: E731
+        bump = field_change(lambda witness: replace(witness, unit_coeff=witness.unit_coeff + one))
         seen = 0
         for total in range(1, 6):
             for n in range(1, total + 1):
                 digraph = grow_digraph(ProblemInstance.generic(n, total - n))
                 targets = range(1, n + 1)
-                reached = {label for i0 in targets for label in early_stop_cut(digraph, i0).nodes}
-                for at in digraph.nodes:
-                    verdict = check_node_local(digraph, *targets, early_stop=True, source=with_local(at, bump))
-                    assert verdict is (at not in reached), (n, total - n, at)
-                    seen += at in reached
+                read = {
+                    identity_at(label, node.tag, i0)
+                    for i0 in targets
+                    for label, node in early_stop_cut(digraph, i0).nodes.items()
+                }
+                for identity in sorted(read):
+                    source = with_identity(identity, bump)
+                    assert not check_node_local(digraph, *targets, early_stop=True, source=source), (n, identity)
+                seen += len(read)
         assert seen >= 80
 
     def test_a_product_witness_edited_in_place_is_checked_again(self):
@@ -689,6 +758,8 @@ class TestNodeLocalCheck:
         assert [f.name for f in dataclasses.fields(KeyedWitness)] == ["terms", "bound"]
 
     def test_rejects_a_perturbed_coefficient(self):
+        """Each identity a proof reads, with one coefficient perturbed."""
+
         def perturbations(witness):
             one = MultiPoly.one()
             for d, c in witness.gen_coeffs.items():
@@ -698,11 +769,12 @@ class TestNodeLocalCheck:
             yield replace(witness, unit_coeff=witness.unit_coeff + one)
 
         for digraph, i0 in small_generic_runs():
-            for at, node in digraph.nodes.items():
-                (witness,) = local_witnesses(at, node.tag, [i0])
+            read = {identity_at(at, node.tag, i0): (at, node.tag) for at, node in digraph.nodes.items()}
+            for identity, (at, tag) in read.items():
+                (witness,) = local_witnesses(at, tag, [i0])
                 for mutated in perturbations(field_form(witness, at)):
-                    tampered = with_local(at, lambda _: mutated)
-                    assert not check_node_local(digraph, i0, source=tampered), (digraph.n, digraph.m, i0, at)
+                    tampered = with_identity(identity, field_change(lambda _, mutated=mutated: mutated))
+                    assert not check_node_local(digraph, i0, source=tampered), (digraph.n, digraph.m, i0, identity)
 
     def test_rejects_the_witness_of_a_neighbouring_product(self):
         """A witness of a_i*b_(j-1), built by the reference builder where
@@ -715,14 +787,14 @@ class TestNodeLocalCheck:
                 i, j = node.tag.i, node.tag.j
                 child = node.children[1]
                 neighbour = helpers.keyed(helpers.ReferenceWitnesses(child).isolate(i, j - 1), child)
-                tampered = with_list(at, lambda _: [neighbour])
+                tampered = with_identity(("product", i, j), lambda label, _: [neighbour])
                 assert not check_node_local(digraph, i0, source=tampered), (digraph.n, digraph.m, i0, at)
                 seen += 1
         assert seen > 100
 
     def test_rejects_the_leaf_witness_of_another_target(self):
-        """Valid at the leaf, with the leaf's own generators, but for a
-        different subject."""
+        """Valid at a leaf, with the leaf's own generators, but for a
+        different subject, in place of the target's leaf identity there."""
         seen = 0
         for digraph, i0 in small_generic_runs():
             if digraph.n == 1:
@@ -735,7 +807,7 @@ class TestNodeLocalCheck:
                     (substitute,) = local_witnesses(at, node.tag, [other])
                 except NotInClosure:
                     continue
-                tampered = with_list(at, lambda _: [substitute])
+                tampered = with_identity(identity_at(at, node.tag, i0), lambda label, _: [substitute])
                 assert not check_node_local(digraph, i0, source=tampered), (digraph.n, digraph.m, i0, at)
                 seen += 1
         assert seen > 50
@@ -754,7 +826,7 @@ class TestNodeLocalCheck:
                 if helpers.leq(helpers.label(digraph.n, digraph.m, str(key)), at):
                     continue
                 trivial = FieldWitness({key: coeff})
-                tampered = with_local(at, lambda _: trivial)
+                tampered = with_identity(identity_at(at, tag, i0), field_change(lambda _: trivial))
                 assert not check_node_local(digraph, i0, source=tampered), (digraph.n, digraph.m, i0, at)
                 seen += 1
         assert seen > 100
@@ -764,24 +836,29 @@ class TestNodeLocalCheck:
         relations, so index 0 is refused."""
         digraph = grow_digraph(ProblemInstance.generic(2, 1))
         u = avar(1)
-        leaf = next(label for label, node in digraph.nodes.items() if node.tag.is_leaf)
+        leaf, node = next((label, node) for label, node in digraph.nodes.items() if node.tag.is_leaf)
         c0_witness = FieldWitness(rel_coeffs={0: u}, unit_coeff=-u)
         assert operator_expansion(c0_witness, 2, 1) == u
-        assert not check_node_local(digraph, 1, source=with_local(leaf, lambda _: c0_witness))
+        source = with_identity(identity_at(leaf, node.tag, 1), field_change(lambda _: c0_witness))
+        assert not check_node_local(digraph, 1, source=source)
 
     def test_rejects_a_unit_key_with_an_index(self):
         """A witness whose unit coefficient sits under the unit key of
         index 1, which names no coefficient, proves nothing, though its
         terms expand as the unit coefficient's would."""
+
+        def moved(label, witness):
+            mask, moved = (1 << helpers.key_bits(label)) - 1, 1 << 2 | helpers.UNIT
+            terms = {c - helpers.UNIT + moved if c & mask == helpers.UNIT else c: v for c, v in witness.terms.items()}
+            return [KeyedWitness(terms, witness.bound)]
+
         seen = 0
         for digraph, i0 in small_generic_runs():
             for at, node in digraph.nodes.items():
                 (witness,) = local_witnesses(at, node.tag, [i0])
                 if field_form(witness, at).unit_coeff.is_zero:
                     continue
-                mask, moved = (1 << helpers.key_bits(at)) - 1, 1 << 2 | helpers.UNIT
-                terms = {c - helpers.UNIT + moved if c & mask == helpers.UNIT else c: v for c, v in witness.terms.items()}
-                tampered = with_list(at, lambda _: [KeyedWitness(terms, witness.bound)])
+                tampered = with_identity(identity_at(at, node.tag, i0), moved)
                 assert not check_node_local(digraph, i0, source=tampered), (digraph.n, digraph.m, i0, at)
                 seen += 1
         assert seen > 50
@@ -821,9 +898,14 @@ class TestNodeLocalCheck:
         child = digraph.nodes[digraph.root].children[0]
         leaf = next(label for label, node in digraph.nodes.items() if node.tag.is_leaf)
         assert not check_node_local(replace(digraph, root=child), 1)
-        assert not check_node_local(replace(digraph, nodes=dict(reversed(digraph.nodes.items()))), 1)
         # A parent may not count a leaf that is never checked.
         assert not check_node_local(replace(digraph, nodes={k: v for k, v in digraph.nodes.items() if k != leaf}), 1)
+        # Nor may the digraph hold a node that no proof reads: one off the
+        # grid of tails, or the leaves a proof with early stop never meets.
+        stray = label(3, 2, "a1")
+        assert not check_node_local(replace(digraph, nodes={**digraph.nodes, stray: digraph.nodes[leaf]}), 1)
+        assert checked_exponents(digraph, 1, 3, early_stop=True) == {1: 10, 3: 3}
+        assert not check_node_local(digraph, 3, early_stop=True)
 
     def test_rejects_a_missing_witness(self):
         digraph = grow_digraph(ProblemInstance.generic(2, 2), early_stop_target=2)
@@ -874,42 +956,46 @@ def bumped(kind: str):
     return change
 
 
-def proof_node(digraph, target: int, early_stop: bool, location: str, kind: str) -> IdealLabel:
-    """The first label of the target's proof, children first, where the
-    proof ends ("leaf") or goes on ("branch"), whose own witness there has
-    a coefficient of the kind to perturb; every witness has a unit
-    coefficient, if only 0."""
+def proof_identity(digraph, target: int, early_stop: bool, location: str, kind: str) -> tuple:
+    """The identity that the target's proof reads at its first label,
+    children first, where the proof ends ("leaf") or goes on ("branch"),
+    whose own witness there has a coefficient of the kind to perturb;
+    every witness has a unit coefficient, if only 0."""
     proof = early_stop_cut(digraph, target) if early_stop else digraph
     for at, node in proof.nodes.items():
         if node.tag.is_leaf == (location == "leaf"):
             witness = field_form(local_witnesses(at, node.tag, [target])[0], at)
             if kind not in ("gen", "rel") or (witness.gen_coeffs if kind == "gen" else witness.rel_coeffs):
-                return at
+                return identity_at(at, node.tag, target)
     raise AssertionError(f"no {location} whose witness has a {kind} coefficient")
 
 
 class TestSoundnessAtScale:
     """A false node-local identity fails the check at n+m >= 7 as well:
-    one perturbed generator, relation or unit coefficient at a leaf or a
-    branch of the (4,3) and (10,10) proofs, plain and --early-stop, and a
-    source that gives one witness too few or one too many there.  Each
-    makes ``check_node_local`` false and ``certify`` give None."""
+    one perturbed generator, relation or unit coefficient of an identity
+    that a leaf or a branch of the (4,3) and (10,10) proofs reads, plain
+    and --early-stop, and a source that gives one witness too few or one
+    too many for it.  Each makes ``check_node_local`` false and
+    ``certify`` give None.  With early stop every target is checked, as
+    the CLI checks them, since the walk reads every node of the plain
+    digraph only for a_1."""
 
     @pytest.mark.parametrize("location", ["leaf", "branch"])
     @pytest.mark.parametrize("early_stop", [False, True], ids=["plain", "early-stop"])
     @pytest.mark.parametrize("size", list(SCALE_RUNS), ids=lambda size: f"{size[0]}x{size[1]}")
     def test_a_false_node_fails(self, monkeypatch, size, early_stop, location):
         digraph, target = SCALE_RUNS[size], 2
-        assert check_node_local(digraph, target, early_stop=early_stop)
-        sources = {kind: lambda at, kind=kind: with_local(at, bumped(kind)) for kind in ("gen", "rel", "unit")}
-        sources["one too few"] = lambda at: with_list(at, lambda witnesses: witnesses[:-1])
-        sources["one too many"] = lambda at: with_list(at, lambda witnesses: witnesses + witnesses[:1])
-        for kind, make in sources.items():
-            at = proof_node(digraph, target, early_stop, location, kind)
-            source = make(at)
-            assert not check_node_local(digraph, target, early_stop=early_stop, source=source), (kind, at)
+        targets = range(1, digraph.n + 1) if early_stop else (target,)
+        assert check_node_local(digraph, *targets, early_stop=early_stop)
+        changes = {kind: field_change(bumped(kind)) for kind in ("gen", "rel", "unit")}
+        changes["one too few"] = lambda label, witness: []
+        changes["one too many"] = lambda label, witness: [witness, witness]
+        for kind, change in changes.items():
+            identity = proof_identity(digraph, target, early_stop, location, kind)
+            source = with_identity(identity, change)
+            assert not check_node_local(digraph, *targets, early_stop=early_stop, source=source), (kind, identity)
             monkeypatch.setattr(certificates, "local_witnesses", source)
-            assert certify(digraph, target, early_stop=early_stop) is None, (kind, at)
+            assert certify(digraph, *targets, early_stop=early_stop) is None, (kind, identity)
             monkeypatch.undo()
 
 

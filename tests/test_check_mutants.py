@@ -1,8 +1,10 @@
 """The node check's own adversary: mutants of its soundness checks.
 
 Each mutant is one textual edit of a check in ``certificates``, named
-after the check it weakens: the node identity's (``_identity_holds``,
-``_checked``), the digraph structure's around it (``_walk``), the
+after the check it weakens: the node identity's (``_identity_holds`` and
+the walk's length guard and tail label), the grid rules of the walk over
+the tails (``_walk``: tags, children, exponents, closed a-bits, which
+targets go on, each later use of an identity, no unread node), the
 certificate ranges' (``_check_ranges``) and the dump reader's
 (``load_certificate``).  The edited source is loaded as a fresh module
 and runs two fixed batteries: node proofs, true and false, through its
@@ -26,16 +28,16 @@ from pathlib import Path
 import pytest
 
 import helpers
-from nilcert import CaseTag, ProblemInstance, avar, bvar, certificates, dump_certificate, grow_digraph
+from nilcert import CaseTag, IdealLabel, ProblemInstance, avar, bvar, certificates, dump_certificate, grow_digraph
 from nilcert.certificates import KeyedWitness, local_witnesses
 from nilcert.poly import EXPONENT_LIMIT
 
 SOURCE = Path(certificates.__file__).read_text(encoding="utf-8")
 
 # name -> (text of the check, its mutated text).  Each text occurs once.
-# A failed check returns None and never raises, so the mutants without the
-# tag's-children guard or the root-reached test, which raise ValueError and
-# KeyError on a malformed digraph, judge it otherwise than the real module.
+# A failed check returns None and never raises, so the mutant without the
+# length guard, which raises ValueError where a source gives no witness,
+# judges that proof otherwise than the real module.
 MUTANTS = {
     "generator key tested against the label": (
         '            elif label.has("ab"[tag], index):\n',
@@ -53,8 +55,8 @@ MUTANTS = {
         "    n, m = label.n, label.m\n    bits = _key_bits(n, m)\n",
         "    n, m = label.n, label.m\n    if n + m >= 7:\n        return True\n    bits = _key_bits(n, m)\n",
     ),
-    "one witness per subject (_checked's length guard)": (
-        "    if len(local) != len(subjects):\n        return None\n",
+    "one witness per subject (length guard)": (
+        "        if len(local) != len(subjects):\n            raise _Refused\n",
         "",
     ),
     "subject subtracted": (
@@ -66,28 +68,39 @@ MUTANTS = {
         "                pass\n",
     ),
     "root label empty": (
-        "    if root != IdealLabel.root(n, m):\n        return None\n",
+        "    if digraph.root != IdealLabel.root(n, m):\n        return None\n",
         "",
     ),
-    "a tag whose children raise fails the check": (
-        "        try:\n            children = tag.children(label)\n"
-        "        except ValueError:\n            return None\n",
-        "        children = tag.children(label)\n",
+    "identities expanded at the node's tail label": (
+        "_identity_holds(witness, label, subject)",
+        "_identity_holds(witness, IdealLabel.tail(n, m, n, m), subject)",
+    ),
+    "tag a leaf or branch(n-A, m-B)": (
+        "            or not node.tag.is_leaf and node.tag != (n - A, m - B)\n",
+        "",
     ),
     "stored children equal to the tag's": (
-        "        if node.children != children:\n            return None\n",
+        "            or node.children != node.tag.children(label)\n",
         "",
     ),
     "stored exponent without early stop": (
-        "        if not early_stop and row[0][0] != node.exponent:\n            return None\n",
+        "        if not early_stop and value[ascending[0]][0] != node.exponent:\n",
+        "        if False:\n",
+    ),
+    "closed a-bits the grid's under early stop": (
+        "            or early_stop and node.closed_a != (label.a if B < m else full)\n",
         "",
     ),
-    "closed a-bits a mask of n bits under early stop": (
-        "                if not 0 <= closed < 1 << n:\n                    return None\n",
-        "",
+    "a_i0 goes on past a branch iff i0 <= n-A": (
+        "        going = [] if node.tag.is_leaf else upto(n - A)\n",
+        "        going = [] if node.tag.is_leaf else upto(n)\n",
     ),
-    "root reached": (
-        "    if root not in rows:\n        return None\n",
+    "generator keys tested at each later use": (
+        "            elif A < kept[0] or B < kept[1]:\n",
+        "            elif False:\n",
+    ),
+    "no node the walk does not read": (
+        "    if read != len(nodes):\n        return None\n",
         "",
     ),
     "sizes in range (_check_ranges)": (
@@ -179,6 +192,15 @@ def battery():
     )
     u = avar(1)
     root, child = small.nodes[small.root], small.nodes[small.root].children[0]
+    tail = lambda a_count, b_count: IdealLabel.tail(3, 2, a_count, b_count)  # noqa: E731
+    # The tail (0,1) made a leaf, its only child (0,2) gone and the root's
+    # exponent summed again: a_1 ends there, where its leaf identity, built
+    # in relation form at a leaf with B = 2, has a b_1 that is no generator.
+    cut_short = dict(small.nodes)
+    cut_short[tail(0, 1)] = replace(cut_short[tail(0, 1)], tag=CaseTag.leaf(), children=(), exponent=1)
+    del cut_short[tail(0, 2)]
+    cut_short[small.root] = replace(root, exponent=small.nodes[tail(1, 0)].exponent + 1)
+    wrong_tag = CaseTag.branch(3, 2)
 
     def bumped_unit(label, tag, witnesses):
         field = helpers.field_form(witnesses[0], label)
@@ -241,6 +263,21 @@ def battery():
             with_node(small, small.root, closed_a=root.closed_a | 1 << small.n),
             (1, 2, 3),
             True,
+            local_witnesses,
+        ),
+        ("false (3,2): a_1 ends at the tail (0,1)", replace(small, nodes=cut_short), (1,), False, local_witnesses),
+        (
+            "false (3,2): branch(3,2) with its own children at the tail (1,0)",
+            with_node(small, tail(1, 0), tag=wrong_tag, children=wrong_tag.children(tail(1, 0))),
+            (1,),
+            False,
+            local_witnesses,
+        ),
+        (
+            "false (3,2): a node off the grid of tails",
+            replace(small, nodes={**small.nodes, helpers.label(3, 2, "a1"): small.nodes[leaf]}),
+            (1,),
+            False,
             local_witnesses,
         ),
         (
@@ -320,6 +357,9 @@ def test_the_real_module_judges_every_proof():
         "false (3,2): the root's children stored swapped": None,
         "false (3,2): the root's exponent off by one": None,
         "false (3,2), early stop: the root's closed a-bits wider than n": None,
+        "false (3,2): a_1 ends at the tail (0,1)": None,
+        "false (3,2): branch(3,2) with its own children at the tail (1,0)": None,
+        "false (3,2): a node off the grid of tails": None,
         "false (3,2): no root node": None,
     }
 

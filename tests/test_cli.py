@@ -398,22 +398,31 @@ class TestNodeLocalVerdict:
     @pytest.mark.parametrize("extra", [[], ["--early-stop"]], ids=["shared", "early-stop"])
     def test_each_node_witness_built_once_with_emit_cert(self, capsys, monkeypatch, tmp_path, extra):
         """With --emit-cert, the one walk that checks the run's digraphs
-        also combines their root certificates: one call of the witness
-        source per distinct (label, tag) node of the digraphs and one
-        product witness per distinct branch, for all targets, however many
-        of the --early-stop digraphs share it."""
-        build, builders, products = certificates.gauss_product_witness, [], []
+        also combines their root certificates: the witness source builds
+        each distinct identity the digraphs' proofs read once, for all
+        targets, however many of the --early-stop digraphs share it: one
+        product witness per distinct branch, and each target's leaf
+        identity once per form (generator or relation) its proof ends in."""
+        build, calls, products = certificates.gauss_product_witness, [], []
         source = certificates.local_witnesses
-        monkeypatch.setattr(certificates, "local_witnesses", lambda *args: builders.append(args[0]) or source(*args))
+        monkeypatch.setattr(certificates, "local_witnesses", lambda *args: calls.append(args) or source(*args))
         monkeypatch.setattr(certificates, "gauss_product_witness", lambda *args: products.append(args) or build(*args))
         code, out, _ = run(capsys, "generic", "--n", "3", "--m", "2", *extra, "--emit-cert", str(tmp_path / "c.json"))
         assert code == 0 and json.loads(out)["certificate"] == "verified"
         instance = ProblemInstance.generic(3, 2)
         stops = (1, 2, 3) if extra else (None,)
-        digraphs = [grow_digraph(instance, early_stop_target=stop) for stop in stops]
-        nodes = {(label, node.tag) for digraph in digraphs for label, node in digraph.nodes.items()}
+        digraphs = {stop: grow_digraph(instance, early_stop_target=stop) for stop in stops}
+        nodes = {(label, node.tag) for digraph in digraphs.values() for label, node in digraph.nodes.items()}
         assert Counter(products) == Counter((tag.i, tag.j, label) for label, tag in nodes if not tag.is_leaf)
-        assert Counter(builders) == Counter(label for label, _ in nodes)
+        built = Counter((i0, label.has("a", i0)) for label, tag, targets in calls if tag.is_leaf for i0 in targets)
+        read = {
+            (i0, label.has("a", i0))
+            for stop, digraph in digraphs.items()
+            for label, node in digraph.nodes.items()
+            if node.tag.is_leaf
+            for i0 in ((stop,) if stop else (1, 2, 3))
+        }
+        assert set(built) == read and max(built.values()) == 1
 
     @pytest.mark.parametrize("n, m", [(4, 4), (10, 10), (15, 15)])
     def test_large_runs_finish(self, n, m):
